@@ -31,9 +31,12 @@ __all__ = [
     "_decode_zigzag_reference",
     "_encode_lorenzo_reference",
     "_decode_lorenzo_reference",
+    "_bitpack_reference",
+    "_bitunpack_reference",
 ]
 
 _U64 = 1 << 64
+_CHUNK = 32  # values per BITPACK chunk
 
 
 def _encode_quantize_reference(values: np.ndarray,
@@ -146,3 +149,64 @@ def _decode_lorenzo_reference(residuals: np.ndarray) -> np.ndarray:
     for i in range(len(vals)):
         out[i] = vals[i]
     return out.reshape(shape).view(np.int64)
+
+
+def _bitpack_reference(plane: np.ndarray) -> bytes:
+    """Per-bit RZC2 BITPACK layout of a uint8 plane.
+
+    The plane is zero-padded to whole 32-value chunks; each chunk's
+    width is the bit length of its largest value.  The stream is the
+    widths, two per byte (high nibble first), then for each width 1..8
+    in ascending order, every chunk of that width in chunk order, each
+    value's low ``width`` bits MSB first.
+    """
+    vals = [int(v) for v in np.asarray(plane, dtype=np.uint8).reshape(-1)]
+    nchunks = (len(vals) + _CHUNK - 1) // _CHUNK
+    vals += [0] * (nchunks * _CHUNK - len(vals))
+    widths = [max(v.bit_length() for v in vals[c * _CHUNK:(c + 1) * _CHUNK])
+              for c in range(nchunks)]
+    out = bytearray()
+    for c in range(0, nchunks, 2):
+        low = widths[c + 1] if c + 1 < nchunks else 0
+        out.append(widths[c] << 4 | low)
+    bits = []
+    for w in range(1, 9):
+        for c in range(nchunks):
+            if widths[c] != w:
+                continue
+            for v in vals[c * _CHUNK:(c + 1) * _CHUNK]:
+                for b in range(w - 1, -1, -1):
+                    bits.append(v >> b & 1)
+    for i in range(0, len(bits), 8):
+        byte = 0
+        for bit in bits[i:i + 8]:
+            byte = byte << 1 | bit
+        out.append(byte)
+    return bytes(out)
+
+
+def _bitunpack_reference(buf: bytes, n: int) -> np.ndarray:
+    """Per-bit inverse of :func:`_bitpack_reference`: ``n`` uint8."""
+    nchunks = (n + _CHUNK - 1) // _CHUNK
+    nwb = (nchunks + 1) // 2
+    widths = []
+    for byte in buf[:nwb]:
+        widths += [byte >> 4, byte & 0x0F]
+    widths = widths[:nchunks]
+    bits = []
+    for byte in buf[nwb:]:
+        for b in range(7, -1, -1):
+            bits.append(byte >> b & 1)
+    vals = [0] * (nchunks * _CHUNK)
+    pos = 0
+    for w in range(1, 9):
+        for c in range(nchunks):
+            if widths[c] != w:
+                continue
+            for j in range(_CHUNK):
+                v = 0
+                for _ in range(w):
+                    v = v << 1 | bits[pos]
+                    pos += 1
+                vals[c * _CHUNK + j] = v
+    return np.array(vals[:n], dtype=np.uint8)

@@ -14,15 +14,15 @@ stream formats live here:
   - ``RAW`` — verbatim;
   - ``SPARSE`` — positions + values of the nonzero bytes;
   - ``BITPACK`` — 32-value chunks packed at each chunk's own bit width
-    (32·w bits is always whole bytes; both directions run as a single
-    ``unpackbits`` + index gather/scatter + ``packbits`` over the whole
-    plane — no per-chunk or per-width inner loop);
+    (32·w bits is always whole bytes), eight values per uint64 word;
   - ``ZLIB`` — DEFLATE, tried only when a byte-histogram entropy
     estimate predicts it beats the structural encodings by enough to
     be worth its CPU cost (always worth trying at high effort levels).
 
-  Both directions run on pooled scratch (:mod:`repro.native.pool`) and
-  never scan byte-by-byte in Python.
+  Decode rebuilds the codes in the narrowest unsigned dtype the plane
+  count allows and widens them to int64 once.  Both directions run on
+  pooled scratch (:mod:`repro.native.pool`) and never scan
+  byte-by-byte in Python.
 
 * **RZC1** (legacy): ``min(code, 255)`` bytes plus an 8-byte overflow
   stream, the whole payload squeezed by a ``zlib``-family backend.
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import bz2
 import lzma
-import sys
 import zlib
 
 import numpy as np
@@ -106,18 +105,8 @@ _RZC1_CUTOFF = 2048
 _BITLEN8 = np.array([int(v).bit_length() for v in range(256)],
                     dtype=np.uint8)
 
-#: for a chunk packed at width ``w``, the bit offsets (into the chunk's
-#: 256-bit MSB-first expansion) of the stored bits, in stream order:
-#: value ``j``'s low ``w`` bits, MSB first.  Lets encode and decode map
-#: the whole plane with one ``unpackbits`` + gather/scatter +
-#: ``packbits`` instead of a per-width shift/mask loop.
-_PACK_OFFSETS = [
-    np.array([j * 8 + (8 - w) + b for j in range(_CHUNK) for b in range(w)],
-             dtype=np.int64)
-    for w in range(9)
-]
-
-_LITTLE = sys.byteorder == "little"
+#: per byte-plane count, the narrowest unsigned dtype holding the codes
+_CODE_DTYPES = [np.dtype(f"u{b}") for b in (1, 1, 2, 4, 4, 8, 8, 8, 8)]
 
 
 def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
@@ -164,10 +153,7 @@ def _encode_rzc2(residuals: np.ndarray, backend: str, level: int) -> bytes:
         nplanes = (maxc.bit_length() + 7) // 8 if maxc else 0
         header.append(nplanes)
         header.append(_BACKEND_IDS[backend])
-        if _LITTLE:
-            planes8 = codes.view(np.uint8).reshape(n, 8)
-        else:
-            planes8 = codes.astype("<u8").view(np.uint8).reshape(n, 8)
+        planes8 = codes.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
         out = bytearray(bytes(header))
         for p in range(nplanes):
             np.copyto(plane_buf, planes8[:, p])
@@ -202,7 +188,9 @@ def _encode_plane(plane: np.ndarray, level: int,
     sparse_cost = 4 + 5 * k if n < 2**32 else n + 1
     raw_cost = n
     best = min(sparse_cost, raw_cost)
-    if allow_zlib:
+    # Huffman-only deflate (all that low effort tries) spends at least
+    # one bit per byte, so it cannot win once ``best`` is that small
+    if allow_zlib and (level > 4 or (n + 7) // 8 < best):
         if n < 1024:
             # tiny plane: DEFLATE costs microseconds and the
             # first-order entropy estimate misses run/positional
@@ -227,6 +215,9 @@ def _encode_plane(plane: np.ndarray, level: int,
                 # chunks are locally narrow but globally diverse, and
                 # those fail the entropy gate above
                 return _P_ZLIB, blob
+    if sparse_cost <= (nchunks + 1) // 2:
+        # BITPACK's width nibbles alone cost that much: skip the scan
+        return _sparse_plane(plane)
     if n % _CHUNK == 0:
         full = plane
         pooled = None
@@ -240,10 +231,7 @@ def _encode_plane(plane: np.ndarray, level: int,
         widths = _BITLEN8[chunk_max]
         pack_cost = (nchunks + 1) // 2 + 4 * int(widths.sum(dtype=np.int64))
         if sparse_cost <= min(pack_cost, raw_cost):
-            pos = np.flatnonzero(plane).astype("<u4")
-            vals = plane[pos]
-            return _P_SPARSE, (np.uint32(pos.size).tobytes()
-                               + pos.tobytes() + vals.tobytes())
+            return _sparse_plane(plane)
         if pack_cost < raw_cost:
             return _P_BITPACK, _bitpack_chunks(full, nchunks, widths)
         return _P_RAW, plane.tobytes()
@@ -252,52 +240,52 @@ def _encode_plane(plane: np.ndarray, level: int,
             _pool.release(pooled)
 
 
-def _pack_indices(widths: np.ndarray,
-                  counts: np.ndarray) -> np.ndarray | None:
-    """Bit indices, in stream order, of every stored bit of a plane.
-
-    Index ``i`` of the packed bit stream reads (or writes) bit
-    ``_pack_indices(...)[i]`` of the plane's MSB-first 256-bit-per-chunk
-    expansion.  Stream order groups chunks by ascending width (stable),
-    then value order within a chunk, then the value's low ``w`` bits MSB
-    first — the RZC2 BITPACK layout.  ``None`` when no chunk stores bits.
-    """
-    parts = [
-        (np.flatnonzero(widths == w)[:, None] * (8 * _CHUNK)
-         + _PACK_OFFSETS[w]).reshape(-1)
-        for w in range(1, 9) if counts[w]
-    ]
-    if not parts:
-        return None
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+def _sparse_plane(plane: np.ndarray) -> tuple[int, bytes]:
+    pos = np.flatnonzero(plane).astype("<u4")
+    return _P_SPARSE, (np.uint32(pos.size).tobytes() + pos.tobytes()
+                       + plane[pos].tobytes())
 
 
 def _bitpack_chunks(padded: np.ndarray, nchunks: int,
                     widths: np.ndarray) -> bytes:
     """Pack 32-value chunks at their own widths, grouped by width.
 
-    Layout: nibble-packed per-chunk widths, then — for each width in
-    ascending order — the ``4 * width``-byte payloads of every chunk of
-    that width, concatenated.  Both directions are one ``unpackbits``,
-    one gather (or scatter), and one ``packbits`` over the whole plane:
-    no per-chunk loop, and the per-width work is a single index-table
-    concatenation.
+    Layout: nibble-packed per-chunk widths, then — for each width ``w``
+    in ascending order — the ``4 * w``-byte payloads of every chunk of
+    that width, concatenated; a payload is each value's low ``w`` bits,
+    MSB first.  Each group of eight values is shift-or'ed into one
+    uint64 word whose low ``w`` bytes, big-endian, are exactly the
+    group's ``8 * w`` bits.
     """
     counts = np.bincount(widths, minlength=9)
-    src = _pack_indices(widths, counts)
-    body = np.packbits(np.unpackbits(padded)[src]) if src is not None \
-        else np.empty(0, np.uint8)
+    chunks = padded.reshape(nchunks, _CHUNK)
+    parts = []
+    for w in range(1, 9):
+        if not counts[w]:
+            continue
+        sel = chunks if counts[w] == nchunks else chunks[widths == w]
+        if w == 8:
+            parts.append(sel.tobytes())
+            continue
+        groups = sel.reshape(-1, 8)
+        words = np.zeros(len(groups), dtype=np.uint64)
+        for k in range(8):
+            words |= groups[:, k].astype(np.uint64) << (w * (7 - k))
+        be = words.astype(">u8").view(np.uint8).reshape(-1, 8)
+        parts.append(be[:, 8 - w:].tobytes())
     # nibble-pack widths (values 0..8 fit in 4 bits)
     pad_w = np.zeros(2 * ((nchunks + 1) // 2), dtype=np.uint8)
     pad_w[:nchunks] = widths
     nibbles = (pad_w[0::2] << 4) | pad_w[1::2]
-    return nibbles.tobytes() + body.tobytes()
+    return b"".join([nibbles.tobytes(), *parts])
 
 
 def _bitunpack_chunks(buf: memoryview, n: int, out: np.ndarray) -> None:
     """Inverse of :func:`_bitpack_chunks` into ``out`` (n uint8)."""
     nchunks = (n + _CHUNK - 1) // _CHUNK
     nwb = (nchunks + 1) // 2
+    if len(buf) < nwb:
+        raise ValueError("corrupt residual stream: bitpack size mismatch")
     nibbles = np.frombuffer(buf[:nwb], dtype=np.uint8)
     widths = np.empty(2 * nwb, dtype=np.uint8)
     widths[0::2] = nibbles >> 4
@@ -306,17 +294,27 @@ def _bitunpack_chunks(buf: memoryview, n: int, out: np.ndarray) -> None:
     if np.any(widths > 8):
         raise ValueError("corrupt residual stream: bitpack width > 8")
     counts = np.bincount(widths, minlength=9)
-    total = 4 * int(np.arange(9).dot(counts))
     body = np.frombuffer(buf[nwb:], dtype=np.uint8)
-    if body.size != total:
+    if body.size != 4 * int(np.arange(9).dot(counts)):
         raise ValueError("corrupt residual stream: bitpack size mismatch")
-    bits = np.zeros(nchunks * _CHUNK * 8, dtype=np.uint8)
-    dst = _pack_indices(widths, counts)
-    if dst is not None:
-        # 32*w bits per chunk is whole bytes, so the body expands with
-        # no trailing pad: every unpacked bit has a destination
-        bits[dst] = np.unpackbits(body)
-    out[:] = np.packbits(bits)[:n]
+    chunks = np.zeros((nchunks, _CHUNK), dtype=np.uint8)
+    pos = 0
+    for w in range(1, 9):
+        if not counts[w]:
+            continue
+        size = 4 * w * int(counts[w])
+        vals = body[pos:pos + size]
+        pos += size
+        if w < 8:
+            be = np.zeros((size // w, 8), dtype=np.uint8)
+            be[:, 8 - w:] = vals.reshape(-1, w)
+            words = be.view(">u8").astype(np.uint64).reshape(-1)
+            vals = np.empty((words.size, 8), dtype=np.uint8)
+            for k in range(8):
+                vals[:, k] = (words >> (w * (7 - k))) & ((1 << w) - 1)
+        rows = slice(None) if counts[w] == nchunks else widths == w
+        chunks[rows] = vals.reshape(-1, _CHUNK)
+    out[:] = chunks.reshape(-1)[:n]
 
 
 def _decode_rzc2(view: memoryview) -> np.ndarray:
@@ -329,13 +327,13 @@ def _decode_rzc2(view: memoryview) -> np.ndarray:
         raise ValueError(f"corrupt residual stream: {nplanes} byte planes")
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    # codes are rebuilt arithmetically — widen plane 0, then shift-or
-    # each higher plane in.  All ops are contiguous, which beats
-    # scattering byte columns into an (n, 8) staging matrix.
-    codes = _pool.acquire(n, np.uint64)
+    # codes are rebuilt arithmetically in the narrowest unsigned width
+    # that holds them — widen plane 0, then shift-or each higher plane
+    # in — and zigzag-decoded there, so only the result is int64
+    dt = _CODE_DTYPES[nplanes]
+    codes = _pool.acquire(n, dt)
+    scratch = _pool.acquire(n, dt)
     plane_buf = _pool.acquire(n, np.uint8)
-    shifted = None
-    scratch = None
     try:
         if nplanes == 0:
             codes[:] = 0
@@ -355,22 +353,19 @@ def _decode_rzc2(view: memoryview) -> np.ndarray:
             if p == 0:
                 codes[:] = plane_buf
             else:
-                if shifted is None:
-                    shifted = _pool.acquire(n, np.uint64)
-                shifted[:] = plane_buf
-                np.left_shift(shifted, 8 * p, out=shifted)
-                np.bitwise_or(codes, shifted, out=codes)
+                scratch[:] = plane_buf
+                np.left_shift(scratch, 8 * p, out=scratch)
+                np.bitwise_or(codes, scratch, out=codes)
         if pos != len(view):
             raise ValueError("corrupt residual stream: trailing bytes")
-        scratch = _pool.acquire(n, np.uint64)
-        return zigzag_decode(codes, out=np.empty(n, np.int64),
-                             scratch=scratch)
+        # zigzag: (u >> 1) ^ -(u & 1), wrapping in the code width
+        np.right_shift(codes, 1, out=scratch)
+        np.bitwise_and(codes, 1, out=codes)
+        np.negative(codes, out=codes)
+        np.bitwise_xor(codes, scratch, out=codes)
+        return codes.view(f"i{dt.itemsize}").astype(np.int64)
     finally:
-        _pool.release(codes, plane_buf)
-        if shifted is not None:
-            _pool.release(shifted)
-        if scratch is not None:
-            _pool.release(scratch)
+        _pool.release(codes, scratch, plane_buf)
 
 
 def _decode_plane(tag: int, payload: memoryview, n: int,
@@ -398,8 +393,10 @@ def _decode_plane(tag: int, payload: memoryview, n: int,
     elif tag == _P_BITPACK:
         _bitunpack_chunks(payload, n, out)
     elif tag == _P_ZLIB:
-        raw = zlib.decompress(bytes(payload))
-        if len(raw) != n:
+        # inflate at most n bytes: a forged plane cannot balloon
+        inflater = zlib.decompressobj()
+        raw = inflater.decompress(payload, n)
+        if len(raw) != n or inflater.unconsumed_tail or not inflater.eof:
             raise ValueError("corrupt residual stream: bad zlib plane")
         out[:] = np.frombuffer(raw, dtype=np.uint8)
     else:

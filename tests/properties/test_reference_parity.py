@@ -11,7 +11,7 @@ this directory's conftest.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,7 +23,10 @@ from repro.encoders import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.encoders import residual
 from repro.encoders._reference import (
+    _bitpack_reference,
+    _bitunpack_reference,
     _decode_dequantize_reference,
     _decode_lorenzo_reference,
     _decode_zigzag_reference,
@@ -128,6 +131,48 @@ def test_lorenzo_parity_degenerate_dims(shape):
     arr = rng.integers(-1000, 1000, shape, dtype=np.int64)
     assert (lorenzo_encode(arr).tobytes()
             == _encode_lorenzo_reference(arr).tobytes())
+
+
+# -- RZC2 bitpack -----------------------------------------------------------
+
+@st.composite
+def bitpack_planes(draw):
+    """uint8 planes whose 32-value chunks each top out at a drawn width
+    in 0..8 — mixed widths, ragged lengths, or every chunk at 8."""
+    n = draw(st.integers(1, 600))
+    nchunks = (n + 31) // 32
+    widths = draw(st.one_of(
+        st.lists(st.integers(0, 8), min_size=nchunks, max_size=nchunks),
+        st.just([8] * nchunks)))
+    raw = draw(hnp.arrays(np.uint8, nchunks * 32))
+    top = np.repeat(np.array(widths, dtype=np.int64), 32)
+    vals = raw.astype(np.int64) & ((1 << top) - 1)
+    # pin each chunk's width: its first value carries the top bit
+    first = np.arange(nchunks) * 32
+    vals[first] |= np.where(top[first] > 0, 1 << (top[first] - 1), 0)
+    return vals[:n].astype(np.uint8)
+
+
+def _bitpack(plane: np.ndarray) -> bytes:
+    """Production BITPACK body, framed the way ``_encode_plane`` does."""
+    nchunks = (plane.size + 31) // 32
+    full = np.zeros(nchunks * 32, dtype=np.uint8)
+    full[:plane.size] = plane
+    widths = residual._BITLEN8[full.reshape(nchunks, 32).max(axis=1)]
+    return residual._bitpack_chunks(full, nchunks, widths)
+
+
+@given(bitpack_planes())
+@example(np.full(2048, 255, dtype=np.uint8))
+@example(np.arange(1000, dtype=np.int64).astype(np.uint8))
+@settings(max_examples=60, deadline=None)
+def test_bitpack_matches_per_bit_reference(plane):
+    ref = _bitpack_reference(plane)
+    assert _bitpack(plane) == ref
+    out = np.empty(plane.size, dtype=np.uint8)
+    residual._bitunpack_chunks(memoryview(ref), plane.size, out)
+    assert out.tobytes() == plane.tobytes()
+    assert _bitunpack_reference(ref, plane.size).tobytes() == plane.tobytes()
 
 
 # -- huffman ----------------------------------------------------------------
