@@ -358,12 +358,8 @@ def _decode_rzc2(view: memoryview) -> np.ndarray:
                 np.bitwise_or(codes, scratch, out=codes)
         if pos != len(view):
             raise ValueError("corrupt residual stream: trailing bytes")
-        # zigzag: (u >> 1) ^ -(u & 1), wrapping in the code width
-        np.right_shift(codes, 1, out=scratch)
-        np.bitwise_and(codes, 1, out=codes)
-        np.negative(codes, out=codes)
-        np.bitwise_xor(codes, scratch, out=codes)
-        return codes.view(f"i{dt.itemsize}").astype(np.int64)
+        return zigzag_decode(codes, out=codes,
+                             scratch=scratch).astype(np.int64)
     finally:
         _pool.release(codes, scratch, plane_buf)
 

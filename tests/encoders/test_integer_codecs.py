@@ -40,6 +40,19 @@ class TestZigzag:
         v = np.arange(-50, 50, dtype=np.int64)[::3]
         assert np.array_equal(zigzag_decode(zigzag_encode(v)), v)
 
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_buffered_decode_keeps_the_code_width(self, bits):
+        rng = np.random.default_rng(bits)
+        codes = rng.integers(0, 2**bits, size=1000, dtype=f"u{bits // 8}",
+                             endpoint=False)
+        codes[:2] = [0, 2**bits - 1]
+        expected = zigzag_decode(codes.astype(np.uint64))
+        scratch = np.empty_like(codes)
+        out = zigzag_decode(codes, out=codes, scratch=scratch)
+        assert out.dtype == np.dtype(f"i{bits // 8}")
+        assert np.shares_memory(out, codes)
+        assert np.array_equal(out.astype(np.int64), expected)
+
 
 class TestVarint:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**32, 2**63])
