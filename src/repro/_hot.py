@@ -3,47 +3,51 @@
 :meth:`repro.core.compressor.PressioCompressor.compress` must stay
 zero-cost when nothing is watching: the paper's Fig. 3 overhead numbers
 are pinned by ``tests/trace/test_overhead.py`` to within 1 % of the
-unguarded operation bodies.  With two observer subsystems (the tracer
-in :mod:`repro.trace.runtime` and the metrics registry in
-:mod:`repro.obs.runtime`) a naive guard would read two module globals
-per call; instead both runtimes report state changes here and the hot
-path reads the single ``ANY`` flag — the same one-global-read guard the
-tracer alone needed.
+unguarded operation bodies.  There are three observer subsystems — the
+tracer (:mod:`repro.trace.runtime`), the metrics registry
+(:mod:`repro.obs.runtime`) and the flight recorder
+(:mod:`repro.obs.flight`) — each with its own module-global ``ACTIVE``.
+A naive guard would read three globals per call; instead every change
+to an ``ACTIVE`` goes through :func:`swap`, and the hot path reads the
+single ``ANY`` flag — the same one-global-read guard the tracer alone
+needed.
 
-This module must stay import-free so either runtime can import it
-without cycles.
+This module imports nothing from :mod:`repro`, so every runtime can
+import it without cycles.
 """
 
 from __future__ import annotations
 
-__all__ = ["ANY", "set_tracer_active", "set_registry_active",
-           "set_flight_active"]
+import threading
+from types import ModuleType
+from typing import Any
+
+__all__ = ["ANY", "swap"]
 
 #: True when a tracer, a metrics registry, or a flight recorder is
-#: active.  Read-only for everyone except the three setters below.
+#: active.  Read-only for everyone except :func:`swap`.
 ANY: bool = False
 
-_TRACER_ON = False
-_REGISTRY_ON = False
-_FLIGHT_ON = False
+_LOCK = threading.Lock()
+#: names of the observer modules whose ``ACTIVE`` is currently set
+_ON: set[str] = set()
 
 
-def set_tracer_active(on: bool) -> None:
-    """Called by :mod:`repro.trace.runtime` on every ACTIVE change."""
-    global _TRACER_ON, ANY
-    _TRACER_ON = on
-    ANY = on or _REGISTRY_ON or _FLIGHT_ON
+def swap(observer: ModuleType, value: Any) -> Any:
+    """Install ``value`` as ``observer.ACTIVE``; return the one it replaced.
 
-
-def set_registry_active(on: bool) -> None:
-    """Called by :mod:`repro.obs.runtime` on every ACTIVE change."""
-    global _REGISTRY_ON, ANY
-    _REGISTRY_ON = on
-    ANY = on or _TRACER_ON or _FLIGHT_ON
-
-
-def set_flight_active(on: bool) -> None:
-    """Called by :mod:`repro.obs.flight` on every ACTIVE change."""
-    global _FLIGHT_ON, ANY
-    _FLIGHT_ON = on
-    ANY = on or _TRACER_ON or _REGISTRY_ON
+    ``value`` None turns that observer off.  Enabling, disabling and
+    restoring the previous observer at the end of a scoped manager are
+    all this one call, so ``ANY`` can never disagree with the three
+    ``ACTIVE`` slots.
+    """
+    global ANY
+    with _LOCK:
+        previous = observer.ACTIVE
+        observer.ACTIVE = value
+        if value is None:
+            _ON.discard(observer.__name__)
+        else:
+            _ON.add(observer.__name__)
+        ANY = bool(_ON)
+    return previous

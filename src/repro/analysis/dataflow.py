@@ -466,7 +466,7 @@ class BufferInterp:
             return release_target_names(stmt.value)
         return None
 
-    def _can_raise(self, stmt: ast.stmt) -> bool:
+    def _can_raise(self, stmt: ast.AST) -> bool:
         if isinstance(stmt, (ast.Raise, ast.Assert)):
             return True
         if self._release_names(stmt) is not None:
@@ -474,16 +474,13 @@ class BufferInterp:
         # pool acquire / allocator calls are non-raising primitives of
         # the checked contract: `a = acquire(); b = acquire()` before a
         # try/finally is a sanctioned shape, not an exception edge.
-        # Observability calls (trace spans, metrics, logging) and
-        # nullcontext() share that contract — the hot-path design
-        # already assumes they are skippable, so they must not raise.
+        # Observability calls (trace spans, metrics, logging) share
+        # that contract — the hot-path design already assumes they are
+        # skippable, so they must not raise.
         from .visitor import classify_observability_call
         for node in _calls_in(stmt):
             if is_pool_acquire(node, self.module) \
                     or is_pool_release(node, self.module):
-                continue
-            name = dotted_name(node.func) or ""
-            if name.split(".")[-1] == "nullcontext":
                 continue
             if classify_observability_call(node, self.module) is not None:
                 continue
@@ -529,7 +526,7 @@ class BufferInterp:
         if isinstance(stmt, (ast.For, ast.While)):
             return self._exec_loop(stmt, states, raise_sink)
         if isinstance(stmt, ast.With):
-            if any(_contains_call(item.context_expr)
+            if any(self._can_raise(item.context_expr)
                    for item in stmt.items):
                 for st in states:
                     raise_sink(st, stmt)

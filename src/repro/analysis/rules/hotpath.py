@@ -18,51 +18,6 @@ from ..visitor import GuardedCallVisitor, classify_observability_call
 from . import Rule, register_rule
 
 _OP_METHODS = ("_compress", "_decompress")
-
-
-@register_rule
-class UnguardedObservabilityRule(Rule):
-    """HP001: observability calls in op bodies need a sentinel guard."""
-
-    rule_id = "HP001"
-    name = "unguarded-observability"
-    severity = Severity.ERROR
-    description = (
-        "Inside _compress/_decompress bodies, calls into the tracer, the "
-        "metrics registry, loggers/print, or plugin registries must sit "
-        "inside an if whose test reads repro._hot.ANY or a runtime ACTIVE "
-        "sentinel (or inside an except arm — the cold error path)."
-    )
-    rationale = (
-        "Paper Fig. 3 / ROADMAP <1% overhead pin: unguarded observability "
-        "in an operation body costs attribute lookups and calls on every "
-        "operation even when nothing is watching."
-    )
-
-    def check(self, module: SourceModule,
-              index: ProjectIndex) -> Iterable[Finding]:
-        for info in module.classes:
-            for method_name in _OP_METHODS:
-                fn = info.methods.get(method_name)
-                if fn is None:
-                    continue
-                visitor = GuardedCallVisitor().visit(fn)
-                for call, guarded in visitor.calls:
-                    if guarded:
-                        continue
-                    label = classify_observability_call(call, module)
-                    if label is None:
-                        continue
-                    target = dotted_name(call.func) or "<call>"
-                    yield self.finding(
-                        module, call,
-                        f"{info.name}.{method_name} performs an unguarded "
-                        f"{label} call ({target}); guard it with "
-                        f"'if _hot.ANY:' / 'if _trace.ACTIVE is not None:' "
-                        f"so the disabled path stays call-free",
-                    )
-
-
 _HOT_FN_NAMES = ("compress", "decompress")
 _HOT_FN_PREFIXES = ("_compress", "_decompress", "_encode", "_decode")
 
@@ -80,50 +35,77 @@ def _is_hot_function(name: str) -> bool:
                for p in _HOT_FN_PREFIXES)
 
 
-@register_rule
-class UnguardedHotFunctionRule(Rule):
-    """HP003: profiler hooks in native hot functions need sentinel guards."""
+def _hot_scopes(module: SourceModule):
+    """``(label, function)`` for every body HP001 checks.
 
-    rule_id = "HP003"
-    name = "unguarded-hot-function-hook"
+    Plugin ``_compress``/``_decompress`` methods, and module-level hot
+    functions (see :func:`_is_hot_function`).
+    """
+    for info in module.classes:
+        for method_name in _OP_METHODS:
+            fn = info.methods.get(method_name)
+            if fn is not None:
+                yield f"{info.name}.{method_name}", fn
+    if module.tree is None:
+        return
+    for node in module.tree.body:
+        if isinstance(node, ast.FunctionDef) and _is_hot_function(node.name):
+            yield f"hot function {node.name}", node
+
+
+def _with_stage_calls(fn: ast.FunctionDef) -> set[int]:
+    """Ids of ``X.stage(...)`` calls used directly as ``with`` items."""
+    return {id(item.context_expr)
+            for node in ast.walk(fn) if isinstance(node, ast.With)
+            for item in node.items
+            if isinstance(item.context_expr, ast.Call)
+            and (dotted_name(item.context_expr.func) or ""
+                 ).split(".")[-1] == "stage"}
+
+
+@register_rule
+class UnguardedObservabilityRule(Rule):
+    """HP001: observability calls on the hot path need a sentinel guard."""
+
+    rule_id = "HP001"
+    name = "unguarded-observability"
     severity = Severity.ERROR
     description = (
-        "Module-level hot functions (compress/decompress and "
-        "_compress*/_decompress*/_encode*/_decode* helpers) may only call "
-        "into the tracer, profiler, metrics registry, or loggers from "
-        "inside an if whose test reads a hot-path sentinel "
-        "(repro._hot.ANY or a runtime ACTIVE) or an except arm."
+        "Inside plugin _compress/_decompress bodies and module-level hot "
+        "functions (compress/decompress and _compress*/_decompress*/"
+        "_encode*/_decode* helpers), calls into the tracer, the profiler, "
+        "the metrics registry, loggers/print, or plugin registries must "
+        "sit inside an if whose test reads repro._hot.ANY or a runtime "
+        "ACTIVE sentinel, or inside an except arm (the cold error path).  "
+        "The one exception is _trace.stage(...) used directly as a with "
+        "item: it returns a shared null context when tracing is off."
     )
     rationale = (
-        "Stage profiling hooks live inside the native cores, below the "
-        "plugin wrappers HP002 already pins; an unguarded hook there "
-        "runs on every operation — watched or not — and erodes the "
-        "<1% disabled-observability budget from the inside."
+        "Paper Fig. 3 / ROADMAP <1% overhead pin: unguarded observability "
+        "on the hot path costs attribute lookups and calls on every "
+        "operation even when nothing is watching — in the plugin bodies "
+        "and, below the wrappers HP002 pins, inside the native cores."
     )
 
     def check(self, module: SourceModule,
               index: ProjectIndex) -> Iterable[Finding]:
-        if module.tree is None:
-            return
-        for node in module.tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if not _is_hot_function(node.name):
-                continue
-            visitor = GuardedCallVisitor().visit(node)
-            for call, guarded in visitor.calls:
+        for where, fn in _hot_scopes(module):
+            allowed = _with_stage_calls(fn)
+            for call, guarded in GuardedCallVisitor().visit(fn).calls:
                 if guarded:
                     continue
                 label = classify_observability_call(call, module)
-                if label is None:
+                if label is None or (label == "trace"
+                                     and id(call) in allowed):
                     continue
                 target = dotted_name(call.func) or "<call>"
                 yield self.finding(
                     module, call,
-                    f"hot function {node.name} performs an unguarded "
-                    f"{label} call ({target}); guard it with "
-                    f"'if _trace.ACTIVE is not None:' (statement form) so "
-                    f"the disabled path stays call-free",
+                    f"{where} performs an unguarded {label} call "
+                    f"({target}); guard it with 'if _hot.ANY:' / "
+                    f"'if _trace.ACTIVE is not None:', or for a span use "
+                    f"'with _trace.stage(...):', so the disabled path "
+                    f"does no observer work",
                 )
 
 

@@ -79,42 +79,8 @@ class PressioCompressor(Configurable):
         """
         if not _hot.ANY:
             return self._compress_op(input, output)
-        ctx = _trace.ACTIVE
-        reg = _obs.ACTIVE
-        rec = _flight.ACTIVE
-        if ctx is None and reg is None and rec is None:
-            return self._compress_op(input, output)
-        if ctx is None:
-            start_ns = time.perf_counter_ns()
-            result = self._compress_op(input, output)
-            duration_ns = time.perf_counter_ns() - start_ns
-            if reg is not None:
-                _obs.record_operation(
-                    "compress", self.get_name(), input.dtype.name,
-                    duration_ns / 1e9,
-                    input.size_in_bytes, result.size_in_bytes)
-            if rec is not None:
-                # with tracing off, the flight ring gets no span events;
-                # record the operation directly so the last-N window
-                # still shows what ran before a failure
-                rec.record("operation", operation="compress",
-                           plugin=self.get_name(),
-                           dtype=input.dtype.name,
-                           duration_ns=duration_ns,
-                           input_bytes=input.size_in_bytes,
-                           output_bytes=result.size_in_bytes)
-            return result
-        with ctx.span("compress", plugin=self.get_name(),
-                      dtype=input.dtype.name, dims=list(input.dims),
-                      input_bytes=input.size_in_bytes) as sp:
-            result = self._compress_op(input, output)
-            sp.attrs["output_bytes"] = result.size_in_bytes
-        if reg is not None:
-            _obs.record_operation(
-                "compress", self.get_name(), input.dtype.name,
-                sp.duration_ns / 1e9,
-                input.size_in_bytes, result.size_in_bytes)
-        return result
+        return self._observed("compress", self._compress_op,
+                              input, output, input)
 
     def _compress_op(self, input: PressioData,
                      output: PressioData | None) -> PressioData:
@@ -158,38 +124,44 @@ class PressioCompressor(Configurable):
         """
         if not _hot.ANY:
             return self._decompress_op(input, output)
+        return self._observed("decompress", self._decompress_op,
+                              input, output, output)
+
+    def _observed(self, operation: str, run, input: PressioData,
+                  output: PressioData | None,
+                  described: PressioData) -> PressioData:
+        """Run ``run(input, output)`` once under every active observer.
+
+        ``described`` supplies the dtype/dims labels: the input for
+        compress, the output template for decompress.  With a tracer
+        the operation runs inside a span; without one, a bare
+        ``perf_counter_ns`` pair times it and the flight recorder (which
+        then sees no span events) gets an ``"operation"`` event so its
+        last-N window still shows what ran before a failure.  Either
+        way the registry, when active, counts it once.
+        """
+        plugin = self.get_name()
+        dtype = described.dtype.name
         ctx = _trace.ACTIVE
-        reg = _obs.ACTIVE
-        rec = _flight.ACTIVE
-        if ctx is None and reg is None and rec is None:
-            return self._decompress_op(input, output)
-        if ctx is None:
+        if ctx is not None:
+            with ctx.span(operation, plugin=plugin, dtype=dtype,
+                          dims=list(described.dims),
+                          input_bytes=input.size_in_bytes) as sp:
+                result = run(input, output)
+                sp.attrs["output_bytes"] = result.size_in_bytes
+            duration_ns = sp.duration_ns
+        else:
             start_ns = time.perf_counter_ns()
-            result = self._decompress_op(input, output)
+            result = run(input, output)
             duration_ns = time.perf_counter_ns() - start_ns
-            if reg is not None:
-                _obs.record_operation(
-                    "decompress", self.get_name(), output.dtype.name,
-                    duration_ns / 1e9,
-                    input.size_in_bytes, result.size_in_bytes)
+            rec = _flight.ACTIVE
             if rec is not None:
-                rec.record("operation", operation="decompress",
-                           plugin=self.get_name(),
-                           dtype=output.dtype.name,
-                           duration_ns=duration_ns,
+                rec.record("operation", operation=operation, plugin=plugin,
+                           dtype=dtype, duration_ns=duration_ns,
                            input_bytes=input.size_in_bytes,
                            output_bytes=result.size_in_bytes)
-            return result
-        with ctx.span("decompress", plugin=self.get_name(),
-                      dtype=output.dtype.name, dims=list(output.dims),
-                      input_bytes=input.size_in_bytes) as sp:
-            result = self._decompress_op(input, output)
-            sp.attrs["output_bytes"] = result.size_in_bytes
-        if reg is not None:
-            _obs.record_operation(
-                "decompress", self.get_name(), output.dtype.name,
-                sp.duration_ns / 1e9,
-                input.size_in_bytes, result.size_in_bytes)
+        _obs.record_operation(operation, plugin, dtype, duration_ns / 1e9,
+                              input.size_in_bytes, result.size_in_bytes)
         return result
 
     def _decompress_op(self, input: PressioData,

@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..core.data import PressioData
@@ -69,13 +67,9 @@ class FaultInjectorCompressor(MetaCompressor):
         stream = bytearray(input.to_bytes())
         usable = len(stream) - self._skip_header_bytes
         if self._num_faults > 0 and usable > 0:
-            if _trace.ACTIVE is not None:
-                span = _trace.stage("fault_injector:inject",
-                                    num_faults=self._num_faults,
-                                    seed=self._seed)
-            else:
-                span = nullcontext()
-            with span:
+            with _trace.stage("fault_injector:inject",
+                              num_faults=self._num_faults,
+                              seed=self._seed):
                 rng = np.random.default_rng(self._seed)
                 positions = rng.integers(self._skip_header_bytes, len(stream),
                                          size=self._num_faults)
@@ -128,13 +122,9 @@ class ErrorInjectorCompressor(MetaCompressor):
     def _compress(self, input: PressioData) -> PressioData:
         arr = np.asarray(input.to_numpy(), dtype=np.float64)
         if self._scale > 0:
-            if _trace.ACTIVE is not None:
-                span = _trace.stage("error_injector:perturb",
-                                    distribution=self._distribution,
-                                    scale=self._scale)
-            else:
-                span = nullcontext()
-            with span:
+            with _trace.stage("error_injector:perturb",
+                              distribution=self._distribution,
+                              scale=self._scale):
                 rng = np.random.default_rng(self._seed)
                 if self._distribution == "normal":
                     noise = rng.normal(0.0, self._scale, size=arr.shape)

@@ -8,8 +8,6 @@ inner compressor with a reversible (or deliberately reducing, for
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ..core.data import PressioData
@@ -82,11 +80,7 @@ class TransposeCompressor(MetaCompressor):
     def _compress(self, input: PressioData) -> PressioData:
         arr = np.asarray(input.to_numpy())
         order = self._order_for(arr.ndim)
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("transpose:forward", order=list(order))
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("transpose:forward", order=list(order)):
             transposed = np.ascontiguousarray(arr.transpose(order))
         inner_out = self._inner.compress(PressioData.from_numpy(transposed,
                                                                 copy=False))
@@ -101,11 +95,7 @@ class TransposeCompressor(MetaCompressor):
         out = self._inner.decompress(PressioData.from_bytes(inner_stream),
                                      inner_template)
         arr = np.asarray(out.to_numpy()).reshape(t_dims)
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("transpose:inverse", order=list(order))
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("transpose:inverse", order=list(order)):
             inverse = np.argsort(order)
             restored = np.ascontiguousarray(arr.transpose(inverse))
         return PressioData.from_numpy(restored, copy=False)
@@ -236,11 +226,7 @@ class LinearQuantizerCompressor(MetaCompressor):
             # rint(nan).astype(int64) is undefined and would decode as
             # silent garbage; reject like the other quantizing plugins
             raise ValueError("cannot quantize non-finite values")
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("linear_quantizer:quantize", step=self._step)
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("linear_quantizer:quantize", step=self._step):
             codes = np.rint(arr / self._step).astype(np.int64)
         inner_out = self._inner.compress(
             PressioData.from_numpy(codes, copy=False)
@@ -255,11 +241,7 @@ class LinearQuantizerCompressor(MetaCompressor):
         out = self._inner.decompress(PressioData.from_bytes(inner_stream),
                                      inner_template)
         codes = np.asarray(out.to_numpy(), dtype=np.float64)
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("linear_quantizer:dequantize", step=step)
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("linear_quantizer:dequantize", step=step):
             restored = (codes * step).astype(dtype_to_numpy(dtype)).reshape(dims)
         return PressioData.from_numpy(restored, copy=False)
 
@@ -323,12 +305,8 @@ class SampleCompressor(MetaCompressor):
                 f"cannot sample every {self._rate} of leading dim "
                 f"{arr.shape[:1]}"
             )
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("sample:select", mode=self._mode,
-                                rate=self._rate)
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("sample:select", mode=self._mode,
+                          rate=self._rate):
             sampled = np.ascontiguousarray(arr[self._select(arr.shape[0])])
         if _trace.ACTIVE is not None:
             _trace.annotate(sampled_dims=list(sampled.shape))

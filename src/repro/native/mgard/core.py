@@ -21,8 +21,6 @@ least 3 samples — the decomposition needs interior points — otherwise
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ...core.dtype import dtype_from_numpy, dtype_to_numpy
@@ -201,18 +199,10 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
     dtype = dtype_from_numpy(arr.dtype)
     levels = max_levels(arr.shape)
     bounds = _level_bounds(float(tol), levels, float(s), arr.ndim)
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:decompose", levels=levels)
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("mgard:decompose", levels=levels):
         coarse, details, _shapes = _decompose(
             arr.astype(np.float64, copy=False), levels)
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:quantize")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("mgard:quantize"):
         # one flat code buffer sized for every piece, quantized into in
         # place of the old build-pieces-then-concatenate sequence
         total = int(sum(d.size for lvl in details for d in lvl)
@@ -249,11 +239,7 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
 def compress_stage2(state: dict) -> bytes:
     """Entropy-code and frame the output of :func:`compress_stage1`."""
     allcodes = state["allcodes"]
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:entropy", backend=state["backend"])
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("mgard:entropy", backend=state["backend"]):
         try:
             payload = encode_residuals(allcodes, backend=state["backend"],
                                        level=state["level"])
@@ -294,11 +280,7 @@ def decompress(stream: bytes | memoryview,
     if not (tol > 0) or not np.isfinite(tol):
         raise CorruptStreamError(f"stream declares invalid tolerance {tol}")
     bounds = _level_bounds(tol, levels, s, len(dims))
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:entropy")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("mgard:entropy"):
         allcodes = decode_residuals(bytes(memoryview(stream)[pos:]))
     # replay the decomposition shape computation to slice the code buffer
     details_shapes: list[list[tuple[int, ...]]] = []
@@ -321,11 +303,7 @@ def decompress(stream: bytes | memoryview,
     details: list[list[np.ndarray]] = []
     shapes: list[tuple[int, ...]] = []
     run = list(dims)
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:dequantize")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("mgard:dequantize"):
         for lvl in range(levels):
             shapes.append(tuple(run))
             level_details: list[np.ndarray] = []
@@ -346,11 +324,7 @@ def decompress(stream: bytes | memoryview,
         allcodes[offset:offset + n_coarse].reshape(coarse_shape)
     )
     coarse = dequantize_uniform(coarse_codes, bounds[-1])
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:reconstruct")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("mgard:reconstruct"):
         out = _reconstruct(coarse, details, shapes)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":

@@ -19,8 +19,6 @@ packed side channel, the same mathematical reduction SZ uses.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ...core.dtype import DType, dtype_from_numpy, dtype_to_numpy
@@ -89,11 +87,7 @@ def effective_abs_bound(data: np.ndarray, params: sz_params) -> float:
 def _entropy_encode(residuals: np.ndarray,
                     params: sz_params) -> tuple[int, bytes]:
     """Entropy-code flat residuals (the zlib-heavy stage-2 half)."""
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:entropy", coder=params.entropyCoder)
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("sz:entropy", coder=params.entropyCoder):
         if params.entropyCoder == "huffman":
             from ...encoders.zigzag import zigzag_encode
 
@@ -107,11 +101,7 @@ def _entropy_encode(residuals: np.ndarray,
 
 
 def _encode_codes(codes: np.ndarray, params: sz_params) -> tuple[int, bytes]:
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:predict")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("sz:predict"):
         residuals = (
             lorenzo_encode(codes) if params.predictionMode == "lorenzo"
             else codes
@@ -121,11 +111,7 @@ def _encode_codes(codes: np.ndarray, params: sz_params) -> tuple[int, bytes]:
 
 def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
                   prediction: str) -> np.ndarray:
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:entropy")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("sz:entropy"):
         if entropy_kind == _ENTROPY_HUFFMAN:
             from ...encoders.zigzag import zigzag_decode
 
@@ -142,11 +128,7 @@ def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
         )
     residuals = residuals.reshape(dims)
     if prediction == "lorenzo":
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("sz:predict")
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("sz:predict"):
             # the residual buffer came straight off the entropy decoder,
             # so it is ours to overwrite
             return lorenzo_decode(residuals, clobber=True)
@@ -205,11 +187,7 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         return {"kind": "regression", "work": work, "eb": eb,
                 "offset": offset, "dtype": dtype, "shape": arr.shape,
                 "params": params}
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:quantize", bound=eb)
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("sz:quantize", bound=eb):
         codes = _pool.acquire(work.shape, np.int64)
         scratch = _pool.acquire(work.shape, np.float64)
         try:
@@ -229,11 +207,7 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         except BaseException:
             _pool.release(codes, scratch)
             raise
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:predict")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("sz:predict"):
         try:
             if params.predictionMode == "lorenzo":
                 residuals = lorenzo_encode(
@@ -255,11 +229,7 @@ def compress_stage2(state: dict) -> bytes:
     if kind == "pw_rel":
         return _compress_pw_rel(state["arr"], state["dtype"], params)
     if kind == "regression":
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("sz:regression")
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("sz:regression"):
             payload = compress_regression(
                 state["work"], state["eb"],
                 params.predictionMode == "adaptive",
@@ -311,22 +281,14 @@ def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None
     entropy_kind = ints[1]
     prediction = _PRED_NAMES.get(ints[2], "lorenzo")
     if prediction in ("regression", "adaptive"):
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("sz:regression")
-        else:
-            span = nullcontext()
-        with span:
+        with _trace.stage("sz:regression"):
             out = decompress_regression(payload, dims, eb) + offset
         np_dtype = dtype_to_numpy(dtype)
         if np_dtype.kind in "iu":
             return np.rint(out).astype(np_dtype)
         return out.astype(np_dtype)
     codes = _decode_codes(entropy_kind, payload, dims, prediction)
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:dequantize")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("sz:dequantize"):
         out = dequantize_uniform(
             codes, eb, dtype=np.dtype(np.float64)) + offset
     np_dtype = dtype_to_numpy(dtype)

@@ -20,8 +20,6 @@ All block math is vectorized across every block simultaneously
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
 from ...core.dtype import dtype_from_numpy, dtype_to_numpy
@@ -253,11 +251,7 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
     nblocks = int(np.prod(
         [(s + BLOCK_SIDE - 1) // BLOCK_SIDE for s in arr.shape],
         dtype=np.int64))
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:quantize", mode=mode)
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:quantize", mode=mode):
         codes = _pool.acquire(values.shape, np.int64)
         scratch = _pool.acquire(values.shape, np.float64)
         try:
@@ -284,11 +278,7 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
             raise
         _pool.release(scratch)
 
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:transform")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:transform"):
         blockbuf = _pool.acquire((nblocks,) + (BLOCK_SIDE,) * d, np.int64)
         try:
             try:
@@ -301,11 +291,7 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
             _pool.release(blockbuf)
             raise
 
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:bitplane")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:bitplane"):
         try:
             if mode == MODE_ACCURACY:
                 # nothing is discarded: skip the whole shift/round pass
@@ -346,11 +332,7 @@ def compress_stage2(state: dict) -> bytes:
                             ints=(MODE_REVERSIBLE,)) + payload
     import zlib as _zlib
 
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:entropy", backend=backend)
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:entropy", backend=backend):
         kept = state["kept"]
         try:
             shift_blob = _zlib.compress(
@@ -403,11 +385,7 @@ def decompress(stream: bytes | memoryview,
 
     nblocks = int(np.prod([(s + BLOCK_SIDE - 1) // BLOCK_SIDE for s in dims],
                           dtype=np.int64))
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:entropy")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:entropy"):
         shifts = np.frombuffer(
             _zlib.decompress(bytes(view[pos:pos + shift_len])), dtype=np.uint8
         ).astype(np.int64)
@@ -420,11 +398,7 @@ def decompress(stream: bytes | memoryview,
         raise CorruptStreamError(
             f"coefficient payload holds {kept.size}, expected {expected}"
         )
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:transform")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:transform"):
         # the coefficient buffer came off the entropy decoder, so the
         # shift and inverse transform can run on it in place
         blocks = kept.reshape((nblocks,) + (BLOCK_SIDE,) * d)
@@ -433,11 +407,7 @@ def decompress(stream: bytes | memoryview,
         if transform:
             _inv_transform(blocks)
         codes = _from_blocks(blocks, dims)
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("zfp:dequantize")
-    else:
-        span = nullcontext()
-    with span:
+    with _trace.stage("zfp:dequantize"):
         out = codes.astype(np.float64) * (2.0 * step)
     if np_dtype.kind in "iu":
         return np.rint(out).astype(np_dtype)

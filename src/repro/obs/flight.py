@@ -34,7 +34,8 @@ import sys
 import threading
 import time
 import traceback
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from .. import _hot
 
@@ -53,6 +54,7 @@ BUNDLE_SCHEMA = "pressio-flight/1"
 #: The active recorder, or None when flight recording is disabled.
 ACTIVE: "FlightRecorder | None" = None
 
+_SELF = sys.modules[__name__]
 _prev_excepthook = None
 _prev_sigusr2 = None
 
@@ -174,6 +176,46 @@ class FlightRecorder:
 # lifecycle
 # ---------------------------------------------------------------------------
 
+def _install(recorder: FlightRecorder | None,
+             install_hooks: bool = False) -> FlightRecorder | None:
+    """Make ``recorder`` the active one (None: off); return the previous.
+
+    The span tap follows the active recorder.  The dump hooks are
+    installed once and stay until the recorder turns off, so enabling
+    twice never saves our own hooks as the ones to restore.
+    """
+    global _prev_excepthook, _prev_sigusr2
+    previous = _hot.swap(_SELF, recorder)
+    from ..trace import context as _tcontext
+
+    _tcontext.SPAN_SINK = None if recorder is None else recorder.record_span
+    on_main = threading.current_thread() is threading.main_thread()
+    if recorder is not None and install_hooks:
+        if sys.excepthook is not _flight_excepthook:
+            _prev_excepthook = sys.excepthook
+            sys.excepthook = _flight_excepthook
+        if on_main:
+            try:
+                if signal.getsignal(signal.SIGUSR2) is not _sigusr2_handler:
+                    _prev_sigusr2 = signal.signal(
+                        signal.SIGUSR2, _sigusr2_handler)
+            except (ValueError, OSError, AttributeError):
+                # non-main interpreter thread or a platform without
+                # SIGUSR2; the excepthook/taxonomy triggers still work
+                pass
+    elif recorder is None:
+        if _prev_excepthook is not None:
+            sys.excepthook = _prev_excepthook
+            _prev_excepthook = None
+        if _prev_sigusr2 is not None and on_main:
+            try:
+                signal.signal(signal.SIGUSR2, _prev_sigusr2)
+            except (ValueError, OSError):
+                pass
+            _prev_sigusr2 = None
+    return previous
+
+
 def enable_flight(capacity: int = 1024, dump_dir: str | None = None,
                   install_hooks: bool = True) -> FlightRecorder:
     """Activate a recorder; optionally install crash/signal dump hooks.
@@ -183,34 +225,17 @@ def enable_flight(capacity: int = 1024, dump_dir: str | None = None,
     hook, and ``SIGUSR2`` dumps-and-continues (only from the main
     thread, where the signal module allows handler installation).
     """
-    global ACTIVE, _prev_excepthook, _prev_sigusr2
     recorder = FlightRecorder(capacity=capacity, dump_dir=dump_dir)
-    ACTIVE = recorder
-    _hot.set_flight_active(True)
-    from ..trace import context as _tcontext
-
-    _tcontext.SPAN_SINK = recorder.record_span
-    if install_hooks:
-        _prev_excepthook = sys.excepthook
-
-        def _flight_excepthook(etype, value, tb):
-            rec = ACTIVE
-            if rec is not None:
-                rec.record("unhandled", etype=etype.__name__,
-                           message=str(value))
-                rec.dump("unhandled-exception", exc=value)
-            (_prev_excepthook or sys.__excepthook__)(etype, value, tb)
-
-        sys.excepthook = _flight_excepthook
-        if threading.current_thread() is threading.main_thread():
-            try:
-                _prev_sigusr2 = signal.signal(
-                    signal.SIGUSR2, _sigusr2_handler)
-            except (ValueError, OSError, AttributeError):
-                # non-main interpreter thread or a platform without
-                # SIGUSR2; the excepthook/taxonomy triggers still work
-                _prev_sigusr2 = None
+    _install(recorder, install_hooks)
     return recorder
+
+
+def _flight_excepthook(etype, value, tb) -> None:
+    rec = ACTIVE
+    if rec is not None:
+        rec.record("unhandled", etype=etype.__name__, message=str(value))
+        rec.dump("unhandled-exception", exc=value)
+    (_prev_excepthook or sys.__excepthook__)(etype, value, tb)
 
 
 def _sigusr2_handler(signum, frame) -> None:
@@ -222,42 +247,20 @@ def _sigusr2_handler(signum, frame) -> None:
 
 def disable_flight() -> FlightRecorder | None:
     """Deactivate and uninstall hooks; returns the previous recorder."""
-    global ACTIVE, _prev_excepthook, _prev_sigusr2
-    previous = ACTIVE
-    ACTIVE = None
-    _hot.set_flight_active(False)
-    from ..trace import context as _tcontext
-
-    if getattr(_tcontext.SPAN_SINK, "__self__", None) is previous:
-        _tcontext.SPAN_SINK = None
-    if _prev_excepthook is not None:
-        sys.excepthook = _prev_excepthook
-        _prev_excepthook = None
-    if (_prev_sigusr2 is not None
-            and threading.current_thread() is threading.main_thread()):
-        try:
-            signal.signal(signal.SIGUSR2, _prev_sigusr2)
-        except (ValueError, OSError):
-            pass
-        _prev_sigusr2 = None
-    return previous
+    return _install(None)
 
 
-class flight_recording:
-    """Scoped recorder: ``with flight_recording() as rec: ...``."""
-
-    def __init__(self, capacity: int = 1024,
-                 dump_dir: str | None = None,
-                 install_hooks: bool = False) -> None:
-        self._args = (capacity, dump_dir, install_hooks)
-        self.recorder: FlightRecorder | None = None
-
-    def __enter__(self) -> FlightRecorder:
-        self.recorder = enable_flight(*self._args)
-        return self.recorder
-
-    def __exit__(self, *exc_info: Any) -> None:
-        disable_flight()
+@contextmanager
+def flight_recording(capacity: int = 1024, dump_dir: str | None = None,
+                     install_hooks: bool = False,
+                     ) -> Iterator[FlightRecorder]:
+    """Scoped recorder: activate for the block, restore the prior one."""
+    recorder = FlightRecorder(capacity=capacity, dump_dir=dump_dir)
+    previous = _install(recorder, install_hooks)
+    try:
+        yield recorder
+    finally:
+        _install(previous)
 
 
 # ---------------------------------------------------------------------------

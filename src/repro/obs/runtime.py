@@ -21,6 +21,7 @@ Helpers degrade to no-ops when disabled, so instrumentation sites
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 from typing import Any, Iterator
 
@@ -43,6 +44,7 @@ __all__ = [
 
 #: The active registry, or None when collection is disabled.
 ACTIVE: MetricsRegistry | None = None
+_SELF = sys.modules[__name__]
 
 
 def active_registry() -> MetricsRegistry | None:
@@ -52,35 +54,27 @@ def active_registry() -> MetricsRegistry | None:
 
 def enable_metrics(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Install ``registry`` (or a fresh one) as the active registry."""
-    global ACTIVE
     if registry is None:
         registry = MetricsRegistry()
-    ACTIVE = registry
-    _hot.set_registry_active(True)
+    _hot.swap(_SELF, registry)
     return registry
 
 
 def disable_metrics() -> MetricsRegistry | None:
     """Deactivate collection; returns the registry that was active."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = None
-    _hot.set_registry_active(False)
-    return previous
+    return _hot.swap(_SELF, None)
 
 
 @contextmanager
 def metrics_enabled(registry: MetricsRegistry | None = None,
                     ) -> Iterator[MetricsRegistry]:
     """Scoped collection: activate for the block, restore prior state."""
-    global ACTIVE
-    previous = ACTIVE
-    installed = enable_metrics(registry)
+    installed = registry if registry is not None else MetricsRegistry()
+    previous = _hot.swap(_SELF, installed)
     try:
         yield installed
     finally:
-        ACTIVE = previous
-        _hot.set_registry_active(previous is not None)
+        _hot.swap(_SELF, previous)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ to no-ops — so instrumentation sites never need their own guards:
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterator
 
@@ -41,6 +42,7 @@ __all__ = [
 ACTIVE: TraceContext | None = None
 
 _NULL_CM = nullcontext()
+_SELF = sys.modules[__name__]
 
 
 def active_tracer() -> TraceContext | None:
@@ -50,21 +52,15 @@ def active_tracer() -> TraceContext | None:
 
 def enable_tracing(ctx: TraceContext | None = None) -> TraceContext:
     """Install ``ctx`` (or a fresh context) as the active tracer."""
-    global ACTIVE
     if ctx is None:
         ctx = TraceContext()
-    ACTIVE = ctx
-    _hot.set_tracer_active(True)
+    _hot.swap(_SELF, ctx)
     return ctx
 
 
 def disable_tracing() -> TraceContext | None:
     """Deactivate tracing; returns the context that was active."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = None
-    _hot.set_tracer_active(False)
-    return previous
+    return _hot.swap(_SELF, None)
 
 
 @contextmanager
@@ -77,14 +73,12 @@ def tracing(ctx: TraceContext | None = None) -> Iterator[TraceContext]:
             compressor.compress(data)
         print(format_report(trace))
     """
-    global ACTIVE
-    previous = ACTIVE
-    installed = enable_tracing(ctx)
+    installed = ctx if ctx is not None else TraceContext()
+    previous = _hot.swap(_SELF, installed)
     try:
         yield installed
     finally:
-        ACTIVE = previous
-        _hot.set_tracer_active(previous is not None)
+        _hot.swap(_SELF, previous)
 
 
 def current_span() -> Span | None:

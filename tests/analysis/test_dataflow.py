@@ -96,6 +96,23 @@ class TestLeakDetection:
             """, "f")
         assert not events.leaks
 
+    def test_with_items_raise_like_plain_calls(self):
+        # a `with _trace.stage(...)` header is as non-raising as the
+        # same call in an assignment; any other call still raises
+        source = """
+            from repro.trace import runtime as _trace
+
+            def f(n):
+                buf = _pool.acquire((n,), np.uint8)
+                with {item}:
+                    pass
+                _pool.release(buf)
+            """
+        events = _events(source.format(item='_trace.stage("x", n=n)'), "f")
+        assert not events.leaks
+        events = _events(source.format(item='open("x")'), "f")
+        assert _leak_kinds(events) == [("buf", "exception")]
+
     def test_double_release(self):
         events = _events(
             """

@@ -17,7 +17,7 @@ SEEDED = {
     "pc004_broad_except.py": ("PC004", 2),
     "hp001_unguarded_trace.py": ("HP001", 1),
     "hp002_missing_guard.py": ("HP002", 1),
-    "hp003_unguarded_profile.py": ("HP003", 2),
+    "hp003_unguarded_profile.py": ("HP001", 3),
     "hp004_per_element_loop.py": ("HP004", 3),
     "ob001_missing_propagation.py": ("OB001", 1),
     "ts001_shared_write.py": ("TS001", 2),

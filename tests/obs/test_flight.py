@@ -98,6 +98,22 @@ class TestTaps:
         assert flight.ACTIVE is None
         assert trace_context.SPAN_SINK is None
 
+    def test_nested_scope_restores_the_outer_recorder(self, tmp_path):
+        with flight.flight_recording(dump_dir=str(tmp_path)) as outer:
+            with flight.flight_recording(dump_dir=str(tmp_path)) as inner:
+                assert flight.ACTIVE is inner
+                assert trace_context.SPAN_SINK == inner.record_span
+            assert flight.ACTIVE is outer
+            assert trace_context.SPAN_SINK == outer.record_span
+            with tracing() as trace:
+                with trace.span("after-inner"):
+                    pass
+        assert flight.ACTIVE is None
+        assert trace_context.SPAN_SINK is None
+        assert [e["name"] for e in outer.snapshot()
+                if e["kind"] == "span"] == ["after-inner"]
+        assert inner.snapshot() == []
+
 
 # ---------------------------------------------------------------------------
 # dump triggers
@@ -182,6 +198,29 @@ class TestDumpTriggers:
             assert sys.excepthook is not prev_hook  # our stand-in is back
         finally:
             sys.excepthook = prev_hook
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGUSR2"),
+                        reason="platform without SIGUSR2")
+    def test_enabling_twice_keeps_the_user_hooks(self, tmp_path):
+        def user_hook(etype, value, tb):
+            pass
+
+        def user_handler(signum, frame):
+            pass
+
+        prev_hook = sys.excepthook
+        prev_handler = signal.signal(signal.SIGUSR2, user_handler)
+        sys.excepthook = user_hook
+        try:
+            flight.enable_flight(dump_dir=str(tmp_path), install_hooks=True)
+            flight.enable_flight(dump_dir=str(tmp_path), install_hooks=True)
+            flight.disable_flight()
+            assert sys.excepthook is user_hook
+            assert signal.getsignal(signal.SIGUSR2) is user_handler
+        finally:
+            flight.disable_flight()
+            sys.excepthook = prev_hook
+            signal.signal(signal.SIGUSR2, prev_handler)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGUSR2"),
                         reason="platform without SIGUSR2")
