@@ -7,8 +7,9 @@ lets the measurements escape it:
   ``plugin`` / ``operation`` / ``dtype`` labels, one namespace bridging
   the trace aggregates and the ``time``/``size`` metrics plugins;
 * :mod:`repro.obs.prometheus` — text exposition rendering;
-* :mod:`repro.obs.server` — a stdlib HTTP endpoint (``/metrics``,
-  ``/healthz``) on a daemon thread;
+* :mod:`repro.obs.server` — the package's one HTTP listener (a
+  keep-alive loop dispatching through a route table, shared with
+  ``pressio serve``) and the ``/metrics`` + ``/healthz`` endpoint;
 * :mod:`repro.obs.logging` — structured JSON logs carrying the current
   span id, so log lines join JSONL trace exports;
 * :mod:`repro.obs.bench` — the ``pressio bench`` regression harness

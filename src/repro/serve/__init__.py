@@ -6,8 +6,9 @@ compressor to concurrent multi-tenant clients over a persistent
 daemon and beats that number by never spawning and never copying on
 the hot path:
 
-* :mod:`~repro.serve.daemon` — thread-pool HTTP server
-  (``socketserver``-based, stdlib-only) with admission control;
+* :mod:`~repro.serve.daemon` — the daemon: a route table and
+  admission control on :class:`repro.obs.server.HTTPListener`, the one
+  keep-alive HTTP/1.1 loop, over TCP and over ``AF_UNIX``;
 * :mod:`~repro.serve.workers` — the worker pool executing compress /
   decompress / roundtrip with per-plugin thread-safety serialization;
 * :mod:`~repro.serve.wire` — the versioned ``pressio-serve/1`` binary
@@ -20,8 +21,8 @@ the hot path:
   artifacts;
 * :mod:`~repro.serve.errors` — the typed error taxonomy both sides
   share;
-* :mod:`~repro.serve.client` — the raw-socket client the CLI, bench,
-  and conformance subjects drive.
+* :mod:`~repro.serve.client` — the socket-level HTTP client the CLI,
+  bench, and conformance subjects drive.
 
 See ``docs/SERVING.md`` for the wire spec, quota semantics, and the
 measured overhead comparison.

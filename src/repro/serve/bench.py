@@ -16,7 +16,9 @@ Methodology notes, learned the hard way:
   reported overhead is the *median of the per-pair ratios*.  A slow
   scheduler or thermal epoch hits both halves of its pairs, so it
   cancels out of the ratio instead of biasing whichever side it
-  happened to land on.
+  happened to land on.  The order within a pair alternates (local,
+  shm, inline on even pairs; the reverse on odd ones), so neither side
+  always runs on the caches the other just warmed.
 * **Zero-copy end to end** — the served side writes the dataset into
   the client's shared-memory input segment once (``input_array``) and
   reads results with ``copy=False``; requests and replies then carry
@@ -146,15 +148,19 @@ def run_serve_compare(compressors: tuple[str, ...] = QUICK_COMPRESSORS,
                         local_s: list[float] = []
                         served_s: list[float] = []
                         inline_s: list[float] = []
-                        for _ in range(pairs):
-                            local_s.append(_local_roundtrip_s(
-                                plugin, data, template))
-                            served_s.append(_served_roundtrip_s(
-                                shm_client, shm_arr, compressor, options))
-                            if inline_client is not None:
-                                inline_s.append(_served_roundtrip_s(
-                                    inline_client, arr, compressor,
-                                    options))
+                        legs = [
+                            (local_s, lambda: _local_roundtrip_s(
+                                plugin, data, template)),
+                            (served_s, lambda: _served_roundtrip_s(
+                                shm_client, shm_arr, compressor, options)),
+                        ]
+                        if inline_client is not None:
+                            legs.append((inline_s, lambda: _served_roundtrip_s(
+                                inline_client, arr, compressor, options)))
+                        for i in range(pairs):
+                            for samples, leg in (legs if i % 2 == 0
+                                                 else legs[::-1]):
+                                samples.append(leg())
                         row = {
                             "compressor": compressor,
                             "dataset": dataset,

@@ -1,8 +1,10 @@
 """``ServeClient``: the in-process / CLI client for ``pressio serve``.
 
-A thin raw-socket HTTP/1.1 client (persistent connection,
-``TCP_NODELAY``) speaking ``pressio-serve/1`` frames.  Two payload
-paths:
+A thin socket-level HTTP/1.1 client speaking ``pressio-serve/1`` frames
+over one persistent keep-alive connection: TCP with ``TCP_NODELAY``,
+or HTTP over the daemon's ``AF_UNIX`` socket when ``uds`` is given.
+Every message goes through one exchange (send, read one response, one
+reconnect if the daemon dropped the connection).  Two payload paths:
 
 * **inline** — array bytes travel in the frame body;
 * **shared memory** (``use_shm=True``) — the client owns two reusable
@@ -36,7 +38,6 @@ from ..trace import runtime as _trace
 from .errors import BadFrameError, ServeError, error_for_etype
 from .shm import create_segment
 from .wire import (
-    MAGIC as WIRE_MAGIC,
     Request,
     Response,
     ShmRef,
@@ -90,7 +91,7 @@ class ServeClient:
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  tenant: str = "default", use_shm: bool = False,
                  timeout: float = 30.0, lean: bool = True,
-                 raw: bool = True, uds: str | None = None) -> None:
+                 uds: str | None = None) -> None:
         self.host = host
         self.port = int(port)
         self.tenant = tenant
@@ -100,10 +101,6 @@ class ServeClient:
         #: server may skip the stats/descriptor echo.  Trade-off:
         #: roundtrip() returns empty stats on the fast path.
         self.lean = bool(lean)
-        #: speak bare ``pressio-serve/1`` frames on the fast path
-        #: instead of wrapping them in HTTP — the daemon sniffs the
-        #: PSV1 magic per message, so both styles share one socket
-        self.raw = bool(raw)
         #: AF_UNIX socket path (e.g. ``server.uds_path``); preferred
         #: over TCP when set — the same-host hop is what the zero-copy
         #: design targets, and UDS shaves the TCP stack off each wake
@@ -153,18 +150,17 @@ class ServeClient:
             name = seg.close()
             if name is not None:
                 self._release_quiet(name)
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-            self._rfile = None
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-            self._sock = None
+        self._disconnect()
+
+    def _disconnect(self) -> None:
+        for handle in (self._rfile, self._sock):
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError:
+                    pass
+        self._rfile = None
+        self._sock = None
 
     def __enter__(self) -> "ServeClient":
         return self
@@ -184,34 +180,26 @@ class ServeClient:
 
     def _http(self, method: str, path: str,
               body: bytes = b"") -> tuple[int, dict[str, str], bytes]:
+        return self._exchange(self._head(method, path, len(body)) + body)
+
+    def _head(self, method: str, path: str, length: int) -> bytes:
+        return (f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode("latin-1")
+
+    def _exchange(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Send one complete HTTP request and read its response."""
         if self._sock is None:
             self._connect()
-        head = (f"{method} {path} HTTP/1.1\r\n"
-                f"Host: {self.host}\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n").encode("latin-1")
         try:
-            self._sock.sendall(head + body)
+            self._sock.sendall(message)
             return self._read_response()
         except (ConnectionError, BrokenPipeError):
             # server restarted or dropped the connection: one reconnect
-            self._teardown_socket()
+            self._disconnect()
             self._connect()
-            self._sock.sendall(head + body)
+            self._sock.sendall(message)
             return self._read_response()
-
-    def _teardown_socket(self) -> None:
-        if self._rfile is not None:
-            try:
-                self._rfile.close()
-            except OSError:
-                pass
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        self._rfile = None
-        self._sock = None
 
     def _read_response(self) -> tuple[int, dict[str, str], bytes]:
         line = self._rfile.readline(8192)
@@ -266,56 +254,8 @@ class ServeClient:
         return resp
 
     def _call_plain(self, req: Request) -> Response:
-        return self._send_frame(req.op, encode_request(req))
-
-    def _send_frame(self, op: str, frame: bytes) -> Response:
-        status, headers, body = self._http("POST", f"/v1/{op}", frame)
-        return self._check_response(status, headers, body)
-
-    def _send_raw(self, request_bytes: bytes) -> Response:
-        """Send a prebuilt request (raw frame or HTTP) in one call."""
-        read = self._read_raw_frame if self.raw else self._read_response
-        if self._sock is None:
-            self._connect()
-        try:
-            self._sock.sendall(request_bytes)
-            status, headers, body = read()
-        except (ConnectionError, BrokenPipeError):
-            self._teardown_socket()
-            self._connect()
-            self._sock.sendall(request_bytes)
-            status, headers, body = read()
-        return self._check_response(status, headers, body)
-
-    def _read_raw_frame(self) -> tuple[int, dict[str, str], bytes]:
-        """Read one bare PSV1 response frame off the socket."""
-        r = self._rfile
-        head = r.read(8)
-        if len(head) < 8 or head[:4] != WIRE_MAGIC:
-            raise ConnectionError("bad raw frame head")
-        hlen = int.from_bytes(head[4:8], "big")
-        hdr = r.read(hlen)
-        if len(hdr) < hlen:
-            raise ConnectionError("truncated raw frame header")
-        memo = self._resp_memo
-        if memo is not None and len(memo[0]) == 8 + hlen:
-            # steady state: lean replies have no payload, so the frame
-            # ends here and byte-compares against the response memo
-            frame = head + hdr
-            if frame == memo[0]:
-                return 200, {}, frame
-        else:
-            frame = head + hdr
-        try:
-            nbytes = int(json.loads(hdr).get("nbytes", 0))
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
-            raise ConnectionError(f"undecodable raw frame: {exc}") from None
-        if nbytes:
-            payload = r.read(nbytes)
-            if len(payload) < nbytes:
-                raise ConnectionError("truncated raw frame payload")
-            frame += payload
-        return 200, {}, frame
+        return self._check_response(
+            *self._http("POST", f"/v1/{req.op}", encode_request(req)))
 
     def _check_response(self, status: int, headers: dict[str, str],
                         body: bytes) -> Response:
@@ -394,14 +334,8 @@ class ServeClient:
                           out_shm=ShmRef(name=out.name, nbytes=out.size,
                                          offset=0))
             frame = encode_request(req)
-            if self.raw:
-                request_bytes = frame
-            else:
-                head = (f"POST /v1/{op} HTTP/1.1\r\n"
-                        f"Host: {self.host}\r\n"
-                        f"Content-Length: {len(frame)}\r\n\r\n"
-                        ).encode("latin-1")
-                request_bytes = head + frame
+            request_bytes = self._head("POST", f"/v1/{op}",
+                                       len(frame)) + frame
             if len(self._frame_cache) >= 64:
                 self._frame_cache.clear()
             self._frame_cache[key] = request_bytes
@@ -539,7 +473,7 @@ class ServeClient:
             lean, in_place)
         if request_bytes is None:
             return None
-        resp = self._send_raw(request_bytes)
+        resp = self._check_response(*self._exchange(request_bytes))
         if lean and resp.ok and resp.shm is None and not resp.dtype:
             # minimal reply: the result sits in our out segment with
             # the descriptor we provided — synthesize the full response

@@ -1,80 +1,62 @@
 """The ``pressio serve`` daemon: multi-tenant compression over HTTP.
 
-Transport is deliberately lean.  ``http.server``'s request handler
-costs milliseconds per request once Nagle's algorithm meets delayed
-ACKs, so the daemon speaks a hand-rolled HTTP/1.1 subset directly on
-``socketserver.ThreadingTCPServer``: ``TCP_NODELAY`` both ways,
-keep-alive connections, ``Content-Length`` framing only.  Measured on
-the 24³ bench configs this keeps transport + queue hop near 20µs —
-the margin that lets the served round trip beat the paper's 17.5%
-out-of-process overhead (Section V(d), ``docs/SERVING.md``).
+The transport is :class:`repro.obs.server.HTTPListener`, the package's
+one HTTP/1.1 keep-alive loop, listening on a TCP port and on a
+per-instance ``AF_UNIX`` socket (HTTP over UDS: same framing, same
+route table, no TCP stack on the same-host hop).  Measured on the 24³
+bench configs this keeps transport + queue hop near 20µs — the margin
+that lets the served round trip beat the paper's 17.5% out-of-process
+overhead (Section V(d), ``docs/SERVING.md``).
 
 Request lifecycle per connection thread::
 
-    parse HTTP -> read body (pooled buffer) -> decode frame
+    parse HTTP -> read body (pooled buffer) -> route table
+      -> decode frame                  # _handle_frame from here on
       -> quota.admit(tenant)           # 429 + Retry-After
       -> admission.enter()             # 503 + Retry-After
       -> WorkItem on the worker queue  # workers.py executes
       <- reply queue -> encode frame -> write HTTP response
 
-Endpoints:
+Routes:
 
-* ``POST /v1/compress`` / ``/v1/decompress`` / ``/v1/roundtrip`` —
-  one ``pressio-serve/1`` frame in, one frame out;
+* ``POST /v1/compress`` / ``/v1/decompress`` / ``/v1/roundtrip`` /
+  ``/v1/ping`` — one ``pressio-serve/1`` frame in, one frame out;
 * ``POST /v1/release`` — the client is done with a shared-memory
   segment; drop cached views so it can be unlinked;
 * ``GET /v1/compressors`` — registry listing (JSON);
 * ``GET /healthz`` — liveness + worker/queue stats (JSON);
-* ``GET /metrics`` — the active obs registry in Prometheus text.
+* ``GET /metrics`` — the active obs registry in Prometheus text,
+  rendered exactly as ``pressio serve-metrics`` renders it.
 
 Every request lands in the ``pressio_serve_*`` metric families with a
-``tenant`` label; the body read buffer comes from the native buffer
-pool and is released on every exit path.
+``tenant`` label.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import queue
-import socket
-import socketserver
-import threading
+import tempfile
 import time
 
-import numpy as np
-
 from ..core.library import Pressio
-from ..native import pool as _pool
-from ..obs import prometheus as _prom
 from ..obs import runtime as _obs
-from ..obs.server import bind_with_fallback
+from ..obs.server import JSON, HTTPListener, observability_routes
 from .cache import ArtifactCache
 from .errors import (
     BadFrameError,
     InternalServeError,
     PayloadTooLargeError,
-    ServeError,
     map_exception,
 )
 from .quota import AdmissionController, QuotaManager
 from .shm import SegmentCache
-from .wire import (
-    MAGIC,
-    MAX_HEADER_BYTES,
-    WIRE_VERSION,
-    Response,
-    decode_request,
-    encode_response,
-)
+from .wire import WIRE_VERSION, Response, decode_request, encode_response
 from .workers import WorkerPool, WorkItem
 
 __all__ = ["ServeServer", "start_serve_server"]
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 413: "Payload Too Large",
-            422: "Unprocessable Entity", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable"}
 
 CONTENT_TYPE = "application/x-pressio-serve"
 
@@ -84,191 +66,6 @@ _SERVE_BUCKETS = (0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 
 _FRAME_OPS = {"/v1/compress": "compress", "/v1/decompress": "decompress",
               "/v1/roundtrip": "roundtrip", "/v1/ping": "ping"}
-
-
-class _ServeTCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 128
-    owner: "ServeServer" = None  # type: ignore[assignment]
-
-
-class _ServeUnixServer(socketserver.ThreadingUnixStreamServer):
-    """Same-host listener: a loopback hop over AF_UNIX costs less
-    than TCP (no protocol stack traversal), which matters when the
-    whole overhead budget is ~150µs."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 128
-    owner: "ServeServer" = None  # type: ignore[assignment]
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """Keep-alive HTTP/1.1 loop, one thread per connection."""
-
-    disable_nagle_algorithm = True
-    rbufsize = 64 * 1024
-    wbufsize = 0
-
-    def handle(self) -> None:
-        server: ServeServer = self.server.owner
-        while not server.stopping:
-            try:
-                if not self._handle_one(server):
-                    return
-            except (ConnectionError, BrokenPipeError, OSError):
-                return
-
-    #: one-slot (header bytes -> nbytes) memo for the raw-frame loop;
-    #: steady-state clients resend byte-identical headers
-    _hdr_memo: tuple[bytes, int] | None = None
-
-    def _handle_one(self, server: "ServeServer") -> bool:
-        # raw pressio-serve/1 framing shares the listener with HTTP:
-        # sniff the frame magic without consuming (our client sends
-        # each message in one segment, so 4+ bytes are buffered)
-        if self.rfile.peek(4)[:4] == MAGIC:
-            return self._handle_raw(server)
-        line = self.rfile.readline(8192)
-        if not line:
-            return False
-        try:
-            method, path, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            self._respond(400, b"malformed request line\n",
-                          content_type="text/plain")
-            return False
-        length = 0
-        keep_alive = True
-        while True:
-            raw = self.rfile.readline(8192)
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            # exact-case fast path first: our own client always sends
-            # "Content-Length:"/"Host:", so the general (decode + strip
-            # + lower) parse only runs for foreign clients
-            if raw.startswith(b"Content-Length:"):
-                try:
-                    length = int(raw[15:])
-                except ValueError:
-                    self._respond(400, b"bad content-length\n",
-                                  content_type="text/plain")
-                    return False
-            elif raw.startswith(b"Host:"):
-                continue
-            else:
-                name, _, value = raw.decode("latin-1").partition(":")
-                name = name.strip().lower()
-                value = value.strip()
-                if name == "content-length":
-                    try:
-                        length = int(value)
-                    except ValueError:
-                        self._respond(400, b"bad content-length\n",
-                                      content_type="text/plain")
-                        return False
-                elif name == "connection" and value.lower() == "close":
-                    keep_alive = False
-        if length > server.max_payload:
-            # drain would be unbounded; answer and drop the connection
-            err = PayloadTooLargeError(
-                f"payload {length} bytes exceeds limit "
-                f"{server.max_payload}")
-            frame = encode_response(Response(
-                ok=False, op="", error=err.to_payload()))
-            self._respond(err.http_status, frame)
-            return False
-        body: bytes | memoryview = b""
-        pooled = None
-        if 0 < length <= 16384:
-            # tiny bodies (shm-descriptor frames) skip the pool: the
-            # acquire/release pair costs more than the read itself.
-            # Kept as bytes so the decode memo can key on it directly.
-            data = self.rfile.read(length)
-            if len(data) != length:
-                return False
-            body = data
-        elif length:
-            pooled = _pool.acquire((length,), np.uint8)
-        try:
-            if pooled is not None:
-                body = memoryview(pooled)[:length]
-                read = 0
-                while read < length:
-                    n = self.rfile.readinto(body[read:])
-                    if not n:
-                        return False
-                    read += n
-            status, headers, out = server.handle_http(method, path, body)
-            self._respond(status, out, extra=headers)
-        finally:
-            if pooled is not None:
-                del body  # the pooled buffer goes back; drop our view
-                _pool.release(pooled)
-        return keep_alive
-
-    def _handle_raw(self, server: "ServeServer") -> bool:
-        """One bare PSV1 frame in, one frame out (no HTTP envelope).
-
-        Frame boundaries come from the header's ``nbytes`` field; if
-        the header cannot be parsed the boundary is unknown and the
-        connection is dropped rather than desynced.
-        """
-        r = self.rfile
-        head = r.read(8)
-        if len(head) < 8:
-            return False
-        hlen = int.from_bytes(head[4:8], "big")
-        if hlen > MAX_HEADER_BYTES:
-            return False
-        hdr = r.read(hlen)
-        if len(hdr) < hlen:
-            return False
-        memo = self._hdr_memo
-        if memo is not None and hdr == memo[0]:
-            nbytes = memo[1]
-        else:
-            try:
-                nbytes = int(json.loads(hdr).get("nbytes", 0))
-            except (ValueError, TypeError, json.JSONDecodeError):
-                return False
-            if nbytes < 0 or nbytes > server.max_payload:
-                return False
-            self._hdr_memo = (hdr, nbytes)
-        if nbytes:
-            payload = r.read(nbytes)
-            if len(payload) < nbytes:
-                return False
-            frame = head + hdr + payload
-        else:
-            frame = head + hdr
-        _status, _headers, out = server.handle_raw_frame(frame)
-        self.wfile.write(out)
-        return not server.stopping
-
-    def _respond(self, status: int, body: bytes,
-                 extra: dict[str, str] | None = None,
-                 content_type: str = CONTENT_TYPE) -> None:
-        if status == 200 and not extra and content_type is CONTENT_TYPE:
-            self.wfile.write(
-                b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/x-pressio-serve\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(body) + body)
-            return
-        head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(body)}"]
-        for key, value in (extra or {}).items():
-            head.append(f"{key}: {value}")
-        head.append("\r\n")
-        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
-
-
-class _UnixHandler(_Handler):
-    # setting TCP_NODELAY on an AF_UNIX socket raises; there is no
-    # Nagle to disable there in the first place
-    disable_nagle_algorithm = False
 
 
 class ServeServer:
@@ -295,96 +92,58 @@ class ServeServer:
         self.pool = WorkerPool(
             self.library, self.segments, self.cache, workers=workers,
             allow_fault_injection=allow_fault_injection)
-        self.stopping = False
         self.started_at = 0.0
         self.request_timeout = 60.0
-        self._tcp: _ServeTCPServer | None = None
-        self._thread: threading.Thread | None = None
         self._want_uds = bool(unix_socket)
-        self._uds: _ServeUnixServer | None = None
-        self._uds_thread: threading.Thread | None = None
+        self._http: HTTPListener | None = None
         #: filesystem path of the AF_UNIX listener (None if disabled
         #: or the platform refused it); same protocol as the TCP port
         self.uds_path: str | None = None
+        routes = {path: ("POST", CONTENT_TYPE,
+                         functools.partial(self._handle_frame, path, op))
+                  for path, op in _FRAME_OPS.items()}
+        routes["/v1/release"] = ("POST", JSON, self._handle_release)
+        routes["/v1/compressors"] = ("GET", JSON, self._compressors)
+        routes.update(observability_routes(self._health_body))
+        self._routes = routes
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "ServeServer":
-        if self._tcp is not None:
+        if self._http is not None:
             raise RuntimeError("server already started")
-
-        def bind(host: str, port: int) -> _ServeTCPServer:
-            return _ServeTCPServer((host, port), _Handler)
-
-        self._tcp = bind_with_fallback(
-            bind, self._host, self._requested_port,
+        self._http = HTTPListener(
+            self._routes, max_body=self.max_payload,
+            oversize=self._payload_too_large).start(
+            self._host, self._requested_port,
             auto_port=self._auto_port, surface="serve")
-        self._tcp.owner = self
         self.started_at = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever, kwargs={"poll_interval": 0.05},
-            name="pressio-serve", daemon=True)
-        self._thread.start()
         if self._want_uds:
-            self._start_uds()
+            self.uds_path = self._http.listen_unix(os.path.join(
+                tempfile.gettempdir(),
+                f"pressio-serve-{os.getpid()}-{self.port}.sock"))
         return self
 
-    def _start_uds(self) -> None:
-        import tempfile
-        path = os.path.join(
-            tempfile.gettempdir(),
-            f"pressio-serve-{os.getpid()}-{self.port}.sock")
-        try:
-            if os.path.exists(path):
-                os.unlink(path)
-            self._uds = _ServeUnixServer(path, _UnixHandler)
-        except OSError:
-            self._uds = None  # no AF_UNIX here; TCP still serves
-            return
-        self._uds.owner = self
-        self.uds_path = path
-        self._uds_thread = threading.Thread(
-            target=self._uds.serve_forever, kwargs={"poll_interval": 0.05},
-            name="pressio-serve-uds", daemon=True)
-        self._uds_thread.start()
-
     def stop(self) -> None:
-        if self._tcp is None:
+        if self._http is None:
             return
-        self.stopping = True
-        self._tcp.shutdown()
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-        if self._uds is not None:
-            self._uds.shutdown()
-            self._uds.server_close()
-            if self._uds_thread is not None:
-                self._uds_thread.join(timeout=5)
-            if self.uds_path is not None:
-                try:
-                    os.unlink(self.uds_path)
-                except FileNotFoundError:
-                    pass
-            self._uds = None
-            self._uds_thread = None
-            self.uds_path = None
+        self._http.stop()
+        self.uds_path = None
         self.pool.shutdown()
         self.segments.close_all()
-        self._tcp = None
-        self._thread = None
+        self._http = None
 
     def __enter__(self) -> "ServeServer":
-        return self.start() if self._tcp is None else self
+        return self.start() if self._http is None else self
 
     def __exit__(self, *exc) -> None:
         self.stop()
 
     @property
     def port(self) -> int:
-        if self._tcp is None:
+        if self._http is None:
             raise RuntimeError("server not started")
-        return self._tcp.server_address[1]
+        return self._http.port
 
     @property
     def url(self) -> str:
@@ -392,35 +151,24 @@ class ServeServer:
 
     # -- dispatch ----------------------------------------------------------
 
-    def handle_http(self, method: str, path: str, body: memoryview,
-                    ) -> tuple[int, dict[str, str], bytes]:
-        if "?" in path:
-            path = path.split("?", 1)[0]
-        if path in _FRAME_OPS:
-            if method != "POST":
-                return 405, {}, b"use POST\n"
-            return self._handle_frame(path, body)
-        if path == "/v1/release":
-            if method != "POST":
-                return 405, {}, b"use POST\n"
-            return self._handle_release(body)
-        if path == "/v1/compressors":
-            doc = {"version": WIRE_VERSION,
-                   "compressors": self.library.supported_compressors()}
-            return 200, {}, json.dumps(doc).encode() + b"\n"
-        if path in ("/healthz", "/health"):
-            return 200, {}, self._health_body()
-        if path == "/metrics":
-            reg = _obs.ACTIVE
-            if reg is None:
-                return 200, {}, b"# metrics collection is disabled\n"
-            return 200, {}, _prom.render(reg).encode("utf-8")
-        return 404, {}, b"not found\n"
+    def _compressors(self, _body) -> tuple[int, dict[str, str], bytes]:
+        doc = {"version": WIRE_VERSION,
+               "compressors": self.library.supported_compressors()}
+        return 200, {}, json.dumps(doc).encode() + b"\n"
 
-    def _handle_frame(self, path: str,
-                      body: memoryview) -> tuple[int, dict[str, str], bytes]:
+    def _payload_too_large(self, length: int,
+                           ) -> tuple[int, dict[str, str], bytes]:
+        err = PayloadTooLargeError(
+            f"payload {length} bytes exceeds limit {self.max_payload}")
+        return err.http_status, {}, encode_response(Response(
+            ok=False, op="", error=err.to_payload()))
+
+    def _handle_frame(self, path: str, op: str, body: bytes | memoryview,
+                      ) -> tuple[int, dict[str, str], bytes]:
+        """The one request lifecycle: decode, quota, admission,
+        dispatch; every failure becomes a typed error frame."""
         start_ns = time.perf_counter_ns()
-        tenant, op = "unknown", _FRAME_OPS[path]
+        tenant = "unknown"
         entered = False
         try:
             req = decode_request(body)
@@ -443,36 +191,6 @@ class ServeServer:
                 self.admission.leave()
                 self._set_inflight_gauge()
         return self._finish(resp, tenant, op, start_ns, len(body))
-
-    def handle_raw_frame(self, frame: bytes,
-                         ) -> tuple[int, dict[str, str], bytes]:
-        """One bare-framed request: same lifecycle, no HTTP endpoint.
-
-        The op comes from the frame itself (raw framing has no path to
-        cross-check); everything else — quota, admission, dispatch,
-        metrics — matches :meth:`_handle_frame`.
-        """
-        start_ns = time.perf_counter_ns()
-        tenant, op = "unknown", "raw"
-        entered = False
-        try:
-            req = decode_request(frame)
-            tenant, op = req.tenant, req.op
-            self.quota.admit(tenant)
-            self.admission.enter()
-            entered = True
-            self._set_inflight_gauge()
-            resp = self._dispatch(req)
-        except Exception as exc:  # noqa: BLE001 - wire boundary
-            err = map_exception(exc)
-            if isinstance(err, InternalServeError):
-                _obs.record_error("serve", "daemon", exc, tenant=tenant)
-            resp = Response(ok=False, op=op, error=err.to_payload())
-        finally:
-            if entered:
-                self.admission.leave()
-                self._set_inflight_gauge()
-        return self._finish(resp, tenant, op, start_ns, len(frame))
 
     def _dispatch(self, req) -> Response:
         # fast path: run on this thread when a permit is free —

@@ -22,9 +22,9 @@ Cleanup is the subtle part and drives two quirks handled here:
   alive, so :meth:`SegmentCache.close_all` drops the view cache and
   collects garbage before closing, and tolerates stragglers.
 
-Segments the *server* creates (for responses when the client didn't
-pre-provide an output segment) are tracked in ``owned`` and unlinked at
-shutdown — the fault-injection suite asserts no ``/dev/shm`` residue.
+The daemon never creates segments: results that outgrow the client's
+output segment go back inline, so every segment's lifetime belongs to
+the client that created it.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ class SegmentCache:
         self._lock = threading.Lock()
         self._attached: dict[str, shared_memory.SharedMemory] = {}
         self._views: dict[tuple, np.ndarray] = {}
-        #: segments this daemon created and must unlink at shutdown
-        self.owned: dict[str, shared_memory.SharedMemory] = {}
         self.attaches = 0
         self.view_builds = 0
         self.view_hits = 0
@@ -102,10 +100,6 @@ class SegmentCache:
         seg = self._attached.get(name)
         if seg is not None:
             return seg
-        with self._lock:
-            owned = self.owned.get(name)
-        if owned is not None:
-            return owned
         seg = attach_readonly(name)
         with self._lock:
             race = self._attached.setdefault(name, seg)
@@ -154,20 +148,6 @@ class SegmentCache:
                 f"exceeds segment size {seg.size}")
         return seg.buf[ref.offset:ref.offset + ref.nbytes]
 
-    def adopt(self, seg: shared_memory.SharedMemory) -> None:
-        """Track a segment this daemon created (unlinked at shutdown)."""
-        with self._lock:
-            self.owned[seg.name] = seg
-
-    def write_owned(self, payload: bytes | memoryview,
-                    prefix: str = "psvout") -> ShmRef:
-        """Copy a response payload into a fresh daemon-owned segment."""
-        view = memoryview(payload).cast("B")
-        seg = create_segment(len(view), prefix=prefix)
-        seg.buf[:len(view)] = view
-        self.adopt(seg)
-        return ShmRef(name=seg.name, nbytes=len(view), offset=0)
-
     def forget_views(self, name: str) -> None:
         """Drop cached views over one segment (client released it)."""
         with self._lock:
@@ -182,7 +162,7 @@ class SegmentCache:
                 pass
 
     def close_all(self) -> None:
-        """Release every attached segment and unlink every owned one.
+        """Release every attached segment.
 
         Views must die before close() or SharedMemory raises
         BufferError ("cannot close exported pointers exist") — hence
@@ -192,22 +172,11 @@ class SegmentCache:
             self._views.clear()
             attached = list(self._attached.values())
             self._attached.clear()
-            owned = list(self.owned.values())
-            self.owned.clear()
         gc.collect()
         for seg in attached:
             try:
                 seg.close()
             except BufferError:
-                pass
-        for seg in owned:
-            try:
-                seg.close()
-            except BufferError:
-                pass
-            try:
-                seg.unlink()
-            except FileNotFoundError:
                 pass
 
     def stats(self) -> dict[str, int]:
@@ -217,5 +186,4 @@ class SegmentCache:
                 "view_builds": self.view_builds,
                 "view_hits": self.view_hits,
                 "attached": len(self._attached),
-                "owned": len(self.owned),
             }

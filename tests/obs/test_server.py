@@ -128,6 +128,70 @@ class TestHealthz:
         assert exc.value.code == 404
 
 
+class TestSharedLoop:
+    """MetricsServer runs the daemon's keep-alive loop and route table."""
+
+    def test_two_gets_share_one_connection(self, server):
+        import http.client
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            for path in ("/metrics", "/healthz"):
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+                assert not resp.will_close
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("request_head", (
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nConnection: close\r\n",
+        b"GET /healthz HTTP/1.0\r\n",
+    ), ids=("connection-close", "http-1.0"))
+    def test_connection_close_is_answered_then_closed(self, server,
+                                                      request_head):
+        import socket
+
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=10) as s:
+            s.sendall(request_head + b"\r\n")
+            reply = b""
+            while chunk := s.recv(4096):  # ends only when the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+
+    def test_route_table_answers_404_and_405(self):
+        import http.client
+
+        def echo(body):
+            return 200, {}, bytes(body)
+
+        from repro.obs.server import HTTPListener
+
+        listener = HTTPListener(
+            {"/v1/compress": ("POST", "application/octet-stream", echo)}
+        ).start("127.0.0.1", 0)
+        conn = http.client.HTTPConnection("127.0.0.1", listener.port,
+                                          timeout=10)
+        try:
+            for method, path, status in (("GET", "/nope", 404),
+                                         ("GET", "/v1/compress", 405),
+                                         ("POST", "/v1/compress", 200)):
+                conn.request(method, path, body=b"abc")
+                resp = conn.getresponse()
+                body = resp.read()
+                assert resp.status == status
+            assert body == b"abc"
+        finally:
+            conn.close()
+            listener.stop()
+
+
 class TestServerLifecycle:
     def test_port_zero_picks_free_port_and_stop_is_idempotent(self):
         srv = obs.MetricsServer(registry=obs.MetricsRegistry()).start()

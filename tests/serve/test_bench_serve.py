@@ -97,6 +97,29 @@ class TestLiveComparison:
         assert "noop" in report
 
 
+class TestPairOrder:
+    def test_order_alternates_on_odd_pairs(self, monkeypatch):
+        from repro.serve import bench
+
+        calls: list[str] = []
+
+        def local(plugin, data, template):
+            calls.append("local")
+            return 1.0
+
+        def served(client, arr, compressor, options):
+            calls.append("shm" if client.use_shm else "inline")
+            return 1.0
+
+        monkeypatch.setattr(bench, "_local_roundtrip_s", local)
+        monkeypatch.setattr(bench, "_served_roundtrip_s", served)
+        run_serve_compare(compressors=("noop",), datasets=("nyx",),
+                          bounds=(1e-4,), dims=(4, 4, 4), pairs=3)
+        forward = ["local", "shm", "inline"]
+        # one warm-up triple, then even / odd / even pairs
+        assert calls == (forward + forward + forward[::-1] + forward)
+
+
 class TestCommittedArtifact:
     def test_artifact_exists_with_current_schema(self):
         assert ARTIFACT.exists(), \

@@ -160,15 +160,20 @@ class TestShmHygiene:
 
 
 class TestBrokenPeers:
-    def test_undecodable_raw_frame_drops_connection_only(self, server):
-        """A garbage PSV1 header must not desync or kill the daemon."""
+    def test_garbage_request_line_gets_400_and_close(self, server):
+        """A bare frame is not HTTP: 400, then that connection drops,
+        and the daemon keeps serving everyone else."""
         import socket
 
         s = socket.create_connection(("127.0.0.1", server.port),
                                      timeout=5)
         try:
-            s.sendall(b"PSV1" + (20).to_bytes(4, "big") + b"x" * 20)
-            assert s.recv(64) == b""  # dropped, not answered
+            s.sendall(b"PSV1" + (20).to_bytes(4, "big") + b"x" * 20
+                      + b"\r\n")
+            reply = b""
+            while chunk := s.recv(4096):
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 400 ")
         finally:
             s.close()
         client = ServeClient(port=server.port)

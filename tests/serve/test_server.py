@@ -68,17 +68,6 @@ class TestRoundtripCorrectness:
             lean.close()
             full.close()
 
-    def test_http_and_raw_framing_agree(self, server, block):
-        raw = ServeClient(port=server.port, use_shm=True, raw=True)
-        http = ServeClient(port=server.port, use_shm=True, raw=False)
-        try:
-            a, _ = raw.roundtrip(block, "zfp")
-            b, _ = http.roundtrip(block, "zfp")
-            np.testing.assert_array_equal(a, b)
-        finally:
-            raw.close()
-            http.close()
-
     def test_uds_transport_agrees_with_tcp(self, server, block):
         if server.uds_path is None:
             pytest.skip("platform refused the AF_UNIX listener")
@@ -206,6 +195,34 @@ class TestManagement:
             assert 'tenant="metrics-t"' in text
             assert "pressio_serve_request_seconds" in text
         finally:
+            obs.disable_metrics()
+
+    def test_metrics_and_healthz_match_serve_metrics(self, server, block):
+        """The daemon renders /metrics through the shared renderer:
+        Prometheus content type, runtime gauges, JSON health."""
+        import http.client
+
+        from repro import obs
+        from repro.obs.prometheus import parse
+
+        obs.enable_metrics()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", "/metrics")
+            resp = conn.getresponse()
+            text = resp.read().decode("utf-8")
+            assert resp.status == 200
+            assert resp.getheader("Content-Type").startswith(
+                "text/plain; version=0.0.4")
+            names = {s.name for s in parse(text).samples}
+            assert "pressio_pool_hits_total" in names
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert json.loads(resp.read())["status"] == "ok"
+            assert resp.getheader("Content-Type") == "application/json"
+        finally:
+            conn.close()
             obs.disable_metrics()
 
     def test_release_endpoint_forgets_segments(self, server, block):
