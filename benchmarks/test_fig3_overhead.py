@@ -4,8 +4,8 @@ Methodology mirrors the paper:
 
 * matched pairs: each configuration is run once through the native
   compressor API and once through the LibPressio plugin, back to back,
-  timing only the compress/decompress invocations with the monotonic
-  clock;
+  timed with the monotonic clock by :func:`repro.obs.bench.paired`
+  (arm order alternating per repetition, collector off);
 * 3 compressors (sz, zfp, mgard) x 3 SDRBench-analog datasets
   (ScaleLetKF, NYX, HACC) x 4 value-range-relative bounds
   (1e-4 .. 2e-2), trimmed to the paper's **35 configurations**;
@@ -22,7 +22,6 @@ percent overheads.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -33,6 +32,7 @@ from repro.native import mgard as native_mgard
 from repro.native import sz as native_sz
 from repro.native import zfp as native_zfp
 from repro.native.sz import sz_params
+from repro.obs.bench import paired
 
 from conftest import emit
 
@@ -71,24 +71,16 @@ def _plugin_ops(library: Pressio, compressor: str, arr: np.ndarray,
             lambda stream: plugin.decompress(stream, template))
 
 
-def _timed(fn, *args) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    result = fn(*args)
-    return time.perf_counter() - t0, result
+def _batch(compress, decompress, inner: int):
+    """One arm: ``inner`` back-to-back compress + decompress round trips."""
+    def run():
+        for _ in range(inner):
+            decompress(compress())
+    return run
 
 
 def run_overhead_experiment(datasets: dict[str, np.ndarray]) -> dict:
     """The full matched-pair sweep; returns per-config median overheads."""
-    import gc
-
-    gc.disable()  # keep collector pauses out of the matched pairs
-    try:
-        return _run_overhead_experiment(datasets)
-    finally:
-        gc.enable()
-
-
-def _run_overhead_experiment(datasets: dict[str, np.ndarray]) -> dict:
     library = Pressio()
     configs = []
     for compressor in COMPRESSORS:
@@ -104,36 +96,22 @@ def _run_overhead_experiment(datasets: dict[str, np.ndarray]) -> dict:
         arr = datasets[dataset]
         value_range = float(arr.max() - arr.min())
         abs_bound = rel_bound * value_range
-        native_c, native_d = _native_ops(compressor, arr, abs_bound)
-        plugin_c, plugin_d = _plugin_ops(library, compressor, arr, abs_bound)
-
-        native_times: list[float] = []
-        plugin_times: list[float] = []
+        native_ops = _native_ops(compressor, arr, abs_bound)
+        plugin_ops = _plugin_ops(library, compressor, arr, abs_bound)
         # timed warmup of each arm; the duration sizes the inner batch so
         # every observation is >= ~3 ms (sub-ms calls are noise-dominated)
-        t_warm, stream = _timed(native_c)
-        t_wd, _ = _timed(native_d, stream)
-        compressed = plugin_c()
-        plugin_d(compressed)
-        inner = max(1, min(10, int(np.ceil(0.003 / max(t_warm + t_wd,
-                                                       1e-6)))))
-        for rep in range(REPS):
-            # alternate arm order each repetition so cache/allocator
-            # warm-up cannot systematically favour either arm
-            arms = [("native", native_c, native_d, native_times),
-                    ("plugin", plugin_c, plugin_d, plugin_times)]
-            if rep % 2:
-                arms.reverse()
-            for _name, comp_fn, dec_fn, sink in arms:
-                total = 0.0
-                for _ in range(inner):
-                    t_c, out = _timed(comp_fn)
-                    t_d, _ = _timed(dec_fn, out)
-                    total += t_c + t_d
-                sink.append(total / inner)
+        warm = paired(_batch(*native_ops, 1), _batch(*plugin_ops, 1),
+                      pairs=1)
+        inner = max(1, min(10, int(np.ceil(
+            0.003 / max(warm.samples[0][0], 1e-6)))))
+        run = paired(_batch(*native_ops, inner), _batch(*plugin_ops, inner),
+                     pairs=REPS)
+        native_times = [t / inner for t in run.samples[0]]
+        plugin_times = [t / inner for t in run.samples[1]]
         # per-repetition paired observations (for the max-observation stat)
-        for tn, tp in zip(native_times, plugin_times):
-            all_observations.append(100.0 * (tp - tn) / tn)
+        observations = [100.0 * (tp - tn) / tn
+                        for tn, tp in zip(native_times, plugin_times)]
+        all_observations.extend(observations)
         # two estimators per configuration:
         # * median-of-arms (the paper's statistic) — unbiased but noisy
         #   on shared machines;
@@ -142,16 +120,14 @@ def _run_overhead_experiment(datasets: dict[str, np.ndarray]) -> dict:
         #   regression assertion uses.
         mn, mp = float(np.median(native_times)), float(np.median(plugin_times))
         bn, bp = float(np.min(native_times)), float(np.min(plugin_times))
-        paired = [100.0 * (tp - tn) / tn
-                  for tn, tp in zip(native_times, plugin_times)]
         rows.append({
             "compressor": compressor,
             "dataset": dataset,
             "bound": rel_bound,
             "median_pct": 100.0 * (mp - mn) / mn,
             "best_pct": 100.0 * (bp - bn) / bn,
-            "max_pct": float(np.max(paired)),
-            "min_pct": float(np.min(paired)),
+            "max_pct": float(np.max(observations)),
+            "min_pct": float(np.min(observations)),
         })
 
     medians = np.array([r["median_pct"] for r in rows])

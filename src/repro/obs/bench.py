@@ -14,7 +14,10 @@ artifact so performance has a trajectory, not a single data point:
   compression-ratio losses beyond the same threshold);
 * :func:`run_bench` is the CLI: it benches, writes the artifact, finds
   the previous artifact (or an explicit ``--baseline``), and prints a
-  per-configuration verdict table.
+  per-configuration verdict table;
+* :func:`paired` is the program's one matched-pair timing harness (the
+  Fig. 3 method): ``pressio bench --serve``, the Fig. 3 benchmark and
+  the overhead tests time their arms through it.
 
 ``--profile`` additionally captures one stage profile per configuration
 (:mod:`repro.profile`) into ``<output-dir>/profiles/`` — profile JSON
@@ -36,13 +39,17 @@ slows a codec shows up the next morning instead of at the next paper.
 from __future__ import annotations
 
 import argparse
+import gc
 import glob
 import json
 import os
 import platform
+import statistics
 import sys
 import time
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from string import ascii_lowercase
 from typing import Any, Callable
 
 import numpy as np
@@ -51,7 +58,7 @@ from . import quality as _quality
 
 __all__ = ["run_grid", "write_artifact", "load_artifact",
            "find_previous_artifact", "compare", "format_comparison",
-           "build_bench_parser", "run_bench"]
+           "build_bench_parser", "run_bench", "paired", "PairedRun"]
 
 #: compressor plugin -> the option key its absolute bound is set through
 #: (same mapping the Fig. 3 harness uses).
@@ -86,6 +93,58 @@ def _percentiles(samples: list[float]) -> dict[str, float]:
         "min": float(arr.min()),
         "max": float(arr.max()),
     }
+
+
+@dataclass
+class PairedRun:
+    """What :func:`paired` measured: one sample list per arm, in argument
+    order, and the arm order of each pair (``"ab"``, ``"ba"``, ...)."""
+
+    samples: tuple[list[float], ...]
+    order: list[str] = field(default_factory=list)
+
+    def median_ratio(self, arm: int = 1, base: int = 0) -> float:
+        """Median of the per-pair ``arm / base`` time ratios.
+
+        A slow scheduler epoch hits both halves of a pair, so it cancels
+        out of that pair's ratio.  Pairs whose base time is zero carry
+        no ratio and are dropped; with none left the ratio is 1.0.
+        """
+        ratios = [a / b for b, a in zip(self.samples[base],
+                                        self.samples[arm]) if b > 0]
+        return statistics.median(ratios) if ratios else 1.0
+
+    def overhead_pct(self, arm: int = 1, base: int = 0) -> float:
+        return (self.median_ratio(arm, base) - 1.0) * 100.0
+
+
+def paired(*arms: Callable[[], object], pairs: int,
+           clock: Callable[[], float] = time.perf_counter) -> PairedRun:
+    """Time each of ``arms`` once per pair, ``pairs`` times over.
+
+    Arms run in argument order on even pairs and in reverse order on odd
+    ones, so neither side always runs on the caches and allocator state
+    the other just warmed.  The collector is off while pairs run (its
+    pauses would land on whichever arm triggered them) and is left as it
+    was found.  Callers do their own warm-up before calling this.
+    """
+    samples: tuple[list[float], ...] = tuple([] for _ in arms)
+    order: list[str] = []
+    forward = list(range(len(arms)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i in range(pairs):
+            sequence = forward if i % 2 == 0 else forward[::-1]
+            for k in sequence:
+                t0 = clock()
+                arms[k]()
+                samples[k].append(clock() - t0)
+            order.append("".join(ascii_lowercase[k] for k in sequence))
+    finally:
+        if was_enabled:
+            gc.enable()
+    return PairedRun(samples, order)
 
 
 def _make_dataset(name: str, dims: tuple[int, ...]) -> np.ndarray:

@@ -3,7 +3,8 @@
 Layered on the span tracer (:mod:`repro.trace`) and the shared hot-path
 sentinel (:mod:`repro._hot`), so profiling is **zero-cost when
 disabled** — the same one-global-read guarantee the tracer and the
-metrics registry already honour (``tests/profile/test_overhead.py``).
+metrics registry already honour (pinned in
+``tests/trace/test_overhead.py``).
 
 Usage::
 

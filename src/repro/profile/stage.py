@@ -24,7 +24,7 @@ engine, and ``pressio bench --profile`` all consume.
 
 Everything here is *off* by default: with no profiler installed the hot
 path still performs its single ``repro._hot.ANY`` read and nothing
-else — ``tests/profile/test_overhead.py`` pins that.
+else — ``tests/trace/test_overhead.py`` pins that.
 """
 
 from __future__ import annotations

@@ -28,8 +28,9 @@ When enabled — programmatically via :func:`enable`, through
 
 Everything is installed by monkeypatching at :func:`enable` and fully
 restored by :func:`disable`, so the sanitizer-off hot path is exactly
-the shipped code — the paired-ratio micro-benchmark in
-``tests/sanitize/test_overhead.py`` pins that.
+the shipped code — the paired-ratio micro-benchmark
+``test_dormant_package_noop_overhead_within_noise`` in
+``tests/trace/test_overhead.py`` pins that.
 """
 
 from __future__ import annotations

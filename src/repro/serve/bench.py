@@ -11,14 +11,10 @@ and reports the served overhead as a percent of the in-process time.
 Methodology notes, learned the hard way:
 
 * **Interleaved pairs, paired statistics** — machine noise here is of
-  the same order as the effect being measured, so each iteration runs
-  one in-process and one served round trip back to back and the
-  reported overhead is the *median of the per-pair ratios*.  A slow
-  scheduler or thermal epoch hits both halves of its pairs, so it
-  cancels out of the ratio instead of biasing whichever side it
-  happened to land on.  The order within a pair alternates (local,
-  shm, inline on even pairs; the reverse on odd ones), so neither side
-  always runs on the caches the other just warmed.
+  the same order as the effect being measured, so the in-process, shm
+  and inline round trips are timed as the arms of one
+  :func:`repro.obs.bench.paired` run, and each overhead is that run's
+  median of per-pair ratios against the in-process arm.
 * **Zero-copy end to end** — the served side writes the dataset into
   the client's shared-memory input segment once (``input_array``) and
   reads results with ``copy=False``; requests and replies then carry
@@ -39,8 +35,8 @@ from __future__ import annotations
 import json
 import os
 import statistics
-import time
 from datetime import datetime, timezone
+from functools import partial
 from typing import Any, Callable
 
 from ..obs.bench import (
@@ -51,6 +47,7 @@ from ..obs.bench import (
     QUICK_DIMS,
     _make_dataset,
     _percentiles,
+    paired,
 )
 
 __all__ = [
@@ -69,24 +66,12 @@ SERVE_SCHEMA = "pressio-serve-bench/1"
 DEFAULT_PAIRS = 30
 
 
-def _local_roundtrip_s(plugin, data, template) -> float:
-    t0 = time.perf_counter()
-    compressed = plugin.compress(data)
-    plugin.decompress(compressed, template)
-    return time.perf_counter() - t0
+def _local_roundtrip(plugin, data, template) -> None:
+    plugin.decompress(plugin.compress(data), template)
 
 
-def _served_roundtrip_s(client, arr, compressor, options) -> float:
-    t0 = time.perf_counter()
+def _served_roundtrip(client, arr, compressor, options) -> None:
     client.roundtrip(arr, compressor, options, cache="bypass", copy=False)
-    return time.perf_counter() - t0
-
-
-def _paired_overhead_pct(local_s: list[float],
-                         served_s: list[float]) -> float:
-    """Median of per-pair overhead ratios (drift-cancelling)."""
-    ratios = [(s - l) / l for l, s in zip(local_s, served_s) if l > 0]
-    return statistics.median(ratios) * 100.0 if ratios else 0.0
 
 
 def run_serve_compare(compressors: tuple[str, ...] = QUICK_COMPRESSORS,
@@ -95,7 +80,6 @@ def run_serve_compare(compressors: tuple[str, ...] = QUICK_COMPRESSORS,
                       dims: tuple[int, ...] = QUICK_DIMS,
                       pairs: int = DEFAULT_PAIRS,
                       workers: int = 2,
-                      measure_inline: bool = True,
                       progress: Callable[[str], None] | None = None,
                       ) -> list[dict[str, Any]]:
     """Interleaved served-vs-in-process comparison; one row per config."""
@@ -110,8 +94,7 @@ def run_serve_compare(compressors: tuple[str, ...] = QUICK_COMPRESSORS,
     with ServeServer(port=0, workers=workers) as server:
         shm_client = ServeClient(port=server.port, use_shm=True,
                                  uds=server.uds_path)
-        inline_client = (ServeClient(port=server.port, use_shm=False)
-                         if measure_inline else None)
+        inline_client = ServeClient(port=server.port, use_shm=False)
         try:
             for compressor in compressors:
                 bound_key = BOUND_KEYS.get(compressor)
@@ -136,49 +119,33 @@ def run_serve_compare(compressors: tuple[str, ...] = QUICK_COMPRESSORS,
                                                          arr.dtype)
                         shm_arr[:] = arr
 
+                        arms = (
+                            partial(_local_roundtrip, plugin, data, template),
+                            partial(_served_roundtrip, shm_client, shm_arr,
+                                    compressor, options),
+                            partial(_served_roundtrip, inline_client, arr,
+                                    compressor, options),
+                        )
                         # untimed warm-ups prime the plugin, the shm
                         # segments, and the server's wrap/view caches
-                        _local_roundtrip_s(plugin, data, template)
-                        _served_roundtrip_s(shm_client, shm_arr,
-                                            compressor, options)
-                        if inline_client is not None:
-                            _served_roundtrip_s(inline_client, arr,
-                                                compressor, options)
-
-                        local_s: list[float] = []
-                        served_s: list[float] = []
-                        inline_s: list[float] = []
-                        legs = [
-                            (local_s, lambda: _local_roundtrip_s(
-                                plugin, data, template)),
-                            (served_s, lambda: _served_roundtrip_s(
-                                shm_client, shm_arr, compressor, options)),
-                        ]
-                        if inline_client is not None:
-                            legs.append((inline_s, lambda: _served_roundtrip_s(
-                                inline_client, arr, compressor, options)))
-                        for i in range(pairs):
-                            for samples, leg in (legs if i % 2 == 0
-                                                 else legs[::-1]):
-                                samples.append(leg())
+                        for warm_up in arms:
+                            warm_up()
+                        run = paired(*arms, pairs=pairs)
+                        local_ms, shm_ms, inline_ms = (
+                            _percentiles([s * 1e3 for s in samples])
+                            for samples in run.samples)
                         row = {
                             "compressor": compressor,
                             "dataset": dataset,
                             "bound": rel_bound,
                             "dims": list(arr.shape),
                             "pairs": pairs,
-                            "local_ms": _percentiles(
-                                [s * 1e3 for s in local_s]),
-                            "served_shm_ms": _percentiles(
-                                [s * 1e3 for s in served_s]),
-                            "overhead_pct": _paired_overhead_pct(
-                                local_s, served_s),
+                            "local_ms": local_ms,
+                            "served_shm_ms": shm_ms,
+                            "overhead_pct": run.overhead_pct(1),
+                            "served_inline_ms": inline_ms,
+                            "inline_overhead_pct": run.overhead_pct(2),
                         }
-                        if inline_s:
-                            row["served_inline_ms"] = _percentiles(
-                                [s * 1e3 for s in inline_s])
-                            row["inline_overhead_pct"] = (
-                                _paired_overhead_pct(local_s, inline_s))
                         rows.append(row)
                         if progress is not None:
                             progress(
@@ -190,8 +157,7 @@ def run_serve_compare(compressors: tuple[str, ...] = QUICK_COMPRESSORS,
                                 f"overhead {row['overhead_pct']:+.1f}%")
         finally:
             shm_client.close()
-            if inline_client is not None:
-                inline_client.close()
+            inline_client.close()
     return rows
 
 
@@ -200,17 +166,15 @@ def summarize(rows: list[dict[str, Any]],
     overheads = [row["overhead_pct"] for row in rows]
     worst = max(overheads) if overheads else 0.0
     med = statistics.median(overheads) if overheads else 0.0
-    summary: dict[str, Any] = {
+    inline = [row["inline_overhead_pct"] for row in rows]
+    return {
         "paper_baseline_pct": baseline_pct,
         "median_overhead_pct": med,
         "worst_overhead_pct": worst,
         "beats_baseline": worst < baseline_pct,
+        "inline_median_overhead_pct": (statistics.median(inline)
+                                       if inline else 0.0),
     }
-    inline = [row["inline_overhead_pct"] for row in rows
-              if "inline_overhead_pct" in row]
-    if inline:
-        summary["inline_median_overhead_pct"] = statistics.median(inline)
-    return summary
 
 
 def write_serve_artifact(rows: list[dict[str, Any]], output_path: str,
@@ -249,13 +213,10 @@ def format_serve_report(rows: list[dict[str, Any]],
         f"(paper external-launch baseline {baseline_pct:.1f}%):",
     ]
     for row in rows:
-        inline = row.get("inline_overhead_pct")
-        inline_txt = (f"  inline {inline:+7.1f}%"
-                      if inline is not None else "")
         lines.append(
             f"  {row['compressor']:<8} {row['dataset']:<12} "
             f"bound={row['bound']:<8g} shm {row['overhead_pct']:+7.1f}%"
-            f"{inline_txt}")
+            f"  inline {row['inline_overhead_pct']:+7.1f}%")
     lines.append(
         f"median {summary['median_overhead_pct']:+.1f}%  "
         f"worst {summary['worst_overhead_pct']:+.1f}%  -> "

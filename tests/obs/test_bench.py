@@ -1,9 +1,15 @@
-"""The ``pressio bench`` harness: grids, artifacts, regression verdicts."""
+"""The ``pressio bench`` harness: grids, artifacts, regression verdicts,
+and the ``paired()`` timing primitive."""
 
 import copy
+import gc
+import importlib.util
 import json
 import os
+import pathlib
+import sys
 
+import numpy as np
 import pytest
 
 from repro.obs import bench
@@ -409,3 +415,74 @@ class TestHistoryMode:
                                 bounds=(1e-3,), dims=(8, 8, 8), reps=1)
         assert row["max_abs_error"] >= 0
         assert 0 <= row["bound_margin"] <= 1 + 1e-9
+
+
+class _FakeClock:
+    """A ``perf_counter`` stand-in whose time moves only when an arm runs."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+    def arm(self, durations):
+        durations = iter(durations)
+
+        def run(*_pair_index):
+            self.now += next(durations)
+        return run
+
+
+def _benchmark_harness():
+    # the benchmark's own copy of the method, loaded by path: perfbench/
+    # imports nothing from the program and is not a package on sys.path
+    path = pathlib.Path(__file__).resolve().parents[2] / "perfbench" / \
+        "harness.py"
+    spec = importlib.util.spec_from_file_location("perfbench_harness", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve through it
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPaired:
+    def test_agrees_with_the_benchmark_harness(self):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(1.0, 2.0, 15)
+        other = base * rng.uniform(0.9, 1.3, 15)
+        ours_clock, theirs_clock = _FakeClock(), _FakeClock()
+        ours = bench.paired(ours_clock.arm(base), ours_clock.arm(other),
+                            pairs=15, clock=ours_clock)
+        theirs = _benchmark_harness().paired(
+            theirs_clock.arm(base), theirs_clock.arm(other),
+            min_pairs=15, max_pairs=15, clock=theirs_clock)
+        assert len(ours.order) == theirs.n == 15
+        assert ours.median_ratio() == pytest.approx(theirs.median_ratio)
+        assert ours.overhead_pct() == pytest.approx(theirs.overhead_pct)
+        assert ours.order == theirs.order
+        assert ours.samples[0] == pytest.approx(list(base))
+        assert ours.samples[1] == pytest.approx(list(other))
+
+    def test_three_arms_alternate_forward_and_reversed(self):
+        calls = []
+        arms = [lambda name=name: calls.append(name) for name in "xyz"]
+        run = bench.paired(*arms, pairs=4)
+        assert calls == list("xyz" "zyx" "xyz" "zyx")
+        assert run.order == ["abc", "cba", "abc", "cba"]
+        assert [len(samples) for samples in run.samples] == [4, 4, 4]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_off_while_timing_then_restored(self, enabled):
+        seen = []
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            bench.paired(lambda: seen.append(gc.isenabled()), pairs=2)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ZeroDivisionError):
+                bench.paired(lambda: 1 / 0, pairs=1)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen == [False, False]

@@ -1,36 +1,26 @@
-"""Micro-benchmark: the sanitizer must be zero-cost when disabled.
+"""The sanitizer must be zero-cost when disabled.
 
 The sanitizer instruments by monkeypatching at :func:`enable` and fully
 restoring at :func:`disable`, so "sanitizer off" adds *no* code to the
 pool or compress hot paths — the only per-operation guard left is the
-single ``repro._hot.ANY`` read the tracer already pays.  This pins the
-ISSUE acceptance criterion with the same paired-ratio methodology as
-``tests/profile/test_overhead.py``: interleaved guarded/unguarded
-batches compared by the median of per-pair ratios, which cancels
-frequency-scaling drift and discards preemption outliers.
+single ``repro._hot.ANY`` read the tracer already pays.  These tests pin
+that importing the package changes nothing and that :func:`disable`
+restores the originals; the ``noop`` throughput pin for the dormant
+package is ``test_dormant_package_noop_overhead_within_noise`` in
+``tests/trace/test_overhead.py``.
 """
 
 import os
-import statistics
-import time
 
-import numpy as np
 import pytest
 
-from repro import PressioData, _hot
+from repro import _hot
 from repro.native import pool
 from repro.sanitize import runtime
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("PRESSIO_SANITIZE") == "1",
-    reason="session-wide sanitizer active: off-cost is not measurable")
-
-
-def _time_batch(fn, reps: int) -> int:
-    t0 = time.perf_counter_ns()
-    for _ in range(reps):
-        fn()
-    return time.perf_counter_ns() - t0
+    reason="session-wide sanitizer active: it cannot be observed off")
 
 
 def test_importing_sanitize_leaves_hot_paths_pristine():
@@ -46,53 +36,3 @@ def test_disable_hands_back_the_exact_original_functions():
     runtime.disable()
     assert pool.acquire is orig_acquire
     assert pool.release is orig_release
-
-
-def test_sanitizer_off_noop_overhead_within_noise(library):
-    # noop is the worst case: zero compression work, so any per-call
-    # bookkeeping is maximally visible in relative terms
-    import repro.sanitize  # noqa: F401  (hooks importable but dormant)
-
-    assert runtime.is_enabled() is False
-    comp = library.get_compressor("noop")
-    data = PressioData.from_numpy(np.random.default_rng(29).random(4096))
-    template = PressioData.empty(data.dtype, data.dims)
-
-    def guarded():
-        compressed = comp.compress(data)
-        comp.decompress(compressed, template)
-
-    def unguarded():
-        compressed = comp._compress_op(data, None)
-        comp._decompress_op(compressed, template)
-
-    _time_batch(guarded, 10)
-    _time_batch(unguarded, 10)
-
-    def measure(reps: int = 40, pairs: int = 21) -> float:
-        ratios = []
-        for i in range(pairs):
-            if i % 2 == 0:
-                g = _time_batch(guarded, reps)
-                u = _time_batch(unguarded, reps)
-            else:
-                u = _time_batch(unguarded, reps)
-                g = _time_batch(guarded, reps)
-            ratios.append(g / u)
-        return statistics.median(ratios) - 1.0
-
-    # "within noise": with the sanitizer dormant the guarded path pays
-    # one global read + comparison; 5% of a noop round trip is far above
-    # its true cost but below what any real per-call hook would show.  A
-    # preempted measurement can spuriously exceed that, so re-measure up
-    # to three times — a *real* hook fails every attempt.
-    overheads = []
-    for _ in range(3):
-        overheads.append(measure())
-        if overheads[-1] < 0.05:
-            break
-    assert min(overheads) < 0.05, (
-        f"sanitizer-off overhead on noop exceeded 5% in all of "
-        f"{len(overheads)} attempts: "
-        + ", ".join(f"{o:.2%}" for o in overheads)
-    )

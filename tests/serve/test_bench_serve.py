@@ -14,10 +14,10 @@ import pathlib
 
 import pytest
 
+from repro.obs.bench import PairedRun
 from repro.serve.bench import (
     PAPER_BASELINE_PCT,
     SERVE_SCHEMA,
-    _paired_overhead_pct,
     format_serve_report,
     run_serve_compare,
     summarize,
@@ -28,23 +28,27 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 ARTIFACT = REPO_ROOT / "benchmarks" / "BENCH_serve_compare.json"
 
 
+def _overhead_pct(local, served):
+    """The estimator a row's ``overhead_pct`` comes from."""
+    return PairedRun((local, served)).overhead_pct()
+
+
 class TestPairedStatistics:
     def test_median_of_per_pair_ratios(self):
         local = [1.0, 1.0, 1.0]
         served = [1.10, 1.20, 1.30]
-        assert _paired_overhead_pct(local, served) == pytest.approx(20.0)
+        assert _overhead_pct(local, served) == pytest.approx(20.0)
 
     def test_drift_epochs_cancel(self):
         # a 3x slowdown epoch hits pairs 2+3 on both sides: the ratio
         # stays 1.10 everywhere, so the estimate is unaffected
         local = [1.0, 3.0, 3.0]
         served = [1.1, 3.3, 3.3]
-        assert _paired_overhead_pct(local, served) == pytest.approx(10.0)
+        assert _overhead_pct(local, served) == pytest.approx(10.0)
 
     def test_zero_local_pairs_are_dropped(self):
-        assert _paired_overhead_pct([0.0, 1.0], [5.0, 1.2]) == \
-            pytest.approx(20.0)
-        assert _paired_overhead_pct([], []) == 0.0
+        assert _overhead_pct([0.0, 1.0], [5.0, 1.2]) == pytest.approx(20.0)
+        assert _overhead_pct([], []) == 0.0
 
 
 class TestSummarize:
@@ -71,8 +75,7 @@ class TestLiveComparison:
     def rows(self):
         return run_serve_compare(
             compressors=("noop",), datasets=("nyx",),
-            bounds=(1e-4,), dims=(8, 8, 8), pairs=3,
-            measure_inline=True)
+            bounds=(1e-4,), dims=(8, 8, 8), pairs=3)
 
     def test_row_schema(self, rows):
         assert len(rows) == 1
@@ -99,20 +102,20 @@ class TestLiveComparison:
 
 class TestPairOrder:
     def test_order_alternates_on_odd_pairs(self, monkeypatch):
+        """The three round trips are ``paired()``'s arms, in this order;
+        the alternation itself is pinned in tests/obs/test_bench.py."""
         from repro.serve import bench
 
         calls: list[str] = []
 
         def local(plugin, data, template):
             calls.append("local")
-            return 1.0
 
         def served(client, arr, compressor, options):
             calls.append("shm" if client.use_shm else "inline")
-            return 1.0
 
-        monkeypatch.setattr(bench, "_local_roundtrip_s", local)
-        monkeypatch.setattr(bench, "_served_roundtrip_s", served)
+        monkeypatch.setattr(bench, "_local_roundtrip", local)
+        monkeypatch.setattr(bench, "_served_roundtrip", served)
         run_serve_compare(compressors=("noop",), datasets=("nyx",),
                           bounds=(1e-4,), dims=(4, 4, 4), pairs=3)
         forward = ["local", "shm", "inline"]
