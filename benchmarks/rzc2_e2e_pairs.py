@@ -1,17 +1,22 @@
-"""End-to-end paired comparison of the RZC2 rewrite through ``perfbench``.
+"""End-to-end paired comparison of an encoder change through ``perfbench``.
 
 Runs ``perfbench/run.py`` on the ``paper_grid`` and ``chunked_serial``
-workloads for two trees: ``BASELINE_REV`` (exported with ``git
-archive`` into a temporary directory) and the working tree.  Each pair
-runs both trees on the same seed back to back, in alternating order.
-The artifact keeps every run's result line and, per metric, both
-medians, the baseline's interquartile range and how many pairs the
-working tree won, with "better" taken from ``BENCHMARK.json``.
+workloads for two trees: a baseline revision (``--baseline``, default
+``BASELINE_REV``; exported with ``git archive`` into a temporary
+directory) and the working tree.  Each pair runs both trees on the
+same seed back to back, in alternating order.  The artifact keeps
+every run's result line and, per metric, both medians, the baseline's
+interquartile range and how many pairs the working tree won, with
+"better" taken from ``BENCHMARK.json``.
 
-Usage, from the root of a checkout (about 40 minutes)::
+Usage, from the root of a checkout (about 40 minutes each)::
 
+    # the RZC2 rewrite against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py \\
         --output benchmarks/BENCH_rzc2_paper_grid_e2e.json
+    # the narrow-width encode path against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 7533a5a \\
+        --output benchmarks/BENCH_narrow_encode_e2e.json
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ import sys
 import tarfile
 import tempfile
 
-#: the last revision before the word-packed BITPACK rewrite
+#: the default baseline: the last revision before the word-packed
+#: BITPACK rewrite
 BASELINE_REV = "9511da7"
 #: alternating parent/change pairs per workload
 PAIRS = 10
@@ -39,8 +45,8 @@ SECONDS = 40
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def export_baseline(dest: str) -> None:
-    tar = subprocess.run(["git", "archive", BASELINE_REV], cwd=ROOT,
+def export_baseline(dest: str, rev: str) -> None:
+    tar = subprocess.run(["git", "archive", rev], cwd=ROOT,
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
@@ -74,6 +80,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--baseline", default=BASELINE_REV, metavar="REV",
+                    help="git revision to compare the working tree "
+                         f"against (default: {BASELINE_REV})")
     ap.add_argument("--output", default=None,
                     help="write the JSON artifact here (default: stdout)")
     args = ap.parse_args(argv)
@@ -83,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
 
     workloads = {}
     with tempfile.TemporaryDirectory() as parent_tree:
-        export_baseline(parent_tree)
+        export_baseline(parent_tree, args.baseline)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload, seed0 in WORKLOADS.items():
             runs = []
@@ -108,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
         "python": platform.python_version(),
-        "baseline_rev": BASELINE_REV,
+        "baseline_rev": args.baseline,
         "pairs": PAIRS,
         "run_seconds": SECONDS,
         "method": ("per workload: pair i runs perfbench with seed "

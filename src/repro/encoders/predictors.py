@@ -42,25 +42,37 @@ def _diff_axis_into(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
 
 def lorenzo_encode(quantized: np.ndarray,
                    scratch: np.ndarray | None = None,
-                   clobber: bool = False) -> np.ndarray:
+                   clobber: bool = False,
+                   keep_width: bool = False) -> np.ndarray:
     """Residuals of the d-dimensional Lorenzo predictor on an int field.
 
-    Works in wrap-around uint64 arithmetic internally so extreme inputs
-    cannot trip int64 overflow warnings; the decode side wraps back.
+    Works in wrap-around unsigned arithmetic internally so extreme
+    inputs cannot trip overflow warnings; the decode side wraps back.
+    The width is int64, or with ``keep_width=True`` the input's own
+    signed width (int32 codes give int32 residuals).  A residual sums
+    ``2**ndim`` codes, so that is exact only when every such sum fits
+    the width, as :func:`~repro.encoders.quantize.quantize_uniform`'s
+    ``fan_in`` gate guarantees; otherwise residuals wrap.
 
-    ``scratch`` (int64/uint64, same shape) provides the second ping-pong
-    buffer; with ``clobber=True`` the input itself may serve as one, so
-    no allocation happens at all.  The returned array aliases whichever
+    ``scratch`` (C-contiguous, at least the working width's bytes per
+    element) provides the second ping-pong buffer; with
+    ``clobber=True`` the input itself may serve as one, so no
+    allocation happens at all.  The returned array aliases whichever
     buffer holds the final pass — either ``scratch`` or (with clobber)
     the input.
     """
-    arr = np.ascontiguousarray(quantized, dtype=np.int64).view(np.uint64)
+    arr = np.ascontiguousarray(quantized)
+    if not (keep_width and arr.dtype.kind == "i" and arr.dtype.isnative):
+        arr = arr.astype(np.int64, copy=False)
+    signed = arr.dtype
+    arr = arr.view(f"u{signed.itemsize}")
     if arr.ndim == 0:
-        return arr.reshape(()).copy().view(np.int64)
+        return arr.reshape(()).copy().view(signed)
     if scratch is None:
         scratch = np.empty_like(arr)
     else:
-        scratch = scratch.view(np.uint64).reshape(arr.shape)
+        scratch = scratch.reshape(-1).view(arr.dtype)[:arr.size].reshape(
+            arr.shape)
     cur, nxt = arr, scratch
     first = True
     for axis in range(arr.ndim):
@@ -72,7 +84,7 @@ def lorenzo_encode(quantized: np.ndarray,
             first = False
         else:
             cur, nxt = nxt, cur
-    return cur.view(np.int64)
+    return cur.view(signed)
 
 
 def lorenzo_decode(residuals: np.ndarray,

@@ -5,12 +5,17 @@ that dequantization reconstructs within ±eb — the textbook error-bounded
 quantizer every abs-bound lossy compressor in the paper builds on.
 
 The hot path is written as a fixed number of whole-array passes with no
-data-dependent branches: scale, one fused validation ``max`` (NaN
-propagates through ``max``, so non-finite input and overflow share a
-single reduction — the error kind is only disambiguated on the cold
-raise path), round in place, cast.  Callers on the native hot paths
+data-dependent branches: scale, one fused validation ``min``/``max``
+(NaN propagates through both, so non-finite input and overflow share a
+single check — the error kind is only disambiguated on the cold raise
+path), round in place, cast.  Callers on the native hot paths
 pass ``out=``/``scratch=`` buffers from :mod:`repro.native.pool` to
 keep the per-operation allocation count at zero.
+
+Codes are int64 by default.  A caller that sums codes downstream (the
+Lorenzo predictor sums ``2**ndim`` of them) passes that ``fan_in`` and
+gets int32 codes whenever the validation pass's peak proves every such
+sum fits int32 — half the bytes to write and to predict on.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ __all__ = ["quantize_uniform", "dequantize_uniform", "safe_quantizer_step"]
 # |code| beyond this risks int64 overflow in the Lorenzo stage, which sums
 # up to 2**ndim codes; stay far below 2**63.
 _MAX_CODE = 2**56
+_INT32_LIMIT = 2**31
 
 
 def quantize_uniform(values: np.ndarray, error_bound: float,
                      out: np.ndarray | None = None,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
-    """Quantize to int64 codes with bin width ``2*error_bound``.
+                     scratch: np.ndarray | None = None,
+                     fan_in: int = 0) -> np.ndarray:
+    """Quantize to integer codes with bin width ``2*error_bound``.
 
     Guarantees ``|value - dequantize(code)| <= eb*(1+u) + u*|value|``
     elementwise for finite inputs, where ``u`` is the double-precision
@@ -39,6 +46,12 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
     ``out`` (int64, matching shape) receives the codes without a fresh
     allocation; ``scratch`` (float64, matching shape) is used for the
     scaled intermediate.  Both default to fresh arrays.
+
+    The codes are int64 unless ``fan_in`` is positive and any sum of
+    ``fan_in`` codes provably fits int32: ``|code| <= peak + 1/2`` for
+    the peak ``max |value/2eb|``, so ``(peak + 1) * fan_in < 2**31``
+    suffices.  Then they are int32, written into the leading half of a
+    C-contiguous ``out``.  Use the returned array, not ``out``.
     """
     if error_bound <= 0:
         raise ValueError(f"error_bound must be positive, got {error_bound}")
@@ -50,10 +63,13 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
                            dtype=np.float64)
     else:
         scaled = np.asarray(arr, dtype=np.float64) / (2.0 * error_bound)
+    narrow = False
     if arr.size:
-        peak = float(np.max(np.abs(scaled)))
-        # NaN fails every comparison, so this single check catches both
-        # non-finite input (NaN peak, or inf >= bound) and overflow.
+        # max |scaled| from two reductions, without an abs temporary;
+        # np.maximum keeps a NaN from either, and NaN fails every
+        # comparison, so this single check catches both non-finite
+        # input (NaN peak, or inf >= bound) and overflow.
+        peak = float(np.maximum(-scaled.min(), scaled.max()))
         if not peak < _MAX_CODE:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("cannot quantize non-finite values")
@@ -61,7 +77,14 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
                 "error bound too small relative to data magnitude: "
                 f"max |value/2eb| = {peak:.3g} >= {_MAX_CODE:g}"
             )
+        narrow = fan_in > 0 and (peak + 1.0) * fan_in < _INT32_LIMIT
     np.rint(scaled, out=scaled)
+    if narrow:
+        if out is None:
+            return scaled.astype(np.int32)
+        codes = out.reshape(-1).view(np.int32)[:arr.size].reshape(arr.shape)
+        np.copyto(codes, scaled, casting="unsafe")
+        return codes
     if out is not None:
         np.copyto(out, scaled, casting="unsafe")
         return out
@@ -71,7 +94,7 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
 def dequantize_uniform(codes: np.ndarray, error_bound: float,
                        dtype: np.dtype = np.dtype(np.float64),
                        out: np.ndarray | None = None) -> np.ndarray:
-    """Reconstruct bin centers from int64 codes.
+    """Reconstruct bin centers from integer codes.
 
     ``out`` (of ``dtype``, matching shape) receives the reconstruction
     without allocating.

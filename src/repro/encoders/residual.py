@@ -4,11 +4,12 @@ Prediction-based compressors (our sz, zfp, mgard, fpzip natives)
 produce signed residual arrays dominated by values near zero.  Two
 stream formats live here:
 
-* **RZC2** (current): residuals are zigzag mapped and the uint64 codes
-  are split into little-endian *byte planes*; only the planes up to the
-  largest code's byte length are stored, and each plane independently
-  picks the cheapest of five encodings from byte statistics computed in
-  single vectorized passes:
+* **RZC2** (current): residuals are narrowed once to the smallest
+  signed width that holds their range, zigzag mapped in that width, and
+  the codes are split into little-endian *byte planes*; only the planes
+  up to the largest code's byte length are stored, and each plane
+  independently picks the cheapest of five encodings from byte
+  statistics computed in single vectorized passes:
 
   - ``CONST`` — every byte equal: 1 byte;
   - ``RAW`` — verbatim;
@@ -18,6 +19,11 @@ stream formats live here:
   - ``ZLIB`` — DEFLATE, tried only when a byte-histogram entropy
     estimate predicts it beats the structural encodings by enough to
     be worth its CPU cost (always worth trying at high effort levels).
+
+  A plane's nonzero count alone settles the near-empty planes (CONST,
+  or SPARSE when nothing else can win at low effort); the others take
+  their byte histogram from one ``bincount`` over the plane's uint16
+  pair view.
 
   Decode rebuilds the codes in the narrowest unsigned dtype the plane
   count allows and widens them to int64 once.  Both directions run on
@@ -37,6 +43,7 @@ from __future__ import annotations
 
 import bz2
 import lzma
+import sys
 import zlib
 
 import numpy as np
@@ -108,16 +115,34 @@ _BITLEN8 = np.array([int(v).bit_length() for v in range(256)],
 #: per byte-plane count, the narrowest unsigned dtype holding the codes
 _CODE_DTYPES = [np.dtype(f"u{b}") for b in (1, 1, 2, 4, 4, 8, 8, 8, 8)]
 
+_INT64_MAX = 2**63 - 1
+
+#: plane ``p`` of a native code is byte ``p`` of its uint8 view here,
+#: byte ``width - 1 - p`` on a big-endian host
+_LITTLE = sys.byteorder == "little"
+
 
 def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
                      level: int = 1) -> bytes:
-    """Encode a signed int64 residual array to a self-describing stream."""
+    """Encode a signed integer residual array to a self-describing stream.
+
+    Any integer dtype, byte order or memory layout is accepted; the
+    stream depends only on the values.  Raises ``TypeError`` for
+    non-integer input and ``ValueError`` for unsigned values beyond the
+    int64 range (decode returns int64).
+    """
     if backend not in _COMPRESSORS:
         raise ValueError(f"unknown lossless backend {backend!r}; "
                          f"choose from {LOSSLESS_BACKENDS}")
-    if backend in ("bz2", "lzma") or residuals.size < _RZC1_CUTOFF:
-        return _encode_rzc1(residuals, backend, level)
-    return _encode_rzc2(residuals, backend, level)
+    r = np.asarray(residuals)
+    if r.dtype.kind not in "iu":
+        raise TypeError(f"residuals must be integers, got {r.dtype}")
+    lo, hi = (int(r.min()), int(r.max())) if r.size else (0, 0)
+    if hi > _INT64_MAX:
+        raise ValueError(f"residual {hi} exceeds the int64 range")
+    if backend in ("bz2", "lzma") or r.size < _RZC1_CUTOFF:
+        return _encode_rzc1(r, backend, level)
+    return _encode_rzc2(r, lo, hi, backend, level)
 
 
 def decode_residuals(stream: bytes | memoryview) -> np.ndarray:
@@ -134,8 +159,8 @@ def decode_residuals(stream: bytes | memoryview) -> np.ndarray:
 # ----------------------------------------------------------------------
 # RZC2: byte planes
 # ----------------------------------------------------------------------
-def _encode_rzc2(residuals: np.ndarray, backend: str, level: int) -> bytes:
-    r = np.ascontiguousarray(residuals, dtype=np.int64).reshape(-1)
+def _encode_rzc2(r: np.ndarray, lo: int, hi: int, backend: str,
+                 level: int) -> bytes:
     n = r.size
     allow_zlib = backend == "zlib"
     header = bytearray(_MAGIC2)
@@ -144,48 +169,92 @@ def _encode_rzc2(residuals: np.ndarray, backend: str, level: int) -> bytes:
         header.append(0)
         header.append(_BACKEND_IDS[backend])
         return bytes(header)
-    zz = _pool.acquire(n, np.uint64)
-    scratch = _pool.acquire(n, np.uint64)
+    # zigzag codes of [lo, hi] run up to max(2·hi, -2·lo - 1); the
+    # narrowest signed width holding the range holds them unsigned
+    maxc = max(2 * hi, -2 * lo - 1)
+    nplanes = (maxc.bit_length() + 7) // 8
+    width = _narrow_width(lo, hi)
+    codes = _pool.acquire(n, f"i{width}")
+    scratch = _pool.acquire(n, f"i{width}")
     plane_buf = _pool.acquire(n, np.uint8)
     try:
-        codes = zigzag_encode(r, out=zz, scratch=scratch)
-        maxc = int(codes.max())
-        nplanes = (maxc.bit_length() + 7) // 8 if maxc else 0
+        np.copyto(codes.reshape(r.shape), r, casting="unsafe")
+        zigzag_encode(codes, out=codes, scratch=scratch)
         header.append(nplanes)
         header.append(_BACKEND_IDS[backend])
-        planes8 = codes.astype("<u8", copy=False).view(np.uint8).reshape(n, 8)
+        planes = codes.view(np.uint8).reshape(n, width)
         out = bytearray(bytes(header))
         for p in range(nplanes):
-            np.copyto(plane_buf, planes8[:, p])
-            tag, payload = _encode_plane(plane_buf, level, allow_zlib)
+            if width == 1:
+                plane = planes.reshape(n)  # already contiguous
+            else:
+                np.copyto(plane_buf,
+                          planes[:, p if _LITTLE else width - 1 - p])
+                plane = plane_buf
+            tag, payload = _encode_plane(plane, level, allow_zlib)
             out.append(tag)
             out += np.uint64(len(payload)).tobytes()
             out += payload
         return bytes(out)
     finally:
-        _pool.release(zz, scratch, plane_buf)
+        _pool.release(codes, scratch, plane_buf)
+
+
+def _narrow_width(lo: int, hi: int) -> int:
+    """Bytes of the narrowest signed integer holding ``lo`` and ``hi``."""
+    for width in (1, 2, 4):
+        bound = 1 << (8 * width - 1)
+        if -bound <= lo and hi < bound:
+            return width
+    return 8
+
+
+def _byte_histogram(plane: np.ndarray) -> np.ndarray:
+    """``np.bincount(plane, minlength=256)`` at half the widening cost.
+
+    ``bincount`` widens its input to intp first, so it counts the
+    plane's byte *pairs* (a uint16 view, half as many values) into
+    65536 bins and folds them: each byte value's count is its row sum
+    (one byte of the pair) plus its column sum (the other).  An odd
+    trailing byte is added on its own.
+    """
+    n = plane.size
+    pairs = np.bincount(plane[:n - n % 2].view(np.uint16),
+                        minlength=65536).reshape(256, 256)
+    counts = pairs.sum(axis=0) + pairs.sum(axis=1)
+    if n % 2:
+        counts[plane[-1]] += 1
+    return counts
 
 
 def _encode_plane(plane: np.ndarray, level: int,
                   allow_zlib: bool) -> tuple[int, bytes]:
     """Pick the cheapest encoding for one contiguous uint8 plane.
 
-    One ``bincount`` pass supplies the constant/sparse/entropy
-    statistics; the per-chunk maxima reshape the plane in place when the
-    length is a whole number of chunks (the common case for block-sized
-    buffers), so the scratch copy only happens on ragged tails.
+    The nonzero count settles empty planes and, at low effort, sparse
+    ones outright; otherwise one byte histogram supplies the
+    constant/entropy statistics.  The per-chunk maxima reshape the
+    plane in place when the length is a whole number of chunks (the
+    common case for block-sized buffers), so the scratch copy only
+    happens on ragged tails.
     """
     n = plane.size
     nchunks = (n + _CHUNK - 1) // _CHUNK
-    counts = np.bincount(plane, minlength=256)
-    k = n - int(counts[0])
+    k = int(np.count_nonzero(plane))
     if k == 0:
         return _P_CONST, b"\x00"
+    sparse_cost = 4 + 5 * k if n < 2**32 else n + 1
+    if level <= 4 and sparse_cost <= (nchunks + 1) // 2:
+        # exactly where the full chooser below ends up, without the
+        # histogram: k < n rules out a nonzero CONST, low-effort
+        # deflate needs (n + 7) // 8 < sparse_cost, and
+        # (n + 7) // 8 >= (nchunks + 1) // 2; then the sparse gate fires
+        return _sparse_plane(plane)
+    counts = _byte_histogram(plane)
     nz = np.flatnonzero(counts)
     mx = int(nz[-1])
     if counts[0] == 0 and nz.size == 1:
         return _P_CONST, bytes([mx])
-    sparse_cost = 4 + 5 * k if n < 2**32 else n + 1
     raw_cost = n
     best = min(sparse_cost, raw_cost)
     # Huffman-only deflate (all that low effort tries) spends at least
@@ -241,7 +310,9 @@ def _encode_plane(plane: np.ndarray, level: int,
 
 
 def _sparse_plane(plane: np.ndarray) -> tuple[int, bytes]:
-    pos = np.flatnonzero(plane).astype("<u4")
+    # nonzero() has a fast path for bool input only: the mask pass
+    # costs less than what it saves (7.8 -> 1.2 ms on a 3M-byte plane)
+    pos = np.flatnonzero(plane != 0).astype("<u4")
     return _P_SPARSE, (np.uint32(pos.size).tobytes() + pos.tobytes()
                        + plane[pos].tobytes())
 

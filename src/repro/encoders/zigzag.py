@@ -3,13 +3,14 @@
 Maps 0, -1, 1, -2, 2, ... to 0, 1, 2, 3, 4, ... so that residuals centered
 on zero become small unsigned values, which downstream byte/entropy coders
 exploit.  All operations are vectorized and overflow-safe for the full
-int64 range (the arithmetic is done in uint64 two's complement).
+range of the width they run in (the arithmetic is two's complement).
 
 Both directions accept ``out``/``scratch`` buffers (matching shape) so
 the hot paths can run on pooled memory without allocating; with both
-provided, no arrays are created.  Encode buffers are 64-bit; buffered
-decode works in the codes' own unsigned width (the mapping does not
-depend on it), so narrow codes decode without first widening to 64 bits.
+provided, no arrays are created.  Without buffers both directions work
+in 64 bits.  With them, each works in its input's own width (the
+mapping does not depend on it): int16 values encode to uint16 codes and
+uint16 codes decode to int16 values, without widening to 64 bits.
 """
 
 from __future__ import annotations
@@ -25,17 +26,25 @@ def zigzag_encode(values: np.ndarray,
     """Map a signed integer array to unsigned zigzag codes.
 
     ``v >= 0 -> 2v`` and ``v < 0 -> -2v - 1``; computed branch-free as
-    ``(v << 1) ^ (v >> 63)`` in two's complement.
+    ``(v << 1) ^ (v >> (bits - 1))`` in two's complement.
+
+    Without buffers the result is uint64.  With ``out`` and ``scratch``
+    (each the values' itemsize; ``out`` may be ``values`` itself) native
+    signed values are encoded in their own width into unsigned codes of
+    that width; any other input is first cast to int64.
     """
-    v = np.ascontiguousarray(values, dtype=np.int64)
-    u = v.view(np.uint64)
     if out is None or scratch is None:
+        v = np.ascontiguousarray(values, dtype=np.int64)
         sign = np.ascontiguousarray(v >> np.int64(63)).view(np.uint64)
-        return (u << np.uint64(1)) ^ sign
-    o = out.view(np.uint64).reshape(v.shape)
-    s = scratch.view(np.uint64).reshape(v.shape)
-    np.right_shift(v, np.int64(63), out=s.view(np.int64))
-    np.left_shift(u, np.uint64(1), out=o)
+        return (v.view(np.uint64) << np.uint64(1)) ^ sign
+    v = np.asarray(values)
+    if v.dtype.kind != "i" or not v.dtype.isnative:
+        v = v.astype(np.int64)
+    u = v.view(f"u{v.itemsize}")
+    o = out.view(u.dtype).reshape(v.shape)
+    s = scratch.view(u.dtype).reshape(v.shape)
+    np.right_shift(v, 8 * v.itemsize - 1, out=s.view(v.dtype))
+    np.left_shift(u, 1, out=o)
     np.bitwise_xor(o, s, out=o)
     return o
 

@@ -5,7 +5,8 @@ level keeps the even-indexed samples as the coarse approximation and
 stores, for every odd-indexed sample, the *detail* left over after
 predicting it by linear interpolation of its coarse neighbors — a
 multigrid decomposition.  Details and the coarsest grid are then
-quantized and entropy coded.
+quantized (into int32 when the data's extremes prove every code fits,
+else int64) and entropy coded.
 
 Error control: reconstruction applies ``odd = detail + interp(even)``
 level by level.  Linear interpolation does not amplify error, so the
@@ -174,6 +175,28 @@ def _level_bounds(tol: float, levels: int, s: float, ndim: int) -> list[float]:
     return [float(b) for b in bounds]
 
 
+def _int32_codes_fit(arr: np.ndarray, bounds: list[float]) -> bool:
+    """Whether every code :func:`compress_stage1` emits fits int32.
+
+    Decided before quantizing, from the data's extremes.  Every grid of
+    the decomposition holds original samples (a split keeps the evens
+    and emits details), so a detail — a sample minus a convex
+    combination of samples — lies within the value span, give or take
+    a few roundings of the magnitude; the coarse grid's samples lie
+    within the magnitude, and its Lorenzo residuals sum ``2**ndim``
+    codes.  A code is at most ``value / 2eb + 1/2``.  NaN or infinite
+    extremes fail the comparisons, so such input keeps int64 (and
+    fails in the quantizer, as before).
+    """
+    lo, hi = float(arr.min()), float(arr.max())
+    mag = max(abs(lo), abs(hi))
+    span = hi - lo + mag * 2.0**-40
+    limit = 2.0**31
+    details_fit = all(span / (2.0 * b) + 1.0 < limit for b in bounds[:-1])
+    coarse_fit = (mag / (2.0 * bounds[-1]) + 1.0) * 2**arr.ndim < limit
+    return details_fit and coarse_fit
+
+
 def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
                     backend: str = "zlib", level: int = 1) -> dict:
     """Numpy-heavy first half: decompose + quantize straight into one
@@ -207,7 +230,9 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
         # place of the old build-pieces-then-concatenate sequence
         total = int(sum(d.size for lvl in details for d in lvl)
                     + coarse.size)
-        allcodes = _pool.acquire((total,), np.int64)
+        code_dtype = (np.int32 if _int32_codes_fit(arr, bounds)
+                      else np.int64)
+        allcodes = _pool.acquire((total,), code_dtype)
         try:
             offset = 0
             # finest level gets the first share, coarse grid the last

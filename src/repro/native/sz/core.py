@@ -6,8 +6,11 @@ predict-then-quantize loop; see :mod:`repro.encoders.predictors`):
 1. resolve the effective absolute error bound from the configured mode
    (value-range-relative bounds scale by ``max - min``, PSNR bounds by
    the uniform-quantizer MSE model, PW_REL goes through a log transform);
-2. quantize values onto a ``2*eb`` grid (int64 codes);
-3. Lorenzo-predict the integer codes (exact, vectorized);
+2. quantize values onto a ``2*eb`` grid (int32 codes when the
+   quantizer's peak proves every Lorenzo residual fits int32, else
+   int64);
+3. Lorenzo-predict the integer codes in their own width (exact,
+   vectorized);
 4. entropy-code the residuals (two-stream codec + zlib family, or
    canonical Huffman);
 5. prepend a self-describing header.
@@ -161,8 +164,8 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
     work = arr.astype(np.float64, copy=False)
     clobberable = (params.clobberInput and work is arr
                    and arr.dtype == np.float64 and arr.flags.writeable)
-    skipped_centering = (params.predictionMode == "lorenzo"
-                         and not clobberable)
+    lorenzo = params.predictionMode == "lorenzo"
+    skipped_centering = lorenzo and not clobberable
     if skipped_centering:
         # Lorenzo residuals are first differences, so a constant offset
         # only ever survives in the very first residual: centering the
@@ -187,12 +190,16 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         return {"kind": "regression", "work": work, "eb": eb,
                 "offset": offset, "dtype": dtype, "shape": arr.shape,
                 "params": params}
+    # a Lorenzo residual sums 2**ndim codes; keep them int32 when the
+    # quantizer proves those sums fit
+    fan_in = 2 ** work.ndim if lorenzo else 1
     with _trace.stage("sz:quantize", bound=eb):
-        codes = _pool.acquire(work.shape, np.int64)
+        pooled = _pool.acquire(work.shape, np.int64)
         scratch = _pool.acquire(work.shape, np.float64)
         try:
             try:
-                quantize_uniform(work, eb, out=codes, scratch=scratch)
+                codes = quantize_uniform(work, eb, out=pooled,
+                                         scratch=scratch, fan_in=fan_in)
             except ValueError:
                 if not (skipped_centering and work.size
                         and np.all(np.isfinite(work))):
@@ -203,22 +210,24 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
                 # and retry
                 offset = float(work.mean())
                 work = work - offset
-                quantize_uniform(work, eb, out=codes, scratch=scratch)
+                codes = quantize_uniform(work, eb, out=pooled,
+                                         scratch=scratch, fan_in=fan_in)
         except BaseException:
-            _pool.release(codes, scratch)
+            _pool.release(pooled, scratch)
             raise
     with _trace.stage("sz:predict"):
         try:
-            if params.predictionMode == "lorenzo":
+            if lorenzo:
                 residuals = lorenzo_encode(
-                    codes, scratch=scratch, clobber=True).reshape(-1)
+                    codes, scratch=scratch, clobber=True,
+                    keep_width=True).reshape(-1)
             else:
                 residuals = codes.reshape(-1)
         except BaseException:
-            _pool.release(codes, scratch)
+            _pool.release(pooled, scratch)
             raise
     return {"kind": "plain", "residuals": residuals,
-            "pooled": (codes, scratch), "eb": eb, "offset": offset,
+            "pooled": (pooled, scratch), "eb": eb, "offset": offset,
             "dtype": dtype, "shape": arr.shape, "params": params}
 
 

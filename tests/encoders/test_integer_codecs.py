@@ -53,6 +53,27 @@ class TestZigzag:
         assert np.shares_memory(out, codes)
         assert np.array_equal(out.astype(np.int64), expected)
 
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_buffered_encode_keeps_the_value_width(self, bits):
+        rng = np.random.default_rng(bits)
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+        values = rng.integers(lo, hi, size=1000, dtype=f"i{bits // 8}",
+                              endpoint=True)
+        values[:2] = [lo, hi]
+        expected = zigzag_encode(values.astype(np.int64))
+        scratch = np.empty_like(values)
+        out = zigzag_encode(values, out=values, scratch=scratch)
+        assert out.dtype == np.dtype(f"u{bits // 8}")
+        assert np.shares_memory(out, values)
+        assert np.array_equal(out.astype(np.uint64), expected)
+
+    def test_buffered_encode_widens_foreign_input(self):
+        # big-endian values cannot be shifted in place: encode at int64
+        v = np.array([3, -7, 2**40], dtype=">i8")
+        out = np.empty(3, np.uint64)
+        codes = zigzag_encode(v, out=out, scratch=np.empty_like(out))
+        assert np.array_equal(codes, zigzag_encode(v.astype(np.int64)))
+
 
 class TestVarint:
     @pytest.mark.parametrize("value", [0, 1, 127, 128, 300, 2**32, 2**63])

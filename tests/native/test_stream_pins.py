@@ -5,10 +5,11 @@ RZC1 cutoff, so it never reaches the byte-plane encoder.  These pins
 do: each is the SHA-256 of ``native.{sz,zfp,mgard}.compress`` on a
 seeded field above the cutoff — a nyx-like cube and a slab with the
 CLOUD field's 1:5:5 aspect — at value-range-relative bounds 1e-4, 1e-2
-and 1e-9, with sz also at effort level 6 (``sz6``).  Together the configs cover residuals that fit int8, int16
-and int32 and ones that need int64 (mgard/nyx at 1e-9), so a change
-to the width any stage runs in that alters one emitted byte fails
-here.  The 1e-9 bound also drives sz's and mgard's stage-1 codes past
+and 1e-9, with sz also at effort level 6 (``sz6``).  Together the
+configs cover residuals that fit int8, int16 and int32 and ones that
+need int64 (mgard/nyx at 1e-9), so a change to the width any stage
+runs in that alters one emitted byte fails here.  The 1e-9 bound also
+sends sz's and mgard's stage-1 codes down their int64 path rather than
 int32.  Every stream is decompressed as well, so a pin cannot hold on
 a stream the decoder rejects.
 
