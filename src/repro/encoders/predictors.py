@@ -42,17 +42,16 @@ def _diff_axis_into(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
 
 def lorenzo_encode(quantized: np.ndarray,
                    scratch: np.ndarray | None = None,
-                   clobber: bool = False,
-                   keep_width: bool = False) -> np.ndarray:
+                   clobber: bool = False) -> np.ndarray:
     """Residuals of the d-dimensional Lorenzo predictor on an int field.
 
     Works in wrap-around unsigned arithmetic internally so extreme
     inputs cannot trip overflow warnings; the decode side wraps back.
-    The width is int64, or with ``keep_width=True`` the input's own
-    signed width (int32 codes give int32 residuals).  A residual sums
-    ``2**ndim`` codes, so that is exact only when every such sum fits
+    Native signed input keeps its own width (int32 codes give int32
+    residuals); any other dtype is cast to int64.  A residual sums
+    ``2**ndim`` codes, so the caller must ensure every such sum fits
     the width, as :func:`~repro.encoders.quantize.quantize_uniform`'s
-    ``fan_in`` gate guarantees; otherwise residuals wrap.
+    ``fan_in`` gate does; otherwise residuals wrap.
 
     ``scratch`` (C-contiguous, at least the working width's bytes per
     element) provides the second ping-pong buffer; with
@@ -62,7 +61,7 @@ def lorenzo_encode(quantized: np.ndarray,
     the input.
     """
     arr = np.ascontiguousarray(quantized)
-    if not (keep_width and arr.dtype.kind == "i" and arr.dtype.isnative):
+    if not (arr.dtype.kind == "i" and arr.dtype.isnative):
         arr = arr.astype(np.int64, copy=False)
     signed = arr.dtype
     arr = arr.view(f"u{signed.itemsize}")

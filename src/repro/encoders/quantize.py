@@ -22,12 +22,24 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["quantize_uniform", "dequantize_uniform", "safe_quantizer_step"]
+__all__ = ["quantize_uniform", "dequantize_uniform", "safe_quantizer_step",
+           "int32_fits"]
 
 # |code| beyond this risks int64 overflow in the Lorenzo stage, which sums
 # up to 2**ndim codes; stay far below 2**63.
 _MAX_CODE = 2**56
 _INT32_LIMIT = 2**31
+
+
+def int32_fits(peak: float, fan_in: int) -> bool:
+    """Whether any sum of ``fan_in`` codes of ``|value/2eb| <= peak``
+    fits int32.
+
+    A code is at most ``peak + 1/2`` in magnitude, so
+    ``(peak + 1) * fan_in < 2**31`` suffices.  A NaN peak fails the
+    comparison.
+    """
+    return fan_in > 0 and (peak + 1.0) * fan_in < _INT32_LIMIT
 
 
 def quantize_uniform(values: np.ndarray, error_bound: float,
@@ -48,10 +60,10 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
     scaled intermediate.  Both default to fresh arrays.
 
     The codes are int64 unless ``fan_in`` is positive and any sum of
-    ``fan_in`` codes provably fits int32: ``|code| <= peak + 1/2`` for
-    the peak ``max |value/2eb|``, so ``(peak + 1) * fan_in < 2**31``
-    suffices.  Then they are int32, written into the leading half of a
-    C-contiguous ``out``.  Use the returned array, not ``out``.
+    ``fan_in`` codes provably fits int32 (:func:`int32_fits` of the
+    peak ``max |value/2eb|``).  Then they are int32, written into the
+    leading half of a C-contiguous ``out``.  Use the returned array,
+    not ``out``.
     """
     if error_bound <= 0:
         raise ValueError(f"error_bound must be positive, got {error_bound}")
@@ -77,7 +89,7 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
                 "error bound too small relative to data magnitude: "
                 f"max |value/2eb| = {peak:.3g} >= {_MAX_CODE:g}"
             )
-        narrow = fan_in > 0 and (peak + 1.0) * fan_in < _INT32_LIMIT
+        narrow = int32_fits(peak, fan_in)
     np.rint(scaled, out=scaled)
     if narrow:
         if out is None:

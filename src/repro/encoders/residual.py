@@ -185,13 +185,8 @@ def _encode_rzc2(r: np.ndarray, lo: int, hi: int, backend: str,
         planes = codes.view(np.uint8).reshape(n, width)
         out = bytearray(bytes(header))
         for p in range(nplanes):
-            if width == 1:
-                plane = planes.reshape(n)  # already contiguous
-            else:
-                np.copyto(plane_buf,
-                          planes[:, p if _LITTLE else width - 1 - p])
-                plane = plane_buf
-            tag, payload = _encode_plane(plane, level, allow_zlib)
+            np.copyto(plane_buf, planes[:, p if _LITTLE else width - 1 - p])
+            tag, payload = _encode_plane(plane_buf, level, allow_zlib)
             out.append(tag)
             out += np.uint64(len(payload)).tobytes()
             out += payload

@@ -29,7 +29,8 @@ from ...trace import runtime as _trace
 from ...core.status import CorruptStreamError, InvalidDimensionsError
 from ...encoders.headers import read_header, write_header
 from ...encoders.predictors import lorenzo_decode, lorenzo_encode
-from ...encoders.quantize import dequantize_uniform, quantize_uniform
+from ...encoders.quantize import (dequantize_uniform, int32_fits,
+                                 quantize_uniform)
 from ...encoders.residual import decode_residuals, encode_residuals
 from .. import pool as _pool
 
@@ -184,17 +185,15 @@ def _int32_codes_fit(arr: np.ndarray, bounds: list[float]) -> bool:
     combination of samples — lies within the value span, give or take
     a few roundings of the magnitude; the coarse grid's samples lie
     within the magnitude, and its Lorenzo residuals sum ``2**ndim``
-    codes.  A code is at most ``value / 2eb + 1/2``.  NaN or infinite
-    extremes fail the comparisons, so such input keeps int64 (and
-    fails in the quantizer, as before).
+    codes.  NaN or infinite extremes fail :func:`int32_fits`, so such
+    input keeps int64 (and fails in the quantizer, as before).
     """
     lo, hi = float(arr.min()), float(arr.max())
     mag = max(abs(lo), abs(hi))
     span = hi - lo + mag * 2.0**-40
-    limit = 2.0**31
-    details_fit = all(span / (2.0 * b) + 1.0 < limit for b in bounds[:-1])
-    coarse_fit = (mag / (2.0 * bounds[-1]) + 1.0) * 2**arr.ndim < limit
-    return details_fit and coarse_fit
+    details_fit = all(int32_fits(span / (2.0 * b), 1) for b in bounds[:-1])
+    return details_fit and int32_fits(mag / (2.0 * bounds[-1]),
+                                      2**arr.ndim)
 
 
 def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,

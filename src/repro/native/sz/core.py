@@ -219,8 +219,7 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         try:
             if lorenzo:
                 residuals = lorenzo_encode(
-                    codes, scratch=scratch, clobber=True,
-                    keep_width=True).reshape(-1)
+                    codes, scratch=scratch, clobber=True).reshape(-1)
             else:
                 residuals = codes.reshape(-1)
         except BaseException:

@@ -208,15 +208,20 @@ def test_narrow_codes_land_in_the_leading_half_of_out():
     assert np.array_equal(codes, quantize_uniform(values, 0.5))
 
 
-def test_lorenzo_keeps_int32_only_when_asked():
-    q = _values(-(2**30), 2**30 - 1, 4096).astype(np.int32).reshape(64, 64)
-    wide = lorenzo_encode(q)  # residuals up to 2**32: need int64
+def test_lorenzo_keeps_the_native_signed_width():
+    q = _values(-(2**28), 2**28 - 1, 4096).reshape(64, 64)
+    wide = lorenzo_encode(q)
     assert wide.dtype == np.int64
     assert np.array_equal(lorenzo_decode(wide), q)
-    small = (q // 4).astype(np.int32)  # every 4-term sum fits int32
-    kept = lorenzo_encode(small, keep_width=True)
+    # every 4-term sum fits int32, so int32 residuals equal the int64 ones
+    kept = lorenzo_encode(q.astype(np.int32))
     assert kept.dtype == np.int32
-    assert np.array_equal(kept, lorenzo_encode(small))
+    assert np.array_equal(kept, wide)
+    # anything but native signed input is widened to int64
+    for dtype in (">i4", np.uint16, np.int64):
+        out = lorenzo_encode((q % 2**15).astype(dtype))
+        assert out.dtype == np.int64
+        assert np.array_equal(out, lorenzo_encode(q % 2**15))
 
 
 def _alternating(peak: float, shape=(4096,)) -> np.ndarray:
@@ -247,8 +252,8 @@ def test_mgard_streams_match_the_int64_path(tol, narrow):
                                       0.0, data.ndim)
     assert mgard_core._int32_codes_fit(data, bounds) == narrow
     stream = mgard.compress(data, tol)
-    with mock.patch.object(mgard_core, "_int32_codes_fit",
-                           return_value=False):
+    with mock.patch.object(quantize, "_INT32_LIMIT", 0):
+        assert not mgard_core._int32_codes_fit(data, bounds)
         assert mgard.compress(data, tol) == stream
     assert np.abs(mgard.decompress(stream) - data).max() <= tol * (1 + 1e-9)
 
