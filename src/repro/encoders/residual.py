@@ -82,11 +82,11 @@ def _deflate_plane(plane: np.ndarray, level: int) -> bytes:
         return huff
     deep = zlib.compress(plane, min(level, 9))
     return deep if len(deep) < len(huff) else huff
-_DECOMPRESSORS = {
-    "zlib": zlib.decompress,
-    "bz2": bz2.decompress,
-    "lzma": lzma.decompress,
-    "none": lambda b: b,
+#: one-shot decompressor objects, so RZC1 decode can cap its output
+_INFLATERS = {
+    "zlib": zlib.decompressobj,
+    "bz2": bz2.BZ2Decompressor,
+    "lzma": lzma.LZMADecompressor,
 }
 
 LOSSLESS_BACKENDS = tuple(sorted(_COMPRESSORS))
@@ -493,8 +493,8 @@ def _decode_rzc1(view: memoryview) -> np.ndarray:
     backend = _BACKEND_NAMES.get(backend_id)
     if backend is None:
         raise ValueError(f"unknown lossless backend id {backend_id}")
-    payload = _DECOMPRESSORS[backend](bytes(view[21:]))
     expected = n + 8 * n_big
+    payload = _inflate_at_most(backend, view[21:], expected)
     if len(payload) != expected:
         raise ValueError(
             f"corrupt residual stream: payload {len(payload)} != {expected}"
@@ -505,3 +505,25 @@ def _decode_rzc1(view: memoryview) -> np.ndarray:
         stream_b = np.frombuffer(payload, dtype="<u8", offset=n, count=n_big)
         codes[stream_a == 255] = stream_b
     return zigzag_decode(codes)
+
+
+def _inflate_at_most(backend: str, data: memoryview, expected: int) -> bytes:
+    """Decompress ``data``, stopping one byte past ``expected``.
+
+    A forged header cannot make a small stream balloon: the output is
+    capped before it is allocated.  The one byte of slack lets an
+    overlong stream show itself (and keeps zlib from reading a zero
+    cap as "no limit").  Left-over input or a missing end-of-stream
+    marker is rejected here; a short output by the caller.
+    """
+    if backend == "none":
+        return bytes(data)
+    inflater = _INFLATERS[backend]()
+    try:
+        payload = inflater.decompress(data, expected + 1)
+    except (zlib.error, OSError, EOFError, lzma.LZMAError) as e:
+        raise ValueError(f"corrupt residual stream: {e}") from None
+    if (not inflater.eof or inflater.unused_data
+            or getattr(inflater, "unconsumed_tail", b"")):
+        raise ValueError("corrupt residual stream: bad compressed payload")
+    return payload

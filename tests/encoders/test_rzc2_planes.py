@@ -13,7 +13,9 @@ the decoder's rejection of malformed planes.
 
 from __future__ import annotations
 
+import bz2
 import hashlib
+import lzma
 import tracemalloc
 import zlib
 from unittest import mock
@@ -245,6 +247,46 @@ def test_zlib_bomb_is_rejected_with_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n
+
+
+def _rzc1(backend: str, n: int, n_big: int, payload: bytes) -> bytes:
+    return (b"RZC1" + n.to_bytes(8, "little") + n_big.to_bytes(8, "little")
+            + bytes([residual._BACKEND_IDS[backend]]) + payload)
+
+
+#: the lzma preset's dictionary (256 KiB at preset 0) is decoder
+#: memory the stream declares; the output cap is what is tested here
+_PACK = {"zlib": lambda b: zlib.compress(b, 9),
+         "bz2": lambda b: bz2.compress(b, 9),
+         "lzma": lambda b: lzma.compress(b, preset=0)}
+
+
+@pytest.mark.parametrize("backend", sorted(_PACK))
+def test_rzc1_bomb_is_rejected_with_bounded_memory(backend):
+    """A stream declaring one residual inflates to at most two bytes."""
+    size = 64 * 2 ** 18
+    bomb = _rzc1(backend, 1, 0, _PACK[backend](bytes(size)))
+    assert len(bomb) < size // 512
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="corrupt residual stream"):
+            decode_residuals(bomb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 16
+
+
+@pytest.mark.parametrize("backend", sorted(_PACK))
+def test_rzc1_payload_must_inflate_to_exactly_n(backend):
+    n = 4096
+    body = _PACK[backend](bytes(n))
+    for forged in (_rzc1(backend, n + 1, 0, body),          # short
+                   _rzc1(backend, n, 0, body[:-4]),          # no end
+                   _rzc1(backend, n, 0, body + b"\x00")):    # left over
+        with pytest.raises(ValueError, match="corrupt residual stream"):
+            decode_residuals(forged)
+    assert not decode_residuals(_rzc1(backend, n, 0, body)).any()
 
 
 def test_zlib_plane_must_inflate_to_exactly_n():
