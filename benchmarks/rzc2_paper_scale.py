@@ -8,14 +8,19 @@ once, capturing every residual array the compressor hands to
 ``repro/encoders/residual.py``: the one in a baseline git revision and
 the one in the working tree.  Pairs run back to back in alternating
 order, and the per-configuration figure is the median over pairs of
-the change/baseline time ratio.  It also checks that both versions emit
-byte-identical streams and decode each other's streams.
+the change/baseline time ratio.  It also checks whether both versions
+emit byte-identical streams, and that both decode the working tree's
+streams.
 
 Two more, leave-one-out versions are the working tree's codec with one
-of its exact skip gates removed: the low-effort deflate gate or the
-chunk-width scan gate.  Their encode times, their streams (which must
-not differ) and how often each gate fires show what each gate alone
-contributes.
+of its exact skip gates removed: the low-effort SPARSE fast path (which
+skips the run count and everything after it) or the chunk-width scan
+gate.  Their encode times, their streams (which must not differ) and
+how often each gate fires show what each gate alone contributes.  The
+baseline's streams differ from the working tree's wherever the per-plane
+deflate strategy choice picks ``Z_RLE``, so ``streams_identical`` reads
+False against ``BASELINE_REV``; it is the leave-one-out versions that
+must match.
 
 Usage, from the root of a checkout::
 
@@ -59,8 +64,8 @@ CALLERS = ("repro.native.sz.core", "repro.native.sz.regression",
 #: replaces it in the leave-one-out version, and the module global that
 #: only the skipped work uses (its uses are counted to find the fires)
 GATES = {
-    "deflate": ("(level > 4 or (n + 7) // 8 < best)", "True",
-                "_deflate_plane"),
+    "sparse": ("if level <= 4 and sparse_cost <= min(",
+               "if False and sparse_cost <= min(", "_run_count"),
     "scan": ("if sparse_cost <= (nchunks + 1) // 2:", "if False:",
              "_BITLEN8"),
 }
@@ -178,9 +183,9 @@ def paired(run_a, run_b) -> tuple[list, list]:
 
 def compare_config(base, no_gate: dict, calls) -> dict:
     streams = [change.encode_residuals(r, b, lv) for r, b, lv in calls]
-    identical = all(m.encode_residuals(r, b, lv) == s
-                    for m in (base, *no_gate.values())
-                    for (r, b, lv), s in zip(calls, streams))
+    def identical(m) -> bool:
+        return all(m.encode_residuals(r, b, lv) == s
+                   for (r, b, lv), s in zip(calls, streams))
     decodes = all(np.array_equal(base.decode_residuals(s), r)
                   and np.array_equal(change.decode_residuals(s), r)
                   for (r, _, _), s in zip(calls, streams))
@@ -194,7 +199,7 @@ def compare_config(base, no_gate: dict, calls) -> dict:
            "elements": int(sum(r.size for r, _, _ in calls)),
            "planes": sum(s[12] for s in streams if s[:4] == b"RZC2"),
            "stream_bytes": int(sum(len(s) for s in streams)),
-           "streams_identical": identical, "cross_decode_ok": decodes}
+           "streams_identical": identical(base), "cross_decode_ok": decodes}
     for k, stage in enumerate(("encode", "decode")):
         p = [t[k] for t in par]
         c = [t[k] for t in chg]
@@ -210,6 +215,7 @@ def compare_config(base, no_gate: dict, calls) -> dict:
                        lambda: time_encode(mod, calls))
         work = GATES[gate][2]
         out["gates"][gate] = {
+            "streams_identical": identical(mod),
             "fires": work_uses(mod, work, calls)
             - work_uses(change, work, calls),
             "encode_ms": {"change": statistics.median(c),
@@ -241,7 +247,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{label:18s} encode x{row['encode_ratio_median']:.3f} "
                       f"decode x{row['decode_ratio_median']:.3f} "
                       + "".join(f"{g} gate x{v['encode_ratio_median']:.3f} "
-                                f"({v['fires']} fires) "
+                                f"({v['fires']} fires, identical="
+                                f"{v['streams_identical']}) "
                                 for g, v in row["gates"].items())
                       + f"identical={row['streams_identical']}",
                       file=sys.stderr)
@@ -288,6 +295,8 @@ def main(argv: list[str] | None = None) -> int:
                 lambda c: c["decode_samples_ms"]["parent"]),
             "planes": sum(c["planes"] for c in configs),
             "gates": {gate: {
+                "streams_identical": all(
+                    c["gates"][gate]["streams_identical"] for c in configs),
                 "fires": sum(c["gates"][gate]["fires"] for c in configs),
                 "configs_fired": sum(c["gates"][gate]["fires"] > 0
                                      for c in configs),
@@ -310,7 +319,9 @@ def main(argv: list[str] | None = None) -> int:
             f.write(text + "\n")
     else:
         print(text)
-    return 0 if doc["summary"]["streams_identical"] else 1
+    summary = doc["summary"]
+    exact = all(g["streams_identical"] for g in summary["gates"].values())
+    return 0 if exact and summary["cross_decode_ok"] else 1
 
 
 if __name__ == "__main__":

@@ -43,7 +43,11 @@ __all__ = ["GOLDEN_VERSION", "MANIFEST_NAME", "golden_field",
 # framing, and SZ's lorenzo mode dropping the mean-offset pass (offset
 # recorded as 0.0) — all intentional format changes from the
 # vectorization pass; regenerated corpus committed alongside.
-GOLDEN_VERSION = 2
+# version 3: encoder output only — the residual codec picks a deflate
+# strategy per byte plane and, below 2048 residuals, keeps the smaller
+# of RZC1 and RZC2; the decoders are unchanged and still read every
+# version-2 stream.
+GOLDEN_VERSION = 3
 MANIFEST_NAME = "MANIFEST.json"
 
 _REGEN_HINT = ("regenerate intentionally with "

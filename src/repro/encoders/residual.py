@@ -16,14 +16,22 @@ stream formats live here:
   - ``SPARSE`` — positions + values of the nonzero bytes;
   - ``BITPACK`` — 32-value chunks packed at each chunk's own bit width
     (32·w bits is always whole bytes), eight values per uint64 word;
-  - ``ZLIB`` — DEFLATE, tried only when a byte-histogram entropy
-    estimate predicts it beats the structural encodings by enough to
-    be worth its CPU cost (always worth trying at high effort levels).
+  - ``ZLIB`` — DEFLATE, with the strategy chosen per plane: planes
+    made of runs (bytes equal to their predecessor) go straight to
+    ``Z_RLE``, the rest to ``Z_HUFFMAN_ONLY`` — tried only when a
+    byte-histogram entropy estimate predicts it beats the structural
+    encodings by enough to be worth its CPU cost — and a run fraction
+    in the band between the two is settled by deflating a small
+    sample both ways.  High effort levels try every strategy and keep
+    the smallest.  Any zlib stream decodes the same way, so the choice
+    changes what the encoder writes, not the format.
 
-  A plane's nonzero count alone settles the near-empty planes (CONST,
-  or SPARSE when nothing else can win at low effort); the others take
-  their byte histogram from one ``bincount`` over the plane's uint16
-  pair view.
+  A plane's nonzero count alone settles the empty planes and, at low
+  effort, the near-empty ones that no deflate stream can undercut
+  (SPARSE); its run count settles the constant ones (CONST) and the
+  deflate strategy.  Only planes bound for Huffman-only deflate build
+  a byte histogram, from one ``bincount`` over the plane's uint16 pair
+  view.
 
   Decode rebuilds the codes in the narrowest unsigned dtype the plane
   count allows and widens them to int64 once.  Both directions run on
@@ -32,11 +40,14 @@ stream formats live here:
 
 * **RZC1** (legacy): ``min(code, 255)`` bytes plus an 8-byte overflow
   stream, the whole payload squeezed by a ``zlib``-family backend.
-  Decode support is retained for old streams, and two cases still
-  *encode* RZC1: the ``bz2``/``lzma`` backends (a strong generic
-  entropy stage beats byte-plane structure when the caller asked for
-  maximum compression) and arrays below ``_RZC1_CUTOFF`` elements
-  (per-plane framing would dominate the payload).
+  Decode support is retained for old streams, and RZC1 is still
+  *encoded* in two cases: by the ``bz2``/``lzma`` backends (a strong
+  generic entropy stage beats byte-plane structure when the caller
+  asked for maximum compression), and for arrays below
+  ``_RZC1_CUTOFF`` elements, where the zlib backend encodes both
+  formats and keeps the smaller stream (per-plane framing can
+  dominate a small payload, and run-heavy planes can still win).
+  Decode caps the inflated payload at its declared size.
 """
 
 from __future__ import annotations
@@ -64,24 +75,71 @@ _COMPRESSORS = {
 }
 
 
-def _deflate_plane(plane: np.ndarray, level: int) -> bytes:
+def _deflate(plane: np.ndarray, strategy: int, level: int = 1) -> bytes:
+    obj = zlib.compressobj(level, zlib.DEFLATED, zlib.MAX_WBITS, 9, strategy)
+    return obj.compress(plane) + obj.flush()
+
+
+def _deflate_plane(plane: np.ndarray, level: int, strategy: int) -> bytes:
     """DEFLATE one byte plane; any zlib stream, so decode is unchanged.
 
-    At low effort, greedy level-1 LZ matching on near-incompressible
-    byte planes is all cost and (measured on the bench grid) no gain —
-    ``Z_HUFFMAN_ONLY`` is both smaller and ~2x faster there, because a
-    byte plane's redundancy is almost entirely first-order.  High
-    levels try the default match-searching strategy *as well* and keep
-    the smaller stream, so more effort can never produce a larger
-    plane than less effort did.
+    At low effort the plane is deflated once, with the strategy the
+    chooser picked: ``Z_RLE`` for planes made of runs, where it is both
+    smaller and faster, else ``Z_HUFFMAN_ONLY`` (greedy LZ matching on
+    a near-incompressible byte plane is all cost and no gain, because a
+    byte plane's redundancy is almost entirely first-order or runs).
+    High levels try both and the default match-searching strategy too
+    and keep the smallest stream, so more effort can never produce a
+    larger plane than less effort did.
     """
-    obj = zlib.compressobj(1, zlib.DEFLATED, zlib.MAX_WBITS, 9,
-                           zlib.Z_HUFFMAN_ONLY)
-    huff = obj.compress(plane) + obj.flush()
     if level <= 4:
-        return huff
-    deep = zlib.compress(plane, min(level, 9))
-    return deep if len(deep) < len(huff) else huff
+        return _deflate(plane, strategy)
+    return min((_deflate(plane, zlib.Z_HUFFMAN_ONLY),
+                _deflate(plane, zlib.Z_RLE),
+                _deflate(plane, zlib.Z_DEFAULT_STRATEGY, min(level, 9))),
+               key=len)
+
+
+def _deflate_floor(n: int) -> int:
+    """A lower bound on any zlib stream of ``n`` bytes.
+
+    Every DEFLATE symbol covers at most 258 bytes (a match) and costs
+    at least two bits (a length and a distance code, each at least one
+    bit long once the literal/length alphabet holds the end-of-block
+    symbol too); literals cost at least a bit per byte.  So the body
+    needs at least ``n / 1032`` bytes, plus the 2-byte zlib header and
+    4-byte Adler-32 trailer.
+    """
+    return 6 + n // 1032
+
+
+def _run_count(plane: np.ndarray) -> int:
+    """How many bytes equal their predecessor."""
+    return int(np.count_nonzero(plane[1:] == plane[:-1]))
+
+
+def _rle_first(plane: np.ndarray, runs: int) -> bool:
+    """Whether low effort should deflate ``plane`` with ``Z_RLE``.
+
+    The run fraction settles both clear ends.  Inside the band between
+    them neither strategy wins reliably (measured on the bench grid's
+    chunk planes: Huffman-only won by 8-10 % at run fractions up to
+    0.54, ``Z_RLE`` by 10-16 % from 0.40), so both deflate a sample of
+    four strided 2 KiB slices and the smaller one decides.
+    """
+    n = plane.size
+    if runs >= _RLE_SURE * n:
+        return True
+    if runs < _RLE_NEVER * n:
+        return False
+    if n > _SAMPLE:
+        step, part = n // 4, _SAMPLE // 4
+        plane = np.concatenate([plane[i * step:i * step + part]
+                                for i in range(4)])
+    return (len(_deflate(plane, zlib.Z_RLE))
+            < len(_deflate(plane, zlib.Z_HUFFMAN_ONLY)))
+
+
 #: one-shot decompressor objects, so RZC1 decode can cap its output
 _INFLATERS = {
     "zlib": zlib.decompressobj,
@@ -103,10 +161,18 @@ _P_ZLIB = 4
 
 _CHUNK = 32  # values per BITPACK chunk; 32*w bits is always whole bytes
 
-#: below this many residuals, RZC2's per-plane framing dominates the
-#: payload and RZC1's single squeezed stream is both smaller and no
-#: slower, so tiny arrays keep the legacy format on encode too
+#: below this many residuals RZC2's per-plane framing can dominate the
+#: payload, so the zlib backend encodes both formats and keeps the
+#: smaller stream (the others always take RZC1)
 _RZC1_CUTOFF = 2048
+
+#: run fractions (bytes equal to their predecessor, per byte) at and
+#: above which low effort deflates a plane with ``Z_RLE``, and below
+#: which with ``Z_HUFFMAN_ONLY``; a sampled trial decides in between
+_RLE_SURE = 0.6
+_RLE_NEVER = 0.3
+#: bytes of the sampled trial: four strided slices of a quarter each
+_SAMPLE = 8192
 
 #: bit length of every possible byte value, for vectorized width lookup
 _BITLEN8 = np.array([int(v).bit_length() for v in range(256)],
@@ -141,7 +207,11 @@ def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
     if hi > _INT64_MAX:
         raise ValueError(f"residual {hi} exceeds the int64 range")
     if backend in ("bz2", "lzma") or r.size < _RZC1_CUTOFF:
-        return _encode_rzc1(r, backend, level)
+        legacy = _encode_rzc1(r, backend, level)
+        if backend != "zlib":
+            return legacy
+        planes = _encode_rzc2(r, lo, hi, backend, level)
+        return planes if len(planes) < len(legacy) else legacy
     return _encode_rzc2(r, lo, hi, backend, level)
 
 
@@ -227,11 +297,13 @@ def _encode_plane(plane: np.ndarray, level: int,
     """Pick the cheapest encoding for one contiguous uint8 plane.
 
     The nonzero count settles empty planes and, at low effort, sparse
-    ones outright; otherwise one byte histogram supplies the
-    constant/entropy statistics.  The per-chunk maxima reshape the
-    plane in place when the length is a whole number of chunks (the
-    common case for block-sized buffers), so the scratch copy only
-    happens on ragged tails.
+    ones outright; otherwise the run count settles constant planes
+    and, at low effort, picks the deflate strategy.  A plane made of
+    runs goes straight to ``Z_RLE``; the rest take one byte histogram
+    for the entropy estimate that gates Huffman-only deflate.  The
+    per-chunk maxima reshape the plane in place when the length is a
+    whole number of chunks (the common case for block-sized buffers),
+    so the scratch copy only happens on ragged tails.
     """
     n = plane.size
     nchunks = (n + _CHUNK - 1) // _CHUNK
@@ -239,29 +311,36 @@ def _encode_plane(plane: np.ndarray, level: int,
     if k == 0:
         return _P_CONST, b"\x00"
     sparse_cost = 4 + 5 * k if n < 2**32 else n + 1
-    if level <= 4 and sparse_cost <= (nchunks + 1) // 2:
+    if level <= 4 and sparse_cost <= min((nchunks + 1) // 2,
+                                         _deflate_floor(n)):
         # exactly where the full chooser below ends up, without the
-        # histogram: k < n rules out a nonzero CONST, low-effort
-        # deflate needs (n + 7) // 8 < sparse_cost, and
-        # (n + 7) // 8 >= (nchunks + 1) // 2; then the sparse gate fires
+        # run count or the histogram: k < n rules out a nonzero CONST,
+        # no deflate stream undercuts _deflate_floor(n), and then the
+        # width-scan gate fires
         return _sparse_plane(plane)
-    counts = _byte_histogram(plane)
-    nz = np.flatnonzero(counts)
-    mx = int(nz[-1])
-    if counts[0] == 0 and nz.size == 1:
-        return _P_CONST, bytes([mx])
+    runs = _run_count(plane)
+    if runs == n - 1:
+        return _P_CONST, plane[:1].tobytes()  # k > 0: every byte nonzero
     raw_cost = n
     best = min(sparse_cost, raw_cost)
-    # Huffman-only deflate (all that low effort tries) spends at least
-    # one bit per byte, so it cannot win once ``best`` is that small
-    if allow_zlib and (level > 4 or (n + 7) // 8 < best):
-        if n < 1024:
+    # no floor gates the deflate attempt: at low effort, once the fast
+    # path above has not fired, only planes under a few hundred bytes
+    # can have best <= _deflate_floor(n); and a plane left to
+    # Huffman-only (under 60 % runs) has over n/5 nonzero bytes, so its
+    # best is RAW, far above the bit per byte Huffman-only spends
+    if allow_zlib and level <= 4 and _rle_first(plane, runs):
+        attempt, strategy = True, zlib.Z_RLE
+    elif allow_zlib:
+        strategy = zlib.Z_HUFFMAN_ONLY
+        if n < 1024 or (level > 4 and runs >= _RLE_NEVER * n):
             # tiny plane: DEFLATE costs microseconds and the
             # first-order entropy estimate misses run/positional
-            # structure, so just try it
+            # structure, so just try it; high effort tries every plane
+            # that low effort might deflate with Z_RLE
             attempt = True
         else:
-            probs = counts[nz] / n
+            counts = _byte_histogram(plane)
+            probs = counts[counts > 0] / n
             entropy = float(-(probs * np.log2(probs)).sum())
             estimate = n * entropy / 8.0 * 1.05 + 12
             # DEFLATE is one C call — cheaper than even *scanning* the
@@ -271,14 +350,16 @@ def _encode_plane(plane: np.ndarray, level: int,
             # (the usual LSB noise plane) skip straight to RAW
             margin = 0.8 if level <= 4 else 1.0
             attempt = estimate < margin * best
-        if attempt:
-            blob = _deflate_plane(plane, max(level, 1))
-            if len(blob) < best:
-                # a winning DEFLATE body skips the chunk-width scan
-                # entirely; BITPACK only out-costs it on planes whose
-                # chunks are locally narrow but globally diverse, and
-                # those fail the entropy gate above
-                return _P_ZLIB, blob
+    else:
+        attempt = False
+    if attempt:
+        blob = _deflate_plane(plane, level, strategy)
+        if len(blob) < best:
+            # a winning DEFLATE body skips the chunk-width scan
+            # entirely; BITPACK only out-costs it on planes whose
+            # chunks are locally narrow but globally diverse, and
+            # those have few runs and fail the entropy gate above
+            return _P_ZLIB, blob
     if sparse_cost <= (nchunks + 1) // 2:
         # BITPACK's width nibbles alone cost that much: skip the scan
         return _sparse_plane(plane)

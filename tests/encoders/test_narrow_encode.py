@@ -13,6 +13,8 @@ plane encodings recorded before the shortcuts existed.
 from __future__ import annotations
 
 import hashlib
+import pathlib
+import types
 from unittest import mock
 
 import numpy as np
@@ -133,7 +135,7 @@ def test_pair_view_histogram_of_an_unaligned_plane():
                           np.bincount(plane, minlength=256))
 
 
-# -- the exact histogram skip gate --------------------------------------------
+# -- the exact histogram skip gates -------------------------------------------
 
 def _near_empty(n: int, k: int) -> np.ndarray:
     rng = np.random.default_rng([n, k])
@@ -143,8 +145,10 @@ def _near_empty(n: int, k: int) -> np.ndarray:
 
 
 #: (n, nonzero bytes, level) -> (tag, SHA-256 of the payload), recorded
-#: from the chooser before it skipped any histogram.  At n = 2**18 the
-#: low-effort gate fires up to k = 818 (4 + 5k <= 4096 width nibbles).
+#: from the per-plane strategy chooser.  At n = 2**18 the low-effort
+#: SPARSE fast path fires up to k = 51 (4 + 5k <= _deflate_floor(n));
+#: from there on the plane is made of runs and Z_RLE deflates it.  Half
+#: nonzero bytes leave too few runs, so that plane takes the histogram.
 GATE_PINS = {
     (2**18, 0, 1): (residual._P_CONST, "6e340b9cffb37a989ca544e6bb780a2c"
                     "78901d3fb33738768511a30617afa01d"),
@@ -154,14 +158,18 @@ GATE_PINS = {
                     "d6f94f6d4f92cf52238ef754a2eae4e7"),
     (2**18, 5, 6): (residual._P_SPARSE, "6462ec85413e0d9babd23ff23f87af4d"
                     "d6f94f6d4f92cf52238ef754a2eae4e7"),
-    (2**18, 818, 1): (residual._P_SPARSE, "3568099577f0cccce87ea78c08c8f494"
-                      "d7423e0ed4549ac2a1c5a97081c5ec55"),
-    (2**18, 818, 6): (residual._P_ZLIB, "28f0b89476554270ecef55b8bc415a35"
-                      "163fc0110c5fd36ed69a0d4b707f4605"),
-    (2**18, 819, 1): (residual._P_SPARSE, "57bcefdd28c4515c745d7a27d31b0537"
-                      "3b60b92d5d5be67ae7a9ecb2246fbf26"),
-    (2**18, 819, 6): (residual._P_ZLIB, "c8fbd125728f85e9554b816eded2fa90"
-                      "de0c9c0132b6097e691262cbdc2b18ba"),
+    (2**18, 818, 1): (residual._P_ZLIB, "e7038815dbbf97a45647e2b04b32287b"
+                      "deab8e91dba4d3fcfe419256853a3e50"),
+    (2**18, 818, 6): (residual._P_ZLIB, "e7038815dbbf97a45647e2b04b32287b"
+                      "deab8e91dba4d3fcfe419256853a3e50"),
+    (2**18, 819, 1): (residual._P_ZLIB, "03af686bf15016b4184efb96b9d47446"
+                      "05b89e0291e08b2ababf3eb5027e5cd4"),
+    (2**18, 819, 6): (residual._P_ZLIB, "03af686bf15016b4184efb96b9d47446"
+                      "05b89e0291e08b2ababf3eb5027e5cd4"),
+    (2**18, 2**17, 1): (residual._P_ZLIB, "2442068361584539"
+                        "37274eb1f54b1ac8836c72f3ae3363bfa52823e832db7d75"),
+    (2**18, 2**17, 6): (residual._P_ZLIB, "2442068361584539"
+                        "37274eb1f54b1ac8836c72f3ae3363bfa52823e832db7d75"),
     (2048, 3, 1): (residual._P_SPARSE, "3dacacf6cbddae15970a85e0cae9777b"
                    "022702742091479b8fb8f4057d32040a"),
     (2048, 3, 6): (residual._P_SPARSE, "3dacacf6cbddae15970a85e0cae9777b"
@@ -175,15 +183,55 @@ GATE_PINS = {
 
 @pytest.mark.parametrize("key", list(GATE_PINS), ids=str)
 def test_histogram_is_skipped_exactly_where_the_outcome_is_known(key):
+    """The histogram only feeds the entropy gate of Huffman-only deflate:
+    empty planes, the low-effort SPARSE fast path and planes made of
+    runs (at high effort, any plane low effort might send to Z_RLE)
+    never build it."""
     n, k, level = key
     plane = _near_empty(n, k)
-    nchunks = (n + 31) // 32
-    skips = k == 0 or (level <= 4 and 4 + 5 * k <= (nchunks + 1) // 2)
+    runs = int(np.count_nonzero(plane[1:] == plane[:-1]))
+    rle = residual._RLE_SURE if level <= 4 else residual._RLE_NEVER
+    skips = k == 0 or runs >= rle * n
     with mock.patch.object(residual, "_byte_histogram",
                            wraps=residual._byte_histogram) as spy:
         tag, payload = residual._encode_plane(plane, level, True)
     assert spy.call_count == (0 if skips else 1)
     assert (tag, hashlib.sha256(payload).hexdigest()) == GATE_PINS[key]
+
+
+def _without(text: str, replacement: str):
+    """``repro.encoders.residual`` executed with ``text`` replaced."""
+    src = pathlib.Path(residual.__file__).read_text()
+    assert src.count(text) == 1
+    mod = types.ModuleType("repro.encoders._residual_variant")
+    mod.__package__ = "repro.encoders"
+    exec(compile(src.replace(text, replacement), "variant.py", "exec"),
+         mod.__dict__)
+    return mod
+
+
+#: each skip gate of the chooser, as its source text and what removes it
+SKIP_GATES = {
+    "sparse fast path": ("if level <= 4 and sparse_cost <= min(",
+                         "if False and sparse_cost <= min("),
+    "width scan": ("if sparse_cost <= (nchunks + 1) // 2:", "if False:"),
+}
+
+
+@pytest.mark.parametrize("gate", list(SKIP_GATES))
+def test_skip_gates_never_change_a_plane(gate):
+    """Each gate only skips work whose outcome it already knows: the
+    chooser without it encodes every plane to the same bytes, on both
+    sides of the fast path's bound (k = 51 at n = 2**18) and of the
+    run-fraction band."""
+    variant = _without(*SKIP_GATES[gate])
+    planes = [_near_empty(n, k) for n in (1000, 2048, 2049, 2**18)
+              for k in (1, 5, 50, 51, 52, 300, 818, 819)]
+    planes += [_near_empty(2**16, k) for k in (2**14, 2**15, 3 * 2**14)]
+    for plane in planes:
+        for level in (1, 6):
+            assert (variant._encode_plane(plane, level, True)
+                    == residual._encode_plane(plane, level, True))
 
 
 # -- int32 stage-1 codes ------------------------------------------------------

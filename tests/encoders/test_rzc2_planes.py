@@ -7,8 +7,9 @@ paper-scale one (2**18).  The SHA-256 of every stream was recorded
 before the codec's hot paths were rewritten, so a change that alters
 one emitted byte fails here.  A second group pins multi-plane streams
 and round-trips every plane count 0..8, which exercises every decode
-code width.  The last groups pin the low-effort deflate skip gate and
-the decoder's rejection of malformed planes.
+code width.  The last groups check that small arrays keep the smaller
+of RZC1 and RZC2, pin the low-effort deflate skip gate, and check that
+the decoder rejects malformed planes and RZC1 payloads, bombs included.
 """
 
 from __future__ import annotations
@@ -202,6 +203,29 @@ def test_every_code_width_roundtrips_to_int64(nplanes):
     out = decode_residuals(stream)
     assert out.dtype == np.int64
     assert np.array_equal(out, r)
+
+
+# -- small arrays ------------------------------------------------------------
+
+#: below the RZC1 cutoff: RZC2 wins on run-heavy and single-plane
+#: input, RZC1 on a short periodic pattern that spans two planes
+SMALL = {"const": _plane_input("const", 700),
+         "zlib": _plane_input("zlib", 2047),
+         "two_planes": _wide_input(2, 300),
+         "periodic": np.tile([0, 0, 0, 5, -300, 0], 24)}
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_small_arrays_keep_the_smaller_format(name):
+    r = SMALL[name]
+    legacy = residual._encode_rzc1(r, "zlib", 1)
+    planes = residual._encode_rzc2(r, int(r.min()), int(r.max()), "zlib", 1)
+    stream = encode_residuals(r, "zlib", 1)
+    assert stream == (planes if len(planes) < len(legacy) else legacy)
+    assert stream[:4] == (b"RZC1" if name == "periodic" else b"RZC2")
+    assert np.array_equal(decode_residuals(stream), r)
+    for backend in ("bz2", "lzma", "none"):
+        assert encode_residuals(r, backend, 1)[:4] == b"RZC1"
 
 
 # -- exact skip gates --------------------------------------------------------

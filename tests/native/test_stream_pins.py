@@ -32,23 +32,23 @@ PINS = {
     ("sz", "nyx", 1e-4): "a39ea6a8d48bba841a3f06576a675ad826cd45795fb7e371901ac30b72d2ae77",
     ("sz", "nyx", 1e-2): "785b6c478205a8a820da80a3a23d65849f0149347feef374e688604cc2b629d2",
     ("sz", "nyx", 1e-9): "6fef1930d0d916cc4ace675280baba947a30651eaa08d7a5173cdd429351cbed",
-    ("sz", "cloud", 1e-4): "47e1db06ec2e55f33d8f407e2351224c852387caf8abad31371698e9c66e9150",
-    ("sz", "cloud", 1e-2): "9955b43aaa6b297250cfccfca9a0f6205b67d3049f73184d79c6171e8338028c",
-    ("sz", "cloud", 1e-9): "eb06d7db44eaa61ad4a1b090e89daeaa58e8531777c32fb5c97b5665af2cf789",
-    ("sz6", "cloud", 1e-4): "f6a0db48fb2f1cfd871e6df87cfc62828ae2c7e95d69434d3cea973a4470f940",
-    ("sz6", "cloud", 1e-2): "aef6004cdd87fd96a05b5f419c1982ac377ae9db9ab2d8c4c3c7635e41ba5606",
-    ("zfp", "nyx", 1e-4): "10ead710c561e513c27297ad29cfb978985c6cf0c5ab691d34dc3d9252721ef4",
+    ("sz", "cloud", 1e-4): "d3e8cc1ef850d633ff8c99d47a1bccec0d58c585d3320ce06826a9114d13dc11",
+    ("sz", "cloud", 1e-2): "50f3b57bc38d9c6fe1912ec2ed2f25cb39a31f732dd36035f82ce6192a6c3d9c",
+    ("sz", "cloud", 1e-9): "b12b21dab23665a4b268f2be3eeb88ddd2c65daa58f54644b4666ef916b83f8e",
+    ("sz6", "cloud", 1e-4): "d3e8cc1ef850d633ff8c99d47a1bccec0d58c585d3320ce06826a9114d13dc11",
+    ("sz6", "cloud", 1e-2): "50f3b57bc38d9c6fe1912ec2ed2f25cb39a31f732dd36035f82ce6192a6c3d9c",
+    ("zfp", "nyx", 1e-4): "072d9dfd9962fee71d938edeed3779a840c491f4ac377efcc592906084c3bfdd",
     ("zfp", "nyx", 1e-2): "3db6170f801131d72816cdb1b997b4423982c7736e893278ed59f8ecac35661d",
     ("zfp", "nyx", 1e-9): "299dea7635e4945af5a5c09e41fdb329a115c899f940a32e494e03478bb3168f",
-    ("zfp", "cloud", 1e-4): "ee780a541bb7eeb3dea722646f9151088c463ff021a7d86a212a396fdab71b7c",
-    ("zfp", "cloud", 1e-2): "fceed94bd9c205b67c04093d03ced52cc2046b79d795c0055dde7fb181461458",
-    ("zfp", "cloud", 1e-9): "07788783570cf57080fbf1fad631417c37de306902d1db0bd6bb2d9e532b3703",
+    ("zfp", "cloud", 1e-4): "d0a4ba5b53ff2c683205bcb6f29add7e89bfb9317f4d71e4bce3c7c1a9ffa253",
+    ("zfp", "cloud", 1e-2): "476bf07079d5dabd5dfdf1a4d68fb61fdea3dbd00d16b30c238f86891d68fac9",
+    ("zfp", "cloud", 1e-9): "3fdaff7b98327e9b11d77419aba5eebdc6635a487843befa67f63a655306ac58",
     ("mgard", "nyx", 1e-4): "79f0bfd23d7f54c751f9403969810bfcfe71bca68a9330dec707f4cd5c1dcdc6",
-    ("mgard", "nyx", 1e-2): "aef99d142efc080936a751223221d8adc55f25b7ec8de3fd3df6dba3bfe0e728",
-    ("mgard", "nyx", 1e-9): "4192d2bbb0dcfbc388feaefe3c8ef32fc8569d6efff4c71f92ebe4822e16f17d",
-    ("mgard", "cloud", 1e-4): "56b7591e46819315a44c736bfe3725230b84e52c41d9f635c8c74fbaabdeaf82",
-    ("mgard", "cloud", 1e-2): "cfde08d045a2276ebe9d8b44b232cb6fd69b84fa1331c157c1944938308ac3e4",
-    ("mgard", "cloud", 1e-9): "b87c9172ccc0959c476f647bcb93d61407b0c2454b6a0197ae7030c6a90df7eb",
+    ("mgard", "nyx", 1e-2): "2c023fd28d3488d7cf2dcc67b9d6b4c532bf3a3320f020505dd3dc1b9aff13aa",
+    ("mgard", "nyx", 1e-9): "ba121270c79c823bfce9628aa411db811b64d049e0bf2e5d0a54961787e49085",
+    ("mgard", "cloud", 1e-4): "8e763e32d5cfb36716edfa51ff5f995f5791ed964e043f7ccf47b4d4d36a13ef",
+    ("mgard", "cloud", 1e-2): "b684ccd759fd6b41440c32d5c86f11f84b4f4646a70de247a51a7b248b7b6c20",
+    ("mgard", "cloud", 1e-9): "534f14a6d71e7edfb815b5aea3f83b6ba825b8a8f764814770c9848a0fa433de",
 }
 
 _FIELDS: dict[str, np.ndarray] = {}
