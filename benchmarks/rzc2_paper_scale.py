@@ -79,11 +79,11 @@ def load_module(src: str, name: str) -> types.ModuleType:
     return mod
 
 
-def load_baseline() -> types.ModuleType:
-    """``repro.encoders.residual`` as it was at ``BASELINE_REV``."""
+def load_baseline(rev: str = BASELINE_REV) -> types.ModuleType:
+    """``repro.encoders.residual`` as it was at ``rev``."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = subprocess.run(
-        ["git", "show", f"{BASELINE_REV}:src/repro/encoders/residual.py"],
+        ["git", "show", f"{rev}:src/repro/encoders/residual.py"],
         cwd=root, check=True, capture_output=True, text=True).stdout
     return load_module(src, "_residual_baseline")
 

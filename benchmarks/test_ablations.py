@@ -287,3 +287,40 @@ def test_huffman_vs_fast_entropy_tradeoff(benchmark, bench_datasets):
                    for coder, v in result.items()))
     # both must produce valid streams; fast must be faster
     assert result["fast"]["ms"] < result["huffman"]["ms"]
+
+
+def test_entropy_gate_ablation(benchmark, library, bench_datasets):
+    """The per-plane deflate strategy gate against its three
+    alternatives: always Huffman-only (the encoder before the gate),
+    always ``Z_RLE``, and the smaller of the two on every plane."""
+    import entropy_gate_ablation as ablation
+
+    def run() -> dict:
+        sizes = {}
+        for name, arr in bench_datasets.items():
+            data = PressioData.from_numpy(arr)
+            value_range = float(arr.max() - arr.min())
+            for codec in ("sz", "zfp", "mgard"):
+                for rel in (1e-4, 1e-2):
+                    comp = library.get_compressor(codec)
+                    assert comp.set_options(
+                        {"pressio:abs": rel * value_range}) == 0
+                    row = {}
+                    for arm in ablation.ARMS:
+                        with ablation.arm(arm):
+                            row[arm] = comp.compress(data).size_in_bytes
+                    sizes[f"{codec}:{name}:{rel:g}"] = row
+        return sizes
+
+    sizes = benchmark.pedantic(run, rounds=1, iterations=1)
+    arms = list(ablation.ARMS)
+    total = {a: sum(row[a] for row in sizes.values()) for a in arms}
+    lines = [f"{'config':<24}" + "".join(f"{a:>10}" for a in arms)]
+    lines += [f"{label:<24}" + "".join(f"{row[a]:>10}" for a in arms)
+              for label, row in sizes.items()]
+    lines.append(f"{'total':<24}" + "".join(f"{total[a]:>10}" for a in arms))
+    emit("Ablation: deflate strategy per byte plane (stream bytes)",
+         "\n".join(lines))
+    for label, row in sizes.items():
+        assert row["gate"] <= row["huffman"], label
+    assert total["gate"] <= 1.005 * total["best"]
