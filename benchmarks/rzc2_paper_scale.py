@@ -183,6 +183,7 @@ def paired(run_a, run_b) -> tuple[list, list]:
 
 def compare_config(base, no_gate: dict, calls) -> dict:
     streams = [change.encode_residuals(r, b, lv) for r, b, lv in calls]
+
     def identical(m) -> bool:
         return all(m.encode_residuals(r, b, lv) == s
                    for (r, b, lv), s in zip(calls, streams))

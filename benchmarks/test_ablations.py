@@ -6,7 +6,10 @@
 * parallel meta-compressors: chunking thread scaling, and the
   automatic serialization for thread-unsafe leaves;
 * option-system cost: introspection round trips per second (the "cheap
-  to introspect" premise of the Table I criteria).
+  to introspect" premise of the Table I criteria);
+* the residual codec's per-plane deflate strategy gate against
+  always-Huffman-only, always-``Z_RLE`` and per-plane best-of
+  (``entropy_gate_ablation.py`` runs the same arms at paper scale).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro import Pressio, PressioData
 from repro.native import sz as native_sz
 from repro.native.sz import sz_params
 
+import entropy_gate_ablation as ablation
 from conftest import emit
 
 
@@ -293,8 +297,6 @@ def test_entropy_gate_ablation(benchmark, library, bench_datasets):
     """The per-plane deflate strategy gate against its three
     alternatives: always Huffman-only (the encoder before the gate),
     always ``Z_RLE``, and the smaller of the two on every plane."""
-    import entropy_gate_ablation as ablation
-
     def run() -> dict:
         sizes = {}
         for name, arr in bench_datasets.items():

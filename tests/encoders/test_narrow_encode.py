@@ -6,8 +6,9 @@ when that is provably safe.  Neither may change one emitted byte: the
 same values encode to one stream whatever dtype, byte order or layout
 they arrive in, and each int32 gate falls back to int64 exactly where a
 code or residual could leave the int32 range.  The per-plane chooser's
-histogram shortcuts are checked against ``np.bincount`` and against
-plane encodings recorded before the shortcuts existed.
+histogram shortcuts are checked against ``np.bincount``, against
+recorded plane encodings, and against the chooser with each skip gate
+removed.
 """
 
 from __future__ import annotations
