@@ -1,13 +1,18 @@
-"""End-to-end paired comparison of an encoder change through ``perfbench``.
+"""End-to-end paired comparison of a native change through ``perfbench``.
 
-Runs ``perfbench/run.py`` on the ``paper_grid`` and ``chunked_serial``
-workloads for two trees: a baseline revision (``--baseline``, default
-``BASELINE_REV``; exported with ``git archive`` into a temporary
-directory) and the working tree.  Each pair runs both trees on the
-same seed back to back, in alternating order.  The artifact keeps
-every run's result line and, per metric, both medians, the baseline's
-interquartile range and how many pairs the working tree won, with
-"better" taken from ``BENCHMARK.json``.
+Compares any change to the native cores or the encoders, not only an
+encoder change.  Runs ``perfbench/run.py`` on the ``paper_grid`` and
+``chunked_serial`` workloads for two trees: a baseline revision
+(``--baseline``, default ``BASELINE_REV``; exported with ``git
+archive`` into a temporary directory) and the working tree.  Each pair
+runs both trees on the same seed back to back, in alternating order.
+The artifact keeps every run's result line and, per metric, both
+medians, the baseline's interquartile range and how many pairs the
+working tree won, with "better" taken from ``BENCHMARK.json``.
+
+``--traced`` instead runs one traced ``paper_grid`` run per tree
+(``--trace 1``, seed ``TRACED_SEED``, baseline first), whose per-layer
+metrics show where the time went.
 
 Usage, from the root of a checkout (about 40 minutes each)::
 
@@ -17,6 +22,12 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # the narrow-width encode path against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 7533a5a \\
         --output benchmarks/BENCH_narrow_encode_e2e.json
+    # the int32 coefficient-major zfp lift against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline fa7c14c \\
+        --output benchmarks/BENCH_zfp_lift_e2e.json
+    # and where its time went: one traced paper_grid run per tree
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline fa7c14c --traced \\
+        --output benchmarks/BENCH_zfp_lift_traced.json
 """
 
 from __future__ import annotations
@@ -41,6 +52,8 @@ PAIRS = 10
 #: workload -> first seed; pair i runs seed + i on both sides
 WORKLOADS = {"paper_grid": 101, "chunked_serial": 201}
 SECONDS = 40
+#: the seed of the ``--traced`` runs
+TRACED_SEED = 301
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,11 +65,12 @@ def export_baseline(dest: str, rev: str) -> None:
         t.extractall(dest, filter="data")
 
 
-def run_once(tree: str, workload: str, seed: int) -> dict:
+def run_once(tree: str, workload: str, seed: int, trace: int = 0) -> dict:
     """The result line of one ``perfbench`` run in ``tree``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS),
+         "--trace", str(trace)],
         cwd=tree, check=True, capture_output=True, text=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -85,6 +99,9 @@ def main(argv: list[str] | None = None) -> int:
                          f"against (default: {BASELINE_REV})")
     ap.add_argument("--output", default=None,
                     help="write the JSON artifact here (default: stdout)")
+    ap.add_argument("--traced", action="store_true",
+                    help="one traced paper_grid run per tree instead of "
+                         "the pairs")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"]
@@ -94,6 +111,21 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as parent_tree:
         export_baseline(parent_tree, args.baseline)
         trees = {"parent": parent_tree, "change": ROOT}
+        if args.traced:
+            row = {"seed": TRACED_SEED, "order": ["parent", "change"]}
+            for side in row["order"]:
+                row[side] = run_once(trees[side], "paper_grid",
+                                     TRACED_SEED, trace=1)
+            return write(args.output, {
+                "schema": "pressio-traced-pairs/1",
+                "workload": "paper_grid", **environment(args.baseline),
+                "trace": 1,
+                "method": ("perfbench/run.py --workload paper_grid --seed "
+                           f"{TRACED_SEED} --seconds {SECONDS} --trace 1 on "
+                           "an export of the baseline revision and on the "
+                           "working tree, back to back in the listed order;"
+                           " one result line per run"),
+                "runs": [row]})
         for workload, seed0 in WORKLOADS.items():
             runs = []
             for i in range(PAIRS):
@@ -109,27 +141,33 @@ def main(argv: list[str] | None = None) -> int:
             workloads[workload] = {"summary": summarize(runs, better),
                                    "runs": runs}
 
-    doc = {
+    return write(args.output, {
         "schema": "pressio-rzc2-e2e-paired/1",
-        "created_at": datetime.datetime.now(
-            datetime.timezone.utc).isoformat(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "baseline_rev": args.baseline,
+        **environment(args.baseline),
         "pairs": PAIRS,
-        "run_seconds": SECONDS,
         "method": ("per workload: pair i runs perfbench with seed "
                    "first_seed + i on the baseline tree and the working "
                    "tree back to back, alternating which goes first; "
                    "medians and wins are over pairs, iqr is the "
                    "baseline's"),
-        "workloads": workloads,
-    }
+        "workloads": workloads})
+
+
+def environment(baseline: str) -> dict:
+    return {"created_at": datetime.datetime.now(
+                datetime.timezone.utc).isoformat(),
+            "platform": platform.platform(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "baseline_rev": baseline,
+            "run_seconds": SECONDS}
+
+
+def write(output: str | None, doc: dict) -> int:
     text = json.dumps(doc, indent=1)
-    if args.output:
-        with open(args.output, "w") as f:
+    if output:
+        with open(output, "w") as f:
             f.write(text + "\n")
     else:
         print(text)

@@ -342,8 +342,8 @@ def param_returners(graph: CallGraph) -> dict[str, int]:
 
 #: one abstract path state: (held alias groups, released names).  Each
 #: group is a frozenset of local names all viewing one pooled buffer
-#: (``blocks = _to_blocks(codes, out=blockbuf)`` puts blocks and
-#: blockbuf in one group); releasing any member frees the whole group.
+#: (``codes = quantize_uniform(values, step, out=pooled)`` puts codes
+#: and pooled in one group); releasing any member frees the whole group.
 _State = tuple[frozenset, frozenset]
 
 

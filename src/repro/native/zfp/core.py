@@ -14,21 +14,25 @@ DESIGN.md; the behaviourally load-bearing properties are preserved:
   the same error semantics (absolute bound, per-block relative planes,
   approximate bits-per-value, bit-exact respectively).
 
-All block math is vectorized across every block simultaneously
-(``blocks`` has shape ``(nblocks, 4, ..., 4)``).
+All block math is vectorized across every block simultaneously; the
+stream stores the coefficients block-major, ``(nblocks, 4, ..., 4)``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ...core.dtype import dtype_from_numpy, dtype_to_numpy
 from ...trace import runtime as _trace
 from ...core.status import CorruptStreamError, InvalidDimensionsError
 from ...encoders.headers import read_header, write_header
 from ...encoders.predictors import lorenzo_decode, lorenzo_encode
-from ...encoders.residual import decode_residuals, encode_residuals
-from ...encoders.quantize import quantize_uniform
+from ...encoders.residual import (_inflate_at_most, decode_residuals,
+                                  encode_residuals)
+from ...encoders.quantize import int32_fits, quantize_uniform
 from .. import pool as _pool
 
 __all__ = ["compress", "compress_stage1", "compress_stage2", "decompress",
@@ -58,57 +62,132 @@ def _pad_to_blocks(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _to_blocks(arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(d1..dk) array -> (nblocks, 4, ..., 4) block array (copy).
+def _grid(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Blocks along each axis, counting a partial block as one."""
+    return tuple((s + BLOCK_SIDE - 1) // BLOCK_SIDE for s in dims)
 
-    ``out`` (int64, ``(nblocks,) + (4,)*d``) receives the gathered blocks
-    without allocating; pass a pooled buffer on the hot path.
-    """
-    d = arr.ndim
-    padded = _pad_to_blocks(arr)
+
+def _coefficient_shape(d: int, nblocks: int) -> tuple[int, ...]:
+    """The lifting layout: block-major ``(nblocks, 4)`` for d = 1,
+    coefficient-major ``(4,)*d + (nblocks,)`` above."""
+    if d == 1:
+        return (nblocks, BLOCK_SIDE)
+    return (BLOCK_SIDE,) * d + (nblocks,)
+
+
+def _lift_axes(d: int) -> tuple[int, ...]:
+    """The in-block axes of :func:`_coefficient_shape`'s layout."""
+    return (1,) if d == 1 else tuple(range(d))
+
+
+def _gather(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(d1..dk) codes -> ``out`` in the lifting layout, edge-padded."""
+    d = codes.ndim
+    padded = _pad_to_blocks(codes)
+    if d == 1:
+        np.copyto(out.reshape(-1), padded)
+        return out
     inter = []
     for s in padded.shape:
         inter += [s // BLOCK_SIDE, BLOCK_SIDE]
-    view = padded.reshape(inter)
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    gathered = view.transpose(order)
-    if out is None:
-        return np.ascontiguousarray(gathered).reshape(
-            (-1,) + (BLOCK_SIDE,) * d
-        )
-    np.copyto(out.reshape(gathered.shape), gathered)
+    # in-block axes first, then the block grid
+    order = list(range(1, 2 * d, 2)) + list(range(0, 2 * d, 2))
+    view = padded.reshape(inter).transpose(order)
+    np.copyto(out.reshape(view.shape), view)
     return out
 
 
-def _from_blocks(blocks: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_to_blocks`, cropping the padding."""
+def _exchange(coef: np.ndarray, blocks: np.ndarray,
+              to_blocks: bool) -> None:
+    """Copy between coefficient-major ``coef`` and block-major
+    ``blocks`` (the stream's order), casting to the destination width.
+
+    Either direction is a transpose of a ``(4**d, nblocks)`` matrix, so
+    a plain ``np.copyto`` walks one side a whole row apart per element.
+    Tiles of 16 x 1024 keep both sides in cache: on nyx 128^3 the copy
+    to block-major fell from 16 to 6 ms, and back from 23 to 6 ms.
+    """
+    nblocks = blocks.shape[0]
+    rows = BLOCK_SIDE**(blocks.ndim - 1)
+    c = coef.reshape(rows, nblocks)
+    b = blocks.reshape(nblocks, rows).T
+    dst, src = (b, c) if to_blocks else (c, b)
+    for j in range(0, nblocks, 1024):
+        for i in range(0, rows, 16):
+            np.copyto(dst[i:i + 16, j:j + 1024], src[i:i + 16, j:j + 1024],
+                      casting="unsafe")
+
+
+def _dequantize_into(coef: np.ndarray, scale: float,
+                     out: np.ndarray) -> np.ndarray:
+    """``out[x] = coef at x * scale``: un-block, crop and dequantize.
+
+    ``coef`` is in the lifting layout.  ``out`` (the cropped dims) is
+    cut into at most 2**d regions of whole blocks and of the partial
+    last block along each axis; each is one ``np.multiply`` from a
+    strided view of ``coef`` into a split-axis view of ``out``, with
+    the product in float64 as :func:`dequantize_uniform` computes it.
+    """
+    dims = out.shape
     d = len(dims)
-    padded_dims = tuple(s + ((-s) % BLOCK_SIDE) for s in dims)
-    grid = tuple(s // BLOCK_SIDE for s in padded_dims)
-    inter = blocks.reshape(grid + (BLOCK_SIDE,) * d)
-    # interleave block-grid and in-block axes back
-    order = []
-    for i in range(d):
-        order += [i, d + i]
-    padded = inter.transpose(order).reshape(padded_dims)
-    crop = tuple(slice(0, s) for s in dims)
-    return padded[crop]
+    grid = _grid(dims)
+    if d == 1:
+        c = coef.T
+    else:
+        c = coef.reshape((BLOCK_SIDE,) * d + grid)
+    order = [a for k in range(d) for a in (d + k, k)]
+    parts = []
+    for s in dims:
+        full, rem = divmod(s, BLOCK_SIDE)
+        # (first block, blocks, values per block) along this axis
+        parts.append([p for p in ((0, full, BLOCK_SIDE), (full, 1, rem))
+                      if p[1] and p[2]])
+    for region in itertools.product(*parts):
+        src = c[tuple(slice(0, w) for _, _, w in region)
+                + tuple(slice(b, b + g) for b, g, _ in region)]
+        dst = out[tuple(slice(BLOCK_SIDE * b, BLOCK_SIDE * b + g * w)
+                        for b, g, w in region)]
+        dst = as_strided(
+            dst, shape=[n for _, g, w in region for n in (g, w)],
+            strides=[t for st in dst.strides
+                     for t in (BLOCK_SIDE * st, st)])
+        np.multiply(src.transpose(order), scale, out=dst, dtype=np.float64)
+    return out
 
 
 # ----------------------------------------------------------------------
-# the lifting transform (exactly invertible on int64)
+# the lifting transform (exactly invertible on int32 and int64)
 # ----------------------------------------------------------------------
-# Every lifting intermediate is written into one of five reusable slice-
+# Layout.  For d >= 2 the coefficients sit coefficient-major, shape
+# (4,)*d + (nblocks,): slot i of every block along one axis is a single
+# slice whose innermost run is all nblocks values, so each of the nine
+# ufuncs of a lifting step streams through long contiguous runs.  (The
+# block-major (nblocks, 4, ..., 4) layout the stream stores makes every
+# lifting slice a stride-4 gather: twice the cost at paper scale.)  The
+# lift gathers straight from the padded codes into that layout and
+# copies to block-major once for the residual coder.  For d = 1 the
+# plain reshape (nblocks, 4) is already block-major, and on the 64 Ki
+# 1-D chunks the chunking meta hands zfp, the two transposes
+# coefficient-major adds cost more than the strided slices save.
+#
+# Width.  Codes are int32 whenever quantize_uniform's peak proves every
+# intermediate fits, int32_fits(peak, 4**d), and int64 otherwise (tight
+# bounds, precision and rate modes); decompress gates on the decoded
+# coefficients' peak the same way.  A Haar level at most doubles a
+# magnitude, so d levels grow it by at most 2**d in either direction
+# and the 4**d fan-in leaves a 2**d margin.
+#
+# Every lifting intermediate is written into one of five pooled slice-
 # shaped temporaries via ufunc out=, so a whole transform allocates
 # nothing: the four coefficient slots are only assigned after all four
-# input slices have been consumed, which is what made the old per-slice
-# .copy() calls unnecessary in the first place.  (A pair-sliced variant
-# with fewer ufunc calls was measured ~2x slower: ufunc out= into
-# step-2 strided views costs more than the calls it saves.)
+# input slices have been consumed.  (A pair-sliced variant with fewer
+# ufunc calls was measured ~2x slower: ufunc out= into step-2 strided
+# views costs more than the calls it saves.)
 
-def _lift_temps(blocks: np.ndarray) -> list[np.ndarray]:
-    shape = (blocks.shape[0],) + (BLOCK_SIDE,) * (blocks.ndim - 2)
-    return [_pool.acquire(shape, np.int64) for _ in range(5)]
+def _lift_temps(coef: np.ndarray) -> list[np.ndarray]:
+    # the slice along any in-block axis has the same shape
+    shape = coef.shape[:-1] if coef.ndim == 2 else coef.shape[1:]
+    return [_pool.acquire(shape, coef.dtype) for _ in range(5)]
 
 
 def _fwd_lift_axis(blocks: np.ndarray, axis: int,
@@ -169,20 +248,22 @@ def _inv_lift_axis(blocks: np.ndarray, axis: int,
     blocks[pick(3)] = t2
 
 
-def _fwd_transform(blocks: np.ndarray) -> None:
-    temps = _lift_temps(blocks)
+def _fwd_lift(coef: np.ndarray, d: int) -> None:
+    """Forward transform of lifting-layout ``coef``, in place."""
+    temps = _lift_temps(coef)
     try:
-        for axis in range(1, blocks.ndim):
-            _fwd_lift_axis(blocks, axis, temps)
+        for axis in _lift_axes(d):
+            _fwd_lift_axis(coef, axis, temps)
     finally:
         _pool.release(*temps)
 
 
-def _inv_transform(blocks: np.ndarray) -> None:
-    temps = _lift_temps(blocks)
+def _inv_lift(coef: np.ndarray, d: int) -> None:
+    """Exact inverse of :func:`_fwd_lift`, in place."""
+    temps = _lift_temps(coef)
     try:
-        for axis in range(blocks.ndim - 1, 0, -1):
-            _inv_lift_axis(blocks, axis, temps)
+        for axis in reversed(_lift_axes(d)):
+            _inv_lift_axis(coef, axis, temps)
     finally:
         _pool.release(*temps)
 
@@ -191,13 +272,16 @@ def _inv_transform(blocks: np.ndarray) -> None:
 # per-block bit management
 # ----------------------------------------------------------------------
 def _block_maxbits(blocks: np.ndarray) -> np.ndarray:
-    """Bit length of the largest |coefficient| in each block."""
+    """Bit length of the largest |coefficient| in each block.
+
+    The exponent ``frexp`` returns is exact for magnitudes below 2**53,
+    which holds every coefficient it is asked about (precision and rate
+    codes stay within 2**_Q, and a 4-D transform grows them by at most
+    2**4); 0 maps to 0.
+    """
     flat = blocks.reshape(blocks.shape[0], -1)
     mags = np.abs(flat).max(axis=1)
-    out = np.zeros(blocks.shape[0], dtype=np.int64)
-    nz = mags > 0
-    out[nz] = np.floor(np.log2(mags[nz].astype(np.float64))).astype(np.int64) + 1
-    return out
+    return np.frexp(mags.astype(np.float64))[1].astype(np.int64)
 
 
 def _rounding_rshift(blocks: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -248,48 +332,67 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
 
     values = arr.astype(np.float64, copy=False)
     d = arr.ndim
-    nblocks = int(np.prod(
-        [(s + BLOCK_SIDE - 1) // BLOCK_SIDE for s in arr.shape],
-        dtype=np.int64))
+    nblocks = int(np.prod(_grid(arr.shape), dtype=np.int64))
+    fan_in = BLOCK_SIDE**d if transform else 1
     with _trace.stage("zfp:quantize", mode=mode):
-        codes = _pool.acquire(values.shape, np.int64)
+        pooled = _pool.acquire(values.shape, np.int64)
         scratch = _pool.acquire(values.shape, np.float64)
         try:
             if mode == MODE_ACCURACY:
                 if parameter <= 0:
                     raise ValueError("accuracy tolerance must be positive")
                 step = float(parameter)
-                quantize_uniform(values, step, out=codes, scratch=scratch)
+                codes = quantize_uniform(values, step, out=pooled,
+                                         scratch=scratch, fan_in=fan_in)
             elif mode in (MODE_PRECISION, MODE_RATE):
                 vmax = float(np.abs(values).max()) if values.size else 0.0
                 if vmax == 0.0:
                     step = 1.0
-                    codes[...] = 0
+                    pooled[...] = 0
+                    codes = pooled
                 else:
                     # scale so |codes| <= 2**_Q; quantize_uniform uses
                     # bin 2*eb
                     step = vmax / float(2**_Q)
-                    quantize_uniform(values, step, out=codes,
-                                     scratch=scratch)
+                    codes = quantize_uniform(values, step, out=pooled,
+                                             scratch=scratch, fan_in=fan_in)
             else:
                 raise ValueError(f"unknown zfp mode {mode}")
         except BaseException:
-            _pool.release(codes, scratch)
+            _pool.release(pooled, scratch)
             raise
         _pool.release(scratch)
 
     with _trace.stage("zfp:transform"):
-        blockbuf = _pool.acquire((nblocks,) + (BLOCK_SIDE,) * d, np.int64)
         try:
+            coef = _pool.acquire(_coefficient_shape(d, nblocks), codes.dtype)
             try:
-                blocks = _to_blocks(codes, out=blockbuf)
-            finally:
-                _pool.release(codes)
+                _gather(codes, coef)
+            except BaseException:
+                _pool.release(coef)
+                raise
+        finally:
+            _pool.release(pooled)
+        try:
             if transform:
-                _fwd_transform(blocks)
+                _fwd_lift(coef, d)
         except BaseException:
-            _pool.release(blockbuf)
+            _pool.release(coef)
             raise
+        if d == 1:
+            blocks = coef
+        else:
+            # the residual coder takes the stream's block-major order
+            try:
+                blocks = _pool.acquire((nblocks,) + (BLOCK_SIDE,) * d,
+                                       coef.dtype)
+                try:
+                    _exchange(coef, blocks, to_blocks=True)
+                except BaseException:
+                    _pool.release(blocks)
+                    raise
+            finally:
+                _pool.release(coef)
 
     with _trace.stage("zfp:bitplane"):
         try:
@@ -312,7 +415,7 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
                     shifts = np.maximum(_block_maxbits(blocks) - width, 0)
                 kept = _rounding_rshift(blocks, shifts)
         except BaseException:
-            _pool.release(blockbuf)
+            _pool.release(blocks)
             raise
     return {"kind": "lossy", "kept": kept, "shifts": shifts,
             "step": step, "parameter": parameter, "mode": mode,
@@ -381,17 +484,17 @@ def decompress(stream: bytes | memoryview,
     step = doubles[0]
     shift_len = ints[1]
     transform = bool(ints[2]) if len(ints) > 2 else True
-    import zlib as _zlib
-
-    nblocks = int(np.prod([(s + BLOCK_SIDE - 1) // BLOCK_SIDE for s in dims],
-                          dtype=np.int64))
+    d = len(dims)
+    nblocks = int(np.prod(_grid(dims), dtype=np.int64))
     with _trace.stage("zfp:entropy"):
-        shifts = np.frombuffer(
-            _zlib.decompress(bytes(view[pos:pos + shift_len])), dtype=np.uint8
-        ).astype(np.int64)
-        if shifts.size != nblocks:
+        try:
+            table = _inflate_at_most("zlib", view[pos:pos + shift_len],
+                                     nblocks)
+        except ValueError as e:
+            raise CorruptStreamError(f"zfp shift table: {e}") from None
+        if len(table) != nblocks:
             raise CorruptStreamError("shift table does not match block count")
-        d = len(dims)
+        shifts = np.frombuffer(table, dtype=np.uint8).astype(np.int64)
         kept = decode_residuals(bytes(view[pos + shift_len:]))
     expected = nblocks * BLOCK_SIDE**d
     if kept.size != expected:
@@ -400,18 +503,34 @@ def decompress(stream: bytes | memoryview,
         )
     with _trace.stage("zfp:transform"):
         # the coefficient buffer came off the entropy decoder, so the
-        # shift and inverse transform can run on it in place
+        # shift can run on it in place
         blocks = kept.reshape((nblocks,) + (BLOCK_SIDE,) * d)
         if np.any(shifts):
             blocks = _lshift(blocks, shifts)
-        if transform:
-            _inv_transform(blocks)
-        codes = _from_blocks(blocks, dims)
+        peak = max(-int(kept.min()), int(kept.max())) if kept.size else 0
+        fan_in = BLOCK_SIDE**d if transform else 1
+        width = np.int32 if int32_fits(peak, fan_in) else np.int64
+        coef = _pool.acquire(_coefficient_shape(d, nblocks), width)
+        try:
+            if d == 1:
+                np.copyto(coef, blocks, casting="unsafe")
+            else:
+                _exchange(coef, blocks, to_blocks=False)
+            if transform:
+                _inv_lift(coef, d)
+        except BaseException:
+            _pool.release(coef)
+            raise
     with _trace.stage("zfp:dequantize"):
-        out = codes.astype(np.float64) * (2.0 * step)
+        try:
+            real = np.float64 if np_dtype.kind in "iu" else np_dtype
+            out = _dequantize_into(coef, 2.0 * step,
+                                   np.empty(dims, dtype=real))
+        finally:
+            _pool.release(coef)
     if np_dtype.kind in "iu":
-        return np.rint(out).astype(np_dtype)
-    return out.astype(np_dtype)
+        return np.rint(out, out=out).astype(np_dtype)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,46 @@
 """Tests for the ZFP native: blocking, transform, modes, API."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import CorruptStreamError, InvalidDimensionsError
+from repro.encoders.headers import read_header, write_header
+from repro.encoders.quantize import int32_fits
 from repro.native import zfp
 from repro.native.zfp.core import (
-    _from_blocks,
-    _fwd_transform,
-    _inv_transform,
-    _to_blocks,
+    _block_maxbits,
+    _coefficient_shape,
+    _dequantize_into,
+    _exchange,
+    _fwd_lift,
+    _gather,
+    _grid,
+    _inv_lift,
 )
+
+
+def _nblocks(shape):
+    return int(np.prod(_grid(shape)))
+
+
+def _lifting_layout(arr):
+    """``arr`` gathered into the lifting layout, in its own width."""
+    coef = np.empty(_coefficient_shape(arr.ndim, _nblocks(arr.shape)),
+                    arr.dtype)
+    return _gather(arr, coef)
+
+
+def _reference_blocks(arr):
+    """The stream's block-major order, spelled out: edge-pad, then the
+    block grid in C order, each block's 4**d values in C order."""
+    d = arr.ndim
+    padded = np.pad(arr, [(0, (-s) % 4) for s in arr.shape], mode="edge")
+    blocks = [padded[tuple(slice(4 * i, 4 * i + 4) for i in idx)]
+              for idx in np.ndindex(*_grid(arr.shape))]
+    return np.array(blocks).reshape((-1,) + (4,) * d)
 
 
 class TestBlocking:
@@ -19,42 +49,109 @@ class TestBlocking:
     def test_block_roundtrip(self, shape):
         rng = np.random.default_rng(0)
         arr = rng.integers(-1000, 1000, size=shape)
-        blocks = _to_blocks(arr)
-        assert blocks.shape[1:] == (4,) * len(shape)
-        restored = _from_blocks(blocks, shape)
+        coef = _lifting_layout(arr)
+        blocks = np.empty((_nblocks(shape),) + (4,) * len(shape), arr.dtype)
+        if len(shape) == 1:
+            blocks[...] = coef
+        else:
+            _exchange(coef, blocks, to_blocks=True)
+        assert np.array_equal(blocks, _reference_blocks(arr))
+        back = np.empty_like(coef)
+        if len(shape) == 1:
+            back[...] = blocks
+        else:
+            _exchange(back, blocks, to_blocks=False)
+        restored = _dequantize_into(back, 1.0, np.empty(shape))
         assert np.array_equal(restored, arr)
 
     def test_partial_blocks_pad_with_edge(self):
         arr = np.array([1, 2, 3, 4, 5], dtype=np.int64)
-        blocks = _to_blocks(arr)
-        assert blocks.shape == (2, 4)
-        assert list(blocks[1]) == [5, 5, 5, 5]
+        coef = _lifting_layout(arr)
+        assert coef.shape == (2, 4)
+        assert list(coef[1]) == [5, 5, 5, 5]
 
     def test_block_count(self):
         arr = np.zeros((9, 9), dtype=np.int64)
-        assert _to_blocks(arr).shape[0] == 9  # ceil(9/4)^2
+        # coefficient-major: 4x4 slots, ceil(9/4)^2 blocks each
+        assert _lifting_layout(arr).shape == (4, 4, 9)
+
+    def test_exchange_casts_to_the_destination_width(self):
+        rng = np.random.default_rng(4)
+        blocks = rng.integers(-1000, 1000, size=(3000, 4, 4, 4))
+        coef = np.empty((4, 4, 4, 3000), np.int32)
+        _exchange(coef, blocks, to_blocks=False)
+        assert np.array_equal(np.moveaxis(coef, -1, 0), blocks)
+
+
+def _random_layout(d, peak, seed, nblocks=40, dtype=np.int64):
+    """Lifting-layout coefficients in [-peak, peak]: random blocks plus
+    the extremes and an alternating-sign block that maximize growth."""
+    rng = np.random.default_rng(seed)
+    coef = rng.integers(-peak, peak + 1,
+                        size=_coefficient_shape(d, nblocks), dtype=np.int64)
+    layout = coef if d == 1 else np.moveaxis(coef, -1, 0)
+    layout[0] = peak
+    layout[1] = -peak
+    checker = np.indices((4,) * d).sum(axis=0) % 2
+    layout[2] = np.where(checker, peak, -peak)
+    layout[3] = -layout[2]
+    return coef.astype(dtype)
 
 
 class TestTransform:
-    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
     def test_exact_inverse(self, ndim):
-        rng = np.random.default_rng(1)
-        blocks = rng.integers(-(2**40), 2**40,
-                              size=(10,) + (4,) * ndim)
-        original = blocks.copy()
-        _fwd_transform(blocks)
-        assert not np.array_equal(blocks, original)  # actually transformed
-        _inv_transform(blocks)
-        assert np.array_equal(blocks, original)
+        for width, peak in ((np.int64, 2**40), (np.int32, 2**20)):
+            coef = _random_layout(ndim, peak, seed=1, dtype=width)
+            original = coef.copy()
+            _fwd_lift(coef, ndim)
+            assert not np.array_equal(coef, original)  # actually transformed
+            _inv_lift(coef, ndim)
+            assert np.array_equal(coef, original)
 
     def test_decorrelates_smooth_blocks(self):
-        ramp = np.arange(64, dtype=np.int64).reshape(1, 4, 4, 4) * 100
-        blocks = ramp.copy()
-        _fwd_transform(blocks)
-        # a smooth block's L1 energy collapses into a few coefficients
-        flat = np.abs(blocks.reshape(-1))
-        assert flat.sum() < np.abs(ramp).sum() / 10
-        assert (flat < 10).sum() > flat.size // 2
+        for ndim in (1, 2, 3, 4):
+            ramp = np.arange(4**ndim, dtype=np.int64).reshape(
+                (4,) * ndim) * 100
+            coef = _lifting_layout(ramp)
+            _fwd_lift(coef, ndim)
+            # a linear block's energy collapses into the smooth
+            # coefficient and three details per axis
+            flat = np.abs(coef.reshape(-1))
+            assert np.count_nonzero(flat) == 1 + 3 * ndim
+            assert flat.sum() < np.abs(ramp).sum()
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("side", ["under", "over"])
+    def test_int32_and_int64_lifts_agree_at_the_gate(self, ndim, side):
+        """The gate int32_fits(peak, 4**d) has a 2**d margin: a Haar
+        level at most doubles a magnitude, so d levels grow by 2**d in
+        either direction.  Just past the edge the int32 lift is still
+        exact; the gate sends it to int64 all the same."""
+        edge = 2**31 // 4**ndim - 2   # the largest peak the gate admits
+        peak = edge if side == "under" else edge + 1
+        assert int32_fits(peak, 4**ndim) == (side == "under")
+        for lift, seed in ((_fwd_lift, 2), (_inv_lift, 3)):
+            wide = _random_layout(ndim, peak, seed)
+            narrow = wide.astype(np.int32)
+            lift(wide, ndim)
+            lift(narrow, ndim)
+            assert np.array_equal(narrow, wide)
+
+
+class TestBitBudget:
+    def test_block_maxbits_is_exact_up_to_2_52(self):
+        k = np.arange(1, 53)
+        mags = np.concatenate([2**k - 1, 2**k]).astype(np.int64)
+        blocks = np.zeros((mags.size, 4, 4, 4), np.int64)
+        blocks[:, 1, 2, 3] = mags
+        blocks[::2] *= -1
+        expected = np.concatenate([k, k + 1])
+        assert np.array_equal(_block_maxbits(blocks), expected)
+
+    def test_block_maxbits_of_a_zero_block_is_zero(self):
+        assert _block_maxbits(np.zeros((2, 4, 4), np.int64)).tolist() \
+            == [0, 0]
 
 
 class TestModes:
@@ -152,6 +249,22 @@ class TestModes:
             zfp.decompress(stream, expected_dims=(2, 2))
 
 
+    @pytest.mark.parametrize("code_peak", [2**25 - 2, 2**40])
+    def test_coefficients_past_the_int32_gate_round_trip(self, code_peak):
+        """Codes the compress gate keeps int32 (2**25 - 2 in 3-D) lift
+        to coefficients past the decompress gate, and 2**40 is past
+        both: decompress takes int64 and is exact on the codes."""
+        checker = np.indices((8, 8, 8)).sum(axis=0) % 2
+        data = np.where(checker, code_peak, -code_peak).astype(np.float64)
+        data[0, 0, :4] = [code_peak, 3, -7, 0]
+        coef = _lifting_layout(data.astype(np.int64))
+        _fwd_lift(coef, 3)
+        assert not int32_fits(int(np.abs(coef).max()), 4**3)
+        # tolerance 0.5 makes every code equal its value
+        out = zfp.decompress(zfp.compress(data, zfp.MODE_ACCURACY, 0.5))
+        assert np.array_equal(out, data)
+
+
 class TestPaddingInefficiency:
     """Paper Section V: dims smaller than the block size pad wastefully."""
 
@@ -231,3 +344,49 @@ class TestStreamFieldAPI:
         s = zfp.zfp_stream_open()
         with pytest.raises(ValueError):
             zfp.zfp_compress(s, zfp.zfp_field_1d(None, zfp.zfp_type_float, 4))
+
+
+def _with_shift_table(stream, table):
+    """``stream`` with its zfp shift table replaced by ``table``."""
+    dtype, dims, doubles, ints, pos = read_header(stream, b"ZFP1")
+    payload = bytes(stream[pos + ints[1]:])
+    return write_header(b"ZFP1", dtype, dims, doubles=doubles,
+                        ints=(ints[0], len(table)) + tuple(ints[2:])) \
+        + table + payload
+
+
+class TestShiftTable:
+    @pytest.fixture
+    def stream(self):
+        data = np.random.default_rng(5).standard_normal((8, 8, 8))
+        return zfp.compress(data, zfp.MODE_PRECISION, 12)
+
+    def test_zlib_bomb_fails_typed_with_a_small_peak(self, stream):
+        deflate = zlib.compressobj(9)
+        bomb = b"".join(deflate.compress(bytes(1 << 20))
+                        for _ in range(64)) + deflate.flush()
+        forged = _with_shift_table(stream, bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                zfp.decompress(forged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("size", [7, 9])
+    def test_short_or_long_table_fails_typed(self, stream, size):
+        # 8^3 has 8 blocks, one shift each
+        forged = _with_shift_table(stream, zlib.compress(bytes(size)))
+        with pytest.raises(CorruptStreamError):
+            zfp.decompress(forged)
+
+    def test_bad_table_fails_typed(self, stream):
+        with pytest.raises(CorruptStreamError):
+            zfp.decompress(_with_shift_table(stream, b"not a zlib stream"))
+
+    def test_untouched_table_still_decodes(self, stream):
+        dtype, dims, doubles, ints, pos = read_header(stream, b"ZFP1")
+        table = bytes(stream[pos:pos + ints[1]])
+        assert _with_shift_table(stream, table) == stream
