@@ -163,12 +163,12 @@ def _dequantize_into(coef: np.ndarray, scale: float,
 # slice whose innermost run is all nblocks values, so each of the nine
 # ufuncs of a lifting step streams through long contiguous runs.  (The
 # block-major (nblocks, 4, ..., 4) layout the stream stores makes every
-# lifting slice a stride-4 gather: twice the cost at paper scale.)  The
-# lift gathers straight from the padded codes into that layout and
-# copies to block-major once for the residual coder.  For d = 1 the
-# plain reshape (nblocks, 4) is already block-major, and on the 64 Ki
-# 1-D chunks the chunking meta hands zfp, the two transposes
-# coefficient-major adds cost more than the strided slices save.
+# lifting slice a stride-4 gather.)  The lift gathers straight from the
+# padded codes into that layout and copies to block-major once for the
+# residual coder.  For d = 1 the plain reshape (nblocks, 4) is already
+# block-major; on the 64 Ki 1-D chunks the chunking meta hands zfp,
+# going coefficient-major costs two transposes, more than contiguous
+# slices save.
 #
 # Width.  Codes are int32 whenever quantize_uniform's peak proves every
 # intermediate fits, int32_fits(peak, 4**d), and int64 otherwise (tight
