@@ -171,11 +171,15 @@ def _dequantize_into(coef: np.ndarray, scale: float,
 # slices save.
 #
 # Width.  Codes are int32 whenever quantize_uniform's peak proves every
-# intermediate fits, int32_fits(peak, 4**d), and int64 otherwise (tight
-# bounds, precision and rate modes); decompress gates on the decoded
-# coefficients' peak the same way.  A Haar level at most doubles a
-# magnitude, so d levels grow it by at most 2**d in either direction
-# and the 4**d fan-in leaves a 2**d margin.
+# intermediate fits, int32_fits(peak, 4**d), that is (peak + 1) * 4**d
+# < 2**31, and int64 otherwise (tight bounds, precision and rate
+# modes).  Decompress gates the decoded coefficients' peak the same way.
+# The two directions grow differently.  Per axis, the forward lift maps
+# a bound B to 2B (each smooth value lies between its inputs, each
+# detail is a difference of two).  The inverse maps B to 2B + 1: each
+# output, e.g. b = ss - (dd >> 1) + (d1 - (d1 >> 1)), sums terms of at
+# most B, ceil(B / 2) and ceil(B / 2).  So over d axes neither exceeds
+# 2**d * (peak + 1), and the gate leaves a 2**d margin on both sides.
 #
 # Every lifting intermediate is written into one of five pooled slice-
 # shaped temporaries via ufunc out=, so a whole transform allocates

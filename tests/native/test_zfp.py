@@ -85,7 +85,12 @@ class TestBlocking:
 
 def _random_layout(d, peak, seed, nblocks=40, dtype=np.int64):
     """Lifting-layout coefficients in [-peak, peak]: random blocks plus
-    the extremes and an alternating-sign block that maximize growth."""
+    the extremes and the sign patterns that maximize growth.
+
+    The alternating-sign block drives the forward lift's detail
+    coefficients to 2**d * peak.  Signs (+, -, +, +) along every axis
+    (smooth, level-2 detail, level-1 details) do the same for the
+    inverse."""
     rng = np.random.default_rng(seed)
     coef = rng.integers(-peak, peak + 1,
                         size=_coefficient_shape(d, nblocks), dtype=np.int64)
@@ -95,6 +100,11 @@ def _random_layout(d, peak, seed, nblocks=40, dtype=np.int64):
     checker = np.indices((4,) * d).sum(axis=0) % 2
     layout[2] = np.where(checker, peak, -peak)
     layout[3] = -layout[2]
+    sign = np.array([1, -1, 1, 1])
+    worst = sign
+    for _ in range(d - 1):
+        worst = np.multiply.outer(worst, sign)
+    layout[4] = peak * worst
     return coef.astype(dtype)
 
 
@@ -115,19 +125,30 @@ class TestTransform:
                 (4,) * ndim) * 100
             coef = _lifting_layout(ramp)
             _fwd_lift(coef, ndim)
-            # a linear block's energy collapses into the smooth
-            # coefficient and three details per axis
-            flat = np.abs(coef.reshape(-1))
-            assert np.count_nonzero(flat) == 1 + 3 * ndim
-            assert flat.sum() < np.abs(ramp).sum()
+            # a linear block with step s along an axis collapses into
+            # the smooth coefficient (1.5 s per axis) and the details
+            # 2s, s, s
+            steps = [100 * 4**(ndim - 1 - k) for k in range(ndim)]
+            expected = np.zeros((4,) * ndim, np.int64)
+            expected[(0,) * ndim] = sum(3 * s // 2 for s in steps)
+            for k, s in enumerate(steps):
+                for slot, value in ((1, 2 * s), (2, s), (3, s)):
+                    at = (0,) * k + (slot,) + (0,) * (ndim - 1 - k)
+                    expected[at] = value
+            assert np.array_equal(coef.reshape((4,) * ndim), expected)
+            if ndim >= 3:
+                assert np.abs(expected).sum() < np.abs(ramp).sum() / 10
 
     @pytest.mark.parametrize("ndim", [1, 2, 3, 4])
     @pytest.mark.parametrize("side", ["under", "over"])
     def test_int32_and_int64_lifts_agree_at_the_gate(self, ndim, side):
-        """The gate int32_fits(peak, 4**d) has a 2**d margin: a Haar
-        level at most doubles a magnitude, so d levels grow by 2**d in
-        either direction.  Just past the edge the int32 lift is still
-        exact; the gate sends it to int64 all the same."""
+        """The gate int32_fits(peak, 4**d) admits (peak + 1) * 4**d <
+        2**31.  Per axis the forward lift maps a bound B to 2B and the
+        inverse maps B to 2B + 1, so over d axes every intermediate
+        stays within 2**d * (peak + 1): a 2**d margin on both sides.
+        The worst-case blocks reach 2**d * peak.  Just past the edge
+        the int32 lift is still exact; the gate sends it to int64 all
+        the same."""
         edge = 2**31 // 4**ndim - 2   # the largest peak the gate admits
         peak = edge if side == "under" else edge + 1
         assert int32_fits(peak, 4**ndim) == (side == "under")
@@ -137,6 +158,8 @@ class TestTransform:
             lift(wide, ndim)
             lift(narrow, ndim)
             assert np.array_equal(narrow, wide)
+            grown = int(np.abs(wide).max())
+            assert 2**ndim * peak <= grown <= 2**ndim * (peak + 1)
 
 
 class TestBitBudget:
