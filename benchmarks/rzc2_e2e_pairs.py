@@ -28,6 +28,12 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # and where its time went: one traced paper_grid run per tree
     python3 benchmarks/rzc2_e2e_pairs.py --baseline fa7c14c --traced \\
         --output benchmarks/BENCH_zfp_lift_traced.json
+    # the single-pass decode path (slab-wise Lorenzo prefix sums, one
+    # dequantize pass) against the revision before it, and its trace
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 20483cf \\
+        --output benchmarks/BENCH_decode_e2e.json
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 20483cf --traced \\
+        --output benchmarks/BENCH_decode_traced.json
 """
 
 from __future__ import annotations

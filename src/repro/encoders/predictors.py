@@ -7,17 +7,25 @@ prediction is exact arithmetic, so encoding and decoding are both fully
 vectorized:
 
 * encode: ``numpy.diff``-style differencing along each axis in turn;
-* decode: cumulative sums along the same axes in reverse order.
+* decode: a prefix sum along each axis, last axis first.  The last
+  axis (and any axis whose slabs are small or made of short rows)
+  runs ``numpy.cumsum``; a leading axis with large slabs runs as one
+  in-place add per slab, ``a[i] += a[i-1]``, because numpy's
+  accumulate over a leading axis of a C-contiguous array walks its
+  inner loop with a stride of a whole slab (axis 0 of a 128³ field:
+  32 ms as ``cumsum``, 1.3 ms as slab adds).  Both orders do the same
+  wrap-around uint64 adds, so the result is bit-identical.
 
 This "quantize first, predict on integers" factorization is the
 dual-quantization scheme introduced by cuSZ (Tian et al., PACT 2020,
 cited by the paper) and keeps the hot loop at C speed rather than the
 value-by-value reconstruction loop classic SZ uses.
 
-Both directions ping-pong between at most one scratch buffer and the
-working array instead of allocating a fresh array per axis; the native
-cores pass pooled scratch (:mod:`repro.native.pool`) so the whole
-predict stage runs allocation-free.
+Encode ping-pongs between at most one scratch buffer and the working
+array instead of allocating a fresh array per axis; the native cores
+pass pooled scratch (:mod:`repro.native.pool`) so the whole predict
+stage runs allocation-free.  Decode sums in place on one working
+array, which is the input itself when the caller lets it be clobbered.
 """
 
 from __future__ import annotations
@@ -25,6 +33,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["lorenzo_encode", "lorenzo_decode", "lorenzo_predict_floats"]
+
+#: an axis runs as slab adds only when each slab holds at least this
+#: many elements, enough to amortize one ufunc call per slab ...
+_SLAB_MIN = 4096
+#: ... in contiguous rows at least this long; below either gate
+#: ``cumsum`` wins (docs/PERFORMANCE.md §1 has the measurements)
+_ROW_MIN = 64
 
 
 def _diff_axis_into(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
@@ -86,18 +101,34 @@ def lorenzo_encode(quantized: np.ndarray,
     return cur.view(signed)
 
 
+def _prefix_sum_axis(arr: np.ndarray, axis: int) -> None:
+    """In-place wrap-around prefix sum of C-contiguous uint64 ``arr``."""
+    n = arr.shape[axis]
+    row = int(np.prod(arr.shape[axis + 1:], dtype=np.int64))
+    if row < _ROW_MIN or arr.size // n < _SLAB_MIN:
+        np.cumsum(arr, axis=axis, dtype=np.uint64, out=arr)
+        return
+    slabs = arr.reshape(-1, n, row)
+    for i in range(1, n):
+        np.add(slabs[:, i], slabs[:, i - 1], out=slabs[:, i])
+
+
 def lorenzo_decode(residuals: np.ndarray,
                    clobber: bool = False) -> np.ndarray:
-    """Invert :func:`lorenzo_encode` with per-axis cumulative sums.
+    """Invert :func:`lorenzo_encode` with a prefix sum along each axis.
 
-    Cumulative sums run in place on one working copy (or directly on
-    the input with ``clobber=True``), so decode allocates at most once.
+    The sums run in place on one working copy (or directly on a
+    C-contiguous int64 input with ``clobber=True``), so decode
+    allocates at most once.
     """
-    arr = np.ascontiguousarray(residuals, dtype=np.int64).view(np.uint64)
-    if not clobber:
-        arr = arr.copy()
-    for axis in range(arr.ndim - 1, -1, -1):
-        np.cumsum(arr, axis=axis, dtype=np.uint64, out=arr)
+    if clobber:
+        arr = np.ascontiguousarray(residuals, dtype=np.int64)
+    else:
+        arr = np.array(residuals, dtype=np.int64, order="C", ndmin=1)
+    arr = arr.view(np.uint64)
+    if arr.size:
+        for axis in range(arr.ndim - 1, -1, -1):
+            _prefix_sum_axis(arr, axis)
     return arr.view(np.int64)
 
 

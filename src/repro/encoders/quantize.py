@@ -108,8 +108,9 @@ def dequantize_uniform(codes: np.ndarray, error_bound: float,
                        out: np.ndarray | None = None) -> np.ndarray:
     """Reconstruct bin centers from integer codes.
 
-    ``out`` (of ``dtype``, matching shape) receives the reconstruction
-    without allocating.
+    The product is computed in float64 and then cast to ``dtype``
+    (no copy when ``dtype`` is float64).  ``out`` (of ``dtype``,
+    matching shape) receives the reconstruction without allocating.
     """
     if error_bound <= 0:
         raise ValueError(f"error_bound must be positive, got {error_bound}")
@@ -121,8 +122,8 @@ def dequantize_uniform(codes: np.ndarray, error_bound: float,
             np.multiply(np.asarray(codes), 2.0 * error_bound,
                         out=out, casting="unsafe")
             return out
-        scaled = np.asarray(codes, dtype=np.float64) * (2.0 * error_bound)
-        return scaled.astype(dtype)
+        scaled = np.multiply(codes, 2.0 * error_bound, dtype=np.float64)
+        return scaled.astype(dtype, copy=False)
 
 
 def safe_quantizer_step(values: np.ndarray, requested_eb: float) -> float:

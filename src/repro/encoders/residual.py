@@ -59,10 +59,12 @@ import zlib
 
 import numpy as np
 
+from ..core.status import CorruptStreamError
 from ..native import pool as _pool
 from .zigzag import zigzag_decode, zigzag_encode
 
-__all__ = ["encode_residuals", "decode_residuals", "LOSSLESS_BACKENDS"]
+__all__ = ["encode_residuals", "decode_residuals", "LOSSLESS_BACKENDS",
+           "CorruptResidualError"]
 
 _MAGIC = b"RZC1"
 _MAGIC2 = b"RZC2"
@@ -215,15 +217,40 @@ def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
     return _encode_rzc2(r, lo, hi, backend, level)
 
 
-def decode_residuals(stream: bytes | memoryview) -> np.ndarray:
-    """Decode a stream produced by :func:`encode_residuals` to int64."""
+class CorruptResidualError(CorruptStreamError, ValueError):
+    """A residual stream failed validation.
+
+    A :class:`~repro.core.status.CorruptStreamError`, so the natives
+    surface it typed as they are, and a ``ValueError`` like every other
+    rejection in the encoders.
+    """
+
+
+def decode_residuals(stream: bytes | memoryview,
+                     count: int | None = None) -> np.ndarray:
+    """Decode a stream produced by :func:`encode_residuals` to int64.
+
+    ``count`` is the number of residuals the caller expects.  A stream
+    whose header declares another count is rejected before any buffer
+    is acquired or any payload inflated.  Every rejection raises
+    :class:`CorruptResidualError`.
+    """
     view = memoryview(stream)
     magic = bytes(view[:4])
-    if magic == _MAGIC2:
-        return _decode_rzc2(view)
-    if magic == _MAGIC:
-        return _decode_rzc1(view)
-    raise ValueError("not a residual stream (bad magic)")
+    if magic not in (_MAGIC, _MAGIC2):
+        raise CorruptResidualError("not a residual stream (bad magic)")
+    if len(view) < 12:
+        raise CorruptResidualError("corrupt residual stream: truncated header")
+    n = int(np.frombuffer(view[4:12], dtype=np.uint64)[0])
+    if count is not None and n != count:
+        raise CorruptResidualError(f"corrupt residual stream: declares {n} "
+                                   f"residuals, expected {count}")
+    try:
+        if magic == _MAGIC2:
+            return _decode_rzc2(view, n)
+        return _decode_rzc1(view, n)
+    except (ValueError, zlib.error) as e:
+        raise CorruptResidualError(str(e)) from None
 
 
 # ----------------------------------------------------------------------
@@ -464,8 +491,7 @@ def _bitunpack_chunks(buf: memoryview, n: int, out: np.ndarray) -> None:
     out[:] = chunks.reshape(-1)[:n]
 
 
-def _decode_rzc2(view: memoryview) -> np.ndarray:
-    n = int(np.frombuffer(view[4:12], dtype=np.uint64)[0])
+def _decode_rzc2(view: memoryview, n: int) -> np.ndarray:
     nplanes = view[12]
     backend_id = view[13]
     if backend_id not in _BACKEND_NAMES:
@@ -567,8 +593,7 @@ def _encode_rzc1(residuals: np.ndarray, backend: str, level: int) -> bytes:
     return header + compressed
 
 
-def _decode_rzc1(view: memoryview) -> np.ndarray:
-    n = int(np.frombuffer(view[4:12], dtype=np.uint64)[0])
+def _decode_rzc1(view: memoryview, n: int) -> np.ndarray:
     n_big = int(np.frombuffer(view[12:20], dtype=np.uint64)[0])
     backend_id = view[20]
     backend = _BACKEND_NAMES.get(backend_id)

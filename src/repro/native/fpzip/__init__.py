@@ -19,6 +19,7 @@ API flavour: fpzip's header+context style —
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -70,8 +71,10 @@ def decompress(stream: bytes | memoryview,
         raise CorruptStreamError(
             f"stream dims {dims} do not match expected {tuple(expected_dims)}"
         )
-    residuals = decode_residuals(bytes(memoryview(stream)[pos:]))
-    codes = lorenzo_decode(residuals.reshape(dims))
+    residuals = decode_residuals(memoryview(stream)[pos:],
+                                 count=math.prod(dims))
+    # the residuals came straight off the decoder, so they are ours
+    codes = lorenzo_decode(residuals.reshape(dims), clobber=True)
     np_dtype = dtype_to_numpy(dtype)
     return _ordered_int_to_float(codes.reshape(-1), np_dtype).reshape(dims)
 

@@ -22,6 +22,8 @@ least 3 samples — the decomposition needs interior points — otherwise
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ...core.dtype import dtype_from_numpy, dtype_to_numpy
@@ -304,9 +306,8 @@ def decompress(stream: bytes | memoryview,
     if not (tol > 0) or not np.isfinite(tol):
         raise CorruptStreamError(f"stream declares invalid tolerance {tol}")
     bounds = _level_bounds(tol, levels, s, len(dims))
-    with _trace.stage("mgard:entropy"):
-        allcodes = decode_residuals(bytes(memoryview(stream)[pos:]))
-    # replay the decomposition shape computation to slice the code buffer
+    # replay the decomposition shape computation to size and slice the
+    # code buffer
     details_shapes: list[list[tuple[int, ...]]] = []
     cur = list(dims)
     ndim = len(dims)
@@ -322,6 +323,11 @@ def decompress(stream: bytes | memoryview,
         details_shapes.append(level_shapes)
         cur = shape
     coarse_shape = tuple(cur)
+    total = math.prod(coarse_shape) + sum(
+        math.prod(dshape) for level_shapes in details_shapes
+        for dshape in level_shapes)
+    with _trace.stage("mgard:entropy"):
+        allcodes = decode_residuals(memoryview(stream)[pos:], count=total)
 
     offset = 0
     details: list[list[np.ndarray]] = []
@@ -331,26 +337,20 @@ def decompress(stream: bytes | memoryview,
         for lvl in range(levels):
             shapes.append(tuple(run))
             level_details: list[np.ndarray] = []
-            for axis in range(ndim):
-                dshape = details_shapes[lvl][axis]
-                n = int(np.prod(dshape, dtype=np.int64))
+            for dshape in details_shapes[lvl]:
+                n = math.prod(dshape)
                 codes = allcodes[offset:offset + n].reshape(dshape)
                 offset += n
                 level_details.append(dequantize_uniform(codes, bounds[lvl]))
             details.append(level_details)
             run = [(x + 1) // 2 for x in run]
-    n_coarse = int(np.prod(coarse_shape, dtype=np.int64))
-    if offset + n_coarse != allcodes.size:
-        raise CorruptStreamError(
-            f"payload holds {allcodes.size} codes, expected {offset + n_coarse}"
-        )
+    # the codes came straight off the decoder, so they are ours
     coarse_codes = lorenzo_decode(
-        allcodes[offset:offset + n_coarse].reshape(coarse_shape)
-    )
+        allcodes[offset:].reshape(coarse_shape), clobber=True)
     coarse = dequantize_uniform(coarse_codes, bounds[-1])
     with _trace.stage("mgard:reconstruct"):
         out = _reconstruct(coarse, details, shapes)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":
-        return np.rint(out).astype(np_dtype)
-    return out.astype(np_dtype)
+        return np.rint(out, out=out).astype(np_dtype)
+    return out.astype(np_dtype, copy=False)

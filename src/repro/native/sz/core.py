@@ -22,6 +22,8 @@ packed side channel, the same mathematical reduction SZ uses.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ...core.dtype import DType, dtype_from_numpy, dtype_to_numpy
@@ -31,7 +33,8 @@ from ...encoders.headers import read_header, write_header
 from ...encoders.huffman import huffman_decode, huffman_encode
 from ...encoders.predictors import lorenzo_decode, lorenzo_encode
 from ...encoders.quantize import dequantize_uniform, quantize_uniform
-from ...encoders.residual import decode_residuals, encode_residuals
+from ...encoders.residual import (_inflate_at_most, decode_residuals,
+                                  encode_residuals)
 from .. import pool as _pool
 from .regression import compress_regression, decompress_regression
 from .params import (
@@ -112,23 +115,22 @@ def _encode_codes(codes: np.ndarray, params: sz_params) -> tuple[int, bytes]:
     return _entropy_encode(residuals, params)
 
 
-def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
-                  prediction: str) -> np.ndarray:
+def _decode_codes(entropy_kind: int, payload: memoryview,
+                  dims: tuple[int, ...], prediction: str) -> np.ndarray:
+    expected = math.prod(dims)
     with _trace.stage("sz:entropy"):
         if entropy_kind == _ENTROPY_HUFFMAN:
             from ...encoders.zigzag import zigzag_decode
 
             residuals = zigzag_decode(huffman_decode(payload))
+            if residuals.size != expected:
+                raise CorruptStreamError(
+                    f"decoded {residuals.size} values, dims imply {expected}")
         elif entropy_kind == _ENTROPY_FAST:
-            residuals = decode_residuals(payload)
+            residuals = decode_residuals(payload, count=expected)
         else:
             raise CorruptStreamError(
                 f"unknown entropy coder id {entropy_kind}")
-    expected = int(np.prod(dims, dtype=np.int64))
-    if residuals.size != expected:
-        raise CorruptStreamError(
-            f"decoded {residuals.size} values, dims imply {expected}"
-        )
     residuals = residuals.reshape(dims)
     if prediction == "lorenzo":
         with _trace.stage("sz:predict"):
@@ -277,7 +279,7 @@ def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None
                ) -> np.ndarray:
     """Decompress an SZ stream back to an ndarray."""
     dtype, dims, doubles, ints, offset_pos = read_header(stream, _MAGIC)
-    payload = bytes(memoryview(stream)[offset_pos:])
+    payload = memoryview(stream)[offset_pos:]
     mode = ints[0]
     if expected_dims is not None and tuple(expected_dims) != dims:
         raise CorruptStreamError(
@@ -288,21 +290,22 @@ def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None
     eb, offset = doubles
     entropy_kind = ints[1]
     prediction = _PRED_NAMES.get(ints[2], "lorenzo")
+    np_dtype = dtype_to_numpy(dtype)
     if prediction in ("regression", "adaptive"):
         with _trace.stage("sz:regression"):
             out = decompress_regression(payload, dims, eb) + offset
-        np_dtype = dtype_to_numpy(dtype)
-        if np_dtype.kind in "iu":
-            return np.rint(out).astype(np_dtype)
-        return out.astype(np_dtype)
-    codes = _decode_codes(entropy_kind, payload, dims, prediction)
-    with _trace.stage("sz:dequantize"):
-        out = dequantize_uniform(
-            codes, eb, dtype=np.dtype(np.float64)) + offset
-    np_dtype = dtype_to_numpy(dtype)
+    else:
+        codes = _decode_codes(entropy_kind, payload, dims, prediction)
+        with _trace.stage("sz:dequantize"):
+            out = dequantize_uniform(codes, eb,
+                                     out=np.empty(dims, dtype=np.float64))
+            if offset:
+                # adding a zero offset changes no bit: a code times a
+                # positive step is never -0.0
+                out += offset
     if np_dtype.kind in "iu":
-        return np.rint(out).astype(np_dtype)
-    return out.astype(np_dtype)
+        return np.rint(out, out=out).astype(np_dtype)
+    return out.astype(np_dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
@@ -343,17 +346,26 @@ def _compress_pw_rel(arr: np.ndarray, dtype: DType, params: sz_params) -> bytes:
 
 def _decompress_pw_rel(dtype: DType, dims: tuple[int, ...],
                        doubles: tuple[float, ...], ints: tuple[int, ...],
-                       payload: bytes) -> np.ndarray:
-    import zlib
-
+                       payload: memoryview) -> np.ndarray:
     log_bound = doubles[0]
     entropy_kind = ints[1]
     prediction = "lorenzo" if ints[2] else "none"
+    n = math.prod(dims)
+    nbytes_bits = (n + 7) // 8
+    if len(payload) < 8:
+        raise CorruptStreamError("sz pw_rel payload is truncated")
     n_payload = int(np.frombuffer(payload[:8], dtype=np.uint64)[0])
     body = payload[8:8 + n_payload]
-    side = zlib.decompress(payload[8 + n_payload:])
-    n = int(np.prod(dims, dtype=np.int64))
-    nbytes_bits = (n + 7) // 8
+    # the sign and zero bit planes inflate to a size the dims fix
+    try:
+        side = _inflate_at_most("zlib", payload[8 + n_payload:],
+                                2 * nbytes_bits)
+    except ValueError as e:
+        raise CorruptStreamError(f"sz pw_rel side channel: {e}") from None
+    if len(side) != 2 * nbytes_bits:
+        raise CorruptStreamError(
+            f"sz pw_rel side channel holds {len(side)} bytes, dims imply "
+            f"{2 * nbytes_bits}")
     sign_bits = np.unpackbits(
         np.frombuffer(side[:nbytes_bits], dtype=np.uint8), count=n
     ).astype(bool)
@@ -365,4 +377,4 @@ def _decompress_pw_rel(dtype: DType, dims: tuple[int, ...],
     out = np.exp(logs)
     out[sign_bits] = -out[sign_bits]
     out[zero_bits] = 0.0
-    return out.reshape(dims).astype(dtype_to_numpy(dtype))
+    return out.reshape(dims).astype(dtype_to_numpy(dtype), copy=False)

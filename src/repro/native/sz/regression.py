@@ -28,8 +28,11 @@ regression streams carry the same caveat for FMA differences).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from ...core.status import CorruptStreamError
 from ...encoders.quantize import quantize_uniform
 from ...encoders.residual import decode_residuals, encode_residuals
 
@@ -165,29 +168,27 @@ def compress_regression(work: np.ndarray, eb: float, adaptive: bool,
     return head + selector + payload
 
 
-def decompress_regression(payload: bytes, dims: tuple[int, ...],
+def decompress_regression(payload: bytes | memoryview, dims: tuple[int, ...],
                           eb: float) -> np.ndarray:
     """Inverse of :func:`compress_regression`."""
     import struct
 
     nblocks, n_reg = struct.unpack_from("<QQ", payload, 0)
+    if nblocks != math.prod(-(-s // BLOCK_SIDE) for s in dims) \
+            or n_reg > nblocks:
+        raise CorruptStreamError(
+            f"regression payload declares {nblocks} blocks ({n_reg} "
+            f"regression), dims {dims} imply another count")
     sel_len = (nblocks + 7) // 8
     use_reg = np.unpackbits(
         np.frombuffer(payload, dtype=np.uint8, offset=16, count=sel_len),
         count=nblocks).astype(bool)
-    codes = decode_residuals(payload[16 + sel_len:])
-
     ndim = len(dims)
     block_elems = BLOCK_SIDE**ndim
     ncoef = ndim + 1
-    n_lor = int(nblocks - n_reg)
-    expected = n_reg * block_elems + n_lor * block_elems + n_reg * ncoef
-    if codes.size != expected:
-        from ...core.status import CorruptStreamError
-
-        raise CorruptStreamError(
-            f"regression payload holds {codes.size} codes, expected "
-            f"{expected}")
+    n_lor = nblocks - n_reg
+    expected = nblocks * block_elems + n_reg * ncoef
+    codes = decode_residuals(payload[16 + sel_len:], count=expected)
 
     pos = 0
     reg_resid = codes[pos:pos + n_reg * block_elems].reshape(

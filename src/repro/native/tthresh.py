@@ -25,6 +25,8 @@ a compressor whose bound type differs from the abs/rel family.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..core.dtype import dtype_from_numpy, dtype_to_numpy
@@ -138,9 +140,10 @@ def decompress(stream: bytes | memoryview,
     if len(blob_lens) != ndim + 1 or len(steps) != ndim + 1:
         raise CorruptStreamError("tthresh header is inconsistent")
     view = memoryview(stream)
+    counts = [math.prod(ranks)] + [dims[m] * ranks[m] for m in range(ndim)]
     pieces = []
-    for i, (length, eb) in enumerate(zip(blob_lens, steps)):
-        codes = decode_residuals(bytes(view[pos:pos + length]))
+    for length, eb, count in zip(blob_lens, steps, counts):
+        codes = decode_residuals(view[pos:pos + length], count=count)
         pieces.append(dequantize_uniform(codes, eb))
         pos += length
     core_shape = tuple(ranks)
@@ -150,5 +153,5 @@ def decompress(stream: bytes | memoryview,
     out = _reconstruct(core, factors)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":
-        return np.rint(out).astype(np_dtype)
-    return out.astype(np_dtype)
+        return np.rint(out, out=out).astype(np_dtype)
+    return out.astype(np_dtype, copy=False)

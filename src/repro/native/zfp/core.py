@@ -21,6 +21,7 @@ stream stores the coefficients block-major, ``(nblocks, 4, ..., 4)``.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -483,13 +484,13 @@ def decompress(stream: bytes | memoryview,
     mode = ints[0]
     np_dtype = dtype_to_numpy(dtype)
     if mode == MODE_REVERSIBLE:
-        return _decompress_reversible(bytes(view[pos:]), dims, np_dtype)
+        return _decompress_reversible(view[pos:], dims, np_dtype)
 
     step = doubles[0]
     shift_len = ints[1]
     transform = bool(ints[2]) if len(ints) > 2 else True
     d = len(dims)
-    nblocks = int(np.prod(_grid(dims), dtype=np.int64))
+    nblocks = math.prod(_grid(dims))
     with _trace.stage("zfp:entropy"):
         try:
             table = _inflate_at_most("zlib", view[pos:pos + shift_len],
@@ -499,12 +500,8 @@ def decompress(stream: bytes | memoryview,
         if len(table) != nblocks:
             raise CorruptStreamError("shift table does not match block count")
         shifts = np.frombuffer(table, dtype=np.uint8).astype(np.int64)
-        kept = decode_residuals(bytes(view[pos + shift_len:]))
-    expected = nblocks * BLOCK_SIDE**d
-    if kept.size != expected:
-        raise CorruptStreamError(
-            f"coefficient payload holds {kept.size}, expected {expected}"
-        )
+        kept = decode_residuals(view[pos + shift_len:],
+                                count=nblocks * BLOCK_SIDE**d)
     with _trace.stage("zfp:transform"):
         # the coefficient buffer came off the entropy decoder, so the
         # shift can run on it in place
@@ -565,10 +562,10 @@ def _ordered_int_to_float(codes: np.ndarray, np_dtype: np.dtype) -> np.ndarray:
     return back.view(np.float64).astype(np_dtype)
 
 
-def _decompress_reversible(payload: bytes, dims: tuple[int, ...],
+def _decompress_reversible(payload: memoryview, dims: tuple[int, ...],
                            np_dtype: np.dtype) -> np.ndarray:
-    residuals = decode_residuals(payload).reshape(dims)
+    residuals = decode_residuals(payload, count=math.prod(dims)).reshape(dims)
     codes = lorenzo_decode(residuals, clobber=True)
     if np_dtype.kind == "f":
         return _ordered_int_to_float(codes.reshape(-1), np_dtype).reshape(dims)
-    return codes.astype(np_dtype)
+    return codes.astype(np_dtype, copy=False)

@@ -9,7 +9,8 @@ one emitted byte fails here.  A second group pins multi-plane streams
 and round-trips every plane count 0..8, which exercises every decode
 code width.  The last groups check that small arrays keep the smaller
 of RZC1 and RZC2, pin the low-effort deflate skip gate, and check that
-the decoder rejects malformed planes and RZC1 payloads, bombs included.
+the decoder rejects malformed planes and RZC1 payloads, bombs included,
+and a stream declaring another residual count than its caller expects.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core import CorruptStreamError
 from repro.encoders import residual
 from repro.encoders.residual import decode_residuals, encode_residuals
 
@@ -346,3 +348,40 @@ def test_truncated_plane_header_is_rejected(cut):
     stream = bytes(_bitpack_stream())
     with pytest.raises(ValueError, match="truncated plane"):
         decode_residuals(stream[:cut + 1])
+
+
+@pytest.mark.parametrize("fmt", ["RZC1", "RZC2"])
+def test_declared_count_must_match_the_expected_count(fmt):
+    """A header declaring 2**34 residuals fails against the caller's
+    count before a buffer the size of that declaration exists."""
+    n = 4096 if fmt == "RZC2" else 512
+    residuals = np.random.default_rng(7).integers(-40, 40, n)
+    stream = bytearray(encode_residuals(residuals))
+    assert bytes(stream[:4]) == fmt.encode()
+    assert np.array_equal(decode_residuals(stream, count=n), residuals)
+    with pytest.raises(ValueError, match=f"expected {n + 1}"):
+        decode_residuals(stream, count=n + 1)
+    stream[4:12] = (2 ** 34).to_bytes(8, "little")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError,
+                           match="corrupt residual stream"):
+            decode_residuals(stream, count=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("stream", [
+    b"XXXX" + bytes(20),                                    # bad magic
+    b"RZC2" + bytes(3),                                     # truncated
+    _single_plane(residual._P_ZLIB, b"not a zlib stream", 64),
+    _single_plane(residual._P_RAW, bytes(63), 64),
+], ids=["magic", "truncated", "zlib-garbage", "raw-short"])
+def test_every_rejection_is_a_typed_corrupt_stream_error(stream):
+    """Natives surface decode failures as ``CorruptStreamError`` without
+    wrapping; a garbage ZLIB plane once escaped as ``zlib.error``."""
+    with pytest.raises(CorruptStreamError) as info:
+        decode_residuals(stream)
+    assert isinstance(info.value, ValueError)

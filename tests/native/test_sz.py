@@ -1,9 +1,13 @@
 """Tests for the SZ native: pipeline correctness and API ergonomics."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core import CorruptStreamError
+from repro.encoders.headers import read_header
 from repro.native import sz
 from repro.native.sz import (
     ABS,
@@ -82,6 +86,61 @@ class TestErrorBoundModes:
         out = sz.decompress(sz.compress(smooth3d.copy(), params))
         l2 = float(np.linalg.norm((out - smooth3d).ravel()))
         assert l2 <= 1e-2 * (1 + 1e-6)
+
+
+def _with_side_channel(stream: bytes, side: bytes) -> bytes:
+    """A PW_REL ``stream`` with its sign/zero side channel replaced."""
+    *_, pos = read_header(stream, b"SZ02")
+    n_payload = int.from_bytes(stream[pos:pos + 8], "little")
+    return stream[:pos + 8 + n_payload] + side
+
+
+class TestPwRelSideChannel:
+    """The side channel inflates to exactly ``2 * ceil(n / 8)`` bytes."""
+
+    @pytest.fixture
+    def stream(self):
+        data = np.random.default_rng(3).standard_normal((8, 8, 8))
+        data[0, 0, :4] = 0.0
+        return sz.compress(data, sz_params(errorBoundMode=PW_REL,
+                                           pw_relBoundRatio=1e-3))
+
+    def test_zlib_bomb_fails_typed_with_a_small_peak(self, stream):
+        deflate = zlib.compressobj(9)
+        bomb = b"".join(deflate.compress(bytes(1 << 20))
+                        for _ in range(64)) + deflate.flush()
+        forged = _with_side_channel(stream, bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                sz.decompress(forged)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("size", [127, 129])
+    def test_short_or_long_side_channel_fails_typed(self, stream, size):
+        # 8^3 values: 64 sign bytes and 64 zero bytes
+        forged = _with_side_channel(stream, zlib.compress(bytes(size)))
+        with pytest.raises(CorruptStreamError):
+            sz.decompress(forged)
+
+    @pytest.mark.parametrize("side", [b"not a zlib stream", b""])
+    def test_bad_side_channel_fails_typed(self, stream, side):
+        with pytest.raises(CorruptStreamError):
+            sz.decompress(_with_side_channel(stream, side))
+
+    def test_truncated_payload_fails_typed(self, stream):
+        *_, pos = read_header(stream, b"SZ02")
+        with pytest.raises(CorruptStreamError):
+            sz.decompress(stream[:pos + 5])
+
+    def test_untouched_side_channel_still_decodes(self, stream):
+        *_, pos = read_header(stream, b"SZ02")
+        n_payload = int.from_bytes(stream[pos:pos + 8], "little")
+        side = stream[pos + 8 + n_payload:]
+        assert _with_side_channel(stream, side) == stream
 
 
 class TestPipelineVariants:
