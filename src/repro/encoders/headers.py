@@ -40,12 +40,15 @@ def write_header(magic: bytes, dtype: DType, dims: tuple[int, ...],
     return head + body
 
 
-def read_header(stream: bytes | memoryview, magic: bytes
+def read_header(stream: bytes | memoryview, magic: bytes,
+                expected_dims: tuple[int, ...] | None = None
                 ) -> tuple[DType, tuple[int, ...], tuple[float, ...], tuple[int, ...], int]:
     """Parse a header written by :func:`write_header`.
 
     Returns (dtype, dims, doubles, ints, payload_offset); raises
-    :class:`CorruptStreamError` on mismatch.
+    :class:`CorruptStreamError` on mismatch, including dims that differ
+    from ``expected_dims`` (the output template's) when it is given —
+    before the caller sizes any buffer from them.
     """
     view = memoryview(stream)
     if len(view) < 9:
@@ -73,8 +76,13 @@ def read_header(stream: bytes | memoryview, magic: bytes
     pos += 8 * ndoubles
     ints = struct.unpack_from(f"<{nints}q", view, pos) if nints else ()
     pos += 8 * nints
+    dims = tuple(int(d) for d in dims)
     if any(not np.isfinite(d) for d in doubles):
         # NaN parameters are legal in principle but always indicate stream
         # corruption for the compressors in this repo
         raise CorruptStreamError("non-finite parameter in header")
-    return dtype, tuple(int(d) for d in dims), doubles, tuple(int(i) for i in ints), pos
+    if expected_dims is not None and tuple(expected_dims) != dims:
+        raise CorruptStreamError(
+            f"stream dims {dims} do not match expected {tuple(expected_dims)}"
+        )
+    return dtype, dims, doubles, tuple(int(i) for i in ints), pos

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from ...core.status import CorruptStreamError, InvalidTypeError
+from ...core.status import InvalidTypeError
 from ...encoders.headers import read_header, write_header
 from ...encoders.predictors import lorenzo_decode, lorenzo_encode
 from ...encoders.residual import decode_residuals, encode_residuals
@@ -66,11 +66,7 @@ def compress(data: np.ndarray, backend: str = "zlib", level: int = 1) -> bytes:
 def decompress(stream: bytes | memoryview,
                expected_dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Bit-exact inverse of :func:`compress`."""
-    dtype, dims, _doubles, _ints, pos = read_header(stream, _MAGIC)
-    if expected_dims is not None and tuple(expected_dims) != dims:
-        raise CorruptStreamError(
-            f"stream dims {dims} do not match expected {tuple(expected_dims)}"
-        )
+    dtype, dims, _doubles, _ints, pos = read_header(stream, _MAGIC, expected_dims)
     residuals = decode_residuals(memoryview(stream)[pos:],
                                  count=math.prod(dims))
     # the residuals came straight off the decoder, so they are ours

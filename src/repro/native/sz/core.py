@@ -278,13 +278,10 @@ def compress(data: np.ndarray, params: sz_params) -> bytes:
 def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None = None
                ) -> np.ndarray:
     """Decompress an SZ stream back to an ndarray."""
-    dtype, dims, doubles, ints, offset_pos = read_header(stream, _MAGIC)
+    dtype, dims, doubles, ints, offset_pos = read_header(stream, _MAGIC,
+                                                          expected_dims)
     payload = memoryview(stream)[offset_pos:]
     mode = ints[0]
-    if expected_dims is not None and tuple(expected_dims) != dims:
-        raise CorruptStreamError(
-            f"stream dims {dims} do not match expected {tuple(expected_dims)}"
-        )
     if mode == _MODE_LOG:
         return _decompress_pw_rel(dtype, dims, doubles, ints, payload)
     eb, offset = doubles

@@ -142,6 +142,13 @@ class TestHeaders:
         with pytest.raises(CorruptStreamError):
             read_header(header, b"TST1")
 
+    def test_expected_dims_are_checked(self):
+        header = write_header(b"TST1", DType.FLOAT, (2, 3))
+        assert read_header(header, b"TST1", expected_dims=(2, 3))[1] == (2, 3)
+        assert read_header(header, b"TST1", expected_dims=[2, 3])[1] == (2, 3)
+        with pytest.raises(CorruptStreamError, match="do not match"):
+            read_header(header, b"TST1", expected_dims=(3, 2))
+
     def test_bad_magic_length_raises(self):
         with pytest.raises(ValueError):
             write_header(b"TOOLONG", DType.FLOAT, ())
