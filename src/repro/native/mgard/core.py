@@ -4,9 +4,11 @@ MGARD compresses by representing data on a hierarchy of grids: each
 level keeps the even-indexed samples as the coarse approximation and
 stores, for every odd-indexed sample, the *detail* left over after
 predicting it by linear interpolation of its coarse neighbors — a
-multigrid decomposition.  Details and the coarsest grid are then
-quantized (into int32 when the data's extremes prove every code fits,
-else int64) and entropy coded.
+multigrid decomposition.  The transform runs in place on one float64
+buffer: every grid is a strided view of it, and each split overwrites
+its odd samples with their details.  Details and the coarsest grid
+are then quantized (into int32 when the data's extremes prove every
+code fits, else int64) and entropy coded.
 
 Error control: reconstruction applies ``odd = detail + interp(even)``
 level by level.  Linear interpolation does not amplify error, so the
@@ -62,99 +64,70 @@ def max_levels(dims: tuple[int, ...]) -> int:
 
 
 # ----------------------------------------------------------------------
-# one level of the transform, one axis at a time
+# the transform, lifted in place on one buffer
 # ----------------------------------------------------------------------
-def _interp_even(even: np.ndarray, axis: int, n_odd: int) -> np.ndarray:
-    """Predict the odd samples from even neighbors by linear interpolation.
+def _splits(ndim: int, levels: int):
+    """Yield ``(level, axis, grid, odd)`` for every split, finest first.
 
-    The k-th odd sample sits between even neighbors k and k+1.  When the
-    original axis length is even, the last odd sample has no right even
-    neighbor and is predicted from its left neighbor alone.
+    A level splits each axis in turn, so the split at ``(level, axis)``
+    sees the grid of stride ``2**(level+1)`` on the axes already halved
+    at this level and ``2**level`` on the rest.  ``grid`` and ``odd``
+    are basic-slice indices into the full buffer: the grid, and the odd
+    samples along ``axis`` that the split replaces by details.  Every
+    sample ends up either a detail or in the coarse grid (stride
+    ``2**levels`` on every axis), and the grids of later splits hold
+    only samples no earlier split wrote.
     """
-
-    def take(arr: np.ndarray, start: int, stop: int) -> np.ndarray:
-        sl = [slice(None)] * arr.ndim
-        sl[axis] = slice(start, stop)
-        return arr[tuple(sl)]
-
-    n_even = even.shape[axis]
-    # number of odd samples with both neighbors present
-    both = n_odd if n_even > n_odd else n_odd - 1
-    lo = take(even, 0, n_odd)
-    pred = lo.astype(np.float64, copy=True)
-    if both > 0:
-        hi = take(even, 1, both + 1)
-        interior = [slice(None)] * pred.ndim
-        interior[axis] = slice(0, both)
-        iview = pred[tuple(interior)]
-        np.add(take(lo, 0, both), hi, out=iview)
-        iview *= 0.5
-    return pred
+    for level in range(levels):
+        for axis in range(ndim):
+            grid = tuple(slice(None, None, 2 ** (level + (b < axis)))
+                         for b in range(ndim))
+            odd = (grid[:axis] + (slice(2**level, None, 2 ** (level + 1)),)
+                   + grid[axis + 1:])
+            yield level, axis, grid, odd
 
 
-def _split_axis(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """One lifting step along ``axis``: (even part, detail coefficients)."""
-    sl_even = [slice(None)] * arr.ndim
-    sl_odd = [slice(None)] * arr.ndim
-    sl_even[axis] = slice(0, None, 2)
-    sl_odd[axis] = slice(1, None, 2)
-    even = arr[tuple(sl_even)]
-    odd = arr[tuple(sl_odd)]
-    # the detail reuses the prediction buffer (fresh in _interp_even)
-    detail = _interp_even(even, axis, odd.shape[axis])
-    np.subtract(odd, detail, out=detail)
-    return even, detail
+def _coarse(ndim: int, levels: int) -> tuple[slice, ...]:
+    """Index of the coarse grid left after ``levels`` levels of splits."""
+    return (slice(None, None, 2**levels),) * ndim
 
 
-def _merge_axis(even: np.ndarray, detail: np.ndarray, axis: int,
-                full_len: int) -> np.ndarray:
-    """Inverse of :func:`_split_axis`."""
-    odd = _interp_even(even, axis, detail.shape[axis])
-    np.add(detail, odd, out=odd)
-    shape = list(even.shape)
-    shape[axis] = full_len
-    out = np.empty(shape, dtype=np.float64)
-    sl_even = [slice(None)] * out.ndim
-    sl_odd = [slice(None)] * out.ndim
-    sl_even[axis] = slice(0, None, 2)
-    sl_odd[axis] = slice(1, None, 2)
-    out[tuple(sl_even)] = even
-    out[tuple(sl_odd)] = odd
-    return out
+def _lift(grid: np.ndarray, axis: int, forward: bool) -> None:
+    """Replace the odd samples along ``axis`` by their details, or back.
 
-
-def _decompose(arr: np.ndarray, levels: int
-               ) -> tuple[np.ndarray, list[list[np.ndarray]], list[tuple[int, ...]]]:
-    """Full multilevel decomposition.
-
-    Returns (coarse, details, shapes) where ``details[l]`` holds one
-    detail array per axis produced at level ``l`` and ``shapes[l]`` is
-    the grid shape entering level ``l`` (needed for reconstruction).
+    The k-th odd sample is predicted by the mean of its even neighbors
+    k and k+1.  When the axis length is even, the last odd sample has
+    no right neighbor and is predicted by its left one alone.
     """
-    current = arr.astype(np.float64, copy=False)
-    details: list[list[np.ndarray]] = []
-    shapes: list[tuple[int, ...]] = []
-    for _ in range(levels):
-        shapes.append(current.shape)
-        level_details: list[np.ndarray] = []
-        for axis in range(current.ndim):
-            current, detail = _split_axis(current, axis)
-            level_details.append(detail)
-        details.append(level_details)
-    return current, details, shapes
+    n = grid.shape[axis]
+    both = (n - 1) // 2  # odd samples with both neighbors present
+
+    def along(start: int, stop: int) -> np.ndarray:
+        sl = [slice(None)] * grid.ndim
+        sl[axis] = slice(start, stop, 2)
+        return grid[tuple(sl)]
+
+    op = np.subtract if forward else np.add
+    pred = np.add(along(0, 2 * both), along(2, 2 * both + 1))
+    pred *= 0.5
+    odd = along(1, 2 * both)
+    op(odd, pred, out=odd)
+    if n % 2 == 0:
+        last = along(n - 1, n)
+        op(last, along(n - 2, n - 1), out=last)
 
 
-def _reconstruct(coarse: np.ndarray, details: list[list[np.ndarray]],
-                 shapes: list[tuple[int, ...]]) -> np.ndarray:
-    current = coarse
-    for level in range(len(details) - 1, -1, -1):
-        entry_shape = shapes[level]
-        for axis in range(current.ndim - 1, -1, -1):
-            # axis lengths as they were mid-level: axes < axis already
-            # split at this level, axes >= axis still full
-            full_len = entry_shape[axis]
-            current = _merge_axis(current, details[level][axis], axis, full_len)
-    return current
+def _decompose(buf: np.ndarray, levels: int) -> None:
+    """Multilevel decomposition of the float64 ``buf``, in place."""
+    for _level, axis, grid, _odd in _splits(buf.ndim, levels):
+        _lift(buf[grid], axis, True)
+
+
+def _reconstruct(buf: np.ndarray, levels: int) -> None:
+    """Invert :func:`_decompose` in place, coarsest split first."""
+    for _level, axis, grid, _odd in reversed(list(_splits(buf.ndim,
+                                                          levels))):
+        _lift(buf[grid], axis, False)
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +173,8 @@ def _int32_codes_fit(arr: np.ndarray, bounds: list[float]) -> bool:
 
 def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
                     backend: str = "zlib", level: int = 1) -> dict:
-    """Numpy-heavy first half: decompose + quantize straight into one
-    preallocated (pooled) code buffer, no per-piece concatenation.
+    """Numpy-heavy first half: decompose in place on one pooled copy of
+    the input, then quantize straight into one pooled code buffer.
 
     Returns an opaque state for :func:`compress_stage2`; the state may
     alias pooled buffers, so it must be passed to stage 2 exactly once.
@@ -223,40 +196,35 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
     dtype = dtype_from_numpy(arr.dtype)
     levels = max_levels(arr.shape)
     bounds = _level_bounds(float(tol), levels, float(s), arr.ndim)
-    with _trace.stage("mgard:decompose", levels=levels):
-        coarse, details, _shapes = _decompose(
-            arr.astype(np.float64, copy=False), levels)
-    with _trace.stage("mgard:quantize"):
-        # one flat code buffer sized for every piece, quantized into in
-        # place of the old build-pieces-then-concatenate sequence
-        total = int(sum(d.size for lvl in details for d in lvl)
-                    + coarse.size)
-        code_dtype = (np.int32 if _int32_codes_fit(arr, bounds)
-                      else np.int64)
-        allcodes = _pool.acquire((total,), code_dtype)
-        try:
+    code_dtype = np.int32 if _int32_codes_fit(arr, bounds) else np.int64
+    buf = _pool.acquire(arr.shape, np.float64)
+    # the scaled details pass through one contiguous scratch buffer,
+    # as large as the first (largest) split's details
+    scratch = _pool.acquire((buf.size // 2,), np.float64)
+    allcodes = _pool.acquire((buf.size,), code_dtype)
+    try:
+        with _trace.stage("mgard:decompose", levels=levels):
+            np.copyto(buf, arr)
+            _decompose(buf, levels)
+        with _trace.stage("mgard:quantize"):
             offset = 0
             # finest level gets the first share, coarse grid the last
-            for lvl, level_details in enumerate(details):
-                eb = bounds[lvl]
-                for detail in level_details:
-                    n = detail.size
-                    scratch = _pool.acquire(detail.shape, np.float64)
-                    try:
-                        quantize_uniform(
-                            detail, eb,
-                            out=allcodes[offset:offset + n].reshape(
-                                detail.shape),
-                            scratch=scratch)
-                    finally:
-                        _pool.release(scratch)
-                    offset += n
-            coarse_codes = lorenzo_encode(
-                quantize_uniform(coarse, bounds[-1]))
+            for lvl, _axis, _grid, odd in _splits(arr.ndim, levels):
+                detail = buf[odd]
+                n = detail.size
+                quantize_uniform(
+                    detail, bounds[lvl],
+                    out=allcodes[offset:offset + n].reshape(detail.shape),
+                    scratch=scratch[:n].reshape(detail.shape))
+                offset += n
+            coarse_codes = lorenzo_encode(quantize_uniform(
+                buf[_coarse(arr.ndim, levels)], bounds[-1]))
             allcodes[offset:] = coarse_codes.reshape(-1)
-        except BaseException:
-            _pool.release(allcodes)
-            raise
+    except BaseException:
+        _pool.release(allcodes)
+        raise
+    finally:
+        _pool.release(buf, scratch)
     return {"allcodes": allcodes, "tol": tol, "s": s, "levels": levels,
             "dtype": dtype, "shape": arr.shape, "backend": backend,
             "level": level}
@@ -292,11 +260,11 @@ def compress(data: np.ndarray, tol: float, s: float = 0.0,
 def decompress(stream: bytes | memoryview,
                expected_dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Decompress an MGARD stream back to an ndarray."""
-    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC)
-    if expected_dims is not None and tuple(expected_dims) != dims:
+    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC,
+                                                  expected_dims)
+    if not 1 <= len(dims) <= 3:
         raise CorruptStreamError(
-            f"stream dims {dims} do not match expected {tuple(expected_dims)}"
-        )
+            f"stream declares {len(dims)} dimensions (mgard supports 1-3)")
     tol, s = doubles
     levels = ints[0]
     if not (0 <= levels <= _MAX_LEVELS):
@@ -306,50 +274,27 @@ def decompress(stream: bytes | memoryview,
     if not (tol > 0) or not np.isfinite(tol):
         raise CorruptStreamError(f"stream declares invalid tolerance {tol}")
     bounds = _level_bounds(tol, levels, s, len(dims))
-    # replay the decomposition shape computation to size and slice the
-    # code buffer
-    details_shapes: list[list[tuple[int, ...]]] = []
-    cur = list(dims)
-    ndim = len(dims)
-    for _ in range(levels):
-        level_shapes: list[tuple[int, ...]] = []
-        shape = list(cur)
-        for axis in range(ndim):
-            n = shape[axis]
-            odd_shape = list(shape)
-            odd_shape[axis] = n // 2
-            level_shapes.append(tuple(odd_shape))
-            shape[axis] = (n + 1) // 2
-        details_shapes.append(level_shapes)
-        cur = shape
-    coarse_shape = tuple(cur)
-    total = math.prod(coarse_shape) + sum(
-        math.prod(dshape) for level_shapes in details_shapes
-        for dshape in level_shapes)
+    # every sample is either a detail or in the coarse grid
     with _trace.stage("mgard:entropy"):
-        allcodes = decode_residuals(memoryview(stream)[pos:], count=total)
-
+        allcodes = decode_residuals(memoryview(stream)[pos:],
+                                    count=math.prod(dims))
+    # sized from the dims only now that the residual count agrees
+    out = np.empty(dims, dtype=np.float64)
     offset = 0
-    details: list[list[np.ndarray]] = []
-    shapes: list[tuple[int, ...]] = []
-    run = list(dims)
     with _trace.stage("mgard:dequantize"):
-        for lvl in range(levels):
-            shapes.append(tuple(run))
-            level_details: list[np.ndarray] = []
-            for dshape in details_shapes[lvl]:
-                n = math.prod(dshape)
-                codes = allcodes[offset:offset + n].reshape(dshape)
-                offset += n
-                level_details.append(dequantize_uniform(codes, bounds[lvl]))
-            details.append(level_details)
-            run = [(x + 1) // 2 for x in run]
+        for lvl, _axis, _grid, odd in _splits(len(dims), levels):
+            detail = out[odd]
+            n = detail.size
+            dequantize_uniform(allcodes[offset:offset + n].reshape(
+                detail.shape), bounds[lvl], out=detail)
+            offset += n
+    coarse = out[_coarse(len(dims), levels)]
     # the codes came straight off the decoder, so they are ours
     coarse_codes = lorenzo_decode(
-        allcodes[offset:].reshape(coarse_shape), clobber=True)
-    coarse = dequantize_uniform(coarse_codes, bounds[-1])
+        allcodes[offset:].reshape(coarse.shape), clobber=True)
+    dequantize_uniform(coarse_codes, bounds[-1], out=coarse)
     with _trace.stage("mgard:reconstruct"):
-        out = _reconstruct(coarse, details, shapes)
+        _reconstruct(out, levels)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":
         return np.rint(out, out=out).astype(np_dtype)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import CorruptStreamError, InvalidDimensionsError, InvalidTypeError
+from repro.core import (CorruptStreamError, DType, InvalidDimensionsError,
+                        InvalidTypeError)
+from repro.encoders.headers import write_header
+from repro.encoders.residual import encode_residuals
 from repro.native import fpzip, mgard
 from repro.native.lossless import codec_ids, get_codec
-from repro.native.mgard.core import _decompose, _reconstruct, max_levels
+from repro.native.mgard.core import (_decompose, _reconstruct, _splits,
+                                     max_levels)
 
 
 class TestMgardDecomposition:
@@ -16,9 +20,21 @@ class TestMgardDecomposition:
         rng = np.random.default_rng(0)
         arr = rng.standard_normal(shape)
         levels = max_levels(shape)
-        coarse, details, shapes = _decompose(arr, levels)
-        restored = _reconstruct(coarse, details, shapes)
-        assert np.allclose(restored, arr, atol=1e-12)
+        buf = arr.copy()
+        _decompose(buf, levels)
+        assert not np.array_equal(buf, arr) or levels == 0
+        _reconstruct(buf, levels)
+        assert np.allclose(buf, arr, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(17,), (16,), (9, 13), (8, 8),
+                                       (5, 7, 9), (12, 10, 8)])
+    def test_splits_cover_every_sample_once(self, shape):
+        levels = max_levels(shape)
+        hits = np.zeros(shape, dtype=np.int64)
+        for _level, _axis, _grid, odd in _splits(len(shape), levels):
+            hits[odd] += 1
+        hits[(slice(None, None, 2**levels),) * len(shape)] += 1
+        assert (hits == 1).all()
 
     def test_max_levels_respects_min_dim(self):
         assert max_levels((3,)) == 0
@@ -29,8 +45,11 @@ class TestMgardDecomposition:
     def test_details_small_on_smooth_data(self):
         x = np.linspace(0, 1, 65)
         arr = np.sin(2 * np.pi * x)
-        coarse, details, _ = _decompose(arr, 3)
-        finest = np.abs(details[0][0])
+        buf = arr.copy()
+        _decompose(buf, 3)
+        _level, _axis, _grid, odd = next(_splits(arr.ndim, 3))
+        finest = np.abs(buf[odd])
+        assert finest.size == 32
         assert finest.max() < 0.01 * np.abs(arr).max()
 
 
@@ -79,6 +98,16 @@ class TestMgardCompression:
         stream = mgard.compress(smooth3d, 1e-3)
         with pytest.raises(CorruptStreamError):
             mgard.decompress(stream, expected_dims=(4, 4))
+
+    @pytest.mark.parametrize("dims", [(), (3, 3, 3, 3)])
+    def test_stream_of_unsupported_rank_rejected(self, dims):
+        # compress never writes these ranks; a forged header must fail
+        # typed, not decode or escape as an IndexError
+        codes = np.zeros(int(np.prod(dims)), dtype=np.int64)
+        stream = write_header(b"MGD1", DType.DOUBLE, dims,
+                              doubles=(1e-3, 0.0), ints=(1,))
+        with pytest.raises(CorruptStreamError, match="dimensions"):
+            mgard.decompress(stream + encode_residuals(codes))
 
     def test_float32_roundtrip(self, smooth3d):
         data = smooth3d.astype(np.float32)
