@@ -448,9 +448,11 @@ class ServeClient:
         if not self.use_shm or _trace.ACTIVE is not None:
             return None
         am = self._arr_memo
-        if am is not None and am[0] is array:
-            # same ndarray object: the memoized view reads its memory
-            # live, so content changes still reach the wire
+        if (am is not None and am[0] is array and am[3] == array.shape
+                and am[5] == array.dtype):
+            # same ndarray object, shape and dtype: the memoized view
+            # reads its memory live, so content changes still reach the
+            # wire (a reassigned .shape or .dtype misses the memo)
             view, dtype, dims, scalar = am[1], am[2], am[3], am[4]
         else:
             scalar = np.ndim(array) == 0
@@ -462,7 +464,8 @@ class ServeClient:
             if arr is array:
                 # only when no contiguity copy was made — a copy would
                 # freeze the bytes and miss later in-place updates
-                self._arr_memo = (array, view, dtype, dims, scalar)
+                self._arr_memo = (array, view, dtype, dims, scalar,
+                                  array.dtype)
         lean = (self.lean and op == "roundtrip" and not scalar
                 and view.nbytes > 0)
         sa = self._seg_array
@@ -502,7 +505,7 @@ class ServeClient:
                 () if scalar else arr.shape, scalar, cache,
                 want_out_shm=True)
             resp = self._call(req)
-        return bytes(self._result_bytes(resp)), resp.stats
+        return bytes(self._result_bytes(resp)), dict(resp.stats)
 
     def decompress(self, blob: bytes, compressor: str, dtype: str,
                    dims: tuple[int, ...], scalar: bool = False,
@@ -516,7 +519,7 @@ class ServeClient:
         if self.use_shm:
             self._place_output(req, element_count(tuple(dims)) * itemsize)
         resp = self._call(req)
-        return self._result_array(resp, copy), resp.stats
+        return self._result_array(resp, copy), dict(resp.stats)
 
     def roundtrip(self, array: np.ndarray, compressor: str,
                   options: dict[str, Any] | None = None,
@@ -531,7 +534,7 @@ class ServeClient:
                 () if scalar else arr.shape, scalar, cache,
                 want_out_shm=True)
             resp = self._call(req)
-        return self._result_array(resp, copy), resp.stats
+        return self._result_array(resp, copy), dict(resp.stats)
 
     # -- management endpoints ----------------------------------------------
 

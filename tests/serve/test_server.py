@@ -141,6 +141,29 @@ class TestOperations:
         copied, _ = shm_client.roundtrip(block, "noop", copy=True)
         np.testing.assert_array_equal(view, copied)
 
+    def test_lean_roundtrips_return_fresh_stats(self, shm_client, block):
+        # the lean reply path memoizes its synthesized response; the
+        # stats a caller receives must still be its own
+        _out, st1 = shm_client.roundtrip(block, "sz")
+        st1["caller_key"] = 1
+        _out, st2 = shm_client.roundtrip(block, "sz")
+        assert st2 is not st1
+        assert "caller_key" not in st2
+
+    def test_reshaped_array_is_served_with_its_new_shape(self, shm_client):
+        arr = np.arange(24 ** 3, dtype=np.float64).reshape(24, 24, 24)
+        out, _ = shm_client.roundtrip(arr, "noop")
+        assert out.shape == (24, 24, 24)
+        # the same ndarray object with a new shape, then a new dtype
+        arr.shape = (576, 24)
+        out, _ = shm_client.roundtrip(arr, "noop")
+        assert out.shape == (576, 24)
+        np.testing.assert_array_equal(out, arr)
+        arr.dtype = np.float32
+        out, _ = shm_client.roundtrip(arr, "noop")
+        assert out.dtype == np.float32 and out.shape == (576, 48)
+        np.testing.assert_array_equal(out, arr)
+
     def test_ping(self, client):
         assert client.ping() is True
 
