@@ -27,6 +27,7 @@ from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import CorruptStreamError
 from ..encoders.headers import read_header, write_header
+from ..encoders.residual import _inflate_at_most
 from .base import MetaCompressor
 
 __all__ = ["SparseCompressor"]
@@ -77,7 +78,16 @@ class SparseCompressor(MetaCompressor):
         fill_value = doubles[0]
         n_occupied, bitmap_len = ints
         n = int(np.prod(dims, dtype=np.int64)) if dims else 0
-        bitmap = zlib.decompress(bytes(view[pos:pos + bitmap_len]))
+        # the bitmap inflates to the size the dims fix, and no further
+        try:
+            bitmap = _inflate_at_most("zlib", view[pos:pos + bitmap_len],
+                                      (n + 7) // 8)
+        except ValueError as e:
+            raise CorruptStreamError(f"sparse bitmap: {e}") from None
+        if len(bitmap) != (n + 7) // 8:
+            raise CorruptStreamError(
+                f"sparse bitmap holds {len(bitmap)} bytes, dims imply "
+                f"{(n + 7) // 8}")
         occupied = np.unpackbits(
             np.frombuffer(bitmap, dtype=np.uint8), count=n).astype(bool)
         if int(occupied.sum()) != n_occupied:

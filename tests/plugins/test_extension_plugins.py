@@ -1,10 +1,14 @@
 """Tests for the extension plugins: tthresh, sz variants, sparse,
 ftk metrics, and petsc IO."""
 
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.core import DType, PressioData
+from repro.core import CorruptStreamError, DType, PressioData
+from repro.encoders.headers import read_header, write_header
 from repro.core.configurable import ThreadSafety
 from repro.native import tthresh as native_tthresh
 from tests.conftest import roundtrip
@@ -186,6 +190,41 @@ class TestSparse:
         comp.set_options({"sparse:compressor": "zlib"})
         out = roundtrip(comp, arr)
         assert np.array_equal(out, arr)
+
+    @staticmethod
+    def _with_bitmap(stream: bytes, bitmap: bytes) -> bytes:
+        """``stream`` with its zlib bitmap replaced by ``bitmap``."""
+        dtype, dims, doubles, ints, pos = read_header(stream, b"SPR1")
+        n_occupied, bitmap_len = ints
+        header = write_header(b"SPR1", dtype, dims, doubles=doubles,
+                              ints=(n_occupied, len(bitmap)))
+        return header + bitmap + stream[pos + bitmap_len:]
+
+    @pytest.mark.parametrize("inflated", [64 << 20, 63],
+                             ids=["bomb", "short"])
+    def test_bitmap_of_the_wrong_size_fails_typed_with_a_small_peak(
+            self, library, inflated):
+        # 8x8x8 with only the last 8 values at the fill value: the true
+        # bitmap is 63 bytes of ones and a zero byte.  Neither a 64 MiB
+        # bomb of ones nor the 63 bytes alone (whose occupancy count
+        # matches) may decode.
+        arr = np.arange(1.0, 513.0).reshape(8, 8, 8)
+        arr[-1, -1, :] = 0.0
+        comp = library.get_compressor("sparse")
+        comp.set_options({"sparse:compressor": "zlib"})
+        data = PressioData.from_numpy(arr)
+        stream = comp.compress(data).to_bytes()
+        forged = self._with_bitmap(
+            stream, zlib.compress(b"\xff" * inflated, 9))
+        template = PressioData.empty(data.dtype, data.dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                comp.decompress(PressioData.from_bytes(forged), template)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFtkMetrics:
