@@ -34,6 +34,9 @@ Usage, from the root of a checkout (about 40 minutes each)::
         --output benchmarks/BENCH_decode_e2e.json
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 20483cf --traced \\
         --output benchmarks/BENCH_decode_traced.json
+    # mgard lifted in place on one buffer against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 7d28eaf \\
+        --output benchmarks/BENCH_mgard_inplace_e2e.json
 """
 
 from __future__ import annotations
