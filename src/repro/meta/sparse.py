@@ -79,15 +79,16 @@ class SparseCompressor(MetaCompressor):
         n_occupied, bitmap_len = ints
         n = int(np.prod(dims, dtype=np.int64)) if dims else 0
         # the bitmap inflates to the size the dims fix, and no further
+        nbytes = (n + 7) // 8
         try:
             bitmap = _inflate_at_most("zlib", view[pos:pos + bitmap_len],
-                                      (n + 7) // 8)
+                                      nbytes)
         except ValueError as e:
             raise CorruptStreamError(f"sparse bitmap: {e}") from None
-        if len(bitmap) != (n + 7) // 8:
+        if len(bitmap) != nbytes:
             raise CorruptStreamError(
                 f"sparse bitmap holds {len(bitmap)} bytes, dims imply "
-                f"{(n + 7) // 8}")
+                f"{nbytes}")
         occupied = np.unpackbits(
             np.frombuffer(bitmap, dtype=np.uint8), count=n).astype(bool)
         if int(occupied.sum()) != n_occupied:

@@ -66,7 +66,8 @@ def compress(data: np.ndarray, backend: str = "zlib", level: int = 1) -> bytes:
 def decompress(stream: bytes | memoryview,
                expected_dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Bit-exact inverse of :func:`compress`."""
-    dtype, dims, _doubles, _ints, pos = read_header(stream, _MAGIC, expected_dims)
+    dtype, dims, _doubles, _ints, pos = read_header(stream, _MAGIC,
+                                                    expected_dims)
     residuals = decode_residuals(memoryview(stream)[pos:],
                                  count=math.prod(dims))
     # the residuals came straight off the decoder, so they are ours

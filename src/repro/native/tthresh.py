@@ -129,7 +129,8 @@ def compress(data: np.ndarray, tolerance: float,
 def decompress(stream: bytes | memoryview,
                expected_dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Reconstruct from the truncated factorization."""
-    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC, expected_dims)
+    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC,
+                                                  expected_dims)
     ndim = len(dims)
     steps = doubles[1:]
     ranks = list(ints[:ndim])

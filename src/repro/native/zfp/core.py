@@ -475,7 +475,8 @@ def compress(data: np.ndarray, mode: int, parameter: float,
 def decompress(stream: bytes | memoryview,
                expected_dims: tuple[int, ...] | None = None) -> np.ndarray:
     """Decompress a zfp stream back to an ndarray."""
-    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC, expected_dims)
+    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC,
+                                                  expected_dims)
     view = memoryview(stream)
     mode = ints[0]
     np_dtype = dtype_to_numpy(dtype)
