@@ -10,9 +10,11 @@ The artifact keeps every run's result line and, per metric, both
 medians, the baseline's interquartile range and how many pairs the
 working tree won, with "better" taken from ``BENCHMARK.json``.
 
-``--traced`` instead runs one traced ``paper_grid`` run per tree
-(``--trace 1``, seed ``TRACED_SEED``, baseline first), whose per-layer
-metrics show where the time went.
+``--traced`` instead runs one traced run per tree (``--trace 1``, seed
+``TRACED_SEED``, baseline first) on each workload, whose per-layer
+metrics show where the time went; ``chunked_serial``'s traced run also
+drives the ``pipelined`` stacks, so ``meta.self_ms`` shows the chunking
+layer next to ``native.*`` and ``encoders.*``.
 
 Usage, from the root of a checkout (about 40 minutes each)::
 
@@ -25,7 +27,7 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # the int32 coefficient-major zfp lift against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline fa7c14c \\
         --output benchmarks/BENCH_zfp_lift_e2e.json
-    # and where its time went: one traced paper_grid run per tree
+    # and where its time went: one traced run per tree and workload
     python3 benchmarks/rzc2_e2e_pairs.py --baseline fa7c14c --traced \\
         --output benchmarks/BENCH_zfp_lift_traced.json
     # the single-pass decode path (slab-wise Lorenzo prefix sums, one
@@ -37,6 +39,12 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # mgard lifted in place on one buffer against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 7d28eaf \\
         --output benchmarks/BENCH_mgard_inplace_e2e.json
+    # chunking cut into whole leading-axis slabs (CHK2) against the
+    # revision before it, and its trace on both workloads
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 6787be2 \\
+        --output benchmarks/BENCH_nd_chunking_e2e.json
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 6787be2 --traced \\
+        --output benchmarks/BENCH_nd_chunking_traced.json
 """
 
 from __future__ import annotations
@@ -109,8 +117,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--output", default=None,
                     help="write the JSON artifact here (default: stdout)")
     ap.add_argument("--traced", action="store_true",
-                    help="one traced paper_grid run per tree instead of "
-                         "the pairs")
+                    help="one traced run per tree and workload instead "
+                         "of the pairs")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"]
@@ -121,20 +129,21 @@ def main(argv: list[str] | None = None) -> int:
         export_baseline(parent_tree, args.baseline)
         trees = {"parent": parent_tree, "change": ROOT}
         if args.traced:
-            row = {"seed": TRACED_SEED, "order": ["parent", "change"]}
-            for side in row["order"]:
-                row[side] = run_once(trees[side], "paper_grid",
-                                     TRACED_SEED, trace=1)
+            for workload in WORKLOADS:
+                row = {"seed": TRACED_SEED, "order": ["parent", "change"]}
+                for side in row["order"]:
+                    row[side] = run_once(trees[side], workload,
+                                         TRACED_SEED, trace=1)
+                workloads[workload] = {"runs": [row]}
             return write(args.output, {
-                "schema": "pressio-traced-pairs/1",
-                "workload": "paper_grid", **environment(args.baseline),
-                "trace": 1,
-                "method": ("perfbench/run.py --workload paper_grid --seed "
+                "schema": "pressio-traced-pairs/2",
+                **environment(args.baseline), "trace": 1,
+                "method": ("per workload: perfbench/run.py --seed "
                            f"{TRACED_SEED} --seconds {SECONDS} --trace 1 on "
                            "an export of the baseline revision and on the "
                            "working tree, back to back in the listed order;"
                            " one result line per run"),
-                "runs": [row]})
+                "workloads": workloads})
         for workload, seed0 in WORKLOADS.items():
             runs = []
             for i in range(PAIRS):

@@ -15,8 +15,8 @@ meta-compressor stacks) is driven through a shared battery that
 * cross-checks each plugin against the ``noop`` / lossless reference and
   against its own output under chunking / transpose / cast stacks —
   ratios may change, bounds may not (:mod:`battery`);
-* asserts byte-stability of every on-disk format (``CHK1``, ``PSF1``,
-  native headers) against a golden-stream corpus with a versioned
+* asserts byte-stability of every on-disk format (``CHK1``, ``CHK2``,
+  ``PSF1``, native headers) against a golden-stream corpus with a versioned
   regeneration path (:mod:`golden`);
 * replays seeded, wall-clock-free randomized API sequences
   (set_options / compress / decompress / clone) to catch state leakage

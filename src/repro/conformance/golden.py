@@ -1,6 +1,6 @@
 """Golden-stream corpus: byte-stability of every on-disk format.
 
-Once a stream format ships (CHK1 chunk containers, PSF1 streaming
+Once a stream format ships (CHK1/CHK2 chunk containers, PSF1 streaming
 frames, the generic self-describing header, the pure-python codec
 payloads) its bytes are a compatibility contract: archives written
 today must decode forever.  The corpus pins each format twice over —
@@ -47,7 +47,10 @@ __all__ = ["GOLDEN_VERSION", "MANIFEST_NAME", "golden_field",
 # strategy per byte plane and, below 2048 residuals, keeps the smaller
 # of RZC1 and RZC2; the decoders are unchanged and still read every
 # version-2 stream.
-GOLDEN_VERSION = 3
+# version 4: adds ``chunking_chk2``, the CHK2 container whose chunks are
+# runs of whole leading-axis slabs handed over with their N-d dims;
+# every version-3 stream, ``chunking_chk1`` included, is unchanged.
+GOLDEN_VERSION = 4
 MANIFEST_NAME = "MANIFEST.json"
 
 _REGEN_HINT = ("regenerate intentionally with "
@@ -67,18 +70,22 @@ def golden_field() -> np.ndarray:
     return np.ascontiguousarray(2.0 * weyl - 1.0 + 0.25 * trend)
 
 
-def _roundtrip_check(plugin_id: str, options: dict, bound: float | None):
+def _roundtrip_check(plugin_id: str, options: dict, bound: float | None,
+                     shape: tuple[int, ...] = (1024,)):
     """Build a decode-checker asserting the archived stream still decodes."""
 
     def check(stream: bytes) -> None:
-        arr = golden_field()
+        arr = golden_field().reshape(shape)
         comp = compressor_registry.create(plugin_id)
         if options and comp.set_options(dict(options)) != 0:
             raise RuntimeError(f"{plugin_id}: {comp.error_msg()}")
         out = comp.decompress(
             PressioData.from_bytes(stream),
             PressioData.empty(DType.DOUBLE, arr.shape))
-        got = np.asarray(out.to_numpy()).reshape(-1)
+        got = np.asarray(out.to_numpy())
+        if got.shape != arr.shape:
+            raise AssertionError(f"decoded shape {got.shape} differs from "
+                                 f"golden {arr.shape}")
         if bound is None:
             if got.tobytes() != arr.tobytes():
                 raise AssertionError("decoded bytes differ from golden input")
@@ -91,13 +98,14 @@ def _roundtrip_check(plugin_id: str, options: dict, bound: float | None):
     return check
 
 
-def _compressor_producer(plugin_id: str, options: dict):
+def _compressor_producer(plugin_id: str, options: dict,
+                         shape: tuple[int, ...] = (1024,)):
     def produce() -> bytes:
         comp = compressor_registry.create(plugin_id)
         if options and comp.set_options(dict(options)) != 0:
             raise RuntimeError(f"{plugin_id}: {comp.error_msg()}")
-        return comp.compress(
-            PressioData.from_numpy(golden_field())).to_bytes()
+        return comp.compress(PressioData.from_numpy(
+            golden_field().reshape(shape))).to_bytes()
 
     return produce
 
@@ -180,6 +188,15 @@ def golden_specs() -> tuple[GoldenSpec, ...]:
                    _roundtrip_check(
                        "chunking", {"chunking:compressor": "rle",
                                     "chunking:chunk_size": 256}, None)),
+        GoldenSpec("chunking_chk2",
+                   "CHK2 slab container over rle, a 32x32 view",
+                   _compressor_producer(
+                       "chunking", {"chunking:compressor": "rle",
+                                    "chunking:chunk_size": 256}, (32, 32)),
+                   _roundtrip_check(
+                       "chunking", {"chunking:compressor": "rle",
+                                    "chunking:chunk_size": 256}, None,
+                       (32, 32))),
         GoldenSpec("streaming_psf1", "PSF1 streaming frames over noop",
                    _streaming_produce, _streaming_check),
         GoldenSpec("sz_abs_1e4", "sz stream at pressio:abs=1e-4",

@@ -100,8 +100,15 @@ class PressioData:
 
     @classmethod
     def from_numpy(cls, array: np.ndarray, copy: bool = True) -> "PressioData":
-        """Create from an ndarray; by default copies (owning semantics)."""
+        """Create from an ndarray; by default copies (owning semantics).
+
+        Non-native byte order is converted to native (a copy), since
+        every plugin reads the buffer as the native dtype its
+        :class:`DType` names.
+        """
         arr = np.ascontiguousarray(array)
+        if not arr.dtype.isnative:
+            arr = arr.astype(arr.dtype.newbyteorder("="))
         dtype = dtype_from_numpy(arr.dtype)
         flat = arr.reshape(-1)
         if copy:

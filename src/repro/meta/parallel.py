@@ -23,13 +23,16 @@ from __future__ import annotations
 
 import os as _os
 import struct
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
 from ..core.compressor import PressioCompressor
 from ..core.configurable import ThreadSafety
 from ..core.data import PressioData
+from ..core.dtype import dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin, metrics_registry
 from ..core.status import CorruptStreamError, InvalidOptionError
@@ -41,7 +44,10 @@ from .base import MetaCompressor
 __all__ = ["ChunkingCompressor", "ManyIndependentCompressor",
            "ManyDependentCompressor"]
 
+#: cuts over the flattened array (every 1-D input)
 _MAGIC = b"CHK1"
+#: cuts over the N-d dims: runs of whole leading-axis slabs
+_MAGIC_ND = b"CHK2"
 
 
 def _inner_is_reentrant(inner: PressioCompressor) -> bool:
@@ -95,13 +101,53 @@ class _ParallelBase(MetaCompressor):
         return results
 
 
+def _slabs(dims: tuple[int, ...], chunk_size: int
+           ) -> Iterator[tuple[int, int]]:
+    """Yield the chunk cuts ``(start, stop)`` along ``dims[0]``.
+
+    Each chunk is a run of whole leading-axis rows, about
+    ``chunk_size`` elements: ``r = max(4, round(chunk_size / row))``
+    rows (halves round up), at most ``dims[0]``, and a trailing
+    remainder shorter than ``min(4, r)`` rows merges into the chunk
+    before it.  So every chunk has at least 4 rows when
+    ``dims[0] >= 4``, and one chunk holds the whole array when it has
+    fewer.  For 1-D ``dims`` the rows are elements and
+    ``r = chunk_size``, without merging: the cuts of
+    ``range(0, n, chunk_size)``.  An array with no rows (or 0-d
+    ``dims``, which hold no elements) is one empty chunk.
+    """
+    rows = dims[0] if dims else 0
+    if len(dims) > 1:
+        row = int(np.prod(dims[1:], dtype=np.int64))
+        r = max(4, (2 * chunk_size + row) // (2 * row)) if row else rows
+        tail = min(4, r)
+    else:
+        r, tail = chunk_size, 0
+    r = min(r, rows)
+    if r < 1:
+        yield 0, 0
+        return
+    for start in range(0, rows, r):
+        stop = start + r
+        if rows - stop < tail:
+            yield start, rows
+            return
+        yield start, min(stop, rows)
+
+
 @compressor_plugin("chunking")
 class ChunkingCompressor(_ParallelBase):
-    """Splits a buffer into ``chunking:chunk_size``-element chunks.
+    """Splits a buffer into runs of whole leading-axis slabs.
 
-    Chunks are flattened leading-axis slabs; each is compressed
-    independently (concurrently when the inner plugin is re-entrant) and
-    the streams are concatenated behind a length table.
+    ``chunking:chunk_size`` is a target in elements; :func:`_slabs`
+    turns it into the rows of each chunk, and each chunk goes to the
+    inner plugin with its N-d dims (``CHK2``), so sz, zfp and mgard
+    predict and transform across every axis of the slab.  1-D input is
+    cut into ``chunk_size``-element pieces in a ``CHK1`` container,
+    whose cuts run over the flattened array (N-d ``CHK1`` streams of
+    earlier versions still decode).  Chunks are compressed
+    independently (concurrently when the inner plugin is re-entrant)
+    and the streams are concatenated behind a length table.
     """
 
     def __init__(self) -> None:
@@ -121,11 +167,36 @@ class ChunkingCompressor(_ParallelBase):
             raise InvalidOptionError("chunking:chunk_size must be >= 1")
         self._chunk_size = size
 
+    def _documentation(self) -> PressioOptions:
+        docs = PressioOptions()
+        docs.set("pressio:description",
+                 "splits a buffer into runs of whole leading-axis slabs "
+                 "and compresses each with its N-d dims")
+        docs.set("chunking:chunk_size",
+                 "target elements per chunk; rounded to whole leading-axis "
+                 "rows, at least 4 where the array has them")
+        docs.set("chunking:nthreads",
+                 "worker threads when the inner plugin is re-entrant")
+        return docs
+
+    def _cut(self, input: PressioData) -> tuple[bytes, list[np.ndarray]]:
+        """The container magic and the chunks of ``input``."""
+        arr = np.ascontiguousarray(input.to_numpy())
+        magic = _MAGIC_ND
+        if arr.ndim < 2:
+            magic, arr = _MAGIC, arr.reshape(-1)
+        return magic, [arr[a:b] for a, b in _slabs(arr.shape,
+                                                     self._chunk_size)]
+
+    def _container(self, magic: bytes, input: PressioData,
+                   streams: list[bytes]) -> PressioData:
+        table = struct.pack(f"<{len(streams)}Q", *(len(s) for s in streams))
+        header = write_header(magic, input.dtype, input.dims,
+                              ints=(len(streams), self._chunk_size))
+        return PressioData.from_bytes(header + table + b"".join(streams))
+
     def _compress(self, input: PressioData) -> PressioData:
-        arr = np.ascontiguousarray(input.to_numpy()).reshape(-1)
-        n = arr.size
-        chunks = [arr[i:i + self._chunk_size]
-                  for i in range(0, n, self._chunk_size)] or [arr]
+        magic, chunks = self._cut(input)
 
         def work(compressor: PressioCompressor, chunk: np.ndarray) -> bytes:
             return compressor.compress(
@@ -137,40 +208,62 @@ class ChunkingCompressor(_ParallelBase):
             _trace.annotate(n_chunks=len(streams))
             for s in streams:
                 _trace.observe("chunking:compressed_chunk_bytes", len(s))
-        table = struct.pack(f"<{len(streams)}Q", *(len(s) for s in streams))
-        header = write_header(_MAGIC, input.dtype, input.dims,
-                              ints=(len(streams), self._chunk_size))
-        return PressioData.from_bytes(header + table + b"".join(streams))
+        return self._container(magic, input, streams)
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        stream = input.to_bytes()
-        dtype, dims, _d, ints, pos = read_header(stream, _MAGIC)
+        view = input.as_memoryview()
+        magic = _MAGIC_ND if bytes(view[:4]) == _MAGIC_ND else _MAGIC
+        expected = output.dims if output.num_dimensions else None
+        dtype, dims, _d, ints, pos = read_header(view, magic, expected)
+        if len(ints) != 2:
+            raise CorruptStreamError(f"{magic!r} header holds {len(ints)} "
+                                     "ints, expected 2")
         n_chunks, chunk_size = ints
-        table = struct.unpack_from(f"<{n_chunks}Q", stream, pos)
+        if not dims:
+            raise CorruptStreamError(f"{magic!r} container declares no dims")
+        if chunk_size < 1:
+            raise CorruptStreamError(f"chunk size {chunk_size} < 1")
+        if not 1 <= n_chunks <= (len(view) - pos) // 8:
+            raise CorruptStreamError(
+                f"{n_chunks} chunks do not fit a length table in "
+                f"{len(view) - pos} bytes")
+        cut_dims = dims
+        if magic == _MAGIC:
+            cut_dims = (int(np.prod(dims, dtype=np.int64)),)
+        # at most one cut past the record: a forged chunk size may ask
+        # for far more cuts than the stream has table entries
+        cuts = list(islice(_slabs(cut_dims, chunk_size), n_chunks + 1))
+        if len(cuts) != n_chunks:
+            raise CorruptStreamError(
+                f"{n_chunks} chunks recorded, but dims {dims} at chunk "
+                f"size {chunk_size} cut {len(cuts)}"
+                f"{' or more' if len(cuts) > n_chunks else ''}")
+        table = struct.unpack_from(f"<{n_chunks}Q", view, pos)
         pos += 8 * n_chunks
-        n_total = int(np.prod(dims, dtype=np.int64)) if dims else 0
-        offsets = []
-        for length in table:
-            offsets.append((pos, length))
+        if sum(table) != len(view) - pos:
+            raise CorruptStreamError(
+                f"chunk lengths sum to {sum(table)}, "
+                f"{len(view) - pos} bytes follow the table")
+        out = np.empty(dims, dtype=dtype_to_numpy(dtype))
+        slabs = out.reshape(cut_dims)
+        tasks = []
+        for (start, stop), length in zip(cuts, table):
+            tasks.append((slabs[start:stop], view[pos:pos + length]))
             pos += length
 
-        def work(compressor: PressioCompressor, task) -> np.ndarray:
-            idx, (off, length) = task
-            start = idx * chunk_size
-            count = min(chunk_size, n_total - start)
-            template = PressioData.empty(dtype, (count,))
-            out = compressor.decompress(
-                PressioData.from_bytes(stream[off:off + length]), template
-            )
-            return np.asarray(out.to_numpy()).reshape(-1)
+        def work(compressor: PressioCompressor, task) -> None:
+            slab, chunk = task
+            got = compressor.decompress(PressioData.from_bytes(chunk),
+                                        PressioData.empty(dtype, slab.shape))
+            got = got.to_numpy()
+            if got.size != slab.size:
+                raise CorruptStreamError(
+                    f"chunk decodes to {got.size} elements, its slab "
+                    f"{slab.shape} holds {slab.size}")
+            slab[...] = got.reshape(slab.shape)
 
-        parts = self._map(work, list(enumerate(offsets)))
-        full = np.concatenate(parts) if parts else np.zeros(0)
-        if full.size != n_total:
-            raise CorruptStreamError(
-                f"chunks reassemble to {full.size} elements, expected {n_total}"
-            )
-        return PressioData.from_numpy(full.reshape(dims), copy=False)
+        self._map(work, tasks)
+        return PressioData.from_numpy(out, copy=False)
 
 
 def _process_compress(task: tuple) -> tuple:

@@ -19,12 +19,13 @@ blocks on the oldest future before starting another stage 1, so memory
 stays bounded at ``depth`` chunk states.
 
 The output is **byte-identical** to the ``chunking`` plugin configured
-with the same chunk size and inner compressor: same ``CHK1`` container,
-same per-chunk streams (stage 2 after stage 1 *is* ``compress``), so
-:meth:`_decompress` is inherited unchanged and streams from either
-plugin decode through the other.  Per-chunk operation metrics differ —
-the staged path records one operation for the whole buffer rather than
-one per chunk — but bytes never do.
+with the same chunk size and inner compressor: the same slab cuts
+(:func:`~repro.meta.parallel._slabs`), the same ``CHK1``/``CHK2``
+container and the same per-chunk streams (stage 2 after stage 1 *is*
+``compress``), so :meth:`_decompress` is inherited unchanged and streams
+from either plugin decode through the other.  Per-chunk operation
+metrics differ — the staged path records one operation for the whole
+buffer rather than one per chunk — but bytes never do.
 
 When the inner plugin does not implement the stage split
 (:meth:`supports_stage_split` is false), compression falls back to the
@@ -37,7 +38,6 @@ the ``pressio_pipeline_inflight`` gauge exported by
 
 from __future__ import annotations
 
-import struct
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -50,9 +50,8 @@ from ..obs import flight as _flight
 from ..obs import runtime as _obs
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidOptionError
-from ..encoders.headers import write_header
 from ..trace import runtime as _trace
-from .parallel import _MAGIC, ChunkingCompressor, _ParallelBase
+from .parallel import ChunkingCompressor, _ParallelBase
 
 __all__ = ["PipelinedCompressor"]
 
@@ -113,7 +112,9 @@ class PipelinedCompressor(ChunkingCompressor):
                  "chunk-pipelined executor overlapping the inner "
                  "compressor's quantize/predict stage with its "
                  "entropy-coding stage")
-        docs.set("pipelined:chunk_size", "elements per pipelined chunk")
+        docs.set("pipelined:chunk_size",
+                 "target elements per pipelined chunk, cut as "
+                 "chunking:chunk_size is")
         docs.set("pipelined:depth",
                  "max stage-2 tasks in flight before stage 1 blocks")
         docs.set("pipelined:nthreads",
@@ -127,9 +128,7 @@ class PipelinedCompressor(ChunkingCompressor):
             # no stage split to overlap: inherit the chunking behaviour
             # (same container, same bytes)
             return super()._compress(input)
-        arr = np.ascontiguousarray(input.to_numpy()).reshape(-1)
-        chunks = [arr[i:i + self._chunk_size]
-                  for i in range(0, arr.size, self._chunk_size)] or [arr]
+        magic, chunks = self._cut(input)
 
         def stage2(state) -> bytes:
             global inflight, stage2_total
@@ -186,7 +185,4 @@ class PipelinedCompressor(ChunkingCompressor):
             _flight.ACTIVE.record("pipeline", plugin=self.get_name(),
                                   n_chunks=len(streams),
                                   depth=self._depth)
-        table = struct.pack(f"<{len(streams)}Q", *(len(s) for s in streams))
-        header = write_header(_MAGIC, input.dtype, input.dims,
-                              ints=(len(streams), self._chunk_size))
-        return PressioData.from_bytes(header + table + b"".join(streams))
+        return self._container(magic, input, streams)

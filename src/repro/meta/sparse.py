@@ -74,7 +74,8 @@ class SparseCompressor(MetaCompressor):
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         view = input.as_memoryview()
-        dtype, dims, doubles, ints, pos = read_header(view, _MAGIC)
+        expected = output.dims if output.num_dimensions else None
+        dtype, dims, doubles, ints, pos = read_header(view, _MAGIC, expected)
         fill_value = doubles[0]
         n_occupied, bitmap_len = ints
         n = int(np.prod(dims, dtype=np.int64)) if dims else 0

@@ -12,6 +12,7 @@ import pytest
 
 from repro import Pressio, PressioData
 from repro.core.metrics import PressioMetrics
+from repro.meta.parallel import _slabs
 from repro.trace import disable_tracing, tracing
 
 
@@ -123,7 +124,7 @@ class TestLeafOperationsViaTrace:
         assert comp.set_options({"chunking:compressor": "sz",
                                  "chunking:chunk_size": 2048,
                                  "pressio:abs": 1e-3}) == 0
-        n_chunks = -(-smooth3d.size // 2048)
+        n_chunks = len(list(_slabs(smooth3d.shape, 2048)))
         with tracing() as trace:
             roundtrip(comp, smooth3d)
         leaf_compress = [s for s in trace.spans()
@@ -142,7 +143,7 @@ class TestLeafOperationsViaTrace:
                                  "chunking:chunk_size": 1024,
                                  "chunking:nthreads": 4,
                                  "pressio:abs": 1e-3}) == 0
-        n_chunks = -(-smooth3d.size // 1024)
+        n_chunks = len(list(_slabs(smooth3d.shape, 1024)))
         with tracing() as trace:
             roundtrip(comp, smooth3d)
         leaves = [s for s in trace.spans()

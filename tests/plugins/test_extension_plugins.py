@@ -226,6 +226,31 @@ class TestSparse:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("forged_dims", [(1 << 34, 8, 8), (512,)],
+                             ids=["2**34", "reshaped"])
+    def test_forged_dims_fail_typed_with_a_small_peak(self, library,
+                                                      forged_dims):
+        # an 8^3 stream whose dims claim 2**34 rows, or the same 512
+        # elements in another shape: the template's dims reject both
+        # before the bitmap or the output is sized from them
+        arr = np.arange(1.0, 513.0).reshape(8, 8, 8)
+        comp = library.get_compressor("sparse")
+        comp.set_options({"sparse:compressor": "zlib"})
+        data = PressioData.from_numpy(arr)
+        stream = comp.compress(data).to_bytes()
+        dtype, dims, doubles, ints, pos = read_header(stream, b"SPR1")
+        forged = write_header(b"SPR1", dtype, forged_dims,
+                              doubles=doubles, ints=ints) + stream[pos:]
+        template = PressioData.empty(data.dtype, data.dims)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                comp.decompress(PressioData.from_bytes(forged), template)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestFtkMetrics:
     def test_extrema_detection(self):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import Pressio, PressioData
+from repro.meta.parallel import _slabs
 from repro.trace import disable_tracing, render_tree, tracing
 
 
@@ -86,7 +87,7 @@ class TestPipelineSpanTree:
             assert root.duration_ns >= child_self_ns
             # grandchildren are the sz leaf operations, exactly one per chunk
             leaves = [g for c in children for g in trace.children(c)]
-            n_chunks = -(-smooth3d.size // 2048)
+            n_chunks = len(list(_slabs(smooth3d.shape, 2048)))
             assert len([l for l in leaves
                         if l.attrs.get("plugin") == "sz"]) == n_chunks
 
@@ -104,7 +105,7 @@ class TestPipelineSpanTree:
         root = trace.roots()[0]
         assert root.attrs["parallel"] is True
         workers = trace.children(root)
-        assert len(workers) == -(-smooth3d.size // 1024)
+        assert len(workers) == len(list(_slabs(smooth3d.shape, 1024)))
         # every worker span hangs off the dispatching compress span,
         # and the work actually spread over more than one thread
         assert all(w.parent_id == root.span_id for w in workers)
@@ -176,7 +177,8 @@ class TestTraceMetricsPlugin:
         results = comp.get_metrics_results()
         assert results.get("trace:span_count") > 0
         assert results.get("trace:total_ms") > 0
-        assert results.get("trace:sz:calls") == 2 * -(-smooth3d.size // 4096)
+        n_chunks = len(list(_slabs(smooth3d.shape, 4096)))
+        assert results.get("trace:sz:calls") == 2 * n_chunks
         assert results.get("trace:sz:self_ms") > 0
         assert results.get("trace:sz:bytes_per_s") > 0
 
