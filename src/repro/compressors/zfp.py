@@ -1,9 +1,11 @@
 """LibPressio plugin for the ZFP native.
 
-Translates the library's uniform C-order dimensions into zfp's
-Fortran-ordered ``(nx, ny, nz)`` field description transparently — the
-exact trap (reversed dimension order) Section V of the paper measures —
-and exposes zfp's four modes through typed options.
+Hands the library's uniform C-order dimensions to the native core as
+they are, so callers never meet zfp's Fortran-ordered ``(nx, ny, nz)``
+field description — the exact trap (reversed dimension order) Section
+V of the paper measures — and exposes zfp's four modes through typed
+options.  Serial and staged compression run one path, so an empty
+array, which a field description cannot express, compresses on both.
 """
 
 from __future__ import annotations
@@ -136,27 +138,16 @@ class ZFPCompressor(PressioCompressor):
 
     # -- compression --------------------------------------------------------
     def _compress(self, input: PressioData) -> PressioData:
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"zfp cannot compress dtype {arr.dtype}")
-        # translate C-order dims -> zfp's Fortran-order field transparently
-        dims = input.dims
-        if any(0 < d < 4 for d in dims):
-            warnings.warn(
-                f"zfp pads dimensions smaller than its 4^d block size "
-                f"(dims {tuple(dims)}); expect degraded compression ratios",
-                stacklevel=2,
-            )
-        nxyzw = tuple(reversed(dims)) + (0,) * (4 - len(dims))
-        field = native_zfp.zfp_field(arr.reshape(-1), _zfp_type_of(arr.dtype),
-                                     *nxyzw[:4])
-        stream = native_zfp.zfp_compress(self._stream, field)
-        return PressioData.from_bytes(stream)
+        # one path for serial and staged callers: a zfp_field cannot
+        # describe an empty dimension (0 marks an unused one), so the
+        # C-API route would refuse the empty arrays stage 1 accepts
+        return self.compress_stage2(self.compress_stage1(input))
 
     def compress_stage1(self, input: PressioData):
         arr = input.to_numpy()
         if arr.dtype.kind not in "fiu":
             raise InvalidTypeError(f"zfp cannot compress dtype {arr.dtype}")
+        # translate C-order dims -> zfp's Fortran-order field transparently
         dims = input.dims
         if any(0 < d < 4 for d in dims):
             warnings.warn(
@@ -179,17 +170,3 @@ class ZFPCompressor(PressioCompressor):
             out = out.astype(dtype_to_numpy(output.dtype), copy=False)
         return PressioData.from_numpy(out, copy=False)
 
-
-def _zfp_type_of(dtype: np.dtype) -> int:
-    if dtype == np.float32:
-        return native_zfp.zfp_type_float
-    if dtype == np.float64:
-        return native_zfp.zfp_type_double
-    if dtype == np.int32:
-        return native_zfp.zfp_type_int32
-    if dtype == np.int64:
-        return native_zfp.zfp_type_int64
-    # other integer kinds are promoted to the closest zfp type
-    if np.dtype(dtype).kind in "iu":
-        return native_zfp.zfp_type_int64
-    raise InvalidTypeError(f"zfp has no type for {dtype}")

@@ -50,7 +50,10 @@ __all__ = ["GOLDEN_VERSION", "MANIFEST_NAME", "golden_field",
 # version 4: adds ``chunking_chk2``, the CHK2 container whose chunks are
 # runs of whole leading-axis slabs handed over with their N-d dims;
 # every version-3 stream, ``chunking_chk1`` included, is unchanged.
-GOLDEN_VERSION = 4
+# version 5: mgard writes closed-loop ``MGD2`` streams (its decoder
+# still reads ``MGD1``); the corpus holds no mgard stream, so every
+# version-4 stream is unchanged.
+GOLDEN_VERSION = 5
 MANIFEST_NAME = "MANIFEST.json"
 
 _REGEN_HINT = ("regenerate intentionally with "

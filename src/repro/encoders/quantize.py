@@ -45,7 +45,8 @@ def int32_fits(peak: float, fan_in: int) -> bool:
 def quantize_uniform(values: np.ndarray, error_bound: float,
                      out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None,
-                     fan_in: int = 0) -> np.ndarray:
+                     fan_in: int = 0,
+                     peak: float | None = None) -> np.ndarray:
     """Quantize to integer codes with bin width ``2*error_bound``.
 
     Guarantees ``|value - dequantize(code)| <= eb*(1+u) + u*|value|``
@@ -64,6 +65,13 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
     peak ``max |value/2eb|``).  Then they are int32, written into the
     leading half of a C-contiguous ``out``.  Use the returned array,
     not ``out``.
+
+    On return ``scratch`` holds the codes as float64 (the rounded
+    scaled values), so a caller can dequantize without reading the
+    codes back.  A caller that has proved ``max |value/2eb| <= peak``
+    for finite values (from the data's extremes, say) passes ``peak``
+    and skips the validation pass; a peak that is NaN or too large
+    raises as a measured one would.
     """
     if error_bound <= 0:
         raise ValueError(f"error_bound must be positive, got {error_bound}")
@@ -81,7 +89,8 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
         # np.maximum keeps a NaN from either, and NaN fails every
         # comparison, so this single check catches both non-finite
         # input (NaN peak, or inf >= bound) and overflow.
-        peak = float(np.maximum(-scaled.min(), scaled.max()))
+        if peak is None:
+            peak = float(np.maximum(-scaled.min(), scaled.max()))
         if not peak < _MAX_CODE:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("cannot quantize non-finite values")

@@ -293,16 +293,22 @@ def test_sz_streams_match_the_int64_path_at_the_gate(shape, below):
     assert np.abs(sz.decompress(narrow) - data).max() <= 0.5
 
 
+def _mgard_fits(data: np.ndarray, bounds: list[float]) -> bool:
+    return mgard_core._int32_codes_fit(float(data.min()), float(data.max()),
+                                       data.ndim, bounds)
+
+
 @pytest.mark.parametrize("tol,narrow", [(1e-2, True), (1e-5, True),
                                         (1e-9, False)])
 def test_mgard_streams_match_the_int64_path(tol, narrow):
     data = _alternating(1.0, (33, 40, 40)) + np.linspace(0, 50, 40)
-    bounds = mgard_core._level_bounds(tol, mgard_core.max_levels(data.shape),
-                                      0.0, data.ndim)
-    assert mgard_core._int32_codes_fit(data, bounds) == narrow
+    bounds = mgard_core._level_bounds(
+        mgard_core._quantizer_tol(tol, data.dtype, float(np.abs(data).max())),
+        mgard_core.max_levels(data.shape), 0.0, data.ndim)
+    assert _mgard_fits(data, bounds) == narrow
     stream = mgard.compress(data, tol)
     with mock.patch.object(quantize, "_INT32_LIMIT", 0):
-        assert not mgard_core._int32_codes_fit(data, bounds)
+        assert not _mgard_fits(data, bounds)
         assert mgard.compress(data, tol) == stream
     assert np.abs(mgard.decompress(stream) - data).max() <= tol * (1 + 1e-9)
 
@@ -310,8 +316,23 @@ def test_mgard_streams_match_the_int64_path(tol, narrow):
 def test_mgard_int32_gate():
     data = np.linspace(-5.0, 20.0, 27).reshape(3, 3, 3)
     bounds = mgard_core._level_bounds(1e-3, 0, 0.0, 3)
-    assert mgard_core._int32_codes_fit(data, bounds)
-    assert not mgard_core._int32_codes_fit(data, [1e-9] + bounds)
-    assert not mgard_core._int32_codes_fit(data * 1e9, bounds)
-    assert not mgard_core._int32_codes_fit(
-        np.where(data > 0, np.nan, data), bounds)
+    assert _mgard_fits(data, bounds)
+    assert not _mgard_fits(data, [1e-9] + bounds)
+    assert not _mgard_fits(data * 1e9, bounds)
+    assert not _mgard_fits(np.where(data > 0, np.nan, data), bounds)
+
+
+def test_mgard_int32_gate_edge():
+    # a closed-loop detail is a sample minus a mean of reconstructed
+    # samples, so it can reach the span plus the largest bound: with
+    # bounds (0.5, 1) a detail code is at most span + 1 + 1/2, and the
+    # gate takes int32 up to span 2**31 - 3, one below the span the
+    # open-loop gate (span alone) would have let through
+    bounds = [0.5, 1.0]
+    for span, fits in ((2.0**31 - 3, True), (2.0**31 - 2, False)):
+        data = np.linspace(-span / 2, span / 2, 5)
+        assert _mgard_fits(data, bounds) == fits
+        stream = mgard.compress(data, 1.0, s=1.0)
+        with mock.patch.object(quantize, "_INT32_LIMIT", 0):
+            assert mgard.compress(data, 1.0, s=1.0) == stream
+        assert np.abs(mgard.decompress(stream) - data).max() <= 1 + 1e-9

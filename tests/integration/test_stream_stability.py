@@ -45,7 +45,7 @@ class TestGoldenRoundtrip:
 
     def test_mgard_header_version_byte(self):
         stream = native_mgard.compress(golden_input(), 1e-6)
-        assert stream[:4] == b"MGD1"
+        assert stream[:4] == b"MGD2"
         assert stream[4] == 1
 
     def test_fpzip_header_version_byte(self):

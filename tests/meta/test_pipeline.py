@@ -119,3 +119,21 @@ def test_base_stage_hooks_compose_to_compress(library):
     assert staged == comp.compress(data).to_bytes()
     with pytest.raises(PressioError):
         comp.compress_stage2({"not": "a PressioData"})
+
+
+@pytest.mark.parametrize("dims", [(0, 5), (5, 0), (0,)])
+def test_empty_zfp_round_trips_through_both_stacks(library, dims):
+    arr = np.zeros(dims)
+    data = PressioData.from_numpy(arr)
+    template = PressioData.empty(data.dtype, data.dims)
+    # serial zfp and its stage split write one stream
+    zfp = library.get_compressor("zfp")
+    assert zfp.set_options({"pressio:abs": 1e-4}) == 0
+    staged = zfp.compress_stage2(zfp.compress_stage1(data)).to_bytes()
+    assert zfp.compress(data).to_bytes() == staged
+    chunk, pipe = _pair(library, "zfp", {"pressio:abs": 1e-4})
+    streams = [comp.compress(data) for comp in (chunk, pipe)]
+    assert streams[0].to_bytes() == streams[1].to_bytes()
+    for comp, stream in zip((chunk, pipe), streams):
+        out = comp.decompress(stream, template).to_numpy()
+        assert out.shape == dims

@@ -32,6 +32,9 @@ STREAMS = {
     "zfp": lambda d: zfp.compress(d, zfp.MODE_ACCURACY, 1e-3),
     "zfp-reversible": lambda d: zfp.compress(d, zfp.MODE_REVERSIBLE, 0),
     "mgard": lambda d: mgard.compress(d, 1e-3),
+    # the open-loop format the decoder still reads: same layout, the
+    # magic selects the level bounds
+    "mgard-mgd1": lambda d: b"MGD1" + mgard.compress(d, 1e-3)[4:],
     "fpzip": fpzip.compress,
     "tthresh": lambda d: tthresh.compress(d, 1e-3),
 }

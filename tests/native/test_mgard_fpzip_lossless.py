@@ -9,22 +9,45 @@ from repro.encoders.headers import write_header
 from repro.encoders.residual import encode_residuals
 from repro.native import fpzip, mgard
 from repro.native.lossless import codec_ids, get_codec
-from repro.native.mgard.core import (_decompose, _reconstruct, _splits,
+from repro.native.mgard.core import (_coarse, _detail_span, _encode,
+                                     _level_bounds, _reconstruct, _splits,
                                      max_levels)
+
+
+def _closed_loop(arr: np.ndarray, levels: int, tol: float):
+    """The encoder's reconstruction of ``arr`` and the decoder's input:
+    dequantized details in the split slots, the coarse grid in place."""
+    buf = arr.astype(np.float64)
+    bounds = _level_bounds(tol, levels, 0.0, arr.ndim)
+    codes = np.empty(buf.size, dtype=np.int64)
+    _encode(buf, levels, bounds, codes, np.empty(buf.size // 2),
+            np.empty(buf.size // 2),
+            _detail_span(float(arr.min()), float(arr.max()), bounds))
+    details = np.empty_like(buf)
+    offset = 0
+    for lvl, _axis, _grid, odd in _splits(arr.ndim, levels):
+        n = details[odd].size
+        details[odd] = (codes[offset:offset + n].reshape(details[odd].shape)
+                        * (2.0 * bounds[lvl]))
+        offset += n
+    details[_coarse(arr.ndim, levels)] = buf[_coarse(arr.ndim, levels)]
+    return buf, details
 
 
 class TestMgardDecomposition:
     @pytest.mark.parametrize("shape", [(17,), (16,), (9, 13), (8, 8),
                                        (5, 7, 9), (12, 10, 8)])
     def test_lossless_reconstruction(self, shape):
+        # _reconstruct rebuilds the closed-loop encoder's buffer exactly
+        # from the dequantized details
         rng = np.random.default_rng(0)
         arr = rng.standard_normal(shape)
         levels = max_levels(shape)
-        buf = arr.copy()
-        _decompose(buf, levels)
-        assert not np.array_equal(buf, arr) or levels == 0
-        _reconstruct(buf, levels)
-        assert np.allclose(buf, arr, atol=1e-12)
+        buf, details = _closed_loop(arr, levels, 1e-9)
+        assert not np.array_equal(details, buf) or levels == 0
+        _reconstruct(details, levels)
+        assert np.array_equal(details, buf)
+        assert np.abs(buf - arr).max() <= 1e-9 * (1 + 1e-9)
 
     @pytest.mark.parametrize("shape", [(17,), (16,), (9, 13), (8, 8),
                                        (5, 7, 9), (12, 10, 8)])
@@ -45,10 +68,9 @@ class TestMgardDecomposition:
     def test_details_small_on_smooth_data(self):
         x = np.linspace(0, 1, 65)
         arr = np.sin(2 * np.pi * x)
-        buf = arr.copy()
-        _decompose(buf, 3)
+        _buf, details = _closed_loop(arr, 3, 1e-9)
         _level, _axis, _grid, odd = next(_splits(arr.ndim, 3))
-        finest = np.abs(buf[odd])
+        finest = np.abs(details[odd])
         assert finest.size == 32
         assert finest.max() < 0.01 * np.abs(arr).max()
 
@@ -99,15 +121,28 @@ class TestMgardCompression:
         with pytest.raises(CorruptStreamError):
             mgard.decompress(stream, expected_dims=(4, 4))
 
+    @pytest.mark.parametrize("magic", [b"MGD1", b"MGD2"])
     @pytest.mark.parametrize("dims", [(), (3, 3, 3, 3)])
-    def test_stream_of_unsupported_rank_rejected(self, dims):
+    def test_stream_of_unsupported_rank_rejected(self, dims, magic):
         # compress never writes these ranks; a forged header must fail
         # typed, not decode or escape as an IndexError
         codes = np.zeros(int(np.prod(dims)), dtype=np.int64)
-        stream = write_header(b"MGD1", DType.DOUBLE, dims,
+        stream = write_header(magic, DType.DOUBLE, dims,
                               doubles=(1e-3, 0.0), ints=(1,))
         with pytest.raises(CorruptStreamError, match="dimensions"):
             mgard.decompress(stream + encode_residuals(codes))
+
+    @pytest.mark.parametrize("magic", [b"MGD1", b"MGD2"])
+    @pytest.mark.parametrize("s", [1e6, -1e6])
+    def test_stream_with_unusable_s_rejected(self, s, magic):
+        # a forged s overflows or underflows a level's bound: typed
+        # failure, not an OverflowError or a NaN array
+        stream = bytearray(mgard.compress(np.random.default_rng(0)
+                                          .standard_normal((9, 9)), 1e-3))
+        stream[:4] = magic
+        stream[9 + 16 + 8:9 + 16 + 16] = np.float64(s).tobytes()
+        with pytest.raises(CorruptStreamError, match="usable bound"):
+            mgard.decompress(bytes(stream))
 
     def test_float32_roundtrip(self, smooth3d):
         data = smooth3d.astype(np.float32)

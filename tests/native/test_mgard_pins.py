@@ -6,7 +6,8 @@ These pins cover the rest of the decomposition's geometry: a 1-D
 3-D shapes down to the 3-sample minimum, float32 and int32 input, and
 the ``s = 1`` level weighting.  Each case pins the SHA-256 of the
 stream and of the decompressed array (dtype, shape and bytes), so a
-transform change that moves one bit of either fails here.
+transform change that moves one bit of either fails here, and checks
+the absolute bound, which holds for every ``s`` and dtype.
 
 Regenerate (only when a stream format change is intended) with
 ``python tests/native/test_mgard_pins.py``.
@@ -57,64 +58,64 @@ CASES = {
 
 #: name -> (stream SHA-256, decompressed-array SHA-256)
 PINS = {
-    "chunk1d-1e-4": ("774ab7f926d4a2060ad970702ab018c403fc32408b4b848f027fb0aae85e26fd",
-        "cf1f8d9fb13235009d45f7b6427508b53f686c7a45fc717086615a86221feda7"),
-    "chunk1d-1e-2": ("2d5e56ef1cb4cd32607b515565a5dacf50698ce254c0ed8e85704f3c80d710ee",
-        "72020a3e38bf9ebb3d6f41a1fb8593753576e09308d146f027c97845c399e4f0"),
-    "chunk1d-s1": ("3972c0a8a000be016648cb260d37180e66e379e1f19140e2e6585807a3c2d118",
-        "25bef76e569a7c4d82bfb02c699d9bed98745ad7624e5e0ad5aab601c812fae9"),
-    "1d-3": ("38c5d74d14fce40168140fe16b41c2d2715fe2a1b0cc5835b9a1ad19870712ea",
-        "2cda4b68e975e7b3dd19536d0811ce602ee81e8198c9d9bb3f3dc33517f040af"),
-    "1d-4": ("7ce4d96cf1ae5faf16326c62a0d5e0d5371e25227fc0e1662fc67ce163a202bd",
-        "7ca4569245b61dc13b61dfde31ddabd8d1305f2baeecfa8cfc0f1f566c0c4a78"),
-    "1d-6": ("8908fe881e7f7e1f958e493b179723f76c063fc959e5197b7aff0aa42e54a4f9",
-        "929069fe75eaed070858d8484529a8bfff4b057205b28bc35c6a8f7b7786d512"),
-    "1d-16": ("2837fd7050ab33badc07623fe6fb8a57f74ea4a421103787083ebf91615cce92",
-        "8f34411484386dea8c491803f6f32345850400e1e6a7f325147166751e64c6f0"),
-    "1d-17": ("a8c19c94737e38ff9609ee457e1b185c67d95acd76b0d11c2083d255cbeb36a9",
-        "2021eec6ffea5f1c2b4347b7752951a428edeaecb266bd41864d77c34874b9a5"),
-    "1d-1000": ("c07a5d76726d0e61167343bf574ca2b481a00195f268a6302026a5fda1cd480e",
-        "90216e4adc6b5a98a903175eca3d176e968ec439782d57278ed3a8e2079a1a99"),
-    "2d-3x3": ("30f6e44ea1f2b5bf70846cc85454c6c0be243252065f4a611c292654ca6d1c9e",
-        "0562fed84ff5f524bee9e0459a92e56df65d10ae500f3ac975c649a88a9702a5"),
-    "2d-3x4": ("47b6535d271ca333a1d8a1905609aa8cc0e52085374c2766e61cf9db73f6aec8",
-        "f36e29c01cbe15becca2bd832ba4f48854526c32054c632193bd41ac6d8abf26"),
-    "2d-6x5": ("d1e2c6c9b6a1bdb311141ee959fee6fb219e208ed60be6a7359ca9315d3fb475",
-        "1a828a9bf7c958f6783f3b1b2a99f3f3d3d524878f870db435941f7070840ff3"),
-    "2d-8x8": ("9f0b5dfdb682d38dd9ef2cbfc7b9eff195133a542d9186c048a3fef6c25052e7",
-        "2a9407929576966b0b2268a171f081ef92977504f131a527a24b0acce74dccda"),
-    "2d-9x13": ("7789752ac5bdfb9e6049851384a7d1919c4a3a61cc3a9a7c9278f8bc685b3c51",
-        "8b5d1a752337f46223c0d8260ec7788814523d6089b56374b569f822104f2a2b"),
-    "2d-64x33": ("79a0cae7197fb8978955a8745e1c6eca97f289407f398c30afd3bcbc33aabd58",
-        "b857a93b5f49510e01d397ee0d515d25398718224502278f100fd1f46df40a6b"),
-    "3d-3x3x3": ("764cc4b06048c7ab675ce5199f9bfcd5e429d04664f5e06043bcd6b0b4491307",
-        "b474f6c57bb6b12ac9274dbd2e96e7740facda6bc37e5910768852c4ed820c08"),
-    "3d-4x3x5": ("ca49429d2b426d98aaa021618554ed4f7a811f9552e361bd0b0c5623816ba625",
-        "a05c0a7bd5a01aadf84afa80510623e194607385d8d478447f601cf1c98b20a8"),
-    "3d-5x5x5": ("e6cfebe4ffbc6d97164dbf70991f25667684777e3bf2a15fc35ee141ee3e0738",
-        "0d47eb842c800fd1a634a61365f64acc8d655e04f1577a8ea4886bf7374250f7"),
-    "3d-6x6x5": ("ff22f3f389002d4b2943b995b11639a9b1b0314c99b2b73e0807d2d048c54edc",
-        "b69e11e03ce7a8c047baf2d7e0eb205be2a163ab7f45a56960872a98724e08f5"),
-    "3d-5x7x9": ("dd708209e074e1c8462f15ed9c770c576a7156dafb8ecc20204ff7ade81339c5",
-        "2b176f507cd294e81b199b95fd817fa2d6f3dd8c9f78bca7e9c4760472b86bbf"),
-    "3d-12x10x8": ("2bc69e64110e6006f6db42a2231bd96d0e4cee7dbe4b50c43b2e6502b0547448",
-        "676016b68c667589b3caf3df29679ef8258933d8280783add39c2b59606daba4"),
-    "3d-17x16x6": ("4dac30379e5f38a3e594e4973d687cfc20b27a779c0b8c75e218a5a452b59608",
-        "fe2de3eb3c0fe982a7b9dea056a191eb4310110cc031168f7c810dde78f9ffd0"),
-    "3d-24x20x18": ("8d830303a5a19d9749e2bf424e3c3e3265ad9d7f2eed7a626a74ce824cfc11a3",
-        "31ca8c2d29ebbf83760adebbd7245901427600d0d23b77ba8d224a92263a061b"),
-    "f32-9x13": ("ee53deb0c46b01aaa476ed6c00f521f86f9501732bae1cc5e9e335d693d91e59",
-        "acb4d3dfe7e5a8c464fa3ea7803ca85501837d67f4273a5ca037836e4c5c8c66"),
-    "f32-12x10x8": ("7da9242dd08cb00e0aa7ab659eb87650c93ef49c2e201903b853625df88516d2",
-        "92d8a78da9fba068c05693160b663083fad306181701138bf761972bd225c9cb"),
-    "i32-17": ("2468ee79328777368d82ef2a409f8a1fd31dca26eb0a47bb3141e40d7922112e",
+    "chunk1d-1e-4": ("956950f20a7502dd81d3de7c3300d21c566a73bbcbc9b4644890b00900c1ea8d",
+        "db527090b320636a16aec17a9b3b8cdfc501daf848be4c662515de99487388fd"),
+    "chunk1d-1e-2": ("a2d2294bd197cba692813eff9dd9f4d1884c46b9c0dbaf09bb8f2234390eb75d",
+        "6ea74a89f71fc6218e70a8caa313a3bdee9b1c392af4e61bf2736935008dda8f"),
+    "chunk1d-s1": ("3f7220adaf0466c000bde617199458102aeecbb48a6e288f6bf9b4d1869107aa",
+        "3ce1a9d3a85facaf3d56b24ef532804cfd34962100e22d7e944509986d0c8421"),
+    "1d-3": ("035fe2f2f31834c19b858a240f709186defca05415dc3a4ee45e09a9ace1750f",
+        "5358f56a69d2a7d8f1da7bc4bdc51e365b8e3c885704ba062b157d46c0d94ab5"),
+    "1d-4": ("93670a0a06a2c17c74030ed75b2a2727e9963e84c596e8dfb35bd4f9deb00628",
+        "05d8095ff543054fb2d7faf91c8f8eb546f5f57bd6b2ef6f7eaf96e7b8d52e31"),
+    "1d-6": ("b0d4431072b1a8cee438c0e9030f2300e96bc84fe24a7ddd40b56988841cb4c1",
+        "6f44638f04a53bbddf93088d79d87d71241b64fa9e6d158df7d2cbdbecc4babc"),
+    "1d-16": ("a841897f2135eb15dc1db76c9f412f6d8e835e22d954f4de422b52fcf5c4e001",
+        "33c2c958f3b1017f9eb8cd68a764b3c78d6dd477078dcf4103452e349dad86b9"),
+    "1d-17": ("0224381d59fff8a02bc72c8a4ef985a7973dedd637a1c915a9da3483ff93dc3d",
+        "0f67bd659dd862344b28a4f114897e762ca4bc9393e31d7d982467100e2efa68"),
+    "1d-1000": ("a166350abe905cb81b06fc1929a962f0802581eaa7e09a03bffabfec0cf85ca0",
+        "702235744d0542aa3f3532adbda292f48fa587457f4563edf524e3e3ed32e30c"),
+    "2d-3x3": ("9f87cd774ad09618a4fce0df8b417611397bdbee15bc2bce1373d48af0200652",
+        "8931ad79a880a1eba4799d229561311ee79abc6599e3c27b506d06fbca21fedd"),
+    "2d-3x4": ("2e40679c84d98c13eddec852dd3ef2de0236eeabd7e57f8252d2428dfb940707",
+        "c17f01a142ab61f8d78d7b526577e669b914a926b075be956959bd14110522f9"),
+    "2d-6x5": ("a9247f1fa64772efad618b9960fd0989c263ac00c5051f887bd938fd5b24560a",
+        "4d36ee8d5c13f25e8f02a0d9e82dc31262fcc415b5f6b79a00fba51a51e69cca"),
+    "2d-8x8": ("2b851d7a7dc36e9cef72b4bcce06e3be684e568088c1976676dc8b84bc846f42",
+        "2cea75d0ffd781e8b10c6f5aec5a98dbab16618e7e6430780045a643558bfb51"),
+    "2d-9x13": ("86b0c2d769d4a92dce7796e5f51543f0a5ffd14529a34d3dcf363325e7c571ff",
+        "1a383a8197670478c04341aa5fabdb59a4427c2ca270944ba03655bbf3484e32"),
+    "2d-64x33": ("358029b680c4179bdd809365e08a02bd990211609e4d82fc10ad4dd77fbd28c2",
+        "cfebca00dbb3552ce89a554bfb9a348453e70f6cf35cb123b70ce1780762dd74"),
+    "3d-3x3x3": ("0c769222a1c4fefd55b38a99ec032c2ae944ca8576fb3d871c8aec5f775022e1",
+        "b5cbbe9cac2801640713273336cec25be0cf869d830ab67eab3dcf89e47d84b6"),
+    "3d-4x3x5": ("7391a8a804fe97234b1b384a28de2f9a6fc7b15497ecea6bcfb44a395ae7c503",
+        "360872b26b4f80808aba54d76006c9261b0ce2913738608e2fb134ab3f6d535c"),
+    "3d-5x5x5": ("8d35af61ce8ca8de44dc3b04368c7debd6e85138237f43c710bdf0cacdba7f5a",
+        "43d650dcbe6a1f9e1726d5602df11a37376146dc0ed5f89022daf274f669ff8d"),
+    "3d-6x6x5": ("a51150f9fec6ac47e7b975b6262d63fbfccf7042104f6542842f2e97d9a09ecc",
+        "685debceb5952d26ad3200e985ee57741ac7e7d81c5ebe7dc046cb3052aa64ee"),
+    "3d-5x7x9": ("1d92ae9c3e5f08e2026fb393e6e5b2b2506e277cad9e92de019c3bd1263d520f",
+        "10a829cebb26bc5e78e000477fe7d34fff859b5bd870b44dc10d9ac49d03ddc2"),
+    "3d-12x10x8": ("95f2a0eefadadeeb7a8aee8efbddbd37ba7d2b2b6c31ad243bc3b2f241c5155c",
+        "b3a79f1232e5e475536180f9167bf640c3170497fa1f966fbd1099b3fefedd7c"),
+    "3d-17x16x6": ("23e6bf32c7fd7419d86b5af142ea6377d293025d5f6f25a44beca1513e6cee4e",
+        "cd6b16045f5d1c5b7c011106fbff8db81d87c5a317a6f1dae33a6916a2e0a19b"),
+    "3d-24x20x18": ("5b4c88e6891cab75ab96209c7a7296b31d95e0721007e5be30a585d041fa7b16",
+        "fd184d24a507fc0933b3bcca033eee1c315b29daf0e0d035e11765f77534ca76"),
+    "f32-9x13": ("a64cc00303ff78f78b8e4c1177a444c61860e548efe39c24531026f46ab6a64e",
+        "9ee300086b9762438fed870285dbfdbb4324d158a88eb9cc44baf3e6f0d6f625"),
+    "f32-12x10x8": ("a6a82e736ba7f8e81c557ef4db598d60dd5944c288ac30bf61571d610dacdf38",
+        "346a5c64b37c21c8f2ad5d8b76ad239bd15fd731aa292e66a7ec145e57786e48"),
+    "i32-17": ("8b92a79ce749ceb12094073415db0085b1c8cf1613d0badaf87a2b9f06563c65",
         "4fcec400c58135e70bc648ea3f3fa6b31cc96f872b58fe489e10fe8ebed809fb"),
-    "i32-5x7x9": ("160ef3828de806fdf2b8479cdf494a5c40baa985388da0db8912f7fc1b026381",
-        "793b547853fbe25837e90a7d9d6f0b7aaa487838dc869bad46c810c04a8b4ae5"),
-    "s1-12x10x8": ("23cb00a5d46e1e9df8c4017552df6ca27320e5298effc46115ce54debb82c7f5",
-        "bcf20d6861b31c8bb15d7e0d458ac9776e2920cdadf1839454f9abc278927ef1"),
-    "s1-9x13": ("d589ea432a2dd5169875f91c86f3a7995243324d6791f460a9f5d5748fe42aff",
-        "c1f9554de0e0ef92ee8c20c67346689f4998688eacad6cac47e1bea1c269a5ad"),
+    "i32-5x7x9": ("c77901c86fa9fbada224369b70c29bbee8106bfb4a314969050ec94acafb4d65",
+        "0496c1d7813fed412d9ca358aaeca73bb5a428f89d96ad609805d708853c19fc"),
+    "s1-12x10x8": ("3a3fc2a2e66e3678ef3491fa8ff98eecbc8985c79ff9f22b9456ef32c00f6d9d",
+        "31e4c7f63dacd9868880dbbdb952c70c29b9ff138c331b5bcfa9a31e748f1a6c"),
+    "s1-9x13": ("8d60c7c8e3497ff93c627303dabfb139de00581941c90f62070a1d3b1290bed7",
+        "8071cb207ecc44b48a8685f6bff50cadc0cec9061392f05bbe70b5da4e6be279"),
 }
 
 
@@ -149,11 +150,8 @@ def test_mgard_stream_and_output_are_pinned(name):
     arr, stream, out, tol = _run(name)
     assert out.dtype == arr.dtype and out.shape == arr.shape
     assert (hashlib.sha256(stream).hexdigest(), _digest(out)) == PINS[name]
-    if CASES[name][3] == 0.0:
-        err = np.abs(out.astype(np.float64) - arr.astype(np.float64)).max()
-        # integer output is rounded: half a unit on top of the bound
-        slack = 0.5 if arr.dtype.kind == "i" else 0.0
-        assert err <= tol * (1 + 1e-9) + slack
+    err = np.abs(out.astype(np.float64) - arr.astype(np.float64)).max()
+    assert err <= tol * (1 + 1e-9)
 
 
 if __name__ == "__main__":

@@ -5,13 +5,13 @@ RZC1 cutoff, so it never reaches the byte-plane encoder.  These pins
 do: each is the SHA-256 of ``native.{sz,zfp,mgard}.compress`` on a
 seeded field above the cutoff — a nyx-like cube and a slab with the
 CLOUD field's 1:5:5 aspect — at value-range-relative bounds 1e-4, 1e-2
-and 1e-9, with sz also at effort level 6 (``sz6``).  Together the
-configs cover residuals that fit int8, int16 and int32 and ones that
-need int64 (mgard/nyx at 1e-9), so a change to the width any stage
-runs in that alters one emitted byte fails here.  The 1e-9 bound also
-sends sz's and mgard's stage-1 codes down their int64 path rather than
-int32.  Every stream is decompressed as well, so a pin cannot hold on
-a stream the decoder rejects.
+and 1e-9, with sz also at effort level 6 (``sz6``) and mgard/nyx also
+at 1e-12.  Together the configs cover residuals that fit int8, int16
+and int32 and ones that need int64 (mgard/nyx at 1e-12), so a change
+to the width any stage runs in that alters one emitted byte fails
+here.  The 1e-9 bound also sends sz's and mgard's stage-1 codes down
+their int64 path rather than int32.  Every stream is decompressed as
+well, so a pin cannot hold on a stream the decoder rejects.
 
 Regenerate (only when a stream format change is intended) with
 ``python tests/native/test_stream_pins.py``.
@@ -43,12 +43,13 @@ PINS = {
     ("zfp", "cloud", 1e-4): "d0a4ba5b53ff2c683205bcb6f29add7e89bfb9317f4d71e4bce3c7c1a9ffa253",
     ("zfp", "cloud", 1e-2): "476bf07079d5dabd5dfdf1a4d68fb61fdea3dbd00d16b30c238f86891d68fac9",
     ("zfp", "cloud", 1e-9): "3fdaff7b98327e9b11d77419aba5eebdc6635a487843befa67f63a655306ac58",
-    ("mgard", "nyx", 1e-4): "79f0bfd23d7f54c751f9403969810bfcfe71bca68a9330dec707f4cd5c1dcdc6",
-    ("mgard", "nyx", 1e-2): "2c023fd28d3488d7cf2dcc67b9d6b4c532bf3a3320f020505dd3dc1b9aff13aa",
-    ("mgard", "nyx", 1e-9): "ba121270c79c823bfce9628aa411db811b64d049e0bf2e5d0a54961787e49085",
-    ("mgard", "cloud", 1e-4): "8e763e32d5cfb36716edfa51ff5f995f5791ed964e043f7ccf47b4d4d36a13ef",
-    ("mgard", "cloud", 1e-2): "b684ccd759fd6b41440c32d5c86f11f84b4f4646a70de247a51a7b248b7b6c20",
-    ("mgard", "cloud", 1e-9): "534f14a6d71e7edfb815b5aea3f83b6ba825b8a8f764814770c9848a0fa433de",
+    ("mgard", "nyx", 1e-4): "d1829b1b1fdcfc9132bb6f2fbe4b437bb79566d4024e0fcf626cd9729f94eedc",
+    ("mgard", "nyx", 1e-2): "392a76659410c61ff6f888013efec10df7e2df50a0f2807396eb857ab842900d",
+    ("mgard", "nyx", 1e-9): "80867f53932163cc4af1463ff605dff1f0cf2e30f5907093074034528b23dced",
+    ("mgard", "nyx", 1e-12): "71c455cc0c184a2e0be094d0e8a6071bc568734c78038a17db0acb8d7ea9541c",
+    ("mgard", "cloud", 1e-4): "df225235898f541e8fd541c221bdf23b2e61e06f5054ec03394284a73db522b1",
+    ("mgard", "cloud", 1e-2): "9b8d90ba45d300b195405391316ead0199c921541c1185ed4f0d2145d0e3717b",
+    ("mgard", "cloud", 1e-9): "feb911c273f451869e8a5f547cb372598d192c036ee79327620f9a581d5bdaf8",
 }
 
 _FIELDS: dict[str, np.ndarray] = {}
