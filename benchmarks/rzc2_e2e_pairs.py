@@ -45,6 +45,9 @@ Usage, from the root of a checkout (about 40 minutes each)::
         --output benchmarks/BENCH_nd_chunking_e2e.json
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 6787be2 --traced \\
         --output benchmarks/BENCH_nd_chunking_traced.json
+    # the closed-loop mgard encoder against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 5f6ac3d \\
+        --output benchmarks/BENCH_mgard_closed_loop_e2e.json
 """
 
 from __future__ import annotations

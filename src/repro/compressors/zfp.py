@@ -138,16 +138,15 @@ class ZFPCompressor(PressioCompressor):
 
     # -- compression --------------------------------------------------------
     def _compress(self, input: PressioData) -> PressioData:
-        # one path for serial and staged callers: a zfp_field cannot
-        # describe an empty dimension (0 marks an unused one), so the
-        # C-API route would refuse the empty arrays stage 1 accepts
+        # one path for serial and staged callers, so both write the same
+        # bytes and accept the same arrays: a zfp_field cannot describe
+        # an empty dimension (0 marks an unused one)
         return self.compress_stage2(self.compress_stage1(input))
 
     def compress_stage1(self, input: PressioData):
         arr = input.to_numpy()
         if arr.dtype.kind not in "fiu":
             raise InvalidTypeError(f"zfp cannot compress dtype {arr.dtype}")
-        # translate C-order dims -> zfp's Fortran-order field transparently
         dims = input.dims
         if any(0 < d < 4 for d in dims):
             warnings.warn(

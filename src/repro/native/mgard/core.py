@@ -312,10 +312,12 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
     bounds = _level_bounds(tol, levels, float(s), arr.ndim)
     code_dtype = (np.int32 if _int32_codes_fit(lo, hi, arr.ndim, bounds)
                   else np.int64)
-    buf = _pool.acquire(arr.shape, np.float64)
     # predictions and details pass through two contiguous scratch
-    # buffers, as large as the first (largest) split's details
-    pred = _pool.acquire((buf.size // 2,), np.float64)
+    # buffers, as large as the first (largest) split's details.  The
+    # predictions' is freed on return: a pooled one would stay resident
+    # between calls and raise the process's peak RSS by its size.
+    pred = np.empty((arr.size // 2,), np.float64)
+    buf = _pool.acquire(arr.shape, np.float64)
     scratch = _pool.acquire((buf.size // 2,), np.float64)
     allcodes = _pool.acquire((buf.size,), code_dtype)
     try:
@@ -327,7 +329,7 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
         _pool.release(allcodes)
         raise
     finally:
-        _pool.release(buf, pred, scratch)
+        _pool.release(buf, scratch)
     return {"allcodes": allcodes, "tol": tol, "s": s, "levels": levels,
             "dtype": dtype, "shape": arr.shape, "backend": backend,
             "level": level}
