@@ -110,8 +110,9 @@ def _along(grid: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
     return grid[tuple(sl)]
 
 
-def _lift(grid: np.ndarray, axis: int) -> None:
-    """Add back to every odd sample along ``axis`` its prediction.
+def _predict(grid: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """Write the prediction of every odd sample along ``axis`` into
+    ``out``, which is shaped like the odd samples.
 
     The k-th odd sample is predicted by the mean of its even neighbors
     k and k+1.  When the axis length is even, the last odd sample has
@@ -119,24 +120,6 @@ def _lift(grid: np.ndarray, axis: int) -> None:
     """
     n = grid.shape[axis]
     both = (n - 1) // 2  # odd samples with both neighbors present
-    pred = np.add(_along(grid, axis, 0, 2 * both),
-                  _along(grid, axis, 2, 2 * both + 1))
-    pred *= 0.5
-    odd = _along(grid, axis, 1, 2 * both)
-    np.add(odd, pred, out=odd)
-    if n % 2 == 0:
-        last = _along(grid, axis, n - 1, n)
-        np.add(last, _along(grid, axis, n - 2, n - 1), out=last)
-
-
-def _predict(grid: np.ndarray, axis: int, out: np.ndarray) -> None:
-    """Write :func:`_lift`'s prediction of every odd sample into ``out``.
-
-    ``out`` is shaped like the odd samples; its values carry the same
-    float operations, in the same order, as :func:`_lift`'s.
-    """
-    n = grid.shape[axis]
-    both = (n - 1) // 2
     sl = [slice(None)] * out.ndim
     sl[axis] = slice(None, both)
     mean = out[tuple(sl)]
@@ -146,6 +129,14 @@ def _predict(grid: np.ndarray, axis: int, out: np.ndarray) -> None:
     if n % 2 == 0:
         sl[axis] = slice(both, None)
         np.copyto(out[tuple(sl)], _along(grid, axis, n - 2, n - 1))
+
+
+def _lift(grid: np.ndarray, axis: int) -> None:
+    """Add back to every odd sample along ``axis`` its prediction."""
+    odd = _along(grid, axis, 1, grid.shape[axis])
+    pred = np.empty_like(odd)
+    _predict(grid, axis, pred)
+    np.add(odd, pred, out=odd)
 
 
 def _reconstruct(buf: np.ndarray, levels: int) -> None:
