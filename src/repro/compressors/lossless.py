@@ -6,77 +6,98 @@ One plugin id per codec (``zlib``, ``bz2``, ``lzma``, ``pressio-lz``,
 compressor from the paper's Table I discussion: they accept any dtype by
 flattening to bytes, and dtype/dims travel in a small stream header so
 decompression restores the typed, shaped buffer.
+
+:class:`FramedCompressor` states that framing once, for these plugins
+and for the precision-trimming ones in :mod:`repro.compressors.rounding`.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
 from ..core.data import PressioData
-from ..core.dtype import DType
+from ..core.dtype import dtype_to_numpy
 from ..core.options import PressioOptions
 from ..core.registry import register_compressor
 from ..core.status import CorruptStreamError
 from ..encoders.headers import read_header, write_header
-from ..native.lossless import codec_ids, get_codec
+from ..native.lossless import Codec, codec_ids, get_codec
 
-__all__ = ["LosslessCompressor", "LOSSLESS_PLUGIN_IDS"]
-
-_MAGIC = b"LSL1"
+__all__ = ["FramedCompressor", "LosslessCompressor", "LOSSLESS_PLUGIN_IDS"]
 
 
-class LosslessCompressor(PressioCompressor):
-    """Generic wrapper turning a byte codec into a pressio plugin."""
+class FramedCompressor(PressioCompressor):
+    """A stream header (dtype, dims) in front of one byte codec's payload.
 
+    Decompression checks the header's dims against the output
+    template's, then sizes the payload from them, so the codec decodes
+    no more bytes than the dims imply.
+    """
+
+    #: header magic of the plugin's streams
+    magic: bytes
+    #: the default byte codec
     codec_name = "zlib"
+    #: the plugin's ``pressio:lossy``
+    lossy = False
     thread_safety = "multithreaded"
 
     def __init__(self) -> None:
         super().__init__()
-        self._codec = get_codec(self.codec_name)
+        self._backend = self.codec_name
 
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set(f"{self.prefix()}:codec", self._codec.name)
-        return opts
+    def _codec(self) -> Codec:
+        return get_codec(self._backend)
+
+    def _payload(self, input: PressioData) -> tuple[bytes, tuple[int, ...]]:
+        """The bytes to encode and the header's ints."""
+        return input.to_bytes(), ()
+
+    def _compress(self, input: PressioData) -> PressioData:
+        raw, ints = self._payload(input)
+        header = write_header(self.magic, input.dtype, input.dims, ints=ints)
+        return PressioData.from_bytes(header + self._codec().encode(raw))
+
+    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
+        stream = input.as_memoryview()
+        expected = output.dims if output.num_dimensions else None
+        dtype, dims, _d, _i, pos = read_header(stream, self.magic, expected)
+        size = PressioData.empty(dtype, dims).size_in_bytes
+        raw = self._codec().decode(stream[pos:], size)
+        if len(raw) != size:
+            raise CorruptStreamError(
+                f"decoded {len(raw)} bytes, header dims imply {size}")
+        arr = np.frombuffer(raw, dtype=dtype_to_numpy(dtype))
+        return PressioData.from_numpy(arr.reshape(dims), copy=True)
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.STABLE)
-        cfg.set("pressio:lossy", False)
+        cfg.set("pressio:lossy", self.lossy)
         return cfg
+
+    def version(self) -> str:
+        return "1.0.0.pyrepro"
+
+
+class LosslessCompressor(FramedCompressor):
+    """Generic wrapper turning a byte codec into a pressio plugin."""
+
+    magic = b"LSL1"
+
+    def _options(self) -> PressioOptions:
+        opts = PressioOptions()
+        opts.set(f"{self.prefix()}:codec", self._backend)
+        return opts
 
     def _documentation(self) -> PressioOptions:
         docs = PressioOptions()
         docs.set("pressio:description",
                  f"lossless byte-stream compression with {self.codec_name}")
         return docs
-
-    def version(self) -> str:
-        return "1.0.0.pyrepro"
-
-    def _compress(self, input: PressioData) -> PressioData:
-        payload = self._codec.encode(input.to_bytes())
-        header = write_header(_MAGIC, input.dtype, input.dims)
-        return PressioData.from_bytes(header + payload)
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        import numpy as np
-
-        from ..core.dtype import dtype_to_numpy
-
-        stream = input.to_bytes()
-        dtype, dims, _d, _i, pos = read_header(stream, _MAGIC)
-        raw = self._codec.decode(stream[pos:])
-        np_dtype = dtype_to_numpy(dtype)
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 0
-        arr = np.frombuffer(raw, dtype=np_dtype)
-        if arr.size != n:
-            raise CorruptStreamError(
-                f"decoded {arr.size} elements, header dims imply {n}"
-            )
-        return PressioData.from_numpy(arr.reshape(dims), copy=True)
 
 
 def _make_plugin(codec: str) -> type[LosslessCompressor]:

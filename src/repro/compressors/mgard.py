@@ -7,24 +7,21 @@ its hard requirement of >= 3 samples per dimension observable through
 
 from __future__ import annotations
 
-from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
-from ..core.data import PressioData
-from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import (InvalidDimensionsError, InvalidOptionError,
-                           InvalidTypeError)
+from ..core.status import InvalidDimensionsError, InvalidOptionError
 from ..native import mgard as native_mgard
+from .staged import StagedCompressor
 
 __all__ = ["MGARDCompressor"]
 
 
 @compressor_plugin("mgard")
-class MGARDCompressor(PressioCompressor):
+class MGARDCompressor(StagedCompressor):
     """Multigrid error-bounded lossy compression via the MGARD pipeline."""
 
-    thread_safety = "serialized"
+    native = native_mgard
 
     def __init__(self) -> None:
         super().__init__()
@@ -73,6 +70,8 @@ class MGARDCompressor(PressioCompressor):
                  "MGARD-family multigrid error-bounded lossy compressor")
         docs.set("mgard:tolerance", "absolute L-infinity error tolerance")
         docs.set("mgard:s", "smoothness-norm parameter (0 = infinity norm)")
+        docs.set("mgard:backend",
+                 "lossless backend for the level codes: zlib, bz2, lzma, none")
         docs.set("pressio:abs", "cross-compressor absolute error bound")
         return docs
 
@@ -80,41 +79,14 @@ class MGARDCompressor(PressioCompressor):
         return "0.1.0.pyrepro"
 
     # -- compression --------------------------------------------------------
-    def _compress(self, input: PressioData) -> PressioData:
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"mgard cannot compress dtype {arr.dtype}")
+    def _stage1(self, arr, dims):
         # the multigrid hierarchy needs >= MIN_DIM samples per dimension;
         # fail here with a taxonomy-coded error instead of deep in the native
-        if any(d < native_mgard.MIN_DIM for d in input.dims):
+        if any(d < native_mgard.MIN_DIM for d in dims):
             raise InvalidDimensionsError(
                 f"mgard requires >= {native_mgard.MIN_DIM} samples per "
-                f"dimension, got dims {tuple(input.dims)}"
-            )
-        stream = native_mgard.compress(arr, self._tolerance, self._s,
-                                       backend=self._backend,
-                                       level=self._level)
-        return PressioData.from_bytes(stream)
-
-    def compress_stage1(self, input: PressioData):
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"mgard cannot compress dtype {arr.dtype}")
-        if any(d < native_mgard.MIN_DIM for d in input.dims):
-            raise InvalidDimensionsError(
-                f"mgard requires >= {native_mgard.MIN_DIM} samples per "
-                f"dimension, got dims {tuple(input.dims)}"
+                f"dimension, got dims {tuple(dims)}"
             )
         return native_mgard.compress_stage1(arr, self._tolerance, self._s,
                                             backend=self._backend,
                                             level=self._level)
-
-    def compress_stage2(self, state) -> PressioData:
-        return PressioData.from_bytes(native_mgard.compress_stage2(state))
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        expected = output.dims if output.num_dimensions else None
-        out = native_mgard.decompress(input.as_memoryview(), expected_dims=expected)
-        if output.dtype != DType.BYTE and output.dtype is not None:
-            out = out.astype(dtype_to_numpy(output.dtype), copy=False)
-        return PressioData.from_numpy(out, copy=False)

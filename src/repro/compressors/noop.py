@@ -7,54 +7,21 @@ and as the default leaf for meta-compressor tests.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
-from ..core.data import PressioData
-from ..core.dtype import dtype_to_numpy
 from ..core.options import PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import CorruptStreamError
-from ..encoders.headers import read_header, write_header
+from .lossless import FramedCompressor
 
 __all__ = ["NoopCompressor"]
 
-_MAGIC = b"NOP1"
-
 
 @compressor_plugin("noop")
-class NoopCompressor(PressioCompressor):
+class NoopCompressor(FramedCompressor):
     """Stores the input verbatim behind a self-describing header."""
 
-    thread_safety = "multithreaded"
-
-    def _configuration(self) -> PressioOptions:
-        cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
-        cfg.set("pressio:stability", Stability.STABLE)
-        cfg.set("pressio:lossy", False)
-        return cfg
+    magic = b"NOP1"
+    codec_name = "memcpy"
 
     def _documentation(self) -> PressioOptions:
         docs = PressioOptions()
         docs.set("pressio:description", "identity compressor (baseline)")
         return docs
-
-    def version(self) -> str:
-        return "1.0.0.pyrepro"
-
-    def _compress(self, input: PressioData) -> PressioData:
-        header = write_header(_MAGIC, input.dtype, input.dims)
-        return PressioData.from_bytes(header + input.to_bytes())
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        stream = input.to_bytes()
-        dtype, dims, _d, _i, pos = read_header(stream, _MAGIC)
-        arr = np.frombuffer(stream, dtype=dtype_to_numpy(dtype), offset=pos)
-        n = int(np.prod(dims, dtype=np.int64)) if dims else 0
-        if arr.size != n:
-            raise CorruptStreamError(
-                f"payload holds {arr.size} elements, dims imply {n}"
-            )
-        return PressioData.from_numpy(arr.reshape(dims), copy=True)

@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
 from ..core.data import PressioData
-from ..core.dtype import DType, dtype_to_numpy
+from ..core.dtype import DType
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import CorruptStreamError, InvalidOptionError, InvalidTypeError
-from ..encoders.headers import read_header, write_header
-from ..native.lossless import get_codec
+from ..core.status import InvalidOptionError, InvalidTypeError
+from .lossless import FramedCompressor
 
 __all__ = ["BitGroomingCompressor", "DigitRoundingCompressor", "mask_mantissa"]
-
-_MAGIC = b"RND1"
 
 _MANTISSA_BITS = {np.dtype(np.float32): 23, np.dtype(np.float64): 52}
 _UINT_FOR = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
@@ -55,53 +50,23 @@ def mask_mantissa(arr: np.ndarray, keep_bits: int) -> np.ndarray:
     return (u & mask).view(arr.dtype)
 
 
-class _RoundingBase(PressioCompressor):
+class _RoundingBase(FramedCompressor):
     """Shared machinery: mask mantissa, then lossless-pack the bytes."""
 
-    thread_safety = "multithreaded"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._backend = "zlib"
+    magic = b"RND1"
+    lossy = True
 
     def _keep_bits(self) -> int:
         raise NotImplementedError
 
-    def _configuration(self) -> PressioOptions:
-        cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
-        cfg.set("pressio:stability", Stability.STABLE)
-        cfg.set("pressio:lossy", True)
-        return cfg
-
-    def version(self) -> str:
-        return "1.0.0.pyrepro"
-
-    def _compress(self, input: PressioData) -> PressioData:
+    def _payload(self, input: PressioData) -> tuple[bytes, tuple[int, ...]]:
         if input.dtype not in (DType.FLOAT, DType.DOUBLE):
             raise InvalidTypeError(
                 f"{self.plugin_id} requires float input, got {input.dtype.name}"
             )
         arr = input.to_numpy()
         groomed = mask_mantissa(np.ascontiguousarray(arr), self._keep_bits())
-        codec = get_codec(self._backend)
-        payload = codec.encode(groomed.tobytes())
-        header = write_header(_MAGIC, input.dtype, input.dims,
-                              ints=(self._keep_bits(),))
-        return PressioData.from_bytes(header + payload)
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        stream = input.to_bytes()
-        dtype, dims, _d, _i, pos = read_header(stream, _MAGIC)
-        codec = get_codec(self._backend)
-        raw = codec.decode(stream[pos:])
-        arr = np.frombuffer(raw, dtype=dtype_to_numpy(dtype))
-        n = int(np.prod(dims, dtype=np.int64))
-        if arr.size != n:
-            raise CorruptStreamError(
-                f"decoded {arr.size} elements, header dims imply {n}"
-            )
-        return PressioData.from_numpy(arr.reshape(dims), copy=True)
+        return groomed.tobytes(), (self._keep_bits(),)
 
 
 @compressor_plugin("bit_grooming")

@@ -16,15 +16,13 @@ import threading
 
 import numpy as np
 
-from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
-from ..core.data import PressioData
-from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError, InvalidTypeError
+from ..core.status import InvalidOptionError
 from ..native import sz as native_sz
 from ..native.sz.params import ERROR_BOUND_MODES, sz_params
+from .staged import StagedCompressor
 
 __all__ = ["SZCompressor"]
 
@@ -52,10 +50,11 @@ def _release_sz() -> None:
 
 
 @compressor_plugin("sz")
-class SZCompressor(PressioCompressor):
+class SZCompressor(StagedCompressor):
     """Error-bounded lossy compression via the SZ-family pipeline."""
 
     thread_safety = "single"
+    native = native_sz
 
     def __init__(self) -> None:
         super().__init__()
@@ -197,26 +196,5 @@ class SZCompressor(PressioCompressor):
         return "2.1.10.pyrepro"
 
     # -- compression --------------------------------------------------------
-    def _compress(self, input: PressioData) -> PressioData:
-        arr = input.to_numpy()  # read-only view: SZ cannot clobber it
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"sz cannot compress dtype {arr.dtype}")
-        stream = native_sz.compress(arr, self._params)
-        return PressioData.from_bytes(stream)
-
-    def compress_stage1(self, input: PressioData):
-        arr = input.to_numpy()  # read-only view: SZ cannot clobber it
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"sz cannot compress dtype {arr.dtype}")
+    def _stage1(self, arr, dims):
         return native_sz.compress_stage1(arr, self._params)
-
-    def compress_stage2(self, state) -> PressioData:
-        return PressioData.from_bytes(native_sz.compress_stage2(state))
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        stream = input.as_memoryview()
-        expected = output.dims if output.num_dimensions else None
-        out = native_sz.decompress(stream, expected_dims=expected)
-        if output.dtype != DType.BYTE and output.dtype is not None:
-            out = out.astype(dtype_to_numpy(output.dtype), copy=False)
-        return PressioData.from_numpy(out, copy=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.configurable import Stability, ThreadSafety
 from ..core.data import PressioData
-from ..core.dtype import DType
+from ..core.dtype import dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import CorruptStreamError, InvalidOptionError
@@ -135,16 +135,32 @@ class SZOmpCompressor(SZThreadsafeCompressor):
         view = input.as_memoryview()
         if bytes(view[:4]) != _OMP_MAGIC:
             return super()._decompress(input, output)
-        dtype, dims, _d, ints, pos = read_header(view, _OMP_MAGIC)
+        expected = output.dims if output.num_dimensions else None
+        dtype, dims, _d, ints, pos = read_header(view, _OMP_MAGIC, expected)
+        if len(ints) != 1 or not dims:
+            raise CorruptStreamError("SZMP header holds no slab count or dims")
         n_slabs = ints[0]
+        if not 1 <= n_slabs <= min(dims[0], (len(view) - pos) // 8):
+            raise CorruptStreamError(
+                f"{n_slabs} slabs do not fit {dims[0]} rows and a length "
+                f"table in {len(view) - pos} bytes")
         table = struct.unpack_from(f"<{n_slabs}Q", view, pos)
         pos += 8 * n_slabs
-        parts = []
-        for length in table:
-            parts.append(sz_core.decompress(bytes(view[pos:pos + length])))
-            pos += length
-        full = np.concatenate(parts, axis=0)
-        if full.shape != dims:
+        if sum(table) != len(view) - pos:
             raise CorruptStreamError(
-                f"slabs reassemble to {full.shape}, expected {dims}")
-        return PressioData.from_numpy(full, copy=False)
+                f"slab lengths sum to {sum(table)}, {len(view) - pos} "
+                "bytes follow the table")
+        # the encoder's cuts; each slab's header must declare its cut
+        # before the output is allocated
+        bounds = np.linspace(0, dims[0], n_slabs + 1).astype(int)
+        slabs = []
+        for lo, hi, length in zip(bounds[:-1], bounds[1:], table):
+            stream = view[pos:pos + length]
+            slab_dims = (int(hi - lo),) + dims[1:]
+            read_header(stream, sz_core._MAGIC, slab_dims)
+            slabs.append((lo, hi, stream, slab_dims))
+            pos += length
+        out = np.empty(dims, dtype=dtype_to_numpy(dtype))
+        for lo, hi, stream, slab_dims in slabs:
+            out[lo:hi] = sz_core.decompress(stream, expected_dims=slab_dims)
+        return PressioData.from_numpy(out, copy=False)

@@ -8,23 +8,22 @@ documentation and configuration rather than hard-coded.
 
 from __future__ import annotations
 
-from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
 from ..core.data import PressioData
-from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError, InvalidTypeError
+from ..core.status import InvalidOptionError
 from ..native import tthresh as native_tthresh
+from .staged import NativeCompressor
 
 __all__ = ["TthreshCompressor"]
 
 
 @compressor_plugin("tthresh")
-class TthreshCompressor(PressioCompressor):
+class TthreshCompressor(NativeCompressor):
     """SVD-principled lossy compression with a relative-L2 target."""
 
-    thread_safety = "serialized"
+    native = native_tthresh
 
     def __init__(self) -> None:
         super().__init__()
@@ -72,17 +71,6 @@ class TthreshCompressor(PressioCompressor):
         return "1.0.0.pyrepro"
 
     def _compress(self, input: PressioData) -> PressioData:
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"tthresh cannot compress {arr.dtype}")
-        stream = native_tthresh.compress(arr, self._target,
+        stream = native_tthresh.compress(self._validated(input), self._target,
                                          backend=self._backend)
         return PressioData.from_bytes(stream)
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        expected = output.dims if output.num_dimensions else None
-        out = native_tthresh.decompress(input.as_memoryview(),
-                                        expected_dims=expected)
-        if output.dtype != DType.BYTE and output.dtype is not None:
-            out = out.astype(dtype_to_numpy(output.dtype), copy=False)
-        return PressioData.from_numpy(out, copy=False)

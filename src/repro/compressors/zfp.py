@@ -10,18 +10,17 @@ array, which a field description cannot express, compresses on both.
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
 
-from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
-from ..core.data import PressioData
-from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError, InvalidTypeError
+from ..core.status import InvalidOptionError
 from ..native import zfp as native_zfp
+from .staged import StagedCompressor
 
 __all__ = ["ZFPCompressor"]
 
@@ -34,11 +33,22 @@ _MODE_NAMES = {
 _MODE_IDS = {v: k for k, v in _MODE_NAMES.items()}
 
 
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` naming the first frame outside this package:
+    serial, observed and ``pipelined`` compress reach stage 1 through
+    different depths of library frames."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get(
+            "__name__", "").partition(".")[0] == "repro":
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 @compressor_plugin("zfp")
-class ZFPCompressor(PressioCompressor):
+class ZFPCompressor(StagedCompressor):
     """Transform-based error-bounded lossy compression via the zfp pipeline."""
 
-    thread_safety = "serialized"
+    native = native_zfp
 
     def __init__(self) -> None:
         super().__init__()
@@ -137,35 +147,14 @@ class ZFPCompressor(PressioCompressor):
         return "0.5.5.pyrepro"
 
     # -- compression --------------------------------------------------------
-    def _compress(self, input: PressioData) -> PressioData:
-        # one path for serial and staged callers, so both write the same
-        # bytes and accept the same arrays: a zfp_field cannot describe
-        # an empty dimension (0 marks an unused one)
-        return self.compress_stage2(self.compress_stage1(input))
-
-    def compress_stage1(self, input: PressioData):
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"zfp cannot compress dtype {arr.dtype}")
-        dims = input.dims
+    def _stage1(self, arr, dims):
         if any(0 < d < 4 for d in dims):
             warnings.warn(
                 f"zfp pads dimensions smaller than its 4^d block size "
                 f"(dims {tuple(dims)}); expect degraded compression ratios",
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
         s = self._stream
         return native_zfp.compress_stage1(
             np.asarray(arr).reshape(dims), s.mode, s.parameter,
             backend=s.backend, level=s.level, transform=s.transform)
-
-    def compress_stage2(self, state) -> PressioData:
-        return PressioData.from_bytes(native_zfp.compress_stage2(state))
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        expected = output.dims if output.num_dimensions else None
-        out = native_zfp.decompress(input.as_memoryview(), expected_dims=expected)
-        if output.dtype != DType.BYTE and output.dtype is not None:
-            out = out.astype(dtype_to_numpy(output.dtype), copy=False)
-        return PressioData.from_numpy(out, copy=False)
-

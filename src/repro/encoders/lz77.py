@@ -82,16 +82,25 @@ def lz77_encode(data: bytes, window: int = 1 << 16) -> bytes:
     return bytes(out)
 
 
-def lz77_decode(stream: bytes | memoryview) -> bytes:
-    """Inverse of :func:`lz77_encode`."""
+def lz77_decode(stream: bytes | memoryview, size: int) -> bytes:
+    """Inverse of :func:`lz77_encode`, for a stream of ``size`` bytes.
+
+    The declared total must be ``size``, and no literal run or match
+    may write past it, so a forged stream cannot allocate more.
+    """
     buf = bytes(stream)
     if buf[:4] != _MAGIC:
         raise ValueError("not a pressio-lz stream (bad magic)")
     total, pos = varint_decode(buf, 4)
+    if total != size:
+        raise ValueError(
+            f"pressio-lz stream declares {total} bytes, expected {size}")
     out = bytearray()
     while True:
         lit_len, pos = varint_decode(buf, pos)
         if lit_len:
+            if lit_len > total - len(out):
+                raise ValueError("corrupt pressio-lz stream: overlong literal")
             out += buf[pos:pos + lit_len]
             pos += lit_len
         match_len, pos = varint_decode(buf, pos)
@@ -100,6 +109,8 @@ def lz77_decode(stream: bytes | memoryview) -> bytes:
         distance, pos = varint_decode(buf, pos)
         if distance <= 0 or distance > len(out):
             raise ValueError("corrupt pressio-lz stream: bad distance")
+        if match_len > total - len(out):
+            raise ValueError("corrupt pressio-lz stream: overlong match")
         start = len(out) - distance
         while match_len > 0:
             chunk = out[start:start + min(match_len, distance)]

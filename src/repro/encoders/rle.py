@@ -33,16 +33,23 @@ def rle_encode(data: bytes | np.ndarray) -> bytes:
     return _MAGIC + header + values.tobytes()
 
 
-def rle_decode(stream: bytes | memoryview) -> bytes:
-    """Inverse of :func:`rle_encode`."""
+def rle_decode(stream: bytes | memoryview, size: int) -> bytes:
+    """Inverse of :func:`rle_encode`, for a stream of ``size`` bytes.
+
+    The run lengths must sum to ``size``, checked before the runs are
+    expanded, so a forged length cannot allocate more.
+    """
     view = memoryview(stream)
     if bytes(view[:4]) != _MAGIC:
         raise ValueError("not an RLE stream (bad magic)")
     count_arr, consumed = varint_decode_array(view[4:], 1)
     n_runs = int(count_arr[0])
+    lengths, consumed2 = varint_decode_array(view[4 + consumed:], n_runs)
+    # the max bounds the uint64 sum, which would wrap past 2**64
+    if int(lengths.max(initial=0)) > size or int(lengths.sum()) != size:
+        raise ValueError(f"RLE runs do not sum to {size} bytes")
     if n_runs == 0:
         return b""
-    lengths, consumed2 = varint_decode_array(view[4 + consumed:], n_runs)
     values = np.frombuffer(view, dtype=np.uint8,
                            offset=4 + consumed + consumed2, count=n_runs)
     return np.repeat(values, lengths.astype(np.int64)).tobytes()

@@ -3,15 +3,16 @@
 :class:`~repro.meta.parallel.ChunkingCompressor` gets its concurrency
 from running whole chunks on a thread pool, which only pays off when the
 inner plugin is fully re-entrant and the chunks are large.  This plugin
-exploits a different axis: every native core splits ``compress`` into
+exploits a different axis: the sz, zfp and mgard plugins
+(:class:`~repro.compressors.staged.StagedCompressor`) split ``compress``
+into
 
 * **stage 1** — quantize / predict / transform: numpy element work that
   holds the GIL;
 * **stage 2** — entropy coding: zlib/bz2/lzma byte work that *releases*
   the GIL.
 
-(:meth:`~repro.core.compressor.PressioCompressor.compress_stage1` /
-``compress_stage2``).  The executor runs stage 1 of chunk ``i+1`` on the
+The executor runs stage 1 of chunk ``i+1`` on the
 calling thread while a single worker thread entropy-codes chunk ``i`` —
 software pipelining across the GIL boundary.  At most
 ``pipelined:depth`` stage-2 tasks are in flight; the calling thread

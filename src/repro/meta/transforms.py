@@ -36,9 +36,17 @@ def _wrap(inner_stream: bytes, dtype: DType, dims: tuple[int, ...],
     return PressioData.from_bytes(header + inner_stream)
 
 
-def _unwrap(data: PressioData):
+def _unwrap(data: PressioData, output: PressioData | None = None):
+    """The header fields and the inner stream of ``data``.
+
+    When ``output`` has dims, the stream's must equal them: every plugin
+    here but ``sample`` decodes to the dims it was given.
+    """
     stream = data.to_bytes()
-    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC)
+    expected = None
+    if output is not None and output.num_dimensions:
+        expected = output.dims
+    dtype, dims, doubles, ints, pos = read_header(stream, _MAGIC, expected)
     return dtype, dims, doubles, ints, stream[pos:]
 
 
@@ -88,7 +96,7 @@ class TransposeCompressor(MetaCompressor):
                      ints=tuple(order))
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        dtype, dims, _d, ints, inner_stream = _unwrap(input)
+        dtype, dims, _d, ints, inner_stream = _unwrap(input, output)
         order = tuple(ints)
         t_dims = tuple(dims[a] for a in order)
         inner_template = PressioData.empty(dtype, t_dims)
@@ -134,7 +142,7 @@ class ResizeCompressor(MetaCompressor):
                      ints=new_dims)
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        dtype, dims, _d, ints, inner_stream = _unwrap(input)
+        dtype, dims, _d, ints, inner_stream = _unwrap(input, output)
         inner_template = PressioData.empty(dtype, tuple(ints))
         out = self._inner.decompress(PressioData.from_bytes(inner_stream),
                                      inner_template)
@@ -177,7 +185,7 @@ class DeltaEncodingCompressor(MetaCompressor):
                      ints=(kind,))
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        dtype, dims, _d, ints, inner_stream = _unwrap(input)
+        dtype, dims, _d, ints, inner_stream = _unwrap(input, output)
         kind = ints[0]
         work_dtype = DType.INT64 if kind == 0 else DType.DOUBLE
         inner_template = PressioData.empty(work_dtype, dims)
@@ -235,7 +243,7 @@ class LinearQuantizerCompressor(MetaCompressor):
                      doubles=(self._step,))
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        dtype, dims, doubles, _i, inner_stream = _unwrap(input)
+        dtype, dims, doubles, _i, inner_stream = _unwrap(input, output)
         step = doubles[0]
         inner_template = PressioData.empty(DType.INT64, dims)
         out = self._inner.decompress(PressioData.from_bytes(inner_stream),

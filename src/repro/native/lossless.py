@@ -8,7 +8,10 @@ lzma; ``pressio-lz``, ``rle`` and ``huffman-bytes`` are implemented from
 scratch in :mod:`repro.encoders`.
 
 Every codec exposes the same two functions — ``encode(bytes) -> bytes``
-and ``decode(bytes) -> bytes`` — via :func:`get_codec`.
+and ``decode(bytes, size) -> bytes`` — via :func:`get_codec`.  ``size``
+is the byte count the caller expects: a decoder allocates no more than
+about that much however large the stream claims its output is, so a
+small forged stream cannot balloon.  The caller checks the length.
 """
 
 from __future__ import annotations
@@ -16,13 +19,16 @@ from __future__ import annotations
 import bz2
 import lzma
 import zlib
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..encoders.huffman import huffman_decode, huffman_encode
 from ..encoders.lz77 import lz77_decode, lz77_encode
+from ..encoders.residual import _inflate_at_most
 from ..encoders.rle import rle_decode, rle_encode
+from ..encoders.varint import varint_decode
 
 __all__ = ["Codec", "get_codec", "codec_ids"]
 
@@ -32,28 +38,37 @@ class Codec(NamedTuple):
 
     name: str
     encode: Callable[[bytes], bytes]
-    decode: Callable[[bytes], bytes]
+    decode: Callable[[bytes | memoryview, int], bytes]
 
 
 def _huffman_bytes_encode(data: bytes) -> bytes:
     return huffman_encode(np.frombuffer(data, dtype=np.uint8).astype(np.uint64))
 
 
-def _huffman_bytes_decode(stream: bytes) -> bytes:
+def _huffman_bytes_decode(stream: bytes | memoryview, size: int) -> bytes:
+    count, _ = varint_decode(stream, 4)  # HUF1 and HUF2 both start so
+    if count != size:
+        raise ValueError(
+            f"huffman stream declares {count} bytes, expected {size}")
     return huffman_decode(stream).astype(np.uint8).tobytes()
 
 
 _CODECS: dict[str, Codec] = {
-    "zlib": Codec("zlib", lambda b: zlib.compress(b, 6), zlib.decompress),
-    "zlib-fast": Codec("zlib-fast", lambda b: zlib.compress(b, 1), zlib.decompress),
-    "zlib-best": Codec("zlib-best", lambda b: zlib.compress(b, 9), zlib.decompress),
-    "bz2": Codec("bz2", lambda b: bz2.compress(b, 9), bz2.decompress),
-    "lzma": Codec("lzma", lambda b: lzma.compress(b, preset=1), lzma.decompress),
+    "zlib": Codec("zlib", lambda b: zlib.compress(b, 6),
+                  partial(_inflate_at_most, "zlib")),
+    "zlib-fast": Codec("zlib-fast", lambda b: zlib.compress(b, 1),
+                       partial(_inflate_at_most, "zlib")),
+    "zlib-best": Codec("zlib-best", lambda b: zlib.compress(b, 9),
+                       partial(_inflate_at_most, "zlib")),
+    "bz2": Codec("bz2", lambda b: bz2.compress(b, 9),
+                 partial(_inflate_at_most, "bz2")),
+    "lzma": Codec("lzma", lambda b: lzma.compress(b, preset=1),
+                  partial(_inflate_at_most, "lzma")),
     "pressio-lz": Codec("pressio-lz", lz77_encode, lz77_decode),
     "rle": Codec("rle", rle_encode, rle_decode),
     "huffman-bytes": Codec("huffman-bytes", _huffman_bytes_encode,
                            _huffman_bytes_decode),
-    "memcpy": Codec("memcpy", lambda b: bytes(b), lambda b: bytes(b)),
+    "memcpy": Codec("memcpy", lambda b: bytes(b), lambda b, size: bytes(b)),
 }
 
 

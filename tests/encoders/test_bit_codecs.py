@@ -159,14 +159,14 @@ class TestHuffman:
 class TestRLE:
     def test_roundtrip_runs(self):
         data = b"a" * 1000 + b"b" * 3 + b"c"
-        assert rle_decode(rle_encode(data)) == data
+        assert rle_decode(rle_encode(data), len(data)) == data
 
     def test_roundtrip_no_runs(self):
         data = bytes(range(256))
-        assert rle_decode(rle_encode(data)) == data
+        assert rle_decode(rle_encode(data), len(data)) == data
 
     def test_empty(self):
-        assert rle_decode(rle_encode(b"")) == b""
+        assert rle_decode(rle_encode(b""), 0) == b""
 
     def test_compresses_runs(self):
         data = b"\x00" * 100_000
@@ -174,33 +174,33 @@ class TestRLE:
 
     def test_accepts_ndarray(self):
         arr = np.array([1, 1, 2, 2, 2], dtype=np.uint8)
-        assert rle_decode(rle_encode(arr)) == bytes([1, 1, 2, 2, 2])
+        assert rle_decode(rle_encode(arr), 5) == bytes([1, 1, 2, 2, 2])
 
     def test_bad_magic_raises(self):
         with pytest.raises(ValueError, match="magic"):
-            rle_decode(b"XXXX\x00")
+            rle_decode(b"XXXX\x00", 0)
 
 
 class TestLZ77:
     def test_roundtrip_repetitive(self):
         data = b"the quick brown fox " * 500
-        assert lz77_decode(lz77_encode(data)) == data
+        assert lz77_decode(lz77_encode(data), len(data)) == data
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(7)
         data = bytes(rng.integers(0, 256, size=4096, dtype=np.uint8))
-        assert lz77_decode(lz77_encode(data)) == data
+        assert lz77_decode(lz77_encode(data), len(data)) == data
 
     def test_roundtrip_overlapping_match(self):
         # distance < match length exercises the overlapped copy
         data = b"ab" * 1000
-        assert lz77_decode(lz77_encode(data)) == data
+        assert lz77_decode(lz77_encode(data), len(data)) == data
 
     def test_empty(self):
-        assert lz77_decode(lz77_encode(b"")) == b""
+        assert lz77_decode(lz77_encode(b""), 0) == b""
 
     def test_short_input(self):
-        assert lz77_decode(lz77_encode(b"abc")) == b"abc"
+        assert lz77_decode(lz77_encode(b"abc"), 3) == b"abc"
 
     def test_compresses_repetition(self):
         data = b"hello world " * 1000
@@ -208,9 +208,9 @@ class TestLZ77:
 
     def test_bad_magic_raises(self):
         with pytest.raises(ValueError, match="magic"):
-            lz77_decode(b"XXXX\x00\x00")
+            lz77_decode(b"XXXX\x00\x00", 0)
 
     def test_window_limits_matches(self):
         data = b"A" * 100 + bytes(np.arange(256, dtype=np.uint8)) * 300 + b"A" * 100
         small = lz77_encode(data, window=64)
-        assert lz77_decode(small) == data
+        assert lz77_decode(small, len(data)) == data

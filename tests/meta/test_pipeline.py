@@ -111,16 +111,6 @@ def test_stage1_error_surfaces_and_reaps_inflight(library):
     assert pipeline_mod.inflight == 0
 
 
-def test_base_stage_hooks_compose_to_compress(library):
-    """Default (non-split) hooks: stage2(stage1(x)) == compress(x)."""
-    comp = library.get_compressor("noop")
-    data = PressioData.from_numpy(np.arange(64, dtype=np.float64))
-    staged = comp.compress_stage2(comp.compress_stage1(data)).to_bytes()
-    assert staged == comp.compress(data).to_bytes()
-    with pytest.raises(PressioError):
-        comp.compress_stage2({"not": "a PressioData"})
-
-
 @pytest.mark.parametrize("dims", [(0, 5), (5, 0), (0,)])
 def test_empty_zfp_round_trips_through_both_stacks(library, dims):
     arr = np.zeros(dims)

@@ -96,13 +96,13 @@ def test_huffman_roundtrip(arr):
 @given(st.binary(max_size=4096))
 @settings(max_examples=60, deadline=None)
 def test_rle_roundtrip(data):
-    assert rle_decode(rle_encode(data)) == data
+    assert rle_decode(rle_encode(data), len(data)) == data
 
 
 @given(st.binary(max_size=2048))
 @settings(max_examples=40, deadline=None)
 def test_lz77_roundtrip(data):
-    assert lz77_decode(lz77_encode(data)) == data
+    assert lz77_decode(lz77_encode(data), len(data)) == data
 
 
 @given(st.lists(st.sampled_from([b"abc", b"hello world", b"\x00\x01",
@@ -111,4 +111,4 @@ def test_lz77_roundtrip(data):
 def test_lz77_repetitive_streams(parts):
     data = b"".join(parts)
     encoded = lz77_encode(data)
-    assert lz77_decode(encoded) == data
+    assert lz77_decode(encoded, len(data)) == data

@@ -116,7 +116,7 @@ class TestEncoderCorruptPaths:
     def test_rle_single_value(self):
         from repro.encoders.rle import rle_decode, rle_encode
 
-        assert rle_decode(rle_encode(b"\x07")) == b"\x07"
+        assert rle_decode(rle_encode(b"\x07"), 1) == b"\x07"
 
 
 class TestZcheckerExtras:
