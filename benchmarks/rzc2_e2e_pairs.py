@@ -48,6 +48,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # the closed-loop mgard encoder against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 5f6ac3d \\
         --output benchmarks/BENCH_mgard_closed_loop_e2e.json
+    # each leaf contract stated once (no gain claimed) against the
+    # revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline e5d7a09 \\
+        --output benchmarks/BENCH_leaf_contract_e2e.json
 """
 
 from __future__ import annotations
