@@ -48,7 +48,9 @@ class FramedCompressor(PressioCompressor):
         super().__init__()
         self._backend = self.codec_name
 
-    def _codec(self) -> Codec:
+    def _codec(self, ints: tuple[int, ...] = ()) -> Codec:
+        """The codec for a stream whose header holds ``ints``: here
+        always the instance's."""
         return get_codec(self._backend)
 
     def _payload(self, input: PressioData) -> tuple[bytes, tuple[int, ...]]:
@@ -63,9 +65,9 @@ class FramedCompressor(PressioCompressor):
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         stream = input.as_memoryview()
         expected = output.dims if output.num_dimensions else None
-        dtype, dims, _d, _i, pos = read_header(stream, self.magic, expected)
+        dtype, dims, _d, ints, pos = read_header(stream, self.magic, expected)
         size = PressioData.empty(dtype, dims).size_in_bytes
-        raw = self._codec().decode(stream[pos:], size)
+        raw = self._codec(ints).decode(stream[pos:], size)
         if len(raw) != size:
             raise CorruptStreamError(
                 f"decoded {len(raw)} bytes, header dims imply {size}")

@@ -18,7 +18,9 @@ from ..core.data import PressioData
 from ..core.dtype import DType
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError, InvalidTypeError
+from ..core.status import (CorruptStreamError, InvalidOptionError,
+                           InvalidTypeError)
+from ..native.lossless import Codec, codec_ids, get_codec
 from .lossless import FramedCompressor
 
 __all__ = ["BitGroomingCompressor", "DigitRoundingCompressor", "mask_mantissa"]
@@ -66,7 +68,18 @@ class _RoundingBase(FramedCompressor):
             )
         arr = input.to_numpy()
         groomed = mask_mantissa(np.ascontiguousarray(arr), self._keep_bits())
-        return groomed.tobytes(), (self._keep_bits(),)
+        return groomed.tobytes(), (self._keep_bits(),
+                                   codec_ids().index(self._codec().name))
+
+    def _codec(self, ints: tuple[int, ...] = ()) -> Codec:
+        """The backend the header names (an index into :func:`codec_ids`);
+        streams that predate it name none and use the instance's."""
+        if len(ints) < 2:
+            return super()._codec()
+        ids = codec_ids()
+        if not 0 <= ints[1] < len(ids):
+            raise CorruptStreamError(f"unknown RND1 backend id {ints[1]}")
+        return get_codec(ids[ints[1]])
 
 
 @compressor_plugin("bit_grooming")

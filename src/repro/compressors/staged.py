@@ -43,8 +43,13 @@ class NativeCompressor(PressioCompressor):
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         expected = output.dims if output.num_dimensions else None
-        out = self.native.decompress(input.as_memoryview(),
-                                     expected_dims=expected)
+        return self._as_template(
+            self.native.decompress(input.as_memoryview(),
+                                   expected_dims=expected), output)
+
+    @staticmethod
+    def _as_template(out: np.ndarray, output: PressioData) -> PressioData:
+        """``out`` in the template's dtype, unless that is untyped."""
         if output.dtype != DType.BYTE and output.dtype is not None:
             out = out.astype(dtype_to_numpy(output.dtype), copy=False)
         return PressioData.from_numpy(out, copy=False)

@@ -163,4 +163,9 @@ class SZOmpCompressor(SZThreadsafeCompressor):
         out = np.empty(dims, dtype=dtype_to_numpy(dtype))
         for lo, hi, stream, slab_dims in slabs:
             out[lo:hi] = sz_core.decompress(stream, expected_dims=slab_dims)
-        return PressioData.from_numpy(out, copy=False)
+        return self._as_template(out, output)
+
+    def supports_stage_split(self) -> bool:
+        """False: sz's stage pair would not write ``SZMP``, so
+        ``pipelined`` must take its whole-compress path."""
+        return False

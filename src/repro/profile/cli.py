@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ..tools.cli import _add_input_arguments
+
 __all__ = ["build_profile_parser", "run_profile"]
 
 
@@ -39,18 +41,7 @@ def build_profile_parser() -> argparse.ArgumentParser:
                         help="diff two saved profile artifacts")
     parser.add_argument("--compressor", "-z", default=None,
                         help="compressor plugin id (capture mode)")
-    parser.add_argument("--input", "-i", default=None, help="input path")
-    parser.add_argument("--input-format", "-I", default="posix",
-                        help="io plugin for reading (posix, numpy, csv, ...)")
-    parser.add_argument("--synthetic", default=None,
-                        help="use a synthetic dataset instead of --input")
-    parser.add_argument("--dtype", "-t", default="float64",
-                        help="element type for typeless formats")
-    parser.add_argument("--dims", "-d", default=None,
-                        help="comma-separated dims for typeless formats")
-    parser.add_argument("--option", "-o", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="set a compressor option (repeatable)")
+    _add_input_arguments(parser)
     parser.add_argument("--reps", type=int, default=3,
                         help="profiled round trips (default 3)")
     parser.add_argument("--no-decompress", action="store_true",
@@ -101,8 +92,7 @@ def run_profile(argv: list[str]) -> int:
 
     from ..core.data import PressioData
     from ..core.library import Pressio
-    from ..core.options import PressioOptions
-    from ..tools.cli import _load_input, _parse_option_value
+    from ..tools.cli import _configure, _load_input
     from .export import (format_memory_report, format_sample_report,
                          format_stage_table, write_collapsed, write_profile)
     from .stage import StageProfiler
@@ -123,16 +113,7 @@ def run_profile(argv: list[str]) -> int:
     if compressor is None:
         print(f"error: {library.error_msg()}", file=sys.stderr)
         return 2
-    options = PressioOptions()
-    for entry in args.option:
-        if "=" not in entry:
-            print(f"error: bad --option {entry!r}, expected KEY=VALUE",
-                  file=sys.stderr)
-            return 2
-        key, _, raw = entry.partition("=")
-        options.set(key, _parse_option_value(raw))
-    if len(options) and compressor.set_options(options) != 0:
-        print(f"error: {compressor.error_msg()}", file=sys.stderr)
+    if not _configure(compressor, args.option):
         return 2
 
     input_data = _load_input(args, library)

@@ -25,6 +25,7 @@ import os
 import subprocess
 from typing import Any, TextIO
 
+from ..trace.export import _open_maybe
 from .stage import SCHEMA, UNTRACKED
 
 __all__ = ["git_revision", "write_profile", "load_profile",
@@ -82,12 +83,6 @@ def load_profile(path: str) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 # collapsed-stack flamegraph
 # ---------------------------------------------------------------------------
-
-def _open_maybe(path_or_file: str | TextIO):
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w"), True
-
 
 def write_collapsed(profile: dict[str, Any],
                     path_or_file: str | TextIO) -> int:

@@ -29,6 +29,7 @@ import time
 from typing import Any
 
 from ..trace.context import Span, TraceContext
+from ..trace.export import _SpanIndex
 
 __all__ = ["SamplingProfiler", "merge_samples"]
 
@@ -98,16 +99,11 @@ class SamplingProfiler:
 
 def _innermost_span_at(t_ns: int, tid: int,
                        spans: list[Span]) -> Span | None:
-    """Deepest span open on thread ``tid`` at instant ``t_ns``."""
-    best: Span | None = None
-    best_dur = None
-    for sp in spans:
-        if sp.thread_id != tid or sp.end_ns is None:
-            continue
-        if sp.start_ns <= t_ns <= sp.end_ns:
-            if best_dur is None or sp.duration_ns < best_dur:
-                best, best_dur = sp, sp.duration_ns
-    return best
+    """Deepest (shortest) closed span on thread ``tid`` open at ``t_ns``."""
+    return min((sp for sp in spans if sp.thread_id == tid
+                and sp.end_ns is not None
+                and sp.start_ns <= t_ns <= sp.end_ns),
+               key=lambda sp: sp.duration_ns, default=None)
 
 
 def merge_samples(sampler: SamplingProfiler,
@@ -123,17 +119,17 @@ def merge_samples(sampler: SamplingProfiler,
     """
     from .stage import span_path
 
-    spans = [sp for sp in ctx.spans() if sp.end_ns is not None]
-    by_id = {sp.span_id: sp for sp in spans}
+    # the stage rows' index and path key, so a sample's stage names a row
+    index = _SpanIndex([sp for sp in ctx.spans() if sp.end_ns is not None])
     agg: dict[tuple[str, tuple[str, ...]], int] = {}
     unattributed = 0
     for t_ns, tid, frames in sampler.samples:
-        sp = _innermost_span_at(t_ns, tid, spans)
+        sp = _innermost_span_at(t_ns, tid, index.spans)
         if sp is None:
             stage = ""
             unattributed += 1
         else:
-            stage = span_path(sp, by_id)
+            stage = span_path(sp, index.by_id)
         key = (stage, frames)
         agg[key] = agg.get(key, 0) + 1
     stacks = [

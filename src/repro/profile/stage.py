@@ -8,9 +8,10 @@ tree into a **profile artifact**: one row per stage *path* (the root-to-
 span label chain, e.g. ``compress[sz]/sz:quantize``) carrying
 
 * ``calls`` and inclusive wall time (the span's own duration);
-* **exclusive** wall time (inclusive minus direct children — the number
-  that localizes a regression);
-* bytes in/out and the derived per-stage bandwidth;
+* **exclusive** wall time (inclusive minus same-thread direct children
+  — the number that localizes a regression);
+* bytes in/out, the uncompressed-side bytes and the derived per-stage
+  bandwidth (uncompressed bytes over inclusive time);
 * allocation attribution (net growth and high-water growth) when
   :mod:`tracemalloc` tracking is on.
 
@@ -34,6 +35,7 @@ import tracemalloc
 from typing import Any
 
 from ..trace.context import Span, TraceContext
+from ..trace.export import _SpanIndex
 from ..trace.runtime import disable_tracing, enable_tracing
 
 __all__ = ["SCHEMA", "ProfilingTraceContext", "StageProfiler",
@@ -95,60 +97,28 @@ def span_path(sp: Span, by_id: dict[int, Span]) -> str:
 
 def build_stage_rows(ctx: TraceContext,
                      wall_ns: int | None = None) -> list[dict[str, Any]]:
-    """Aggregate the span tree into per-stage-path attribution rows.
+    """Aggregate the closed spans into per-stage-path attribution rows.
 
-    Exclusive time is inclusive minus *same-thread* direct children
-    (a parallel fan-out's concurrent children must not drive the parent
-    negative).  When ``wall_ns`` is given, an ``(untracked)`` row
-    absorbs the remainder so the exclusive column sums exactly to the
-    measured wall time — the property the acceptance check audits.
+    Exclusive time, bytes and ``bytes_per_s`` are the figures ``pressio
+    trace`` reports per plugin (:class:`repro.trace.export._SpanIndex`).
+    When ``wall_ns`` is given, an ``(untracked)`` row absorbs the
+    remainder so the exclusive column sums exactly to the measured wall
+    time — the property the acceptance check audits.
     """
-    spans = [sp for sp in ctx.spans() if sp.end_ns is not None]
-    by_id = {sp.span_id: sp for sp in spans}
-    children: dict[int, list[Span]] = {}
-    for sp in spans:
-        if sp.parent_id is not None and sp.parent_id in by_id:
-            children.setdefault(sp.parent_id, []).append(sp)
-
-    rows: dict[str, dict[str, Any]] = {}
-    root_incl_ns = 0
-    for sp in spans:
-        path = span_path(sp, by_id)
-        row = rows.setdefault(path, {
-            "path": path, "calls": 0, "inclusive_ns": 0, "exclusive_ns": 0,
-            "bytes_in": 0, "bytes_out": 0, "errors": 0,
-            "alloc_net_bytes": 0, "alloc_peak_growth_bytes": 0,
-        })
-        row["calls"] += 1
-        row["inclusive_ns"] += sp.duration_ns
-        same_thread_child_ns = sum(
-            c.duration_ns for c in children.get(sp.span_id, [])
-            if c.thread_id == sp.thread_id)
-        row["exclusive_ns"] += max(0, sp.duration_ns - same_thread_child_ns)
-        row["bytes_in"] += int(sp.attrs.get("input_bytes") or 0)
-        row["bytes_out"] += int(sp.attrs.get("output_bytes") or 0)
-        if sp.status.startswith("error"):
-            row["errors"] += 1
-        mem0, mem1 = sp.attrs.get("_mem0"), sp.attrs.get("_mem1")
-        if mem0 is not None and mem1 is not None:
-            row["alloc_net_bytes"] += int(mem1[0]) - int(mem0[0])
-            row["alloc_peak_growth_bytes"] += max(
-                0, int(mem1[1]) - int(mem0[1]))
-        if sp.parent_id is None or sp.parent_id not in by_id:
-            root_incl_ns += sp.duration_ns
-
-    out = sorted(rows.values(), key=lambda r: -r["exclusive_ns"])
+    index = _SpanIndex([sp for sp in ctx.spans() if sp.end_ns is not None])
+    rows = index.rows(lambda sp: span_path(sp, index.by_id))
+    out = sorted(({"path": path, **row} for path, row in rows.items()),
+                 key=lambda r: -r["exclusive_ns"])
     if wall_ns is not None:
-        untracked = max(0, wall_ns - root_incl_ns)
+        untracked = max(0, wall_ns - sum(
+            sp.duration_ns for sp in index.roots()))
         out.append({
             "path": UNTRACKED, "calls": 0,
             "inclusive_ns": untracked, "exclusive_ns": untracked,
-            "bytes_in": 0, "bytes_out": 0, "errors": 0,
+            "bytes": 0, "bytes_in": 0, "bytes_out": 0, "errors": 0,
             "alloc_net_bytes": 0, "alloc_peak_growth_bytes": 0,
+            "bytes_per_s": 0.0,
         })
-    for row in out:
-        secs = row["exclusive_ns"] / 1e9
-        row["bytes_per_s"] = row["bytes_in"] / secs if secs > 0 else 0.0
     return out
 
 

@@ -82,19 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list available compressors, metrics, and io")
     parser.add_argument("--compressor", "-z", default=None,
                         help="compressor plugin id")
-    parser.add_argument("--input", "-i", default=None, help="input path")
-    parser.add_argument("--input-format", "-I", default="posix",
-                        help="io plugin for reading (posix, numpy, csv, ...)")
-    parser.add_argument("--synthetic", default=None,
-                        help="use a synthetic dataset instead of --input "
-                             "(hurricane_cloud, nyx, hacc, scale_letkf)")
-    parser.add_argument("--dtype", "-t", default="float64",
-                        help="element type for typeless formats")
-    parser.add_argument("--dims", "-d", default=None,
-                        help="comma-separated dims for typeless formats")
-    parser.add_argument("--option", "-o", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="set a compressor option (repeatable)")
+    _add_input_arguments(parser, "use a synthetic dataset instead of --input "
+                                "(hurricane_cloud, nyx, hacc, scale_letkf)")
     parser.add_argument("--metrics", "-m", default="size,time",
                         help="comma-separated metric plugin ids")
     parser.add_argument("--print-metrics", "-M", action="store_true",
@@ -114,6 +103,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-decompress", action="store_true",
                         help="skip the decompression phase")
     return parser
+
+
+def _add_input_arguments(parser: argparse.ArgumentParser,
+                        synthetic_help: str = "use a synthetic dataset "
+                                              "instead of --input") -> None:
+    """The dataset and ``--option`` arguments of every round-trip
+    subcommand (read back by :func:`_load_input` and :func:`_configure`)."""
+    parser.add_argument("--input", "-i", default=None, help="input path")
+    parser.add_argument("--input-format", "-I", default="posix",
+                        help="io plugin for reading (posix, numpy, csv, ...)")
+    parser.add_argument("--synthetic", default=None, help=synthetic_help)
+    parser.add_argument("--dtype", "-t", default="float64",
+                        help="element type for typeless formats")
+    parser.add_argument("--dims", "-d", default=None,
+                        help="comma-separated dims for typeless formats")
+    parser.add_argument("--option", "-o", action="append", default=[],
+                        metavar="KEY=VALUE",
+                        help="set a compressor option (repeatable)")
+
+
+def _configure(compressor, entries: list[str], check: bool = False) -> bool:
+    """Apply ``--option KEY=VALUE`` entries (checked first when
+    ``check``); prints the error and returns False on failure."""
+    options = PressioOptions()
+    for entry in entries:
+        if "=" not in entry:
+            print(f"error: bad --option {entry!r}, expected KEY=VALUE",
+                  file=sys.stderr)
+            return False
+        key, _, raw = entry.partition("=")
+        options.set(key, _parse_option_value(raw))
+    if len(options) and ((check and compressor.check_options(options) != 0)
+                         or compressor.set_options(options) != 0):
+        print(f"error: {compressor.error_msg()}", file=sys.stderr)
+        return False
+    return True
 
 
 def _parse_option_value(raw: str):
@@ -175,18 +200,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--compressor", "-z", required=True,
                         help="compressor plugin id")
-    parser.add_argument("--input", "-i", default=None, help="input path")
-    parser.add_argument("--input-format", "-I", default="posix",
-                        help="io plugin for reading (posix, numpy, csv, ...)")
-    parser.add_argument("--synthetic", default=None,
-                        help="use a synthetic dataset instead of --input")
-    parser.add_argument("--dtype", "-t", default="float64",
-                        help="element type for typeless formats")
-    parser.add_argument("--dims", "-d", default=None,
-                        help="comma-separated dims for typeless formats")
-    parser.add_argument("--option", "-o", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="set a compressor option (repeatable)")
+    _add_input_arguments(parser)
     parser.add_argument("--no-decompress", action="store_true",
                         help="trace the compression phase only")
     parser.add_argument("--jsonl", default=None,
@@ -211,17 +225,7 @@ def run_trace(argv: list[str]) -> int:
     if compressor is None:
         print(f"error: {library.error_msg()}", file=sys.stderr)
         return 2
-
-    options = PressioOptions()
-    for entry in args.option:
-        if "=" not in entry:
-            print(f"error: bad --option {entry!r}, expected KEY=VALUE",
-                  file=sys.stderr)
-            return 2
-        key, _, raw = entry.partition("=")
-        options.set(key, _parse_option_value(raw))
-    if len(options) and compressor.set_options(options) != 0:
-        print(f"error: {compressor.error_msg()}", file=sys.stderr)
+    if not _configure(compressor, args.option):
         return 2
 
     input_data = _load_input(args, library)
@@ -386,21 +390,8 @@ def run(argv: list[str] | None = None) -> int:
         _print_options("configuration", compressor.get_configuration())
         return 0
 
-    options = PressioOptions()
-    for entry in args.option:
-        if "=" not in entry:
-            print(f"error: bad --option {entry!r}, expected KEY=VALUE",
-                  file=sys.stderr)
-            return 2
-        key, _, raw = entry.partition("=")
-        options.set(key, _parse_option_value(raw))
-    if len(options):
-        if compressor.check_options(options) != 0:
-            print(f"error: {compressor.error_msg()}", file=sys.stderr)
-            return 2
-        if compressor.set_options(options) != 0:
-            print(f"error: {compressor.error_msg()}", file=sys.stderr)
-            return 2
+    if not _configure(compressor, args.option, check=True):
+        return 2
 
     if args.print_options:
         _print_options("options", compressor.get_options())

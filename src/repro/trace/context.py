@@ -277,45 +277,33 @@ class TraceContext:
         return [s for s in self.spans() if s.parent_id == span.span_id]
 
     def self_time_ns(self, span: Span) -> int:
-        """Span duration minus its direct children's durations (>= 0)."""
-        child_ns = sum(c.duration_ns for c in self.children(span))
-        return max(0, span.duration_ns - child_ns)
+        """Span duration minus its same-thread direct children's (>= 0)."""
+        from .export import _SpanIndex
+
+        return _SpanIndex(self.spans()).self_ns(span)
 
     def exclusive_invariant_violations(self,
                                        tolerance_ns: int = 50_000,
                                        ) -> list[str]:
         """Spans whose direct children's inclusive time exceeds their own.
 
-        The aggregate report's ``self_ms`` column silently clamps
-        negative self time to zero, which *hides* a broken parenting
-        relationship (two spans claiming the same wall time — the
-        double-count a re-entrant or cross-thread misparented span
-        produces) instead of surfacing it.  This check makes the
-        invariant explicit: for every closed span, the sum of its
-        direct children's durations must not exceed the parent's
-        inclusive duration by more than ``tolerance_ns``.
-
-        Children recorded on a *different* thread than their parent are
-        excluded — a parallel meta-compressor legitimately runs several
-        child spans concurrently inside one parent, so their durations
-        may sum past the parent's wall time without any double count.
+        Self time clamps at zero, which *hides* a broken parenting
+        relationship (two spans claiming the same wall time) instead of
+        surfacing it.  Here, for every closed span, the closed children
+        self time subtracts (same-thread, direct) must not sum past its
+        duration by more than ``tolerance_ns``.
 
         Returns human-readable violation descriptions (empty when the
         tree is consistent).  The stage profiler asserts this before
         trusting exclusive-time attribution.
         """
-        spans = self.spans()
-        by_parent: dict[int | None, list[Span]] = {}
-        for sp in spans:
-            by_parent.setdefault(sp.parent_id, []).append(sp)
+        from .export import _SpanIndex
+
+        index = _SpanIndex([sp for sp in self.spans()
+                            if sp.end_ns is not None])
         violations: list[str] = []
-        for sp in spans:
-            if sp.end_ns is None:
-                continue
-            same_thread = [c for c in by_parent.get(sp.span_id, [])
-                           if c.end_ns is not None
-                           and c.thread_id == sp.thread_id]
-            child_ns = sum(c.duration_ns for c in same_thread)
+        for sp in index.spans:
+            child_ns = index.child_ns(sp)
             if child_ns > sp.duration_ns + tolerance_ns:
                 violations.append(
                     f"span {sp.name!r} (id={sp.span_id}): children sum "

@@ -12,13 +12,14 @@ Three consumers, matching how per-stage timing data actually gets used:
   perf PR quotes before and after.
 
 :func:`render_tree` pretty-prints the span tree for the ``pressio
-trace`` CLI subcommand.
+trace`` CLI subcommand.  It, :func:`aggregate` and the stage profiler
+read their per-span figures from one :class:`_SpanIndex`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from .context import Span, TraceContext
 
@@ -107,42 +108,96 @@ def write_chrome_trace(ctx: TraceContext, path_or_file: str | TextIO,
     return len(events)
 
 
+class _SpanIndex:
+    """A span list's parent -> children index, built once, and the two
+    per-span rules every report and gauge reads (docs/PROFILING.md,
+    "Self time and bytes"):
+
+    * self time is the duration minus same-thread direct children,
+      floored at 0;
+    * bytes count the uncompressed side (the input of a compress, the
+      output of a decompress); throughput is bytes over inclusive time.
+    """
+
+    def __init__(self, spans: list[Span]):
+        self.spans = spans
+        self.by_id = {sp.span_id: sp for sp in spans}
+        self.children: dict[int | None, list[Span]] = {}
+        for sp in spans:
+            self.children.setdefault(sp.parent_id, []).append(sp)
+
+    def child_ns(self, sp: Span) -> int:
+        """Summed duration of ``sp``'s same-thread direct children."""
+        return sum(c.duration_ns for c in self.children.get(sp.span_id, ())
+                   if c.thread_id == sp.thread_id)
+
+    def self_ns(self, sp: Span) -> int:
+        return max(0, sp.duration_ns - self.child_ns(sp))
+
+    def roots(self) -> list[Span]:
+        """Spans with no parent, or whose parent is not in the list."""
+        return [sp for sp in self.spans
+                if sp.parent_id is None or sp.parent_id not in self.by_id]
+
+    def rows(self, key: Callable[[Span], str]) -> dict[str, dict[str, Any]]:
+        """Per-span figures summed by ``key(span)``, plus throughput.
+
+        Allocation columns sum the ``_mem0``/``_mem1`` (current, peak)
+        stamps a profiling context puts on each span.
+        """
+        rows: dict[str, dict[str, Any]] = {}
+        for sp in self.spans:
+            row = rows.setdefault(key(sp), {
+                "calls": 0, "inclusive_ns": 0, "exclusive_ns": 0,
+                "bytes": 0, "bytes_in": 0, "bytes_out": 0, "errors": 0,
+                "alloc_net_bytes": 0, "alloc_peak_growth_bytes": 0,
+            })
+            row["calls"] += 1
+            row["inclusive_ns"] += sp.duration_ns
+            row["exclusive_ns"] += self.self_ns(sp)
+            row["bytes"] += _uncompressed_bytes(sp)
+            row["bytes_in"] += int(sp.attrs.get("input_bytes") or 0)
+            row["bytes_out"] += int(sp.attrs.get("output_bytes") or 0)
+            if sp.status.startswith("error"):
+                row["errors"] += 1
+            mem0, mem1 = sp.attrs.get("_mem0"), sp.attrs.get("_mem1")
+            if mem0 is not None and mem1 is not None:
+                row["alloc_net_bytes"] += int(mem1[0]) - int(mem0[0])
+                row["alloc_peak_growth_bytes"] += max(
+                    0, int(mem1[1]) - int(mem0[1]))
+        for row in rows.values():
+            secs = row["inclusive_ns"] / 1e9
+            row["bytes_per_s"] = row["bytes"] / secs if secs > 0 else 0.0
+        return rows
+
+
+def _uncompressed_bytes(sp: Span) -> int:
+    if sp.name == "decompress":
+        nbytes = (sp.attrs.get("output_bytes")  # errored: no output
+                  or sp.attrs.get("input_bytes"))
+    else:
+        nbytes = sp.attrs.get("input_bytes")
+    return int(nbytes or 0)
+
+
 def aggregate(ctx: TraceContext) -> dict[str, dict[str, Any]]:
     """Per-plugin roll-up: calls, total/self wall time, bytes, bytes/s.
 
     Spans without a ``plugin`` attribute are grouped under their span
     name, so stage spans (``transpose:forward``, ``opt:evaluate``) get
-    their own rows.  ``self_ms`` excludes time attributed to direct
-    children — the number that localizes an overhead regression.
-
-    ``bytes`` (and the ``bytes_per_s`` derived from it) counts the
-    *uncompressed* side of each operation: the input of a compress, the
-    output of a decompress.  That makes the throughput directly
-    comparable across the two operations and consistent with the
-    ``time`` metrics plugin's ``time:*_bytes_per_s`` keys.
+    their own rows.  ``self_ms``, ``bytes`` and ``bytes_per_s``
+    follow :class:`_SpanIndex`'s rules, as the ``time`` metrics
+    plugin's ``time:*_bytes_per_s`` keys do.
     """
-    rows: dict[str, dict[str, Any]] = {}
-    for sp in ctx.spans():
-        key = str(sp.attrs.get("plugin", sp.name))
-        row = rows.setdefault(key, {
-            "calls": 0, "total_ms": 0.0, "self_ms": 0.0,
-            "bytes": 0, "errors": 0,
-        })
-        row["calls"] += 1
-        row["total_ms"] += sp.duration_ms
-        row["self_ms"] += ctx.self_time_ns(sp) / 1e6
-        if sp.name == "decompress":
-            nbytes = (sp.attrs.get("output_bytes")  # errored: no output
-                      or sp.attrs.get("input_bytes", 0))
-        else:
-            nbytes = sp.attrs.get("input_bytes", 0)
-        row["bytes"] += int(nbytes or 0)
-        if sp.status.startswith("error"):
-            row["errors"] += 1
-    for row in rows.values():
-        total_s = row["total_ms"] / 1e3
-        row["bytes_per_s"] = row["bytes"] / total_s if total_s > 0 else 0.0
-    return rows
+    rows = _SpanIndex(ctx.spans()).rows(
+        lambda sp: str(sp.attrs.get("plugin", sp.name)))
+    return {key: {"calls": row["calls"],
+                  "total_ms": row["inclusive_ns"] / 1e6,
+                  "self_ms": row["exclusive_ns"] / 1e6,
+                  "bytes": row["bytes"],
+                  "errors": row["errors"],
+                  "bytes_per_s": row["bytes_per_s"]}
+            for key, row in rows.items()}
 
 
 def format_report(ctx: TraceContext) -> str:
@@ -174,11 +229,7 @@ def format_report(ctx: TraceContext) -> str:
 
 def render_tree(ctx: TraceContext) -> str:
     """ASCII rendering of the span forest, children indented under parents."""
-    spans = ctx.spans()
-    by_parent: dict[int | None, list[Span]] = {}
-    for sp in spans:
-        by_parent.setdefault(sp.parent_id, []).append(sp)
-    known_ids = {sp.span_id for sp in spans}
+    index = _SpanIndex(ctx.spans())
     lines: list[str] = []
 
     def walk(sp: Span, depth: int) -> None:
@@ -188,13 +239,12 @@ def render_tree(ctx: TraceContext) -> str:
                   if sp.parent_id is not None else "")
         lines.append(f"{'  ' * depth}{sp.name}{suffix} "
                      f"{sp.duration_ms:.3f}ms"
-                     f" (self {ctx.self_time_ns(sp) / 1e6:.3f}ms)"
+                     f" (self {index.self_ns(sp) / 1e6:.3f}ms)"
                      f"{thread}")
-        for child in by_parent.get(sp.span_id, []):
+        for child in index.children.get(sp.span_id, []):
             walk(child, depth + 1)
 
     # roots: no parent, or parent fell outside this context's records
-    for sp in spans:
-        if sp.parent_id is None or sp.parent_id not in known_ids:
-            walk(sp, 0)
+    for sp in index.roots():
+        walk(sp, 0)
     return "\n".join(lines)

@@ -37,10 +37,13 @@ def _pair(library, inner, options, chunk_size=4096, depth=2):
     ("sz", {"pressio:abs": 1e-4}),
     ("zfp", {"pressio:abs": 1e-4}),
     ("mgard", {"pressio:abs": 1e-3}),
+    # its compress writes SZMP slabs, which sz's stage pair would not,
+    # so it takes the whole-compress fallback
+    ("sz_omp", {"pressio:abs": 1e-4}),
 ])
 def test_byte_identical_to_chunking(library, field, inner, options):
     chunk, pipe = _pair(library, inner, options)
-    assert pipe.inner.supports_stage_split()
+    assert pipe.inner.supports_stage_split() == (inner != "sz_omp")
     # at 4096 elements both 24 and 30 rows cut into 7-row slabs, and
     # their 3- and 2-row tails merge into the last slab
     longer = np.concatenate([field, field[:6]])

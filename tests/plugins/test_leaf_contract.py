@@ -6,7 +6,10 @@
   ``digit_rounding``) size their payload from the dims before decoding,
   so a small forged stream cannot balloon.
 * ``sz_omp``'s ``SZMP`` container checks its slab count, length table
-  and cuts before it allocates the output.
+  and cuts before it allocates the output, and decodes to the
+  template's dtype as plain ``sz`` does.
+* ``bit_grooming``/``digit_rounding`` streams decode with the backend
+  they were written with.
 * zfp's padding warning names the caller's line on every path.
 """
 
@@ -165,6 +168,55 @@ def test_szmp_uneven_cuts_decode_with_and_without_template_dims(library):
     for dims in (arr.shape, ()):
         out = comp.decompress(stream, PressioData.empty(DType.DOUBLE, dims))
         assert np.max(np.abs(out.to_numpy() - arr)) <= 1e-3
+
+
+@pytest.mark.parametrize("plugin", ["sz", "sz_omp"])
+def test_sz_decodes_to_the_template_dtype(library, plugin):
+    comp = library.get_compressor(plugin)
+    assert comp.set_options({"pressio:abs": 1e-3}) == 0
+    rng = np.random.default_rng(5)
+    arr = np.cumsum(rng.standard_normal((64, 32, 32)), axis=0)
+    stream = comp.compress(PressioData.from_numpy(arr))
+    assert (stream.to_bytes()[:4] == b"SZMP") == (plugin == "sz_omp")
+    out = comp.decompress(stream, PressioData.empty(DType.FLOAT, arr.shape))
+    assert out.dtype == DType.FLOAT
+    assert out.to_numpy().dtype == np.float32
+    assert np.max(np.abs(out.to_numpy() - arr)) <= 1e-3 + 1e-5
+
+
+@pytest.mark.parametrize("layout", ["backend-in-header", "kept-bits-only"])
+@pytest.mark.parametrize("plugin", ["bit_grooming", "digit_rounding"])
+def test_rnd1_decodes_with_the_backend_it_was_written_with(library, plugin,
+                                                           layout):
+    writer = library.get_compressor(plugin)
+    assert writer.set_options({f"{plugin}:backend": "bz2"}) == 0
+    arr = np.linspace(0.0, 1.0, 256)
+    stream = writer.compress(PressioData.from_numpy(arr)).to_bytes()
+    dtype, dims, _d, ints, pos = read_header(stream, b"RND1")
+    assert len(ints) == 2
+    template = PressioData.empty(DType.DOUBLE, arr.shape)
+    reader = library.get_compressor(plugin)  # default backend: zlib
+    if layout == "kept-bits-only":
+        # a stream written before the header named its backend decodes
+        # with the instance's backend
+        stream = write_header(b"RND1", dtype, dims, ints=ints[:1]) + \
+            stream[pos:]
+        with pytest.raises(CorruptStreamError):
+            reader.decompress(PressioData.from_bytes(stream), template)
+        assert reader.set_options({f"{plugin}:backend": "bz2"}) == 0
+    out = reader.decompress(PressioData.from_bytes(stream), template)
+    assert np.max(np.abs(out.to_numpy() - arr) / np.maximum(arr, 1e-30)) \
+        < 1e-3
+
+
+def test_rnd1_unknown_backend_id_fails_typed(library):
+    comp = library.get_compressor("bit_grooming")
+    stream = comp.compress(PressioData.from_numpy(np.ones(8))).to_bytes()
+    dtype, dims, _d, ints, pos = read_header(stream, b"RND1")
+    forged = write_header(b"RND1", dtype, dims, ints=(ints[0], 99))
+    with pytest.raises(CorruptStreamError):
+        comp.decompress(PressioData.from_bytes(forged + stream[pos:]),
+                        PressioData.empty(DType.DOUBLE, dims))
 
 
 @pytest.mark.parametrize("path", ["serial", "observed", "pipelined"])
