@@ -69,25 +69,14 @@ def _grid(dims: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _coefficient_shape(d: int, nblocks: int) -> tuple[int, ...]:
-    """The lifting layout: block-major ``(nblocks, 4)`` for d = 1,
-    coefficient-major ``(4,)*d + (nblocks,)`` above."""
-    if d == 1:
-        return (nblocks, BLOCK_SIDE)
+    """The lifting layout: coefficient-major ``(4,)*d + (nblocks,)``."""
     return (BLOCK_SIDE,) * d + (nblocks,)
-
-
-def _lift_axes(d: int) -> tuple[int, ...]:
-    """The in-block axes of :func:`_coefficient_shape`'s layout."""
-    return (1,) if d == 1 else tuple(range(d))
 
 
 def _gather(codes: np.ndarray, out: np.ndarray) -> np.ndarray:
     """(d1..dk) codes -> ``out`` in the lifting layout, edge-padded."""
     d = codes.ndim
     padded = _pad_to_blocks(codes)
-    if d == 1:
-        np.copyto(out.reshape(-1), padded)
-        return out
     inter = []
     for s in padded.shape:
         inter += [s // BLOCK_SIDE, BLOCK_SIDE]
@@ -132,10 +121,7 @@ def _dequantize_into(coef: np.ndarray, scale: float,
     dims = out.shape
     d = len(dims)
     grid = _grid(dims)
-    if d == 1:
-        c = coef.T
-    else:
-        c = coef.reshape((BLOCK_SIDE,) * d + grid)
+    c = coef.reshape((BLOCK_SIDE,) * d + grid)
     order = [a for k in range(d) for a in (d + k, k)]
     parts = []
     for s in dims:
@@ -159,17 +145,14 @@ def _dequantize_into(coef: np.ndarray, scale: float,
 # ----------------------------------------------------------------------
 # the lifting transform (exactly invertible on int32 and int64)
 # ----------------------------------------------------------------------
-# Layout.  For d >= 2 the coefficients sit coefficient-major, shape
+# Layout.  The coefficients sit coefficient-major, shape
 # (4,)*d + (nblocks,): slot i of every block along one axis is a single
 # slice whose innermost run is all nblocks values, so each of the nine
 # ufuncs of a lifting step streams through long contiguous runs.  (The
 # block-major (nblocks, 4, ..., 4) layout the stream stores makes every
 # lifting slice a stride-4 gather.)  The lift gathers straight from the
 # padded codes into that layout and copies to block-major once for the
-# residual coder.  For d = 1 the plain reshape (nblocks, 4) is already
-# block-major; on the 64 Ki 1-D chunks the chunking meta hands zfp,
-# going coefficient-major costs two transposes, more than contiguous
-# slices save.
+# residual coder.
 #
 # Width.  Codes are int32 whenever quantize_uniform's peak proves every
 # intermediate fits, int32_fits(peak, 4**d), that is (peak + 1) * 4**d
@@ -191,7 +174,7 @@ def _dequantize_into(coef: np.ndarray, scale: float,
 
 def _lift_temps(coef: np.ndarray) -> list[np.ndarray]:
     # the slice along any in-block axis has the same shape
-    shape = coef.shape[:-1] if coef.ndim == 2 else coef.shape[1:]
+    shape = coef.shape[1:]
     return [_pool.acquire(shape, coef.dtype) for _ in range(5)]
 
 
@@ -257,7 +240,7 @@ def _fwd_lift(coef: np.ndarray, d: int) -> None:
     """Forward transform of lifting-layout ``coef``, in place."""
     temps = _lift_temps(coef)
     try:
-        for axis in _lift_axes(d):
+        for axis in range(d):
             _fwd_lift_axis(coef, axis, temps)
     finally:
         _pool.release(*temps)
@@ -267,7 +250,7 @@ def _inv_lift(coef: np.ndarray, d: int) -> None:
     """Exact inverse of :func:`_fwd_lift`, in place."""
     temps = _lift_temps(coef)
     try:
-        for axis in reversed(_lift_axes(d)):
+        for axis in reversed(range(d)):
             _inv_lift_axis(coef, axis, temps)
     finally:
         _pool.release(*temps)
@@ -384,20 +367,17 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
         except BaseException:
             _pool.release(coef)
             raise
-        if d == 1:
-            blocks = coef
-        else:
-            # the residual coder takes the stream's block-major order
+        # the residual coder takes the stream's block-major order
+        try:
+            blocks = _pool.acquire((nblocks,) + (BLOCK_SIDE,) * d,
+                                   coef.dtype)
             try:
-                blocks = _pool.acquire((nblocks,) + (BLOCK_SIDE,) * d,
-                                       coef.dtype)
-                try:
-                    _exchange(coef, blocks, to_blocks=True)
-                except BaseException:
-                    _pool.release(blocks)
-                    raise
-            finally:
-                _pool.release(coef)
+                _exchange(coef, blocks, to_blocks=True)
+            except BaseException:
+                _pool.release(blocks)
+                raise
+        finally:
+            _pool.release(coef)
 
     with _trace.stage("zfp:bitplane"):
         try:
@@ -510,10 +490,7 @@ def decompress(stream: bytes | memoryview,
         width = np.int32 if int32_fits(peak, fan_in) else np.int64
         coef = _pool.acquire(_coefficient_shape(d, nblocks), width)
         try:
-            if d == 1:
-                np.copyto(coef, blocks, casting="unsafe")
-            else:
-                _exchange(coef, blocks, to_blocks=False)
+            _exchange(coef, blocks, to_blocks=False)
             if transform:
                 _inv_lift(coef, d)
         except BaseException:

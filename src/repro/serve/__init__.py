@@ -9,8 +9,9 @@ the hot path:
 * :mod:`~repro.serve.daemon` — the daemon: a route table and
   admission control on :class:`repro.obs.server.HTTPListener`, the one
   keep-alive HTTP/1.1 loop, over TCP and over ``AF_UNIX``;
-* :mod:`~repro.serve.workers` — the worker pool executing compress /
-  decompress / roundtrip with per-plugin thread-safety serialization;
+* :mod:`~repro.serve.workers` — the worker pool: runs each compress /
+  decompress / roundtrip on the connection thread that read it, under
+  ``workers`` FIFO permits and per-plugin thread-safety serialization;
 * :mod:`~repro.serve.wire` — the versioned ``pressio-serve/1`` binary
   frame format;
 * :mod:`~repro.serve.shm` — zero-copy payload handoff through

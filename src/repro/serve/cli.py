@@ -45,7 +45,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="if the requested port is taken, fall back "
                              "to an OS-assigned one and print it")
     parser.add_argument("--workers", type=int, default=4,
-                        help="worker threads executing operations")
+                        help="operations executed at once")
     parser.add_argument("--max-inflight", type=int, default=64,
                         help="admission-control ceiling; past it requests "
                              "are shed with 503 + Retry-After")
@@ -61,7 +61,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         help="artifact cache capacity in bytes "
                              "(0 disables the cache)")
     parser.add_argument("--max-payload", type=int, default=256 << 20,
-                        help="largest accepted payload in bytes")
+                        help="largest accepted payload, and largest "
+                             "decompressed output, in bytes")
     parser.add_argument("--duration", type=float, default=None,
                         help="serve for N seconds then exit "
                              "(default: until interrupted)")

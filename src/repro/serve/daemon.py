@@ -4,18 +4,20 @@ The transport is :class:`repro.obs.server.HTTPListener`, the package's
 one HTTP/1.1 keep-alive loop, listening on a TCP port and on a
 per-instance ``AF_UNIX`` socket (HTTP over UDS: same framing, same
 route table, no TCP stack on the same-host hop).  Measured on the 24³
-bench configs this keeps transport + queue hop near 20µs — the margin
-that lets the served round trip beat the paper's 17.5% out-of-process
+bench configs this keeps the transport near 20µs — the margin that
+lets the served round trip beat the paper's 17.5% out-of-process
 overhead (Section V(d), ``docs/SERVING.md``).
 
-Request lifecycle per connection thread::
+Request lifecycle, all on one connection thread::
 
     parse HTTP -> read body (pooled buffer) -> route table
       -> decode frame                  # _handle_frame from here on
+      -> output cap (decompress)       # 413, nothing allocated
       -> quota.admit(tenant)           # 429 + Retry-After
       -> admission.enter()             # 503 + Retry-After
-      -> WorkItem on the worker queue  # workers.py executes
-      <- reply queue -> encode frame -> write HTTP response
+      -> pool.execute(req)             # waits for a permit (503 on
+                                       # request_timeout), then runs
+      -> encode frame -> write HTTP response
 
 Routes:
 
@@ -24,7 +26,7 @@ Routes:
 * ``POST /v1/release`` — the client is done with a shared-memory
   segment; drop cached views so it can be unlinked;
 * ``GET /v1/compressors`` — registry listing (JSON);
-* ``GET /healthz`` — liveness + worker/queue stats (JSON);
+* ``GET /healthz`` — liveness + pool/admission stats (JSON);
 * ``GET /metrics`` — the active obs registry in Prometheus text,
   rendered exactly as ``pressio serve-metrics`` renders it.
 
@@ -37,9 +39,10 @@ from __future__ import annotations
 import functools
 import json
 import os
-import queue
 import tempfile
 import time
+
+import numpy as np
 
 from ..core.library import Pressio
 from ..obs import runtime as _obs
@@ -53,8 +56,14 @@ from .errors import (
 )
 from .quota import AdmissionController, QuotaManager
 from .shm import SegmentCache
-from .wire import WIRE_VERSION, Response, decode_request, encode_response
-from .workers import WorkerPool, WorkItem
+from .wire import (
+    WIRE_VERSION,
+    Response,
+    decode_request,
+    element_count,
+    encode_response,
+)
+from .workers import WorkerPool
 
 __all__ = ["ServeServer", "start_serve_server"]
 
@@ -69,7 +78,12 @@ _FRAME_OPS = {"/v1/compress": "compress", "/v1/decompress": "decompress",
 
 
 class ServeServer:
-    """Owns the listening socket, worker pool, caches, and quotas."""
+    """Owns the listening socket, worker pool, caches, and quotas.
+
+    ``max_payload`` caps both what a client may send (the request body)
+    and what it may make the daemon allocate: a decompress whose
+    declared output exceeds it fails with a 413 before any work.
+    """
 
     def __init__(self, library: Pressio | None = None,
                  host: str = "127.0.0.1", port: int = 0,
@@ -165,8 +179,9 @@ class ServeServer:
 
     def _handle_frame(self, path: str, op: str, body: bytes | memoryview,
                       ) -> tuple[int, dict[str, str], bytes]:
-        """The one request lifecycle: decode, quota, admission,
-        dispatch; every failure becomes a typed error frame."""
+        """The one request lifecycle: decode, output cap, quota,
+        admission, execution; every failure becomes a typed error
+        frame."""
         start_ns = time.perf_counter_ns()
         tenant = "unknown"
         entered = False
@@ -176,11 +191,13 @@ class ServeServer:
             if req.op != op:
                 raise BadFrameError(
                     f"frame op {req.op!r} does not match endpoint {path}")
+            if op == "decompress":
+                self._check_output_size(req)
             self.quota.admit(tenant)
             self.admission.enter()
             entered = True
             self._set_inflight_gauge()
-            resp = self._dispatch(req)
+            resp = self.pool.execute(req, self.request_timeout)
         except Exception as exc:  # noqa: BLE001 - wire boundary
             err = map_exception(exc)
             if isinstance(err, InternalServeError):
@@ -192,20 +209,14 @@ class ServeServer:
                 self._set_inflight_gauge()
         return self._finish(resp, tenant, op, start_ns, len(body))
 
-    def _dispatch(self, req) -> Response:
-        # fast path: run on this thread when a permit is free —
-        # skips two cross-thread wakeups on the latency floor
-        resp = self.pool.execute(req)
-        if resp is None:
-            reply: "queue.SimpleQueue[Response]" = queue.SimpleQueue()
-            self.pool.submit(WorkItem(req=req, reply=reply))
-            try:
-                resp = reply.get(timeout=self.request_timeout)
-            except queue.Empty:
-                raise InternalServeError(
-                    f"no worker reply within {self.request_timeout}s"
-                    ) from None
-        return resp
+    def _check_output_size(self, req) -> None:
+        # the client sends both the stream and the dims its template is
+        # built from, so the dims alone must not size an allocation
+        nbytes = element_count(req.dims) * np.dtype(req.dtype).itemsize
+        if nbytes > self.max_payload:
+            raise PayloadTooLargeError(
+                f"decompressed output of {nbytes} bytes exceeds limit "
+                f"{self.max_payload}")
 
     def _finish(self, resp: Response, tenant: str, op: str,
                 start_ns: int, in_bytes: int,
@@ -258,7 +269,7 @@ class ServeServer:
             "version": WIRE_VERSION,
             "uds": self.uds_path,
             "uptime_seconds": round(time.monotonic() - self.started_at, 3),
-            "workers": self.pool.alive_count(),
+            "workers": self.pool.workers,
             "inflight": self.admission.inflight,
             "peak_inflight": self.admission.peak,
             "shed": self.admission.shed,
@@ -268,7 +279,6 @@ class ServeServer:
             "completed": self.pool.completed,
             "failed": self.pool.failed,
             "crashes": self.pool.crashes,
-            "respawns": self.pool.respawns,
             "cache": self.cache.stats() if self.cache else None,
             "segments": self.segments.stats(),
         }

@@ -148,7 +148,7 @@ class SaturatedError(ServeError):
 
 
 class WorkerCrashedError(ServeError):
-    """The worker servicing the request died mid-request."""
+    """The request crashed mid-execution (induced fault); retry."""
 
     etype = "worker-crashed"
     http_status = 503

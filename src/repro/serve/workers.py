@@ -1,23 +1,18 @@
 """The serve worker pool: where requests become compress calls.
 
-Execution is two-tier, bounded either way by a semaphore holding
-``workers`` permits so compute parallelism never exceeds the
-configured width:
-
-* **inline fast path** — the connection handler thread runs the
-  operation itself when a permit is free.  This skips two
-  cross-thread wakeups (submit -> worker, worker -> reply), each of
-  which costs a GIL handoff — ~100µs+ round trip on small requests,
-  which alone would blow the 17.5% overhead budget.
-* **queue path** — when permits are exhausted (or the request carries
-  a fault-injection directive, whose crash semantics must land on a
-  real worker thread) the item is enqueued on one ``SimpleQueue`` and
-  one of N worker threads answers on the item's private reply queue.
+Every admitted request runs on the connection thread that decoded it,
+once one of ``workers`` execution permits is free, so compute
+parallelism never exceeds the configured width and no request pays a
+cross-thread hand-off (each costs a GIL handoff, ~100µs+ per round
+trip on small requests, which alone would blow the 17.5% overhead
+budget).  The permits go to waiters in arrival order; a request that
+waits longer than the daemon's ``request_timeout`` for one fails with
+a retryable 503 :class:`~repro.serve.errors.SaturatedError`.
 
 The pool owns the three caches that keep the per-request hot path
 under the 17.5% budget:
 
-* **compressor cache** (per executing thread, via
+* **compressor cache** (per connection thread, via
   ``threading.local``): (compressor id, canonical options) ->
   configured instance, so ``get_compressor`` + ``set_options`` are
   paid once per (thread, config), not per request;
@@ -28,8 +23,8 @@ under the 17.5% budget:
 
 Thread-safety honors the plugins' own declarations: a compressor whose
 configuration says ``pressio:thread_safe == single`` (sz) is serialized
-across workers through one per-plugin-id lock; ``serialized`` and
-``multithreaded`` plugins run on per-worker instances without
+across connections through one per-plugin-id lock; ``serialized`` and
+``multithreaded`` plugins run on per-thread instances without
 coordination.
 
 Trace propagation: a request carrying a ``pressio-spanwire/1`` context
@@ -41,17 +36,16 @@ and save/restore the previous global.
 
 Fault injection (``fault`` field in the frame) is honored only when
 the pool is constructed with ``allow_fault_injection=True`` — the
-fault-injection tests use it to kill a worker mid-request and watch
-the 503, the flight-recorder bundle, and the respawn.
+fault-injection tests use it to crash a request mid-execution and
+watch the typed 503 and the flight-recorder bundle.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +60,7 @@ from .cache import ArtifactCache, fingerprint
 from .errors import (
     BadPayloadError,
     OptionRejectedError,
+    SaturatedError,
     UnknownCompressorError,
     UnknownOpError,
     WorkerCrashedError,
@@ -74,24 +69,49 @@ from .errors import (
 from .shm import SegmentCache
 from .wire import Request, Response, ShmRef, canonical_options, element_count
 
-__all__ = ["WorkItem", "WorkerPool"]
-
-
-@dataclass
-class WorkItem:
-    """One admitted request plus its private reply channel.
-
-    ``reply`` is ``None`` on the inline fast path, where the executing
-    thread returns the Response directly instead of queueing it.
-    """
-
-    req: Request
-    reply: "queue.SimpleQueue[Response] | None"
-    enqueue_ns: int = field(default_factory=time.perf_counter_ns)
+__all__ = ["WorkerPool"]
 
 
 class _InducedCrash(Exception):
-    """Raised by fault injection to kill the worker thread."""
+    """Raised by fault injection to crash a request mid-execution."""
+
+
+class _FifoPermits:
+    """``width`` execution permits, handed to waiters in arrival order.
+
+    A ``threading.Semaphore`` lets a releasing thread's next acquire
+    barge ahead of threads already blocked, so under saturation a busy
+    connection can starve older waiters and stretch the tail latency;
+    here :meth:`release` hands the permit straight to the oldest
+    waiter.  Invariant: permits are free only while nobody waits.
+    """
+
+    def __init__(self, width: int) -> None:
+        self._lock = threading.Lock()
+        self._free = width
+        self._waiters: deque[threading.Event] = deque()
+
+    def acquire(self, timeout: float) -> bool:
+        with self._lock:
+            if self._free:
+                self._free -= 1
+                return True
+            handoff = threading.Event()
+            self._waiters.append(handoff)
+        if handoff.wait(timeout):
+            return True
+        with self._lock:
+            if handoff.is_set():  # handed over as the wait expired
+                return True
+            self._waiters.remove(handoff)
+            return False
+
+    def release(self) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().set()
+            else:
+                self._free += 1
 
 
 def _as_bytes_view(payload) -> memoryview:
@@ -105,7 +125,7 @@ def _as_bytes_view(payload) -> memoryview:
 _NONOWNING = NonOwningDomain()  # stateless; shared across streams
 
 #: Shared minimal reply for lean roundtrips.  Read-only by contract:
-#: _handle skips the stats stamps on lean responses and the daemon
+#: execute() skips the stats stamps on lean responses and the daemon
 #: only reads fields, so one instance can answer every lean request.
 _LEAN_ROUNDTRIP_OK = Response(ok=True, op="roundtrip", lean=True)
 
@@ -122,7 +142,8 @@ def _byte_stream(mv: memoryview) -> PressioData:
 
 
 class WorkerPool:
-    """N daemon threads executing serve requests off one queue."""
+    """Executes serve requests on their callers' threads, at most
+    ``workers`` at once."""
 
     def __init__(self, library, segments: SegmentCache,
                  cache: ArtifactCache | None = None, workers: int = 4,
@@ -132,10 +153,9 @@ class WorkerPool:
         self._library = library
         self.segments = segments
         self.cache = cache
+        self.workers = workers
         self.allow_fault_injection = bool(allow_fault_injection)
-        self._queue: "queue.SimpleQueue[WorkItem | None]" = queue.SimpleQueue()
-        #: caps concurrent executions (inline + worker) at ``workers``
-        self._slots = threading.Semaphore(workers)
+        self._permits = _FifoPermits(workers)
         self._tls = threading.local()
         self._lock = threading.Lock()
         self._trace_lock = threading.Lock()
@@ -143,52 +163,13 @@ class WorkerPool:
         self._wraps: dict[tuple, PressioData] = {}
         self._descrs: dict[tuple, PressioData] = {}
         self._plugin_locks: dict[str, threading.Lock] = {}
-        self._threads: list[threading.Thread] = []
-        self._stopping = False
         self.completed = 0
         self.failed = 0
         self.crashes = 0
-        self.respawns = 0
-        for i in range(workers):
-            self._threads.append(self._spawn(i))
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def _spawn(self, index: int) -> threading.Thread:
-        t = threading.Thread(target=self._run, name=f"serve-worker-{index}",
-                             daemon=True)
-        t.start()
-        return t
-
-    def ensure_alive(self) -> None:
-        """Respawn any worker thread that died (induced crash)."""
-        with self._lock:
-            if self._stopping:
-                return
-            for i, t in enumerate(self._threads):
-                if not t.is_alive():
-                    self._threads[i] = self._spawn(i)
-                    self.respawns += 1
-
-    def submit(self, item: WorkItem) -> None:
-        self.ensure_alive()
-        self._queue.put(item)
-
-    def shutdown(self, timeout: float = 5.0) -> None:
-        with self._lock:
-            self._stopping = True
-            threads = list(self._threads)
-        for _ in threads:
-            self._queue.put(None)
-        deadline = time.monotonic() + timeout
-        for t in threads:
-            t.join(max(deadline - time.monotonic(), 0.05))
+    def shutdown(self) -> None:
         with self._wrap_lock:
             self._wraps.clear()
-
-    def alive_count(self) -> int:
-        with self._lock:
-            return sum(1 for t in self._threads if t.is_alive())
 
     def forget_segment(self, name: str) -> None:
         """Drop cached wraps/views for a segment the client released."""
@@ -197,7 +178,7 @@ class WorkerPool:
                 del self._wraps[key]
         self.segments.forget_views(name)
 
-    # -- execution entry points --------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     def _comp_cache(self) -> dict:
         cache = getattr(self._tls, "comp_cache", None)
@@ -205,115 +186,58 @@ class WorkerPool:
             cache = self._tls.comp_cache = {}
         return cache
 
-    def execute(self, req: Request) -> Response | None:
-        """Inline fast path: run ``req`` on the calling thread.
+    def execute(self, req: Request, timeout: float) -> Response:
+        """Run ``req`` on the calling thread once a permit is free.
 
-        Returns ``None`` when every concurrency permit is busy (caller
-        should fall back to :meth:`submit`) and refuses fault-carrying
-        requests outright — an induced crash must kill a real worker
-        thread, not the connection handler.
+        Every failure of the request itself is counted and mapped to a
+        typed error response here; waiting more than ``timeout``
+        seconds for a permit raises a retryable :class:`SaturatedError`.
         """
-        if req.fault and self.allow_fault_injection:
-            return None
-        if not self._slots.acquire(blocking=False):
-            return None
+        queued_ns = time.perf_counter_ns()
+        if not self._permits.acquire(timeout):
+            raise SaturatedError(
+                f"no execution permit free within {timeout}s "
+                f"({self.workers} workers)", retry_after_s=0.05)
+        start_ns = time.perf_counter_ns()
         try:
-            if req.lean and req.trace is None and not req.fault:
-                # lean shortcut: the WorkItem/_handle layers only carry
-                # queue timing and trace state, neither of which a lean
-                # reply reports — skip straight to execution
-                try:
-                    resp = self._execute(req, self._comp_cache())
-                except BaseException as exc:  # noqa: BLE001 - wire boundary
-                    err = map_exception(exc)
-                    _obs.record_error("serve", req.compressor or "-", exc,
-                                      tenant=req.tenant, etype=err.etype)
-                    with self._lock:
-                        self.failed += 1
-                    return Response(ok=False, op=req.op,
-                                    error=err.to_payload())
-                with self._lock:
-                    self.completed += 1
-                return resp
-            start_ns = time.perf_counter_ns()
-            item = WorkItem(req=req, reply=None, enqueue_ns=start_ns)
-            return self._process(item, start_ns)
-        finally:
-            self._slots.release()
-
-    def _process(self, item: WorkItem, start_ns: int) -> Response:
-        """Run one item to a Response; counts and maps every failure."""
-        try:
-            resp = self._handle(item, self._comp_cache(), start_ns)
-        except _InducedCrash:
-            raise  # queue path only; execute() never admits faults
+            resp = self._handle(req)
+        except _InducedCrash as crash:
+            return self._report_crash(req, crash)
         except BaseException as exc:  # noqa: BLE001 - wire boundary
             err = map_exception(exc)
-            _obs.record_error("serve", item.req.compressor or "-", exc,
-                              tenant=item.req.tenant, etype=err.etype)
+            _obs.record_error("serve", req.compressor or "-", exc,
+                              tenant=req.tenant, etype=err.etype)
             with self._lock:
                 self.failed += 1
-            return Response(ok=False, op=item.req.op,
-                            error=err.to_payload())
+            return Response(ok=False, op=req.op, error=err.to_payload())
+        finally:
+            self._permits.release()
         with self._lock:
             self.completed += 1
+        if not resp.lean:
+            resp.stats["queue_us"] = (start_ns - queued_ns) // 1000
+            resp.stats["worker_us"] = (
+                time.perf_counter_ns() - start_ns) // 1000
         return resp
 
-    # -- worker main loop --------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            self._slots.acquire()
-            try:
-                resp = self._process(item, time.perf_counter_ns())
-            except _InducedCrash as crash:
-                self._report_crash(item, crash)
-                self._replace_self()
-                return  # the thread dies; its replacement is running
-            finally:
-                self._slots.release()
-            item.reply.put(resp)
-
-    def _replace_self(self) -> None:
-        """Called by a dying worker: spawn its own replacement now,
-        so pool capacity recovers even if nothing is ever submitted
-        again (the inline fast path never calls ensure_alive)."""
-        me = threading.current_thread()
-        with self._lock:
-            if self._stopping:
-                return
-            for i, t in enumerate(self._threads):
-                if t is me:
-                    self._threads[i] = self._spawn(i)
-                    self.respawns += 1
-                    return
-
-    def _report_crash(self, item: WorkItem, crash: _InducedCrash) -> None:
+    def _report_crash(self, req: Request, crash: _InducedCrash) -> Response:
         err = WorkerCrashedError(
-            "worker died mid-request; retry on a fresh worker",
-            retry_after_s=0.05)
+            "request crashed mid-execution; retry", retry_after_s=0.05)
         with self._lock:
             self.crashes += 1
             self.failed += 1
         rec = _flight.ACTIVE
         if rec is not None:
-            rec.record_error("serve", item.req.compressor or "-", crash,
-                             {"tenant": item.req.tenant, "op": item.req.op})
+            rec.record_error("serve", req.compressor or "-", crash,
+                             {"tenant": req.tenant, "op": req.op})
             rec.dump("serve-worker-crash", exc=crash)
         _obs.count("pressio_serve_worker_crashes_total",
-                   "serve workers killed mid-request",
-                   tenant=item.req.tenant)
-        item.reply.put(Response(ok=False, op=item.req.op,
-                                error=err.to_payload()))
+                   "serve requests crashed mid-execution",
+                   tenant=req.tenant)
+        return Response(ok=False, op=req.op, error=err.to_payload())
 
-    # -- request execution -------------------------------------------------
-
-    def _handle(self, item: WorkItem, comp_cache: dict,
-                start_ns: int) -> Response:
-        req = item.req
+    def _handle(self, req: Request) -> Response:
+        comp_cache = self._comp_cache()
         if req.fault and self.allow_fault_injection:
             if req.fault == "crash-worker":
                 raise _InducedCrash("induced by fault field")
@@ -321,14 +245,8 @@ class WorkerPool:
                 raise RuntimeError("induced unhandled exception")
         remote = _propagate.extract(req.trace) if req.trace else None
         if remote is not None and remote.sampled:
-            resp = self._execute_traced(req, comp_cache, remote)
-        else:
-            resp = self._execute(req, comp_cache)
-        if not resp.lean:
-            resp.stats["queue_us"] = (start_ns - item.enqueue_ns) // 1000
-            resp.stats["worker_us"] = (
-                time.perf_counter_ns() - start_ns) // 1000
-        return resp
+            return self._execute_traced(req, comp_cache, remote)
+        return self._execute(req, comp_cache)
 
     def _execute_traced(self, req: Request, comp_cache: dict,
                         remote) -> Response:

@@ -51,24 +51,19 @@ class TestBlocking:
         arr = rng.integers(-1000, 1000, size=shape)
         coef = _lifting_layout(arr)
         blocks = np.empty((_nblocks(shape),) + (4,) * len(shape), arr.dtype)
-        if len(shape) == 1:
-            blocks[...] = coef
-        else:
-            _exchange(coef, blocks, to_blocks=True)
+        _exchange(coef, blocks, to_blocks=True)
         assert np.array_equal(blocks, _reference_blocks(arr))
         back = np.empty_like(coef)
-        if len(shape) == 1:
-            back[...] = blocks
-        else:
-            _exchange(back, blocks, to_blocks=False)
+        _exchange(back, blocks, to_blocks=False)
         restored = _dequantize_into(back, 1.0, np.empty(shape))
         assert np.array_equal(restored, arr)
 
     def test_partial_blocks_pad_with_edge(self):
         arr = np.array([1, 2, 3, 4, 5], dtype=np.int64)
         coef = _lifting_layout(arr)
-        assert coef.shape == (2, 4)
-        assert list(coef[1]) == [5, 5, 5, 5]
+        # coefficient-major at every rank: 4 slots of 2 blocks each
+        assert coef.shape == (4, 2)
+        assert list(coef[:, 1]) == [5, 5, 5, 5]
 
     def test_block_count(self):
         arr = np.zeros((9, 9), dtype=np.int64)
@@ -94,7 +89,7 @@ def _random_layout(d, peak, seed, nblocks=40, dtype=np.int64):
     rng = np.random.default_rng(seed)
     coef = rng.integers(-peak, peak + 1,
                         size=_coefficient_shape(d, nblocks), dtype=np.int64)
-    layout = coef if d == 1 else np.moveaxis(coef, -1, 0)
+    layout = np.moveaxis(coef, -1, 0)
     layout[0] = peak
     layout[1] = -peak
     checker = np.indices((4,) * d).sum(axis=0) % 2

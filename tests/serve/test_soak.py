@@ -7,6 +7,8 @@ The invariants under load, asserted exactly:
 * every result is byte-identical to the single-threaded expectation;
 * pool counter arithmetic: ``completed + failed`` equals the number of
   requests that reached the pool, and nothing is left in flight;
+* one execution tier: every request runs on the connection thread that
+  decoded it, and the daemon starts no worker threads of its own;
 * gauge consistency: the health endpoint and the admission controller
   agree after the storm (in-flight back to zero, peak bounded by the
   ceiling).
@@ -23,6 +25,7 @@ import numpy as np
 
 from repro.core.data import PressioData
 from repro.core.library import Pressio
+from repro.serve import daemon as _daemon
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeServer
 
@@ -45,7 +48,7 @@ def _expected_outputs(block: np.ndarray) -> dict[str, bytes]:
     return out
 
 
-def test_soak_mixed_tenants_compressors_and_paths():
+def test_soak_mixed_tenants_compressors_and_paths(monkeypatch):
     rng = np.random.default_rng(20210429)
     block = np.ascontiguousarray(
         np.cumsum(rng.standard_normal(1000)).reshape(
@@ -53,9 +56,26 @@ def test_soak_mixed_tenants_compressors_and_paths():
     expected = _expected_outputs(block)
     total = THREADS * REQUESTS_PER_THREAD
 
+    decode = _daemon.decode_request
+
+    def tagged_decode(body):
+        req = decode(body)
+        req.decoded_on = threading.get_ident()
+        return req
+
+    monkeypatch.setattr(_daemon, "decode_request", tagged_decode)
     with ServeServer(port=0, workers=4, max_inflight=64) as server:
         errors: list[str] = []
         barrier = threading.Barrier(THREADS)
+        execute = server.pool._execute
+        elsewhere: list[str] = []
+
+        def watched_execute(req, comp_cache):
+            if req.decoded_on != threading.get_ident():
+                elsewhere.append(threading.current_thread().name)
+            return execute(req, comp_cache)
+
+        server.pool._execute = watched_execute
 
         def storm(tid: int) -> None:
             # even threads take the shm fast path, odd threads inline;
@@ -89,7 +109,11 @@ def test_soak_mixed_tenants_compressors_and_paths():
         assert server.pool.completed + server.pool.failed == total
         assert server.pool.failed == 0
         assert server.pool.crashes == 0
-        assert server.pool.alive_count() == 4
+
+        # -- one execution tier ----------------------------------------
+        assert elsewhere == []
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("serve-worker")] == []
 
         # -- admission / gauge consistency -----------------------------
         assert server.admission.inflight == 0
