@@ -52,6 +52,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline e5d7a09 \\
         --output benchmarks/BENCH_leaf_contract_e2e.json
+    # one execution tier in ``pressio serve`` (no gain claimed)
+    # against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 339f0dd \\
+        --output benchmarks/BENCH_serve_one_tier_e2e.json
 """
 
 from __future__ import annotations
