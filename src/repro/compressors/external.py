@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
@@ -53,7 +53,7 @@ _STDERR_CAP = 64 * 1024
 class ExternalCompressor(PressioCompressor):
     """Out-of-process compression via a spawned worker interpreter."""
 
-    thread_safety = "serialized"
+    thread_safety = "multithreaded"
 
     def __init__(self) -> None:
         super().__init__()
@@ -81,7 +81,6 @@ class ExternalCompressor(PressioCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.EXTERNAL)
         cfg.set("pressio:lossy", True)
         cfg.set("external:embeddable", False)

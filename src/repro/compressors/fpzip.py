@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
@@ -22,7 +22,7 @@ class FpzipCompressor(PressioCompressor):
     paper builds its data-abstraction argument on.
     """
 
-    thread_safety = "serialized"
+    thread_safety = "multithreaded"
 
     def __init__(self) -> None:
         super().__init__()
@@ -47,7 +47,6 @@ class FpzipCompressor(PressioCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", False)
         cfg.set("fpzip:float_only", True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.data import PressioData
 from ..core.dtype import dtype_to_numpy
 from ..core.options import PressioOptions
@@ -76,7 +76,6 @@ class FramedCompressor(PressioCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", self.lossy)
         return cfg

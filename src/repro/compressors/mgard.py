@@ -7,7 +7,7 @@ its hard requirement of >= 3 samples per dimension observable through
 
 from __future__ import annotations
 
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidDimensionsError, InvalidOptionError
@@ -21,6 +21,7 @@ __all__ = ["MGARDCompressor"]
 class MGARDCompressor(StagedCompressor):
     """Multigrid error-bounded lossy compression via the MGARD pipeline."""
 
+    thread_safety = "multithreaded"
     native = native_mgard
 
     def __init__(self) -> None:
@@ -58,7 +59,6 @@ class MGARDCompressor(StagedCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", True)
         cfg.set("mgard:min_dimension_size", native_mgard.MIN_DIM)

@@ -16,7 +16,7 @@ import threading
 
 import numpy as np
 
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidOptionError
@@ -162,8 +162,6 @@ class SZCompressor(StagedCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        # SZ's shared global store: only one thread may drive it
-        cfg.set("pressio:thread_safe", ThreadSafety.SINGLE)
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", True)
         cfg.set("sz:shared_instance", True)

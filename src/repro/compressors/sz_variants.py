@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..core.configurable import Stability, ThreadSafety
 from ..core.data import PressioData
 from ..core.dtype import dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
@@ -50,7 +49,6 @@ class SZThreadsafeCompressor(SZCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = super()._configuration()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("sz:shared_instance", False)
         return cfg
 

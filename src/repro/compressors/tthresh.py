@@ -8,7 +8,7 @@ documentation and configuration rather than hard-coded.
 
 from __future__ import annotations
 
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
@@ -23,6 +23,7 @@ __all__ = ["TthreshCompressor"]
 class TthreshCompressor(NativeCompressor):
     """SVD-principled lossy compression with a relative-L2 target."""
 
+    thread_safety = "multithreaded"
     native = native_tthresh
 
     def __init__(self) -> None:
@@ -53,7 +54,6 @@ class TthreshCompressor(NativeCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", True)
         cfg.set("tthresh:norm", "relative_l2")

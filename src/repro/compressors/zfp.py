@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidOptionError
@@ -48,6 +48,8 @@ def _caller_stacklevel() -> int:
 class ZFPCompressor(StagedCompressor):
     """Transform-based error-bounded lossy compression via the zfp pipeline."""
 
+    # independent per-instance streams: fully re-entrant
+    thread_safety = "multithreaded"
     native = native_zfp
 
     def __init__(self) -> None:
@@ -122,8 +124,6 @@ class ZFPCompressor(StagedCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        # independent per-instance streams: fully re-entrant
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", True)
         cfg.set("zfp:shared_instance", False)

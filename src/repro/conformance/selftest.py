@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_registry
@@ -45,13 +45,14 @@ SELF_TEST_VIOLATIONS = ("bound_cheat", "leaky_clone", "golden_bitflip")
 class _BoundCheat(PressioCompressor):
     """Advertises ``pressio:abs`` then delivers 3x the promised error."""
 
+    thread_safety = "multithreaded"
+
     def __init__(self):
         super().__init__()
         self._abs = 1e-4
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE)
         cfg.set("pressio:stability", Stability.EXPERIMENTAL)
         cfg.set("pressio:lossy", True)
         return cfg
@@ -90,6 +91,8 @@ class _BoundCheat(PressioCompressor):
 class _LeakyClone(PressioCompressor):
     """``clone()`` shares (and bumps) mutable state with the original."""
 
+    thread_safety = "single"
+
     def __init__(self, shared: dict | None = None):
         super().__init__()
         # the bug under test: clones receive a reference, not a copy
@@ -98,7 +101,6 @@ class _LeakyClone(PressioCompressor):
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
-        cfg.set("pressio:thread_safe", ThreadSafety.SINGLE)
         cfg.set("pressio:stability", Stability.EXPERIMENTAL)
         cfg.set("pressio:lossy", True)
         return cfg

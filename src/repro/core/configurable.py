@@ -124,11 +124,19 @@ class Configurable:
             return int(self.status.code)
         return 0
 
+    def _thread_safety(self) -> str | None:
+        """The plugin's ``thread_safety`` declaration, if it makes one."""
+        return getattr(self, "thread_safety", None)
+
     def get_configuration(self) -> PressioOptions:
         cfg = self._configuration()
         cfg.set("pressio:version", self.version())
-        declared = getattr(self, "thread_safety", None)
+        declared = self._thread_safety()
         if declared is not None:
+            # the declaration is the one source of both keys; its
+            # "multithreaded" is pressio:thread_safe's "multiple"
+            cfg.set("pressio:thread_safe", ThreadSafety.MULTIPLE
+                    if declared == "multithreaded" else declared)
             cfg.set("pressio:thread_safety", declared)
         return cfg
 

@@ -78,13 +78,17 @@ class MetaCompressor(PressioCompressor):
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         inner_cfg = self._inner.get_configuration()
-        # a pipeline is only as thread-safe as its leaf
+        # the value of a leaf that declares no thread_safety
         cfg.set("pressio:thread_safe",
                 inner_cfg.get("pressio:thread_safe", ThreadSafety.SERIALIZED))
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", inner_cfg.get("pressio:lossy", True))
         cfg.set(f"{self.prefix()}:meta", True)
         return cfg
+
+    def _thread_safety(self) -> str | None:
+        # a pipeline is only as thread-safe as its leaf
+        return self._inner._thread_safety()
 
     def set_metrics(self, metrics) -> None:
         super().set_metrics(metrics)

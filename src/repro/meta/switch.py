@@ -76,6 +76,9 @@ class SwitchCompressor(PressioCompressor):
             if rc != 0:
                 raise InvalidOptionError(self._candidates[cid].error_msg())
 
+    def _thread_safety(self) -> str | None:
+        return self.active._thread_safety()
+
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         active_cfg = self.active.get_configuration()

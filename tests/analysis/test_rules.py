@@ -82,9 +82,23 @@ def test_thread_safety_reaches_runtime_introspection():
     from repro.core.library import Pressio
 
     library = Pressio()
-    for cid, expected in (("zfp", "serialized"), ("noop", "multithreaded"),
+    for cid, expected in (("zfp", "multithreaded"), ("noop", "multithreaded"),
                           ("sz", "single"), ("sz_threadsafe", "multithreaded"),
-                          ("chunking", "serialized")):
+                          ("chunking", "multithreaded")):
         comp = library.get_compressor(cid)
         cfg = comp.get_configuration()
         assert cfg.get("pressio:thread_safety") == expected, cid
+
+
+def test_both_thread_safety_keys_agree_for_every_plugin():
+    """``pressio:thread_safe`` is derived from the one declaration, and a
+    meta-compressor reports its leaf's under both keys."""
+    from repro.core.library import Pressio
+
+    library = Pressio()
+    safe = {"single": "single", "serialized": "serialized",
+            "multithreaded": "multiple"}
+    for cid in library.supported_compressors():
+        cfg = library.get_compressor(cid).get_configuration()
+        declared = cfg.get("pressio:thread_safety")
+        assert cfg.get("pressio:thread_safe") == safe[declared], cid
