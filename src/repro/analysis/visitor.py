@@ -342,12 +342,12 @@ def has_dtype_validation(fn: ast.FunctionDef) -> bool:
 # thread-mapped worker detection
 # ---------------------------------------------------------------------------
 
-_POOL_METHODS = ("submit", "map", "_map", "wrap_task", "imap",
-                 "imap_unordered", "apply_async", "starmap")
+_POOL_METHODS = ("submit", "map", "_map", "run_tasks", "wrap_task",
+                 "imap", "imap_unordered", "apply_async", "starmap")
 
 
 def collect_worker_defs(fn: ast.FunctionDef) -> list[ast.FunctionDef]:
-    """Nested defs handed to a thread pool / ``self._map`` inside ``fn``."""
+    """Nested defs handed to a thread pool or ``run_tasks`` inside ``fn``."""
     nested = {}
     for node in ast.walk(fn):
         if isinstance(node, ast.FunctionDef) and node is not fn:

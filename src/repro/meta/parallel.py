@@ -11,28 +11,30 @@ These reproduce LibPressio's automatic task parallelism (Section IV-D):
   metric observed on earlier buffers into the configuration of later
   ones (the time-step configuration-guess pattern from the glossary).
 
-Thread safety is decided from the inner plugin's advertised
-``pressio:thread_safe`` configuration — the introspection datum the
-paper faults other interface libraries for not exposing.  When the
-inner plugin is fully re-entrant each worker gets a clone; when it is
-``single`` (sz-style global state), work degrades gracefully to serial
-execution rather than corrupting shared state.
+One executor, :func:`run_tasks` (also ``sz_omp``'s), decides thread
+safety from the plugin's advertised ``pressio:thread_safe`` — the
+introspection datum the paper faults other libraries for not exposing:
+a re-entrant plugin gets a clone per worker thread, any other runs
+serially.  ``chunking`` and ``sz_omp`` share one slab container
+(:func:`write_slabs`, :func:`read_slabs`).
 """
 
 from __future__ import annotations
 
 import os as _os
 import struct
-from collections.abc import Iterator
+import threading
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from itertools import islice
+from functools import partial
+from itertools import accumulate, islice
 
 import numpy as np
 
 from ..core.compressor import PressioCompressor
 from ..core.configurable import ThreadSafety
 from ..core.data import PressioData
-from ..core.dtype import dtype_to_numpy
+from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin, metrics_registry
 from ..core.status import CorruptStreamError, InvalidOptionError
@@ -50,13 +52,93 @@ _MAGIC = b"CHK1"
 _MAGIC_ND = b"CHK2"
 
 
-def _inner_is_reentrant(inner: PressioCompressor) -> bool:
-    cfg = inner.get_configuration()
-    return cfg.get("pressio:thread_safe") == ThreadSafety.MULTIPLE
+def parallel_workers(plugin: PressioCompressor, nthreads: int) -> int:
+    """The clone-or-serialize rule: ``nthreads`` when ``plugin``
+    advertises ``pressio:thread_safe == multiple``, else 1."""
+    cfg = plugin.get_configuration()
+    reentrant = cfg.get("pressio:thread_safe") == ThreadSafety.MULTIPLE
+    return nthreads if reentrant else 1
+
+
+def per_thread(plugin: PressioCompressor) -> Callable[[], PressioCompressor]:
+    """A getter of the calling thread's clone of ``plugin``."""
+    local = threading.local()
+
+    def worker() -> PressioCompressor:
+        if not hasattr(local, "compressor"):
+            local.compressor = plugin.clone()
+        return local.compressor
+
+    return worker
+
+
+def run_tasks(fn: Callable, tasks: list, plugin: PressioCompressor,
+              nthreads: int, clone: bool = True) -> list:
+    """``[fn(worker, task) for task in tasks]``: serially with ``plugin``
+    as the worker for one thread, one task or a plugin that is not
+    re-entrant, else on at most ``nthreads`` threads, each with its own
+    clone (unless not ``clone``) and under the caller's span."""
+    n = 1
+    if nthreads > 1 and len(tasks) > 1:
+        n = min(len(tasks), parallel_workers(plugin, nthreads))
+    _trace.annotate(n_tasks=len(tasks), n_workers=n, parallel=n > 1)
+    if n == 1:
+        return [fn(plugin, t) for t in tasks]
+    worker = per_thread(plugin) if clone else lambda: plugin
+    call = _trace.wrap_task(lambda task: fn(worker(), task))
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(call, tasks))
+
+
+def write_slabs(magic: bytes, dtype: DType, dims: tuple[int, ...],
+                streams: list[bytes], *ints: int) -> PressioData:
+    """The slab container: a header holding the slab count and
+    ``ints``, a ``<Q`` length table, then the slab streams."""
+    table = struct.pack(f"<{len(streams)}Q", *(len(s) for s in streams))
+    header = write_header(magic, dtype, dims, ints=(len(streams), *ints))
+    return PressioData.from_bytes(header + table + b"".join(streams))
+
+
+def read_slabs(view: memoryview, magic: bytes, output: PressioData,
+               n_ints: int, cut: Callable) -> tuple:
+    """``(dtype, dims, [(start, stop, stream), ...])`` of a
+    :func:`write_slabs` container whose writer cut ``cut(dims, ints)``.
+
+    Checks, before any buffer is sized, that the header holds ``n_ints``
+    ints and ``output``'s dims (if any), that the slab count fits the
+    table and equals the number of cuts, and that the table sums to the
+    bytes after it.
+    """
+    expected = output.dims if output.num_dimensions else None
+    dtype, dims, _d, ints, pos = read_header(view, magic, expected)
+    if len(ints) != n_ints:
+        raise CorruptStreamError(f"{magic!r} header holds {len(ints)} "
+                                 f"ints, expected {n_ints}")
+    if not dims:
+        raise CorruptStreamError(f"{magic!r} container declares no dims")
+    n = ints[0]
+    if not 1 <= n <= (len(view) - pos) // 8:
+        raise CorruptStreamError(f"{n} slabs do not fit a length table "
+                                 f"in {len(view) - pos} bytes")
+    # at most one cut past the record: a forged header may ask for far
+    # more cuts than the stream has table entries
+    cuts = list(islice(cut(dims, ints), n + 1))
+    if len(cuts) != n:
+        raise CorruptStreamError(
+            f"{n} slabs recorded, but dims {dims} and header ints {ints} "
+            f"cut {len(cuts)}{' or more' if len(cuts) > n else ''}")
+    table = struct.unpack_from(f"<{n}Q", view, pos)
+    pos += 8 * n
+    if sum(table) != len(view) - pos:
+        raise CorruptStreamError(f"slab lengths sum to {sum(table)}, "
+                                 f"{len(view) - pos} bytes follow the table")
+    ends = list(accumulate(table, initial=pos))
+    return dtype, dims, [(start, stop, view[a:b]) for (start, stop), a, b
+                         in zip(cuts, ends, ends[1:])]
 
 
 class _ParallelBase(MetaCompressor):
-    """Shared ``:nthreads`` option and worker-pool helper."""
+    """The shared ``:nthreads`` option."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -73,32 +155,6 @@ class _ParallelBase(MetaCompressor):
         if n < 1:
             raise InvalidOptionError(f"{self.prefix()}:nthreads must be >= 1")
         self._nthreads = n
-
-    def _map(self, fn, tasks: list) -> list:
-        """Run ``fn(worker_compressor, task)`` over tasks, parallel when safe.
-
-        When tracing is active, the submitting thread's current span is
-        carried into the pool workers (``wrap_task``) so the spans each
-        worker opens parent under this meta-compressor's operation span
-        instead of becoming orphan roots.
-        """
-        if self._nthreads == 1 or len(tasks) <= 1 or not _inner_is_reentrant(self._inner):
-            _trace.annotate(n_tasks=len(tasks), n_workers=1, parallel=False)
-            return [fn(self._inner, t) for t in tasks]
-        workers = [self._inner.clone() for _ in range(min(self._nthreads,
-                                                          len(tasks)))]
-        _trace.annotate(n_tasks=len(tasks), n_workers=len(workers),
-                        parallel=True)
-        traced_fn = _trace.wrap_task(fn)
-        results: list = [None] * len(tasks)
-        with ThreadPoolExecutor(max_workers=len(workers)) as pool:
-            futures = {
-                pool.submit(traced_fn, workers[i % len(workers)], t): i
-                for i, t in enumerate(tasks)
-            }
-            for fut, i in futures.items():
-                results[i] = fut.result()
-        return results
 
 
 def _slabs(dims: tuple[int, ...], chunk_size: int
@@ -133,6 +189,16 @@ def _slabs(dims: tuple[int, ...], chunk_size: int
             yield start, rows
             return
         yield start, min(stop, rows)
+
+
+def _chunk_cuts(magic: bytes, dims: tuple[int, ...],
+                ints: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """A ``CHK1``/``CHK2`` stream's cuts; ``CHK1``'s run over the
+    flattened array."""
+    if ints[1] < 1:
+        raise CorruptStreamError(f"chunk size {ints[1]} < 1")
+    flat = (int(np.prod(dims, dtype=np.int64)),)
+    return _slabs(flat if magic == _MAGIC else dims, ints[1])
 
 
 @compressor_plugin("chunking")
@@ -188,13 +254,6 @@ class ChunkingCompressor(_ParallelBase):
         return magic, [arr[a:b] for a, b in _slabs(arr.shape,
                                                      self._chunk_size)]
 
-    def _container(self, magic: bytes, input: PressioData,
-                   streams: list[bytes]) -> PressioData:
-        table = struct.pack(f"<{len(streams)}Q", *(len(s) for s in streams))
-        header = write_header(magic, input.dtype, input.dims,
-                              ints=(len(streams), self._chunk_size))
-        return PressioData.from_bytes(header + table + b"".join(streams))
-
     def _compress(self, input: PressioData) -> PressioData:
         magic, chunks = self._cut(input)
 
@@ -203,56 +262,25 @@ class ChunkingCompressor(_ParallelBase):
                 PressioData.from_numpy(chunk, copy=False)
             ).to_bytes()
 
-        streams = self._map(work, chunks)
+        streams = run_tasks(work, chunks, self._inner, self._nthreads)
         if _trace.ACTIVE is not None:
             _trace.annotate(n_chunks=len(streams))
             for s in streams:
                 _trace.observe("chunking:compressed_chunk_bytes", len(s))
-        return self._container(magic, input, streams)
+        return write_slabs(magic, input.dtype, input.dims, streams,
+                           self._chunk_size)
 
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         view = input.as_memoryview()
         magic = _MAGIC_ND if bytes(view[:4]) == _MAGIC_ND else _MAGIC
-        expected = output.dims if output.num_dimensions else None
-        dtype, dims, _d, ints, pos = read_header(view, magic, expected)
-        if len(ints) != 2:
-            raise CorruptStreamError(f"{magic!r} header holds {len(ints)} "
-                                     "ints, expected 2")
-        n_chunks, chunk_size = ints
-        if not dims:
-            raise CorruptStreamError(f"{magic!r} container declares no dims")
-        if chunk_size < 1:
-            raise CorruptStreamError(f"chunk size {chunk_size} < 1")
-        if not 1 <= n_chunks <= (len(view) - pos) // 8:
-            raise CorruptStreamError(
-                f"{n_chunks} chunks do not fit a length table in "
-                f"{len(view) - pos} bytes")
-        cut_dims = dims
-        if magic == _MAGIC:
-            cut_dims = (int(np.prod(dims, dtype=np.int64)),)
-        # at most one cut past the record: a forged chunk size may ask
-        # for far more cuts than the stream has table entries
-        cuts = list(islice(_slabs(cut_dims, chunk_size), n_chunks + 1))
-        if len(cuts) != n_chunks:
-            raise CorruptStreamError(
-                f"{n_chunks} chunks recorded, but dims {dims} at chunk "
-                f"size {chunk_size} cut {len(cuts)}"
-                f"{' or more' if len(cuts) > n_chunks else ''}")
-        table = struct.unpack_from(f"<{n_chunks}Q", view, pos)
-        pos += 8 * n_chunks
-        if sum(table) != len(view) - pos:
-            raise CorruptStreamError(
-                f"chunk lengths sum to {sum(table)}, "
-                f"{len(view) - pos} bytes follow the table")
+        dtype, dims, tasks = read_slabs(view, magic, output, 2,
+                                        partial(_chunk_cuts, magic))
         out = np.empty(dims, dtype=dtype_to_numpy(dtype))
-        slabs = out.reshape(cut_dims)
-        tasks = []
-        for (start, stop), length in zip(cuts, table):
-            tasks.append((slabs[start:stop], view[pos:pos + length]))
-            pos += length
+        rows = out.reshape(-1) if magic == _MAGIC else out
 
         def work(compressor: PressioCompressor, task) -> None:
-            slab, chunk = task
+            start, stop, chunk = task
+            slab = rows[start:stop]
             got = compressor.decompress(PressioData.from_bytes(chunk),
                                         PressioData.empty(dtype, slab.shape))
             got = got.to_numpy()
@@ -262,7 +290,7 @@ class ChunkingCompressor(_ParallelBase):
                     f"{slab.shape} holds {slab.size}")
             slab[...] = got.reshape(slab.shape)
 
-        self._map(work, tasks)
+        run_tasks(work, tasks, self._inner, self._nthreads)
         return PressioData.from_numpy(out, copy=False)
 
 
@@ -371,11 +399,8 @@ class ManyIndependentCompressor(_ParallelBase):
                           n_inputs=len(inputs), mode=self._mode):
             if self._mode == "process" and len(inputs) > 1:
                 return self._process_map_compress(inputs)
-
-            def work(compressor: PressioCompressor, data: PressioData) -> PressioData:
-                return compressor.compress(data)
-
-            return self._map(work, list(inputs))
+            return run_tasks(lambda comp, data: comp.compress(data),
+                             list(inputs), self._inner, self._nthreads)
 
     def decompress_many(self, inputs: list[PressioData],
                         outputs: list[PressioData]) -> list[PressioData]:
@@ -383,12 +408,9 @@ class ManyIndependentCompressor(_ParallelBase):
                           n_inputs=len(inputs), mode=self._mode):
             if self._mode == "process" and len(inputs) > 1:
                 return self._process_map_decompress(inputs, outputs)
-
-            def work(compressor: PressioCompressor, task) -> PressioData:
-                data, template = task
-                return compressor.decompress(data, template)
-
-            return self._map(work, list(zip(inputs, outputs)))
+            return run_tasks(lambda comp, task: comp.decompress(*task),
+                             list(zip(inputs, outputs)), self._inner,
+                             self._nthreads)
 
     # -- process-pool plumbing -------------------------------------------
     def _process_tasks(self, payloads: list[tuple]) -> list:

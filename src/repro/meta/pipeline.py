@@ -52,7 +52,7 @@ from ..obs import runtime as _obs
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidOptionError
 from ..trace import runtime as _trace
-from .parallel import ChunkingCompressor, _ParallelBase
+from .parallel import ChunkingCompressor, _ParallelBase, write_slabs
 
 __all__ = ["PipelinedCompressor"]
 
@@ -186,4 +186,5 @@ class PipelinedCompressor(ChunkingCompressor):
             _flight.ACTIVE.record("pipeline", plugin=self.get_name(),
                                   n_chunks=len(streams),
                                   depth=self._depth)
-        return self._container(magic, input, streams)
+        return write_slabs(magic, input.dtype, input.dims, streams,
+                           self._chunk_size)

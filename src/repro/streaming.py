@@ -5,11 +5,10 @@ streaming compression" as future work.  Two facilities are provided on
 top of the uniform interface:
 
 * :class:`AsyncCompressor` — futures-based asynchrony around any
-  plugin.  Thread-safety introspection decides the worker model: a
-  re-entrant plugin (``pressio:thread_safe == multiple``) gets a pool of
-  clones; anything else gets one worker thread that serializes
-  operations (so even sz-style global-state compressors are safely
-  asynchronous).
+  plugin.  The meta-compressors' clone-or-serialize rule decides the
+  worker model: a re-entrant plugin gets a pool of per-thread clones;
+  anything else gets one worker thread that serializes operations (so
+  even sz-style global-state compressors are safely asynchronous).
 
 * :class:`StreamingCompressor` / :class:`StreamingDecompressor` — an
   incremental frame API in the style of zstd's streaming interface:
@@ -30,17 +29,17 @@ from __future__ import annotations
 
 import queue
 import struct
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
 
 from .core.compressor import PressioCompressor
-from .core.configurable import ThreadSafety
 from .core.data import PressioData
 from .core.dtype import DType, dtype_to_numpy
 from .core.status import CorruptStreamError
+from .meta.parallel import parallel_workers, per_thread
+from .trace import runtime as _trace
 
 __all__ = ["AsyncCompressor", "StreamingCompressor",
            "StreamingDecompressor"]
@@ -53,39 +52,28 @@ class AsyncCompressor:
     """Futures-based asynchronous wrapper over any compressor plugin."""
 
     def __init__(self, compressor: PressioCompressor, max_workers: int = 4):
-        self._template = compressor
-        cfg = compressor.get_configuration()
-        reentrant = cfg.get("pressio:thread_safe") == ThreadSafety.MULTIPLE
-        self._workers = max_workers if reentrant else 1
+        self._workers = parallel_workers(compressor, max_workers)
+        self._worker = (per_thread(compressor) if self._workers > 1
+                        else lambda: compressor)
         self._pool = ThreadPoolExecutor(max_workers=self._workers)
-        if reentrant:
-            self._local = threading.local()
-        else:
-            self._local = None
-
-    def _worker_compressor(self) -> PressioCompressor:
-        if self._local is None:
-            return self._template  # single worker: safe to share
-        comp = getattr(self._local, "compressor", None)
-        if comp is None:
-            comp = self._template.clone()
-            self._local.compressor = comp
-        return comp
 
     @property
     def workers(self) -> int:
         return self._workers
 
+    def _submit(self, op) -> "Future[PressioData]":
+        # the worker thread runs ``op`` under the caller's span
+        return self._pool.submit(_trace.wrap_task(
+            lambda: op(self._worker())))
+
     def compress_async(self, data: PressioData) -> "Future[PressioData]":
         """Schedule a compression; returns a future of the stream."""
-        return self._pool.submit(
-            lambda: self._worker_compressor().compress(data))
+        return self._submit(lambda comp: comp.compress(data))
 
     def decompress_async(self, data: PressioData,
                          template: PressioData) -> "Future[PressioData]":
         """Schedule a decompression; returns a future of the buffer."""
-        return self._pool.submit(
-            lambda: self._worker_compressor().decompress(data, template))
+        return self._submit(lambda comp: comp.decompress(data, template))
 
     def map_compress(self, datas: list[PressioData]) -> list[PressioData]:
         """Compress a batch concurrently, preserving order."""

@@ -6,6 +6,8 @@ Lint fixture — parsed by the analyzer, never imported or executed.
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.meta.parallel import run_tasks
+
 
 class SlabRunner:
     def __init__(self):
@@ -25,3 +27,10 @@ class SlabRunner:
         with ThreadPoolExecutor() as pool:
             list(pool.map(work, tasks))
         return results
+
+    def decode(self, plugin, slabs, out):
+        def fill(_, slab):
+            lo, hi, stream = slab
+            out[lo:hi] = stream         # racy closed-over write -> TS001
+
+        run_tasks(fill, slabs, plugin, 4, clone=False)

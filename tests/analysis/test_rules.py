@@ -20,7 +20,7 @@ SEEDED = {
     "hp003_unguarded_profile.py": ("HP001", 3),
     "hp004_per_element_loop.py": ("HP004", 3),
     "ob001_missing_propagation.py": ("OB001", 1),
-    "ts001_shared_write.py": ("TS001", 2),
+    "ts001_shared_write.py": ("TS001", 3),
     "ts002_missing_declaration.py": ("TS002", 2),
     "pe001_parse_error.py": (PARSE_RULE_ID, 1),
     # RS/LK fixture pairs: one firing file, one clean control each
