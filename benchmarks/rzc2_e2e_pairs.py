@@ -56,6 +56,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 339f0dd \\
         --output benchmarks/BENCH_serve_one_tier_e2e.json
+    # one chunk executor and one slab container for chunking, sz_omp
+    # and AsyncCompressor (no gain claimed) against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 03aa1ee \\
+        --output benchmarks/BENCH_chunk_executor_e2e.json
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Byte pins for every length-table slab stream and the frame stream.
 
-``SZMP`` (``sz_omp``), ``CHK1``/``CHK2`` (``chunking``, and
-``pipelined``, which writes the same container) and ``PSF1``
-(``StreamingCompressor``) are written by one slab container and run on
-one chunk executor.  Each pin is the SHA-256 of a stream, or of the
-array it decodes to, on a seeded field; a change to the executor, the
-container or the cuts that alters one byte fails here.  The ``sz_omp``
-pins include the plain ``SZ02`` stream it writes for inputs too small
-to split, and run at 1, 3 and 4 threads.
+``SZMP`` (``sz_omp``) and ``CHK1``/``CHK2`` (``chunking``, and
+``pipelined``, which writes the same container) share one slab
+container; they and the pipelined ``PSF1`` frames of
+``StreamingCompressor`` run on one chunk executor.  Each pin is the
+SHA-256 of a stream, or of the array it decodes to, on a seeded field;
+a change to the executor, the container or the cuts that alters one
+byte fails here.  The ``sz_omp`` pins run at 1, 3 and 4 threads and
+include the plain ``SZ02`` stream it writes for inputs too small to
+split.
 
 Regenerate (only when a stream format change is intended) with
 ``python tests/meta/test_slab_pins.py``.
