@@ -60,6 +60,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # and AsyncCompressor (no gain claimed) against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 03aa1ee \\
         --output benchmarks/BENCH_chunk_executor_e2e.json
+    # one busy gate and one shared-memory view cache in ``pressio
+    # serve`` (no gain claimed) against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 77a02b2 \\
+        --output benchmarks/BENCH_serve_one_gate_e2e.json
 """
 
 from __future__ import annotations

@@ -2,20 +2,20 @@
 
 from __future__ import annotations
 
-from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability
 from ..core.data import PressioData
-from ..core.dtype import DType, dtype_to_numpy
+from ..core.dtype import DType
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidTypeError
 from ..native import fpzip as native_fpzip
+from .staged import NativeCompressor
 
 __all__ = ["FpzipCompressor"]
 
 
 @compressor_plugin("fpzip")
-class FpzipCompressor(PressioCompressor):
+class FpzipCompressor(NativeCompressor):
     """Lossless floating-point compression via the fpzip pipeline.
 
     Rejects non-float inputs, reproducing the type-awareness example the
@@ -23,6 +23,7 @@ class FpzipCompressor(PressioCompressor):
     """
 
     thread_safety = "multithreaded"
+    native = native_fpzip
 
     def __init__(self) -> None:
         super().__init__()
@@ -72,10 +73,3 @@ class FpzipCompressor(PressioCompressor):
         stream = native_fpzip.compress(input.to_numpy(), backend=self._backend,
                                        level=self._level)
         return PressioData.from_bytes(stream)
-
-    def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
-        expected = output.dims if output.num_dimensions else None
-        out = native_fpzip.decompress(input.as_memoryview(), expected_dims=expected)
-        if output.dtype in (DType.FLOAT, DType.DOUBLE):
-            out = out.astype(dtype_to_numpy(output.dtype), copy=False)
-        return PressioData.from_numpy(out, copy=False)

@@ -1,11 +1,11 @@
 """The contract of a plugin over a from-scratch native core, stated once.
 
-sz, zfp, mgard and tthresh share it: compress accepts float and integer
-arrays only and hands the native a read-only view, so a native that
-clobbers its input can never reach user data; decompress passes the
-output template's C-order dims to the native decoder, which rejects a
-stream declaring other dims before it sizes any buffer, and casts the
-result to the template's dtype.
+sz, zfp, mgard, tthresh and fpzip share it: compress accepts float and
+integer arrays only (fpzip floats only) and hands the native a
+read-only view, so a native that clobbers its input can never reach
+user data; decompress passes the output template's C-order dims to the
+native decoder, which rejects a stream declaring other dims before it
+sizes any buffer, and casts the result to the template's dtype.
 
 :class:`StagedCompressor` adds the two-stage compress of sz, zfp and
 mgard, which is their only compress path.

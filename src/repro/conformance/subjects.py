@@ -61,12 +61,6 @@ class Subject:
                 f"subject {self.id}: set_options failed: {comp.error_msg()}")
         return comp
 
-    def abs_spec(self) -> BoundSpec | None:
-        for spec in self.bounds:
-            if spec.mode == "abs":
-                return spec
-        return None
-
 
 def _opts(**kw) -> tuple[tuple[str, object], ...]:
     return tuple(kw.items())

@@ -19,8 +19,6 @@ import mmap
 import os
 from typing import Callable
 
-import numpy as np
-
 from .status import IOError_
 
 __all__ = [
@@ -127,15 +125,3 @@ class CallbackDomain(Domain):
             return
         self._released = True
         self._deleter(self._state)
-
-
-def readonly_view(array: np.ndarray) -> np.ndarray:
-    """Return a non-writable view of ``array`` (const-ness enforcement).
-
-    The paper argues compressors must not clobber user input
-    (Section IV-B); the core passes inputs to plugins through this helper
-    so accidental in-place mutation raises immediately.
-    """
-    view = array.view()
-    view.flags.writeable = False
-    return view

@@ -5,7 +5,8 @@ Everything here is implemented from first principles on NumPy:
 * :mod:`~repro.encoders.zigzag` — signed/unsigned integer mapping
 * :mod:`~repro.encoders.varint` — LEB128 variable-length integers
 * :mod:`~repro.encoders.residual` — fast two-stream residual codec
-* :mod:`~repro.encoders.bitstream` — bit-level readers/writers
+* :mod:`~repro.encoders.bitstream` — variable-width bit packing and
+  sequential bit readers/writers
 * :mod:`~repro.encoders.huffman` — canonical Huffman coding
 * :mod:`~repro.encoders.rle` — run-length coding
 * :mod:`~repro.encoders.lz77` — sliding-window LZ coding

@@ -2,10 +2,12 @@
 
 Two layers are provided:
 
-* :func:`pack_fixed` / :func:`unpack_fixed` — vectorized fixed-width
-  field packing used by the zfp native's bit-plane coder;
-* :class:`BitWriter` / :class:`BitReader` — sequential bit IO used by
-  the Huffman coder and stream headers.
+* :func:`pack_varwidth` — vectorized MSB-first packing of values with
+  per-value bit widths, which the canonical Huffman encoder emits its
+  codes through;
+* :class:`BitWriter` / :class:`BitReader` — sequential MSB-first bit
+  IO, the value-at-a-time reference :func:`pack_varwidth` is tested
+  against.
 
 The vectorized path expands values to a flat bit array with ``repeat`` /
 ``arange`` arithmetic and defers to ``numpy.packbits`` (C speed), the
@@ -16,32 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pack_fixed", "unpack_fixed", "pack_varwidth", "BitWriter", "BitReader"]
-
-
-def pack_fixed(values: np.ndarray, width: int) -> bytes:
-    """Pack each value's low ``width`` bits MSB-first into bytes."""
-    if not 0 <= width <= 64:
-        raise ValueError(f"width must be in [0, 64], got {width}")
-    v = np.ascontiguousarray(values, dtype=np.uint64).reshape(-1)
-    if width == 0 or v.size == 0:
-        return b""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = ((v[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits.reshape(-1)).tobytes()
-
-
-def unpack_fixed(buf: bytes | memoryview, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`pack_fixed`; returns uint64 values."""
-    if not 0 <= width <= 64:
-        raise ValueError(f"width must be in [0, 64], got {width}")
-    if width == 0 or count == 0:
-        return np.zeros(count, dtype=np.uint64)
-    total_bits = count * width
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    bits = np.unpackbits(raw, count=total_bits).reshape(count, width)
-    weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
-    return bits.astype(np.uint64) @ weights
+__all__ = ["pack_varwidth", "BitWriter", "BitReader"]
 
 
 def pack_varwidth(values: np.ndarray, widths: np.ndarray) -> bytes:

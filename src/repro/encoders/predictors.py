@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lorenzo_encode", "lorenzo_decode", "lorenzo_predict_floats"]
+__all__ = ["lorenzo_encode", "lorenzo_decode"]
 
 #: an axis runs as slab adds only when each slab holds at least this
 #: many elements, enough to amortize one ufunc call per slab ...
@@ -130,21 +130,3 @@ def lorenzo_decode(residuals: np.ndarray,
         for axis in range(arr.ndim - 1, -1, -1):
             _prefix_sum_axis(arr, axis)
     return arr.view(np.int64)
-
-
-def lorenzo_predict_floats(values: np.ndarray) -> np.ndarray:
-    """Classic floating-point Lorenzo prediction residuals.
-
-    Used by the fpzip native, which predicts on the float values
-    themselves before integerizing the residual; the prediction here uses
-    the *original* neighbors (valid for lossless coding only).
-    """
-    arr = np.ascontiguousarray(values)
-    out = arr.astype(np.float64, copy=True)
-    for axis in range(arr.ndim):
-        sl_hi = [slice(None)] * arr.ndim
-        sl_lo = [slice(None)] * arr.ndim
-        sl_hi[axis] = slice(1, None)
-        sl_lo[axis] = slice(None, -1)
-        out[tuple(sl_hi)] = out[tuple(sl_hi)] - out[tuple(sl_lo)]
-    return out

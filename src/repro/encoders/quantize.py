@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["quantize_uniform", "dequantize_uniform", "safe_quantizer_step",
-           "int32_fits"]
+__all__ = ["quantize_uniform", "dequantize_uniform", "int32_fits"]
 
 # |code| beyond this risks int64 overflow in the Lorenzo stage, which sums
 # up to 2**ndim codes; stay far below 2**63.
@@ -133,14 +132,3 @@ def dequantize_uniform(codes: np.ndarray, error_bound: float,
             return out
         scaled = np.multiply(codes, 2.0 * error_bound, dtype=np.float64)
         return scaled.astype(dtype, copy=False)
-
-
-def safe_quantizer_step(values: np.ndarray, requested_eb: float) -> float:
-    """Largest usable error bound not exceeding ``requested_eb``.
-
-    Currently the identity with validation; kept as the single place a
-    platform-specific floor could be applied.
-    """
-    if requested_eb <= 0:
-        raise ValueError("error bound must be positive")
-    return float(requested_eb)

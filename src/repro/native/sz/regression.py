@@ -40,9 +40,6 @@ __all__ = ["compress_regression", "decompress_regression", "BLOCK_SIDE"]
 
 BLOCK_SIDE = 6
 
-PRED_LORENZO = 0
-PRED_REGRESSION = 1
-
 
 # ----------------------------------------------------------------------
 # blocking (side-6 analog of the zfp blocker)

@@ -31,7 +31,7 @@ hot path reads one module global per subsystem and compares it to
 :func:`enable_metrics`.
 """
 
-from .bridge import ingest_metrics_results, ingest_trace
+from .bridge import ingest_trace
 from .flight import (
     FlightRecorder,
     disable_flight,
@@ -86,7 +86,6 @@ __all__ = [
     "bind_with_fallback",
     "start_server",
     "ingest_trace",
-    "ingest_metrics_results",
     "JsonLogFormatter",
     "configure_logging",
     "capture_logs",

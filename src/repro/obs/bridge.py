@@ -8,10 +8,6 @@ it onto that namespace:
   (:func:`repro.trace.aggregate`) becomes ``pressio_trace_*`` gauges, so
   a scrape of a traced process shows the same calls/self-time/throughput
   table ``pressio trace`` prints;
-* :func:`ingest_metrics_results` — the typed results of the ``time`` /
-  ``size`` (or any other) metrics plugin become ``pressio_metric_*``
-  gauges labelled by plugin, joining per-operation wall totals and
-  compression ratios into the same scrape;
 * :func:`ingest_profile` — a stage-profile artifact
   (:meth:`repro.profile.StageProfiler.result`) becomes
   ``pressio_profile_*`` gauges labelled by stage path, so the last
@@ -30,11 +26,9 @@ from . import runtime
 from .registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.options import PressioOptions
     from ..trace.context import TraceContext
 
-__all__ = ["ingest_trace", "ingest_metrics_results", "ingest_profile",
-           "ingest_runtime"]
+__all__ = ["ingest_trace", "ingest_profile", "ingest_runtime"]
 
 
 def _target(registry: MetricsRegistry | None) -> MetricsRegistry | None:
@@ -162,48 +156,3 @@ def ingest_runtime(registry: MetricsRegistry | None = None) -> int:
     for name, help_text, value in values:
         reg.gauge(name, help_text).set(float(value))
     return len(values)
-
-
-#: metrics-plugin result keys worth exposing, mapped to (metric, labels).
-_RESULT_KEYS = {
-    "size:compression_ratio": ("pressio_metric_compression_ratio", {}),
-    "size:bit_rate": ("pressio_metric_bit_rate", {}),
-    "size:uncompressed_size": ("pressio_metric_uncompressed_bytes", {}),
-    "size:compressed_size": ("pressio_metric_compressed_bytes", {}),
-    "time:compress_total_ms": ("pressio_metric_wall_ms",
-                               {"operation": "compress"}),
-    "time:decompress_total_ms": ("pressio_metric_wall_ms",
-                                 {"operation": "decompress"}),
-    "time:compress_calls": ("pressio_metric_calls",
-                            {"operation": "compress"}),
-    "time:decompress_calls": ("pressio_metric_calls",
-                              {"operation": "decompress"}),
-    "time:compress_bytes_per_s": ("pressio_metric_bytes_per_second",
-                                  {"operation": "compress"}),
-    "time:decompress_bytes_per_s": ("pressio_metric_bytes_per_second",
-                                    {"operation": "decompress"}),
-}
-
-
-def ingest_metrics_results(results: "PressioOptions", plugin: str,
-                           registry: MetricsRegistry | None = None) -> int:
-    """Refresh ``pressio_metric_*`` gauges from plugin results.
-
-    ``plugin`` labels every series (which compressor produced these
-    numbers).  Unknown keys are ignored; returns how many were mapped.
-    """
-    reg = _target(registry)
-    if reg is None:
-        return 0
-    mapped = 0
-    for key, (metric, extra) in _RESULT_KEYS.items():
-        value = results.get(key)
-        if value is None:
-            continue
-        labelnames = ("plugin",) + tuple(extra)
-        gauge = reg.gauge(metric,
-                          f"bridged from metrics-plugin key {key.split(':')[0]}:*",
-                          labelnames)
-        gauge.labels(plugin=plugin, **extra).set(float(value))
-        mapped += 1
-    return mapped

@@ -13,9 +13,10 @@ When enabled — programmatically via :func:`enable`, through
   reported with both release stacks instead of silently aliasing two
   later acquires;
 * **locks** (:data:`repro.meta.pipeline._stats_lock`, the
-  :mod:`repro.obs.registry` family/registry locks, the lock of the
-  serve pool's execution permits, and anything wrapped explicitly with
-  :func:`wrap_lock`): every acquisition extends a
+  :mod:`repro.obs.registry` family/registry locks, the two locks on
+  the serve request path — the execution permits' and the shared-memory
+  :class:`~repro.serve.shm.SegmentCache`'s — and anything wrapped
+  explicitly with :func:`wrap_lock`): every acquisition extends a
   runtime lock-order graph; taking B under A after some path took A
   under B is reported as an inversion carrying **both** stacks — the
   dynamic shadow of the static ``LK002`` rule;
@@ -302,6 +303,7 @@ def _install_locks(state: _SanitizerState) -> None:
     from ..meta import pipeline as _pipeline
     from ..obs import registry as _registry
     from ..obs import runtime as _obs_runtime
+    from ..serve import shm as _shm
     from ..serve import workers as _workers
 
     graph = state.lock_graph
@@ -324,15 +326,22 @@ def _install_locks(state: _SanitizerState) -> None:
             self._lock, "obs.registry:MetricsRegistry._lock", graph)
 
     orig_permits_init = _workers._FifoPermits.__init__
+    orig_segments_init = _shm.SegmentCache.__init__
 
     def permits_init(self, *args, **kwargs):
         orig_permits_init(self, *args, **kwargs)
         self._lock = SanitizedLock(
             self._lock, "serve.workers:_FifoPermits._lock", graph)
 
+    def segments_init(self, *args, **kwargs):
+        orig_segments_init(self, *args, **kwargs)
+        self._lock = SanitizedLock(
+            self._lock, "serve.shm:SegmentCache._lock", graph)
+
     _registry.MetricFamily.__init__ = family_init
     _registry.MetricsRegistry.__init__ = registry_init
     _workers._FifoPermits.__init__ = permits_init
+    _shm.SegmentCache.__init__ = segments_init
 
     wrapped_existing: list[tuple[Any, Any]] = []
     active = _obs_runtime.ACTIVE
@@ -346,6 +355,7 @@ def _install_locks(state: _SanitizerState) -> None:
         _registry.MetricFamily.__init__ = orig_family_init
         _registry.MetricsRegistry.__init__ = orig_registry_init
         _workers._FifoPermits.__init__ = orig_permits_init
+        _shm.SegmentCache.__init__ = orig_segments_init
         for owner, lock in wrapped_existing:
             owner._lock = lock
 

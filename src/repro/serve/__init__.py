@@ -6,18 +6,19 @@ compressor to concurrent multi-tenant clients over a persistent
 daemon and beats that number by never spawning and never copying on
 the hot path:
 
-* :mod:`~repro.serve.daemon` — the daemon: a route table and
-  admission control on :class:`repro.obs.server.HTTPListener`, the one
-  keep-alive HTTP/1.1 loop, over TCP and over ``AF_UNIX``;
+* :mod:`~repro.serve.daemon` — the daemon: a route table on
+  :class:`repro.obs.server.HTTPListener`, the one keep-alive HTTP/1.1
+  loop, over TCP and over ``AF_UNIX``;
 * :mod:`~repro.serve.workers` — the worker pool: runs each compress /
   decompress / roundtrip on the connection thread that read it, under
-  ``workers`` FIFO permits and per-plugin thread-safety serialization;
+  ``workers`` FIFO permits that also shed load past ``max_inflight``
+  (503), and per-plugin thread-safety serialization;
 * :mod:`~repro.serve.wire` — the versioned ``pressio-serve/1`` binary
   frame format;
 * :mod:`~repro.serve.shm` — zero-copy payload handoff through
-  ``multiprocessing.shared_memory`` + ``memoryview`` slices;
-* :mod:`~repro.serve.quota` — per-tenant token buckets (429) and
-  saturation shedding (503);
+  ``multiprocessing.shared_memory`` + ``memoryview`` slices, and the
+  one cache of segments and the input views over them;
+* :mod:`~repro.serve.quota` — per-tenant token buckets (429);
 * :mod:`~repro.serve.cache` — content-addressed LRU of compressed
   artifacts;
 * :mod:`~repro.serve.errors` — the typed error taxonomy both sides
@@ -51,7 +52,7 @@ from .errors import (
     error_for_etype,
     map_exception,
 )
-from .quota import AdmissionController, QuotaManager, TokenBucket
+from .quota import QuotaManager, TokenBucket
 from .shm import SegmentCache
 from .wire import (
     CACHE_MODES,
@@ -75,7 +76,7 @@ __all__ = [
     "encode_response", "decode_response",
     "ServeServer", "start_serve_server", "ServeClient",
     "WorkerPool", "SegmentCache", "ArtifactCache",
-    "QuotaManager", "TokenBucket", "AdmissionController",
+    "QuotaManager", "TokenBucket",
     "ServeError", "BadFrameError", "VersionMismatchError",
     "UnknownOpError", "UnknownCompressorError", "OptionRejectedError",
     "BadPayloadError", "PayloadTooLargeError", "SegmentUnavailableError",

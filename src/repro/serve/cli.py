@@ -47,8 +47,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=4,
                         help="operations executed at once")
     parser.add_argument("--max-inflight", type=int, default=64,
-                        help="admission-control ceiling; past it requests "
-                             "are shed with 503 + Retry-After")
+                        help="requests holding or waiting for an execution "
+                             "permit at once; past it requests are shed "
+                             "with 503 + Retry-After")
     parser.add_argument("--quota-rate", type=float, default=0.0,
                         help="default per-tenant requests/second "
                              "(0 disables quotas)")

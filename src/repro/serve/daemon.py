@@ -14,8 +14,9 @@ Request lifecycle, all on one connection thread::
       -> decode frame                  # _handle_frame from here on
       -> output cap (decompress)       # 413, nothing allocated
       -> quota.admit(tenant)           # 429 + Retry-After
-      -> admission.enter()             # 503 + Retry-After
-      -> pool.execute(req)             # waits for a permit (503 on
+      -> pool.execute(req)             # sheds past max_inflight, else
+                                       # waits for a permit (503 +
+                                       # Retry-After on either, or on
                                        # request_timeout), then runs
       -> encode frame -> write HTTP response
 
@@ -26,7 +27,7 @@ Routes:
 * ``POST /v1/release`` — the client is done with a shared-memory
   segment; drop cached views so it can be unlinked;
 * ``GET /v1/compressors`` — registry listing (JSON);
-* ``GET /healthz`` — liveness + pool/admission stats (JSON);
+* ``GET /healthz`` — liveness + pool, permit and cache stats (JSON);
 * ``GET /metrics`` — the active obs registry in Prometheus text,
   rendered exactly as ``pressio serve-metrics`` renders it.
 
@@ -54,7 +55,7 @@ from .errors import (
     PayloadTooLargeError,
     map_exception,
 )
-from .quota import AdmissionController, QuotaManager
+from .quota import QuotaManager
 from .shm import SegmentCache
 from .wire import (
     WIRE_VERSION,
@@ -100,11 +101,11 @@ class ServeServer:
         self._auto_port = auto_port
         self.max_payload = int(max_payload)
         self.quota = quota if quota is not None else QuotaManager()
-        self.admission = AdmissionController(max_inflight)
         self.segments = SegmentCache()
         self.cache = ArtifactCache(cache_bytes) if cache_bytes else None
         self.pool = WorkerPool(
             self.library, self.segments, self.cache, workers=workers,
+            max_inflight=max_inflight,
             allow_fault_injection=allow_fault_injection)
         self.started_at = 0.0
         self.request_timeout = 60.0
@@ -143,7 +144,6 @@ class ServeServer:
             return
         self._http.stop()
         self.uds_path = None
-        self.pool.shutdown()
         self.segments.close_all()
         self._http = None
 
@@ -180,11 +180,9 @@ class ServeServer:
     def _handle_frame(self, path: str, op: str, body: bytes | memoryview,
                       ) -> tuple[int, dict[str, str], bytes]:
         """The one request lifecycle: decode, output cap, quota,
-        admission, execution; every failure becomes a typed error
-        frame."""
+        execution; every failure becomes a typed error frame."""
         start_ns = time.perf_counter_ns()
         tenant = "unknown"
-        entered = False
         try:
             req = decode_request(body)
             tenant = req.tenant
@@ -194,19 +192,12 @@ class ServeServer:
             if op == "decompress":
                 self._check_output_size(req)
             self.quota.admit(tenant)
-            self.admission.enter()
-            entered = True
-            self._set_inflight_gauge()
             resp = self.pool.execute(req, self.request_timeout)
         except Exception as exc:  # noqa: BLE001 - wire boundary
             err = map_exception(exc)
             if isinstance(err, InternalServeError):
                 _obs.record_error("serve", "daemon", exc, tenant=tenant)
             resp = Response(ok=False, op=op, error=err.to_payload())
-        finally:
-            if entered:
-                self.admission.leave()
-                self._set_inflight_gauge()
         return self._finish(resp, tenant, op, start_ns, len(body))
 
     def _check_output_size(self, req) -> None:
@@ -254,14 +245,8 @@ class ServeServer:
             name = doc["name"]
         except (ValueError, KeyError, UnicodeDecodeError):
             return 400, {}, b'{"error": "body must be {\\"name\\": ...}"}\n'
-        self.pool.forget_segment(str(name))
+        self.segments.forget_views(str(name))
         return 200, {}, b'{"released": true}\n'
-
-    def _set_inflight_gauge(self) -> None:
-        if _obs.ACTIVE is not None:
-            _obs.set_gauge("pressio_serve_inflight",
-                           float(self.admission.inflight),
-                           "serve requests currently in flight")
 
     def _health_body(self) -> bytes:
         payload = {
@@ -270,9 +255,9 @@ class ServeServer:
             "uds": self.uds_path,
             "uptime_seconds": round(time.monotonic() - self.started_at, 3),
             "workers": self.pool.workers,
-            "inflight": self.admission.inflight,
-            "peak_inflight": self.admission.peak,
-            "shed": self.admission.shed,
+            "inflight": self.pool.permits.inflight,
+            "peak_inflight": self.pool.permits.peak,
+            "shed": self.pool.permits.shed,
             "quota": {"admitted": self.quota.admitted,
                       "denied": self.quota.denied,
                       "enabled": self.quota.enabled},

@@ -140,7 +140,8 @@ class QuotaExceededError(ServeError):
 
 
 class SaturatedError(ServeError):
-    """Admission control refused: too many requests in flight."""
+    """The daemon is busy: too many requests in flight, or no
+    execution permit came free in time."""
 
     etype = "saturated"
     http_status = 503

@@ -1,17 +1,13 @@
-"""Per-tenant token-bucket quotas and whole-daemon admission control.
+"""Per-tenant token-bucket quotas.
 
-Two independent gates stand between a decoded frame and the worker
-queue:
+:class:`QuotaManager` keeps one :class:`TokenBucket` per tenant.  A
+request costs one token; an empty bucket answers 429 with a
+``Retry-After`` computed from the refill rate, so well-behaved clients
+back off for exactly as long as it takes a token to appear.  Shedding
+a saturated daemon (503) is the worker pool's execution permits' job
+(:mod:`repro.serve.workers`).
 
-* :class:`QuotaManager` — one :class:`TokenBucket` per tenant.  A
-  request costs one token; an empty bucket answers 429 with a
-  ``Retry-After`` computed from the refill rate, so well-behaved
-  clients back off for exactly as long as it takes a token to appear.
-* :class:`AdmissionController` — a global in-flight ceiling.  When the
-  worker pool is saturated the daemon sheds load with 503 + Retry-After
-  instead of queueing unboundedly.
-
-Both are pure and lock-protected so the soak test can hammer them from
+Both classes are lock-protected so the soak test can hammer them from
 many threads and still assert exact counter arithmetic.
 """
 
@@ -20,9 +16,9 @@ from __future__ import annotations
 import threading
 import time
 
-from .errors import QuotaExceededError, SaturatedError
+from .errors import QuotaExceededError
 
-__all__ = ["TokenBucket", "QuotaManager", "AdmissionController"]
+__all__ = ["TokenBucket", "QuotaManager"]
 
 
 class TokenBucket:
@@ -127,41 +123,3 @@ class QuotaManager:
             raise QuotaExceededError(
                 f"tenant {tenant!r} exceeded its request quota",
                 retry_after_s=max(wait, 0.001))
-
-
-class AdmissionController:
-    """Caps concurrent in-flight requests; sheds load past the ceiling."""
-
-    def __init__(self, max_inflight: int) -> None:
-        if max_inflight <= 0:
-            raise ValueError(
-                f"max_inflight must be positive, got {max_inflight}")
-        self.max_inflight = int(max_inflight)
-        self._lock = threading.Lock()
-        self._inflight = 0
-        self.shed = 0
-        self.peak = 0
-
-    def enter(self) -> None:
-        """Reserve a slot or raise :class:`SaturatedError`."""
-        with self._lock:
-            if self._inflight >= self.max_inflight:
-                self.shed += 1
-                raise SaturatedError(
-                    f"server saturated: {self._inflight} requests in flight "
-                    f"(limit {self.max_inflight})",
-                    retry_after_s=0.05)
-            self._inflight += 1
-            if self._inflight > self.peak:
-                self.peak = self._inflight
-
-    def leave(self) -> None:
-        with self._lock:
-            if self._inflight <= 0:
-                raise RuntimeError("admission leave() without enter()")
-            self._inflight -= 1
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight

@@ -8,10 +8,13 @@ with ``np.frombuffer`` — no payload bytes ever cross the socket and no
 copy is made server-side.
 
 Attaching a segment and constructing the view cost ~25µs, which is
-real money against the 17.5% overhead budget, so both are cached:
+real money against the 17.5% overhead budget, so both are cached, and
+:class:`SegmentCache` is their one owner:
 
 * attach cache — segment name -> open ``SharedMemory`` handle;
-* view cache — (name, offset, dtype, dims) -> read-only ndarray view.
+* view cache — (name, offset, dtype, dims) -> the request-ready
+  (read-only :class:`PressioData`, raw ``memoryview``) pair the worker
+  pool compresses from.
 
 Cleanup is the subtle part and drives two quirks handled here:
 
@@ -36,6 +39,8 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from ..core.data import PressioData
+from ..core.dtype import dtype_from_numpy
 from .errors import BadPayloadError, SegmentUnavailableError
 from .wire import ShmRef, element_count
 
@@ -85,12 +90,13 @@ def attach_readonly(name: str) -> shared_memory.SharedMemory:
 
 
 class SegmentCache:
-    """Per-daemon cache of attached segments and ndarray views."""
+    """Per-daemon owner of everything derived from a segment: the
+    attached handle and the request-ready input views over it."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._attached: dict[str, shared_memory.SharedMemory] = {}
-        self._views: dict[tuple, np.ndarray] = {}
+        self._views: dict[tuple, tuple[PressioData, memoryview]] = {}
         self.attaches = 0
         self.view_builds = 0
         self.view_hits = 0
@@ -110,17 +116,23 @@ class SegmentCache:
                 self.attaches += 1
         return seg
 
-    def view(self, ref: ShmRef, dtype: str,
-             dims: tuple[int, ...]) -> np.ndarray:
-        """Read-only ndarray view over a segment slice, cached."""
+    def input_data(self, ref: ShmRef, dtype: str, dims: tuple[int, ...],
+                   ) -> tuple[PressioData, memoryview]:
+        """A segment slice as a request's input: a read-only
+        :class:`PressioData` over it and its raw bytes, zero-copy and
+        cached until the segment is forgotten."""
         key = (ref.name, ref.offset, dtype, dims)
-        with self._lock:
-            cached = self._views.get(key)
-            if cached is not None:
+        # GIL-atomic read; the cached pair was validated when it was
+        # built, so a hit skips every check.  Only the hit count, a
+        # read-modify-write, takes the lock.
+        hit = self._views.get(key)
+        if hit is not None:
+            with self._lock:
                 self.view_hits += 1
-                return cached
-        seg = self.segment(ref.name)
+            return hit
         dt = np.dtype(dtype)
+        dtype_from_numpy(dt)  # reject dtypes the core cannot name
+        seg = self.segment(ref.name)
         count = element_count(dims)
         need = count * dt.itemsize
         if need != ref.nbytes:
@@ -134,10 +146,12 @@ class SegmentCache:
                             offset=ref.offset)
         arr = arr.reshape(dims if dims else (1,))
         arr.flags.writeable = False
+        data = PressioData.from_numpy(arr, copy=False)
+        hit = (data, data.as_memoryview())
         with self._lock:
-            self._views[key] = arr
+            self._views[key] = hit
             self.view_builds += 1
-        return arr
+        return hit
 
     def bytes_view(self, ref: ShmRef) -> memoryview:
         """Raw byte slice of a segment (compressed streams)."""
@@ -149,7 +163,8 @@ class SegmentCache:
         return seg.buf[ref.offset:ref.offset + ref.nbytes]
 
     def forget_views(self, name: str) -> None:
-        """Drop cached views over one segment (client released it)."""
+        """Drop a segment the client released: its cached input views,
+        then its handle."""
         with self._lock:
             for key in [k for k in self._views if k[0] == name]:
                 del self._views[key]

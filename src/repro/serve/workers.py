@@ -1,25 +1,26 @@
 """The serve worker pool: where requests become compress calls.
 
-Every admitted request runs on the connection thread that decoded it,
-once one of ``workers`` execution permits is free, so compute
-parallelism never exceeds the configured width and no request pays a
-cross-thread hand-off (each costs a GIL handoff, ~100µs+ per round
-trip on small requests, which alone would blow the 17.5% overhead
-budget).  The permits go to waiters in arrival order; a request that
-waits longer than the daemon's ``request_timeout`` for one fails with
-a retryable 503 :class:`~repro.serve.errors.SaturatedError`.
+Every request runs on the connection thread that decoded it, once one
+of ``workers`` execution permits is free, so compute parallelism never
+exceeds the configured width and no request pays a cross-thread
+hand-off (each costs a GIL handoff, ~100µs+ per round trip on small
+requests, which alone would blow the 17.5% overhead budget).  The
+permits go to waiters in arrival order and are also the daemon's
+admission control: a request arriving while ``max_inflight`` others
+hold or wait for a permit is shed, and one that waits longer than the
+daemon's ``request_timeout`` fails; both answer with a retryable 503
+:class:`~repro.serve.errors.SaturatedError`.
 
-The pool owns the three caches that keep the per-request hot path
-under the 17.5% budget:
+Two caches keep the per-request hot path under the 17.5% budget:
 
 * **compressor cache** (per connection thread, via
   ``threading.local``): (compressor id, canonical options) ->
   configured instance, so ``get_compressor`` + ``set_options`` are
   paid once per (thread, config), not per request;
-* **wrap cache** (pool-wide): a shared-memory input slice ->
-  :class:`PressioData` view, so repeat requests over the same segment
-  skip ``np.frombuffer`` + wrapping entirely (~25µs);
-* the segment/view caches inside :class:`~repro.serve.shm.SegmentCache`.
+* the segment and input-view caches of
+  :class:`~repro.serve.shm.SegmentCache`, so repeat requests over the
+  same shared-memory slice skip attaching, ``np.frombuffer`` and
+  wrapping entirely (~25µs).
 
 Thread-safety honors the plugins' own declarations: a compressor whose
 configuration says ``pressio:thread_safe == single`` (sz) is serialized
@@ -77,41 +78,78 @@ class _InducedCrash(Exception):
 
 
 class _FifoPermits:
-    """``width`` execution permits, handed to waiters in arrival order.
+    """``width`` execution permits, handed to waiters in arrival order,
+    and the daemon's one busy gate.
 
     A ``threading.Semaphore`` lets a releasing thread's next acquire
     barge ahead of threads already blocked, so under saturation a busy
     connection can starve older waiters and stretch the tail latency;
     here :meth:`release` hands the permit straight to the oldest
     waiter.  Invariant: permits are free only while nobody waits.
+
+    In flight is holders plus waiters; once it reaches ``max_inflight``
+    :meth:`acquire` sheds the request with a retryable 503 instead of
+    queueing it, so one lock decides whether a request runs, waits or
+    is shed.
     """
 
-    def __init__(self, width: int) -> None:
+    def __init__(self, width: int, max_inflight: int) -> None:
+        if max_inflight <= 0:
+            raise ValueError(
+                f"max_inflight must be positive, got {max_inflight}")
         self._lock = threading.Lock()
         self._free = width
         self._waiters: deque[threading.Event] = deque()
+        self.max_inflight = int(max_inflight)
+        self.inflight = 0
+        self.shed = 0
+        self.peak = 0
 
     def acquire(self, timeout: float) -> bool:
+        """Take a permit, waiting at most ``timeout`` seconds for one.
+
+        Raises :class:`SaturatedError` when ``max_inflight`` requests
+        already hold or wait for a permit; returns False on timeout.
+        """
         with self._lock:
+            if self.inflight >= self.max_inflight:
+                self.shed += 1
+                raise SaturatedError(
+                    f"server saturated: {self.inflight} requests in flight "
+                    f"(limit {self.max_inflight})", retry_after_s=0.05)
+            self.inflight += 1
+            if self.inflight > self.peak:
+                self.peak = self.inflight
+            handoff = None
             if self._free:
                 self._free -= 1
-                return True
-            handoff = threading.Event()
-            self._waiters.append(handoff)
-        if handoff.wait(timeout):
+            else:
+                handoff = threading.Event()
+                self._waiters.append(handoff)
+        self._publish()
+        if handoff is None or handoff.wait(timeout):
             return True
         with self._lock:
             if handoff.is_set():  # handed over as the wait expired
                 return True
             self._waiters.remove(handoff)
-            return False
+            self.inflight -= 1
+        self._publish()
+        return False
 
     def release(self) -> None:
         with self._lock:
+            self.inflight -= 1
             if self._waiters:
                 self._waiters.popleft().set()
             else:
                 self._free += 1
+        self._publish()
+
+    def _publish(self) -> None:
+        if _obs.ACTIVE is not None:
+            _obs.set_gauge("pressio_serve_inflight", float(self.inflight),
+                           "serve requests currently in flight")
 
 
 def _as_bytes_view(payload) -> memoryview:
@@ -147,6 +185,7 @@ class WorkerPool:
 
     def __init__(self, library, segments: SegmentCache,
                  cache: ArtifactCache | None = None, workers: int = 4,
+                 max_inflight: int = 64,
                  allow_fault_injection: bool = False) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -155,28 +194,15 @@ class WorkerPool:
         self.cache = cache
         self.workers = workers
         self.allow_fault_injection = bool(allow_fault_injection)
-        self._permits = _FifoPermits(workers)
+        self.permits = _FifoPermits(workers, max_inflight)
         self._tls = threading.local()
         self._lock = threading.Lock()
         self._trace_lock = threading.Lock()
-        self._wrap_lock = threading.Lock()
-        self._wraps: dict[tuple, PressioData] = {}
         self._descrs: dict[tuple, PressioData] = {}
         self._plugin_locks: dict[str, threading.Lock] = {}
         self.completed = 0
         self.failed = 0
         self.crashes = 0
-
-    def shutdown(self) -> None:
-        with self._wrap_lock:
-            self._wraps.clear()
-
-    def forget_segment(self, name: str) -> None:
-        """Drop cached wraps/views for a segment the client released."""
-        with self._wrap_lock:
-            for key in [k for k in self._wraps if k[0] == name]:
-                del self._wraps[key]
-        self.segments.forget_views(name)
 
     # -- execution ---------------------------------------------------------
 
@@ -190,11 +216,12 @@ class WorkerPool:
         """Run ``req`` on the calling thread once a permit is free.
 
         Every failure of the request itself is counted and mapped to a
-        typed error response here; waiting more than ``timeout``
-        seconds for a permit raises a retryable :class:`SaturatedError`.
+        typed error response here; a request past ``max_inflight``, or
+        one that waits more than ``timeout`` seconds for a permit,
+        raises a retryable :class:`SaturatedError`.
         """
         queued_ns = time.perf_counter_ns()
-        if not self._permits.acquire(timeout):
+        if not self.permits.acquire(timeout):
             raise SaturatedError(
                 f"no execution permit free within {timeout}s "
                 f"({self.workers} workers)", retry_after_s=0.05)
@@ -211,7 +238,7 @@ class WorkerPool:
                 self.failed += 1
             return Response(ok=False, op=req.op, error=err.to_payload())
         finally:
-            self._permits.release()
+            self.permits.release()
         with self._lock:
             self.completed += 1
         if not resp.lean:
@@ -319,21 +346,7 @@ class WorkerPool:
     def _input_data(self, req: Request) -> tuple[PressioData, memoryview]:
         """The request's ndarray as (PressioData, raw bytes) — zero-copy."""
         if req.shm is not None:
-            key = (req.shm.name, req.shm.offset, req.dtype, req.dims)
-            # GIL-atomic read; only writers take the lock.  The cached
-            # pair was fully validated at insert, so a hit skips the
-            # dtype/shape checks entirely.
-            hit = self._wraps.get(key)
-            if hit is not None:
-                return hit
-            dt = np.dtype(req.dtype)
-            dtype_from_numpy(dt)  # reject dtypes the core cannot name
-            arr = self.segments.view(req.shm, req.dtype, req.dims)
-            data = PressioData.from_numpy(arr, copy=False)
-            hit = (data, data.as_memoryview())
-            with self._wrap_lock:
-                self._wraps[key] = hit
-            return hit
+            return self.segments.input_data(req.shm, req.dtype, req.dims)
         dt = np.dtype(req.dtype)
         dtype_from_numpy(dt)  # reject dtypes the core cannot name
         shape = req.dims if req.dims else (1,)

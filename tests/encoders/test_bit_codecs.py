@@ -6,9 +6,7 @@ import pytest
 from repro.encoders.bitstream import (
     BitReader,
     BitWriter,
-    pack_fixed,
     pack_varwidth,
-    unpack_fixed,
 )
 from repro.encoders.huffman import HuffmanCodec, huffman_decode, huffman_encode
 from repro.encoders.lz77 import lz77_decode, lz77_encode
@@ -16,30 +14,40 @@ from repro.encoders.rle import rle_decode, rle_encode
 
 
 class TestFixedPacking:
+    """Fixed-width bulk packing: BitWriter.write_values / BitReader.read_values."""
+
+    @staticmethod
+    def _pack(values, width):
+        w = BitWriter()
+        w.write_values(values, width)
+        return w.getvalue()
+
     @pytest.mark.parametrize("width", [1, 3, 8, 13, 32, 50, 64])
     def test_roundtrip(self, width):
         rng = np.random.default_rng(width)
         mask = np.uint64((1 << width) - 1) if width < 64 else np.uint64(2**64 - 1)
         v = rng.integers(0, 2**63, size=257, dtype=np.uint64) & mask
-        packed = pack_fixed(v, width)
-        assert np.array_equal(unpack_fixed(packed, v.size, width), v)
+        packed = self._pack(v, width)
+        assert np.array_equal(BitReader(packed).read_values(v.size, width), v)
 
     def test_zero_width(self):
-        assert pack_fixed(np.arange(5, dtype=np.uint64), 0) == b""
-        assert np.array_equal(unpack_fixed(b"", 5, 0), np.zeros(5))
+        assert self._pack(np.arange(5, dtype=np.uint64), 0) == b""
+        assert np.array_equal(BitReader(b"").read_values(5, 0), np.zeros(5))
 
     def test_packed_size(self):
-        packed = pack_fixed(np.zeros(10, dtype=np.uint64), 7)
+        packed = self._pack(np.zeros(10, dtype=np.uint64), 7)
         assert len(packed) == (10 * 7 + 7) // 8
 
     def test_invalid_width_raises(self):
         with pytest.raises(ValueError):
-            pack_fixed(np.zeros(1, dtype=np.uint64), 65)
+            self._pack(np.zeros(1, dtype=np.uint64), 65)
+        with pytest.raises(ValueError):
+            BitReader(b"\xff").read_values(1, 65)
 
     def test_truncates_to_width(self):
         v = np.array([0b1111], dtype=np.uint64)
-        packed = pack_fixed(v, 2)
-        assert unpack_fixed(packed, 1, 2)[0] == 0b11
+        packed = self._pack(v, 2)
+        assert BitReader(packed).read_values(1, 2)[0] == 0b11
 
 
 class TestVarwidthPacking:

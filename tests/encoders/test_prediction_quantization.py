@@ -11,7 +11,6 @@ from repro.encoders import (
     quantize_uniform,
 )
 from repro.encoders.headers import read_header, write_header
-from repro.encoders.predictors import lorenzo_predict_floats
 
 
 class TestLorenzo:
@@ -47,13 +46,6 @@ class TestLorenzo:
     def test_single_element(self):
         q = np.array([42], dtype=np.int64)
         assert np.array_equal(lorenzo_decode(lorenzo_encode(q)), q)
-
-    def test_float_predictor_constant_on_linear_data(self):
-        x = np.arange(20.0)
-        residual = lorenzo_predict_floats(x)
-        assert residual[0] == 0.0
-        # 1-D first differences of linear data are constant
-        assert np.allclose(residual[1:], 1.0)
 
 
 class TestQuantization:

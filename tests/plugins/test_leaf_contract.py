@@ -7,7 +7,7 @@
   so a small forged stream cannot balloon.
 * ``sz_omp``'s ``SZMP`` container checks its slab count, length table
   and cuts before it allocates the output, and decodes to the
-  template's dtype as plain ``sz`` does.
+  template's dtype as plain ``sz`` does; so does fpzip.
 * ``bit_grooming``/``digit_rounding`` streams decode with the backend
   they were written with.
 * zfp's padding warning names the caller's line on every path.
@@ -236,3 +236,14 @@ def test_zfp_padding_warning_names_the_caller(library, path):
             comp.compress(data)
     pads = [w for w in record if "zfp pads" in str(w.message)]
     assert pads and all(w.filename == __file__ for w in pads)
+
+
+@pytest.mark.parametrize("dtype, np_dtype", [(DType.FLOAT, np.float32),
+                                             (DType.INT32, np.int32)])
+def test_fpzip_decodes_to_the_template_dtype(library, dtype, np_dtype):
+    comp = library.get_compressor("fpzip")
+    arr = np.arange(24, dtype=np.float64).reshape(4, 6)
+    stream = comp.compress(PressioData.from_numpy(arr))
+    out = comp.decompress(stream, PressioData.empty(dtype, arr.shape))
+    assert out.dtype == dtype
+    np.testing.assert_array_equal(out.to_numpy(), arr.astype(np_dtype))

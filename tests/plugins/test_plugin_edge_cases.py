@@ -174,13 +174,3 @@ class TestDomainsMore:
         domain.flush()
         del arr, view
         domain.release()
-
-    def test_readonly_view_helper(self):
-        from repro.core.domain import readonly_view
-
-        arr = np.zeros(4)
-        view = readonly_view(arr)
-        with pytest.raises(ValueError):
-            view[0] = 1.0
-        arr[0] = 2.0  # original stays writable
-        assert view[0] == 2.0

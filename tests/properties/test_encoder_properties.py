@@ -17,7 +17,6 @@ from repro.encoders import (
     zigzag_decode,
     zigzag_encode,
 )
-from repro.encoders.bitstream import pack_fixed, unpack_fixed
 from repro.encoders.huffman import huffman_decode, huffman_encode
 from repro.encoders.lz77 import lz77_decode, lz77_encode
 from repro.encoders.rle import rle_decode, rle_encode
@@ -73,17 +72,6 @@ def test_quantizer_always_honors_bound(arr, eb):
     recon = dequantize_uniform(codes, eb).reshape(arr.shape)
     fp_slack = 2.0**-52 * (np.abs(arr).max() if arr.size else 0.0)
     assert np.abs(arr - recon).max() <= eb * (1 + 1e-9) + fp_slack
-
-
-@given(
-    hnp.arrays(dtype=np.uint64, shape=st.integers(1, 100),
-               elements=st.integers(0, 2**30)),
-    st.integers(31, 64),
-)
-@settings(max_examples=40, deadline=None)
-def test_pack_fixed_roundtrip(arr, width):
-    packed = pack_fixed(arr, width)
-    assert np.array_equal(unpack_fixed(packed, arr.size, width), arr)
 
 
 @given(hnp.arrays(dtype=np.uint64, shape=st.integers(1, 2000),

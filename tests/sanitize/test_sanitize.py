@@ -105,6 +105,14 @@ class TestLockInstrumentation:
                     pass
         assert "lock-order-inversion" not in _kinds(san)
 
+    def test_serve_request_path_locks_are_watched(self, san):
+        from repro.serve.shm import SegmentCache
+        from repro.serve.workers import _FifoPermits
+
+        for lock in (_FifoPermits(1, max_inflight=1)._lock,
+                     SegmentCache()._lock):
+            assert isinstance(lock, runtime.SanitizedLock)
+
     def test_wrap_lock_requires_enabled_sanitizer(self):
         if runtime.is_enabled():
             pytest.skip("session-wide sanitizer active")

@@ -62,7 +62,7 @@ class TestWorkerCrash:
                 np.testing.assert_array_equal(out, arr)
 
                 assert fault_server.pool.crashes == 1
-                assert fault_server.admission.inflight == 0
+                assert fault_server.pool.permits.inflight == 0
             finally:
                 client.close()
 
@@ -144,6 +144,44 @@ class TestShmHygiene:
             seg.close()
             seg.unlink()
         assert not os.path.exists(f"/dev/shm/{seg.name}")
+
+    def test_view_counts_hold_under_concurrent_hits(self):
+        # more threads than cores and a short switch interval: a lost
+        # hit-count update would break builds + hits == calls
+        import sys
+        import threading
+
+        from repro.serve.shm import SegmentCache, create_segment
+        from repro.serve.wire import ShmRef
+
+        threads, calls = 8, 300
+        seg = create_segment(64 * 4, prefix="psvhits")
+        cache = SegmentCache()
+        ref = ShmRef(seg.name, 64 * 4, 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            def hammer() -> None:
+                for _ in range(calls):
+                    data, raw = cache.input_data(ref, "float32", (64,))
+                    assert len(raw) == 64 * 4 and data.dims == (64,)
+
+            workers = [threading.Thread(target=hammer)
+                       for _ in range(threads)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+        finally:
+            sys.setswitchinterval(interval)
+            stats = cache.stats()
+            cache.close_all()
+            seg.close()
+            seg.unlink()
+        assert stats["view_builds"] >= 1
+        assert stats["view_builds"] + stats["view_hits"] == threads * calls
+        assert cache.stats()["attached"] == 0
 
     def test_server_shutdown_leaves_no_attached_segments(self):
         arr = np.arange(128, dtype=np.float64)

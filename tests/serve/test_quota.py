@@ -1,4 +1,4 @@
-"""Token-bucket quotas and admission control, unit and end to end.
+"""Token-bucket quotas, unit and end to end.
 
 The unit tests drive a fake clock so refill arithmetic is exact; the
 integration tests prove the daemon answers 429 with ``Retry-After``
@@ -10,12 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serve.errors import QuotaExceededError, SaturatedError
-from repro.serve.quota import (
-    AdmissionController,
-    QuotaManager,
-    TokenBucket,
-)
+from repro.serve.errors import QuotaExceededError
+from repro.serve.quota import QuotaManager, TokenBucket
 
 
 class FakeClock:
@@ -97,28 +93,6 @@ class TestQuotaManager:
         with pytest.raises(QuotaExceededError):
             q.admit("capped")
         q.admit("free")  # no override, zero default: unlimited
-
-
-class TestAdmissionController:
-    def test_shed_past_ceiling_with_retry_after(self):
-        adm = AdmissionController(max_inflight=2)
-        adm.enter()
-        adm.enter()
-        with pytest.raises(SaturatedError) as ei:
-            adm.enter()
-        assert ei.value.http_status == 503 and ei.value.retryable
-        assert ei.value.retry_after_s > 0
-        assert adm.shed == 1 and adm.peak == 2
-        adm.leave()
-        adm.enter()  # a freed slot admits again
-        adm.leave()
-        adm.leave()
-        assert adm.inflight == 0
-
-    def test_leave_without_enter_is_a_bug(self):
-        adm = AdmissionController(max_inflight=1)
-        with pytest.raises(RuntimeError):
-            adm.leave()
 
 
 class TestQuotaEndToEnd:

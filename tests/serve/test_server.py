@@ -16,6 +16,7 @@ import pytest
 from repro.core.data import PressioData
 from repro.core.library import Pressio
 from repro.serve.client import ServeClient
+from repro.serve.daemon import ServeServer
 from repro.serve.errors import (
     OptionRejectedError,
     UnknownCompressorError,
@@ -217,6 +218,8 @@ class TestManagement:
             assert "pressio_serve_requests_total" in text
             assert 'tenant="metrics-t"' in text
             assert "pressio_serve_request_seconds" in text
+            # the execution permits publish the in-flight gauge
+            assert "\npressio_serve_inflight 0" in text
         finally:
             obs.disable_metrics()
 
@@ -247,6 +250,28 @@ class TestManagement:
         finally:
             conn.close()
             obs.disable_metrics()
+
+    def test_shm_input_views_are_cached_once_per_segment(self):
+        arr = np.linspace(0, 1, 24 ** 3, dtype=np.float32).reshape((24,) * 3)
+        with ServeServer(port=0, workers=2) as server:
+            c = ServeClient(port=server.port, use_shm=True)
+            try:
+                for _ in range(100):
+                    out, _ = c.roundtrip(arr, "noop")
+                np.testing.assert_array_equal(out, arr)
+                seg = server.segments.stats()
+                assert (seg["view_builds"], seg["view_hits"]) == (1, 99)
+                assert c.health()["segments"] == seg
+                status, _, _ = c._http("POST", "/v1/release", json.dumps(
+                    {"name": c._in_seg.seg.name}).encode())
+                assert status == 200
+                assert server.segments.stats()["attached"] == 1  # out seg
+                out, _ = c.roundtrip(arr, "noop")
+                np.testing.assert_array_equal(out, arr)
+                seg = server.segments.stats()
+                assert (seg["view_builds"], seg["view_hits"]) == (2, 99)
+            finally:
+                c.close()
 
     def test_release_endpoint_forgets_segments(self, server, block):
         c = ServeClient(port=server.port, use_shm=True)

@@ -9,7 +9,7 @@ The invariants under load, asserted exactly:
   requests that reached the pool, and nothing is left in flight;
 * one execution tier: every request runs on the connection thread that
   decoded it, and the daemon starts no worker threads of its own;
-* gauge consistency: the health endpoint and the admission controller
+* gauge consistency: the health endpoint and the execution permits
   agree after the storm (in-flight back to zero, peak bounded by the
   ceiling).
 
@@ -115,10 +115,10 @@ def test_soak_mixed_tenants_compressors_and_paths(monkeypatch):
         assert [t.name for t in threading.enumerate()
                 if t.name.startswith("serve-worker")] == []
 
-        # -- admission / gauge consistency -----------------------------
-        assert server.admission.inflight == 0
-        assert server.admission.shed == 0
-        assert 1 <= server.admission.peak <= 64
+        # -- busy gate / gauge consistency -----------------------------
+        assert server.pool.permits.inflight == 0
+        assert server.pool.permits.shed == 0
+        assert 1 <= server.pool.permits.peak <= 64
 
         # -- quota accounting (disabled -> everything admitted) --------
         assert server.quota.admitted >= total
@@ -168,7 +168,7 @@ def test_saturation_sheds_cleanly_and_recovers():
         for t in threads:
             t.join(timeout=120)
         assert failures == []
-        assert server.admission.inflight == 0
+        assert server.pool.permits.inflight == 0
         # afterwards: an idle daemon serves normally again
         client = ServeClient(port=server.port)
         try:
