@@ -64,6 +64,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # serve`` (no gain claimed) against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 77a02b2 \\
         --output benchmarks/BENCH_serve_one_gate_e2e.json
+    # one option transaction (a rejected set changes nothing, a check
+    # is a set on a clone; no gain claimed) against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 6bd5571 \\
+        --output benchmarks/BENCH_option_transaction_e2e.json
 """
 
 from __future__ import annotations

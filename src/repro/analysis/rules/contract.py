@@ -49,7 +49,7 @@ class OptionSymmetryRule(Rule):
     name = "option-symmetry"
     severity = Severity.ERROR
     description = (
-        "Option keys read in _set_options/_check_options must be declared "
+        "Option keys read in _set_options/_set_meta_options must be declared "
         "in _options (set or set_type), so get_options introspection covers "
         "every accepted key."
     )

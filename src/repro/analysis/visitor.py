@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 OPTION_DECL_METHODS = ("_options", "_meta_options")
-OPTION_READ_METHODS = ("_set_options", "_set_meta_options", "_check_options")
+OPTION_READ_METHODS = ("_set_options", "_set_meta_options")
 DOC_METHODS = ("_documentation",)
 
 

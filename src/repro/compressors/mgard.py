@@ -1,8 +1,10 @@
 """LibPressio plugin for the MGARD native.
 
-Surfaces MGARD's tolerance/s-norm parameters as typed options and keeps
-its hard requirement of >= 3 samples per dimension observable through
-``check_options``-style early validation and clean error reporting.
+Surfaces MGARD's tolerance/s-norm parameters as typed options (a
+non-positive tolerance is rejected by ``set_options`` and so by
+``check_options``) and keeps its hard requirement of >= 3 samples per
+dimension discoverable through the ``mgard:min_dimension_size``
+configuration entry and reported as a typed error before the native runs.
 """
 
 from __future__ import annotations
@@ -51,11 +53,6 @@ class MGARDCompressor(StagedCompressor):
                                    self._s))
         self._backend = str(self._take(options, "mgard:backend",
                                        OptionType.STRING, self._backend))
-
-    def _check_options(self, options: PressioOptions) -> None:
-        tol = options.get("mgard:tolerance", options.get("pressio:abs"))
-        if tol is not None and float(tol) <= 0:
-            raise InvalidOptionError("mgard:tolerance must be positive")
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()

@@ -152,14 +152,6 @@ class SZCompressor(StagedCompressor):
             raise InvalidOptionError(str(e)) from None
         self._params = updated
 
-    def _check_options(self, options: PressioOptions) -> None:
-        trial = SZCompressor.__new__(SZCompressor)
-        trial._params = self._params
-        try:
-            SZCompressor._set_options(trial, options)
-        finally:
-            pass  # trial never acquired a native reference
-
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         cfg.set("pressio:stability", Stability.STABLE)

@@ -47,11 +47,6 @@ class TthreshCompressor(NativeCompressor):
         self._backend = str(self._take(options, "tthresh:backend",
                                        OptionType.STRING, self._backend))
 
-    def _check_options(self, options: PressioOptions) -> None:
-        target = options.get("tthresh:target_value")
-        if target is not None and float(target) <= 0:
-            raise InvalidOptionError("tthresh:target_value must be positive")
-
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         cfg.set("pressio:stability", Stability.STABLE)

@@ -108,20 +108,6 @@ class ZFPCompressor(StagedCompressor):
         s.level = int(self._take(options, "zfp:level", OptionType.INT32,
                                  s.level))
 
-    def _check_options(self, options: PressioOptions) -> None:
-        accuracy = options.get("zfp:accuracy", options.get("pressio:abs"))
-        if accuracy is not None and float(accuracy) <= 0:
-            raise InvalidOptionError("zfp:accuracy must be positive")
-        precision = options.get("zfp:precision")
-        if precision is not None and not (1 <= int(precision) <= 64):
-            raise InvalidOptionError("zfp:precision must be in [1, 64]")
-        rate = options.get("zfp:rate")
-        if rate is not None and float(rate) < 1:
-            raise InvalidOptionError("zfp:rate must be >= 1")
-        mode_str = options.get("zfp:mode_str")
-        if mode_str is not None and mode_str not in _MODE_IDS:
-            raise InvalidOptionError(f"unknown zfp mode {mode_str!r}")
-
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         cfg.set("pressio:stability", Stability.STABLE)

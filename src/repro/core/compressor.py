@@ -271,10 +271,5 @@ class PressioCompressor(Configurable):
     def _release_native(self) -> None:
         """Free native-library state (SZ_Finalize analog)."""
 
-    def clone(self) -> "PressioCompressor":
-        """Independent instance with the same options (for thread pools)."""
-        dup = type(self)()
-        dup.set_options(self.get_options())
-        if dup.status.code != 0:
-            raise PressioError(f"clone failed: {dup.status.msg}")
-        return dup
+    def _discard(self) -> None:
+        self.decref()

@@ -1,10 +1,12 @@
 """Shared option machinery for compressors, metrics, and IO plugins.
 
-Every plugin kind in LibPressio exposes the same four verbs —
+Every plugin kind in LibPressio exposes the same verbs —
 ``get_options`` / ``set_options`` / ``check_options`` /
-``get_configuration`` — plus documentation.  This module implements them
-once.  ``get_configuration`` carries *read-only* facts such as thread
-safety and API stability, the introspection data Table I credits
+``get_configuration`` / ``clone`` — plus documentation.  This module
+implements them once.  A plugin validates its options in one place,
+``_set_options``: a set is all-or-nothing, and a check is that set run
+on a clone.  ``get_configuration`` carries *read-only* facts such as
+thread safety and API stability, the introspection data Table I credits
 LibPressio with and faults string-typed interfaces for lacking.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Any
 
 from .options import CastLevel, Option, OptionType, PressioOptions
-from .status import InvalidOptionError, Status
+from .status import InvalidOptionError, PressioError, Status
 
 __all__ = ["Configurable", "ThreadSafety", "Stability"]
 
@@ -72,7 +74,12 @@ class Configurable:
         return PressioOptions()
 
     def _set_options(self, options: PressioOptions) -> None:
-        """Apply recognized entries of ``options``; ignore foreign keys."""
+        """Apply recognized entries of ``options``; ignore foreign keys.
+
+        Raise (``InvalidOptionError``, or a native's ``ValueError``) on
+        an unusable value; :meth:`set_options` then undoes what this
+        call applied, and :meth:`check_options` reports the same error.
+        """
 
     def _configuration(self) -> PressioOptions:
         """Read-only facts: thread safety, stability, version, ..."""
@@ -85,8 +92,8 @@ class Configurable:
         """Human-readable descriptions of each option."""
         return PressioOptions()
 
-    def _check_options(self, options: PressioOptions) -> None:
-        """Raise InvalidOptionError when a proposed setting is unusable."""
+    def _discard(self) -> None:
+        """Release what a throwaway instance (a check's trial) holds."""
 
     # ------------------------------------------------------------------
     # public uniform API
@@ -100,29 +107,57 @@ class Configurable:
 
         Unknown keys are ignored (so one options set can configure a whole
         pipeline of plugins), but keys *belonging to this plugin* with
-        incompatible types raise/return an error.
+        incompatible types or unusable values return an error.  A set is
+        all-or-nothing: when any entry is rejected, the options held
+        before the call are re-applied, so a rejected set changes nothing.
         """
         options = _as_options(options)
         self.status.clear()
+        before = self._options()
         try:
-            self._validate_known_types(options)
+            self._validate_known_types(options, before)
             self._set_options(options)
         except Exception as e:  # noqa: BLE001 - C-style status capture
+            self._set_options(before)
+            if isinstance(e, (ValueError, OverflowError)):
+                # a native's own domain check, typed as compress types it
+                e = InvalidOptionError(
+                    f"{self.get_name()} rejected the options: {e}")
             self.status.set_from(e)
             return int(self.status.code)
         return 0
 
     def check_options(self, options: PressioOptions | dict) -> int:
-        """Validate without applying; returns 0 when acceptable."""
-        options = _as_options(options)
+        """Validate without applying; returns 0 when acceptable.
+
+        Runs :meth:`set_options` on a :meth:`clone` and reports that
+        trial's code and message, so a check never disagrees with a set
+        and never changes this plugin.
+        """
         self.status.clear()
         try:
-            self._validate_known_types(options)
-            self._check_options(options)
-        except Exception as e:  # noqa: BLE001
+            trial = self.clone()
+        except PressioError as e:
             self.status.set_from(e)
             return int(self.status.code)
-        return 0
+        try:
+            rc = trial.set_options(options)
+        finally:
+            trial._discard()
+        self.status.set(trial.status.code, trial.status.msg)
+        return rc
+
+    def clone(self) -> "Configurable":
+        """Independent instance with the same name and options (for
+        thread pools and :meth:`check_options` trials)."""
+        dup = type(self)()
+        if self._name is not None:
+            dup.set_name(self._name)
+        if dup.set_options(self.get_options()) != 0:
+            dup._discard()
+            raise PressioError(f"clone failed: {dup.status.msg}",
+                               dup.status.code)
+        return dup
 
     def _thread_safety(self) -> str | None:
         """The plugin's ``thread_safety`` declaration, if it makes one."""
@@ -148,9 +183,9 @@ class Configurable:
         return "0.0.0"
 
     # ------------------------------------------------------------------
-    def _validate_known_types(self, options: PressioOptions) -> None:
-        """Reject values whose type cannot cast to the advertised type."""
-        advertised = self._options()
+    def _validate_known_types(self, options: PressioOptions,
+                              advertised: PressioOptions) -> None:
+        """Reject values whose type cannot cast to the ``advertised`` type."""
         for key, opt in options.items():
             target = advertised.get_option(key)
             if target is None or not opt.has_value():

@@ -33,8 +33,3 @@ class PressioIO(Configurable):
 
     def supports_write(self) -> bool:
         return type(self).write is not PressioIO.write
-
-    def clone(self) -> "PressioIO":
-        dup = type(self)()
-        dup.set_options(self.get_options())
-        return dup

@@ -55,9 +55,3 @@ class PressioMetrics(Configurable):
 
     def reset(self) -> None:
         """Discard accumulated state so the plugin can be reused."""
-
-    def clone(self) -> "PressioMetrics":
-        """Independent copy with the same configuration, empty results."""
-        dup = type(self)()
-        dup.set_options(self.get_options())
-        return dup

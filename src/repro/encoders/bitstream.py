@@ -6,8 +6,9 @@ Two layers are provided:
   per-value bit widths, which the canonical Huffman encoder emits its
   codes through;
 * :class:`BitWriter` / :class:`BitReader` — sequential MSB-first bit
-  IO, the value-at-a-time reference :func:`pack_varwidth` is tested
-  against.
+  IO, one value per ``write`` / ``read`` call: the value-at-a-time
+  reference :func:`pack_varwidth` is tested against (no coder calls
+  them).
 
 The vectorized path expands values to a flat bit array with ``repeat`` /
 ``arange`` arithmetic and defers to ``numpy.packbits`` (C speed), the
@@ -62,32 +63,6 @@ class BitWriter:
         shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
         self._chunks.append(((v >> shifts) & np.uint64(1)).astype(np.uint8))
 
-    def write_bits(self, bits: np.ndarray) -> None:
-        """Append a 0/1 uint8 array verbatim.
-
-        Zero-length input is a no-op; multi-dimensional input is
-        flattened in C order.
-        """
-        arr = np.ascontiguousarray(bits, dtype=np.uint8).reshape(-1)
-        if arr.size:
-            self._chunks.append(arr)
-
-    def write_values(self, values: np.ndarray, width: int) -> None:
-        """Bulk fast path: append each value's low ``width`` bits MSB-first.
-
-        Equivalent to ``write(v, width)`` per value but vectorized; any
-        width in [0, 64] (including the >32 widths the bit-plane coder
-        emits) and zero-length arrays round-trip.
-        """
-        if not 0 <= width <= 64:
-            raise ValueError(f"width must be in [0, 64], got {width}")
-        v = np.ascontiguousarray(values, dtype=np.uint64).reshape(-1)
-        if width == 0 or v.size == 0:
-            return
-        shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-        bits = ((v[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        self._chunks.append(bits.reshape(-1))
-
     @property
     def bit_length(self) -> int:
         return sum(c.size for c in self._chunks)
@@ -118,37 +93,6 @@ class BitReader:
         self._pos = end
         weights = np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)
         return int(chunk.astype(np.uint64) @ weights)
-
-    def read_bits(self, count: int) -> np.ndarray:
-        """Read ``count`` raw bits as a 0/1 uint8 array."""
-        count = int(count)
-        end = self._pos + count
-        if end > self._bits.size:
-            raise ValueError("bit stream exhausted")
-        chunk = self._bits[self._pos:end]
-        self._pos = end
-        return chunk
-
-    def read_values(self, count: int, width: int) -> np.ndarray:
-        """Bulk fast path: read ``count`` fixed-``width`` values as uint64.
-
-        Inverse of :meth:`BitWriter.write_values`; any width in [0, 64]
-        and ``count == 0`` are valid.
-        """
-        if not 0 <= width <= 64:
-            raise ValueError(f"width must be in [0, 64], got {width}")
-        count = int(count)
-        if count == 0 or width == 0:
-            if count:
-                return np.zeros(count, dtype=np.uint64)
-            return np.zeros(0, dtype=np.uint64)
-        end = self._pos + count * width
-        if end > self._bits.size:
-            raise ValueError("bit stream exhausted")
-        chunk = self._bits[self._pos:end].reshape(count, width)
-        self._pos = end
-        weights = np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64)
-        return chunk.astype(np.uint64) @ weights
 
     @property
     def remaining(self) -> int:

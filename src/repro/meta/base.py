@@ -37,8 +37,14 @@ class MetaCompressor(PressioCompressor):
 
     def set_inner(self, compressor_id: str) -> None:
         if compressor_id != self._inner_id:
-            self._inner_id = compressor_id
+            replaced = self._inner
             self._inner = compressor_registry.create(compressor_id)
+            self._inner_id = compressor_id
+            replaced.decref()
+
+    def _release_native(self) -> None:
+        # the meta owns its inner plugin's reference
+        self._inner.decref()
 
     def _option_key(self) -> str:
         return f"{self.prefix()}:compressor"
@@ -63,13 +69,6 @@ class MetaCompressor(PressioCompressor):
             self.set_inner(str(inner_id))
         self._set_meta_options(options)
         rc = self._inner.set_options(options)
-        if rc != 0:
-            from ..core.status import InvalidOptionError
-
-            raise InvalidOptionError(self._inner.error_msg())
-
-    def _check_options(self, options: PressioOptions) -> None:
-        rc = self._inner.check_options(options)
         if rc != 0:
             from ..core.status import InvalidOptionError
 

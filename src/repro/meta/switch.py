@@ -62,19 +62,25 @@ class SwitchCompressor(PressioCompressor):
         return opts
 
     def _set_options(self, options: PressioOptions) -> None:
-        ids = options.get("switch:compressor_ids")
-        if ids is not None:
-            for cid in ids:
-                self._ensure(str(cid))
         active = options.get("switch:active_id")
+        wanted = [str(cid) for cid in
+                  options.get("switch:compressor_ids") or ()]
         if active is not None:
-            active = str(active)
-            self._ensure(active)
-            self._active = active
-        for cid in self._candidate_ids:
-            rc = self._candidates[cid].set_options(options)
-            if rc != 0:
-                raise InvalidOptionError(self._candidates[cid].error_msg())
+            wanted.append(str(active))
+        # new candidates join only once every candidate took the options,
+        # so a rejected set leaves the candidate list as it was
+        added = {cid: compressor_registry.create(cid)
+                 for cid in dict.fromkeys(wanted)
+                 if cid not in self._candidates}
+        for comp in [*self._candidates.values(), *added.values()]:
+            if comp.set_options(options) != 0:
+                for new in added.values():
+                    new.decref()
+                raise InvalidOptionError(comp.error_msg())
+        self._candidates.update(added)
+        self._candidate_ids.extend(added)
+        if active is not None:
+            self._active = str(active)
 
     def _thread_safety(self) -> str | None:
         return self.active._thread_safety()

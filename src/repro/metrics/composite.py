@@ -64,10 +64,17 @@ class CompositeMetrics(PressioMetrics):
         return merged
 
     def set_options(self, options) -> int:
-        rc = 0
+        """All-or-nothing across the children: the first rejection is
+        reported and every child gets its earlier options back."""
+        self.status.clear()
+        before = self.get_options()
         for p in self.plugins:
-            rc |= p.set_options(options)
-        return rc
+            if p.set_options(options) != 0:
+                self.status.set(p.status.code, p.status.msg)
+                for q in self.plugins:
+                    q.set_options(before)
+                break
+        return int(self.status.code)
 
     def get_metrics_results(self) -> PressioOptions:
         merged = PressioOptions()

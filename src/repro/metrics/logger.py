@@ -95,19 +95,6 @@ class CsvLoggerMetrics(PressioMetrics):
                                   for mid in ids]
                 self._columns = None
 
-    def _check_options(self, options: PressioOptions) -> None:
-        mode = options.get("csv_logger:mode")
-        if mode is not None and str(mode) not in ("roundtrip",
-                                                  "per_operation"):
-            raise InvalidOptionError(
-                "csv_logger:mode must be roundtrip or per_operation")
-        ids = options.get("csv_logger:metrics")
-        if ids is not None:
-            for mid in ids:
-                if str(mid) not in metrics_registry:
-                    raise InvalidOptionError(
-                        f"unknown child metric {mid!r}")
-
     # -- hook fan-out --------------------------------------------------------
     def begin_compress(self, input: PressioData) -> None:
         # a pending compress-only row means the previous compress never

@@ -123,9 +123,9 @@ def _add_input_arguments(parser: argparse.ArgumentParser,
                         help="set a compressor option (repeatable)")
 
 
-def _configure(compressor, entries: list[str], check: bool = False) -> bool:
-    """Apply ``--option KEY=VALUE`` entries (checked first when
-    ``check``); prints the error and returns False on failure."""
+def _configure(compressor, entries: list[str]) -> bool:
+    """Apply ``--option KEY=VALUE`` entries; prints the error and
+    returns False on failure (a rejected set changes nothing)."""
     options = PressioOptions()
     for entry in entries:
         if "=" not in entry:
@@ -134,8 +134,7 @@ def _configure(compressor, entries: list[str], check: bool = False) -> bool:
             return False
         key, _, raw = entry.partition("=")
         options.set(key, _parse_option_value(raw))
-    if len(options) and ((check and compressor.check_options(options) != 0)
-                         or compressor.set_options(options) != 0):
+    if len(options) and compressor.set_options(options) != 0:
         print(f"error: {compressor.error_msg()}", file=sys.stderr)
         return False
     return True
@@ -390,7 +389,7 @@ def run(argv: list[str] | None = None) -> int:
         _print_options("configuration", compressor.get_configuration())
         return 0
 
-    if not _configure(compressor, args.option, check=True):
+    if not _configure(compressor, args.option):
         return 2
 
     if args.print_options:

@@ -26,13 +26,11 @@ class Widget(Configurable):
         return opts
 
     def _set_options(self, options: PressioOptions) -> None:
-        self.knob = float(self._take(options, self._qualify("knob"),
-                                     OptionType.DOUBLE, self.knob))
-
-    def _check_options(self, options: PressioOptions) -> None:
-        value = options.get(self._qualify("knob"))
-        if value is not None and float(value) < 0:
+        knob = float(self._take(options, self._qualify("knob"),
+                                OptionType.DOUBLE, self.knob))
+        if knob < 0:
             raise InvalidOptionError("knob must be non-negative")
+        self.knob = knob
 
 
 class TestNaming:

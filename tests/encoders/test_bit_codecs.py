@@ -14,13 +14,21 @@ from repro.encoders.rle import rle_decode, rle_encode
 
 
 class TestFixedPacking:
-    """Fixed-width bulk packing: BitWriter.write_values / BitReader.read_values."""
+    """Fixed-width packing through the scalar ``BitWriter.write`` /
+    ``BitReader.read``, one value per call."""
 
     @staticmethod
     def _pack(values, width):
         w = BitWriter()
-        w.write_values(values, width)
+        for v in values:
+            w.write(int(v), width)
         return w.getvalue()
+
+    @staticmethod
+    def _unpack(packed, count, width):
+        r = BitReader(packed)
+        return np.array([r.read(width) for _ in range(count)],
+                        dtype=np.uint64)
 
     @pytest.mark.parametrize("width", [1, 3, 8, 13, 32, 50, 64])
     def test_roundtrip(self, width):
@@ -28,11 +36,11 @@ class TestFixedPacking:
         mask = np.uint64((1 << width) - 1) if width < 64 else np.uint64(2**64 - 1)
         v = rng.integers(0, 2**63, size=257, dtype=np.uint64) & mask
         packed = self._pack(v, width)
-        assert np.array_equal(BitReader(packed).read_values(v.size, width), v)
+        assert np.array_equal(self._unpack(packed, v.size, width), v)
 
     def test_zero_width(self):
         assert self._pack(np.arange(5, dtype=np.uint64), 0) == b""
-        assert np.array_equal(BitReader(b"").read_values(5, 0), np.zeros(5))
+        assert np.array_equal(self._unpack(b"", 5, 0), np.zeros(5))
 
     def test_packed_size(self):
         packed = self._pack(np.zeros(10, dtype=np.uint64), 7)
@@ -42,12 +50,12 @@ class TestFixedPacking:
         with pytest.raises(ValueError):
             self._pack(np.zeros(1, dtype=np.uint64), 65)
         with pytest.raises(ValueError):
-            BitReader(b"\xff").read_values(1, 65)
+            BitReader(b"\xff" * 9).read(65)
 
     def test_truncates_to_width(self):
         v = np.array([0b1111], dtype=np.uint64)
         packed = self._pack(v, 2)
-        assert BitReader(packed).read_values(1, 2)[0] == 0b11
+        assert self._unpack(packed, 1, 2)[0] == 0b11
 
 
 class TestVarwidthPacking:
@@ -94,12 +102,6 @@ class TestBitReaderWriter:
         r.read(8)
         with pytest.raises(ValueError):
             r.read(1)
-
-    def test_read_bits_raw(self):
-        w = BitWriter()
-        w.write_bits(np.array([1, 0, 1, 1], dtype=np.uint8))
-        r = BitReader(w.getvalue())
-        assert list(r.read_bits(4)) == [1, 0, 1, 1]
 
 
 class TestHuffman:

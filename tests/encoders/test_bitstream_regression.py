@@ -1,47 +1,43 @@
 """Regression tests for the sequential bit IO edge cases.
 
-Pinned behaviours: zero-length arrays round-trip as no-ops (no spurious
-padding bits, no errors), and widths above 32 — which overflow a naive
-int32 weight table — round-trip every bit up to full 64-bit values.
+Pinned behaviours: zero-width fields are no-ops on both sides (no
+spurious padding bits, no errors), widths above 32 — which overflow a
+naive int32 weight table — round-trip every bit up to full 64-bit
+values, and reading past the end raises.
 """
 
 import numpy as np
 import pytest
 
-from repro.encoders.bitstream import BitReader, BitWriter
+from repro.encoders.bitstream import BitReader, BitWriter, pack_varwidth
+
+
+def _wide_values(width: int, count: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    mask = np.uint64(2 ** 64 - 1) if width == 64 else np.uint64(
+        (1 << width) - 1)
+    values = rng.integers(0, 2 ** 63, count, dtype=np.uint64) & mask
+    values[0] = mask  # all-ones extreme
+    values[1] = 0
+    return values
 
 
 class TestZeroLength:
-    def test_write_bits_empty_is_noop(self):
+    def test_zero_width_write_is_noop(self):
         w = BitWriter()
-        w.write_bits(np.zeros(0, dtype=np.uint8))
+        w.write(12345, 0)
         assert w.bit_length == 0
         assert w.getvalue() == b""
 
-    def test_write_values_empty_is_noop(self):
-        w = BitWriter()
-        w.write_values(np.zeros(0, dtype=np.uint64), 37)
-        w.write_values(np.arange(5, dtype=np.uint64), 0)
-        assert w.bit_length == 0
-        assert w.getvalue() == b""
-
-    def test_read_bits_zero_count(self):
+    def test_zero_width_read_consumes_nothing(self):
         r = BitReader(b"\xff")
-        out = r.read_bits(0)
-        assert out.size == 0
-        assert r.position == 0
-
-    def test_read_values_zero_count_and_zero_width(self):
-        r = BitReader(b"\xff")
-        assert BitReader(b"").read_values(0, 13).size == 0
-        assert np.array_equal(r.read_values(3, 0),
-                              np.zeros(3, dtype=np.uint64))
+        assert r.read(0) == 0
         assert r.position == 0
 
     def test_empty_buffer_reader(self):
         r = BitReader(b"")
         assert r.remaining == 0
-        assert r.read_bits(0).size == 0
+        assert r.read(0) == 0
         with pytest.raises(ValueError):
             r.read(1)
 
@@ -49,44 +45,29 @@ class TestZeroLength:
 class TestWideWidths:
     @pytest.mark.parametrize("width", [33, 40, 57, 63, 64])
     def test_write_read_values_roundtrip(self, width):
-        rng = np.random.default_rng(width)
-        mask = np.uint64(2 ** 64 - 1) if width == 64 else np.uint64(
-            (1 << width) - 1)
-        values = rng.integers(0, 2 ** 63, 101, dtype=np.uint64) & mask
-        values[0] = mask  # all-ones extreme
-        values[1] = 0
+        values = _wide_values(width, 101, width)
         w = BitWriter()
-        w.write_values(values, width)
+        for v in values:
+            w.write(int(v), width)
         assert w.bit_length == width * values.size
         r = BitReader(w.getvalue())
-        assert np.array_equal(r.read_values(values.size, width), values)
+        assert [r.read(width) for _ in values] == [int(v) for v in values]
 
     @pytest.mark.parametrize("width", [33, 48, 64])
     def test_scalar_write_matches_bulk(self, width):
-        rng = np.random.default_rng(width + 1)
-        mask = np.uint64(2 ** 64 - 1) if width == 64 else np.uint64(
-            (1 << width) - 1)
-        values = rng.integers(0, 2 ** 63, 17, dtype=np.uint64) & mask
-        bulk, scalar = BitWriter(), BitWriter()
-        bulk.write_values(values, width)
+        """The scalar writer and the vectorized ``pack_varwidth`` emit
+        the same bytes for wide fixed-width fields."""
+        values = _wide_values(width, 17, width + 1)
+        scalar = BitWriter()
         for v in values:
             scalar.write(int(v), width)
-        assert bulk.getvalue() == scalar.getvalue()
-
-    def test_write_bits_then_wide_values_mixed(self):
-        """Interleaving raw bits with >32-bit fields keeps alignment."""
-        w = BitWriter()
-        prefix = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        w.write_bits(prefix)
-        w.write_values(np.array([2 ** 53 + 12345], dtype=np.uint64), 54)
-        r = BitReader(w.getvalue())
-        assert np.array_equal(r.read_bits(5), prefix)
-        assert int(r.read_values(1, 54)[0]) == 2 ** 53 + 12345
+        bulk = pack_varwidth(values, np.full(values.size, width))
+        assert bulk == scalar.getvalue()
 
     def test_exhaustion_raises(self):
         w = BitWriter()
-        w.write_values(np.array([7], dtype=np.uint64), 40)
+        w.write(7, 40)
         r = BitReader(w.getvalue())
-        r.read_values(1, 40)
+        assert r.read(40) == 7
         with pytest.raises(ValueError):
-            r.read_values(1, 40)
+            r.read(40)
