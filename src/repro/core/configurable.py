@@ -17,7 +17,7 @@ from typing import Any
 from .options import CastLevel, Option, OptionType, PressioOptions
 from .status import InvalidOptionError, PressioError, Status
 
-__all__ = ["Configurable", "ThreadSafety", "Stability"]
+__all__ = ["Configurable", "ThreadSafety", "Stability", "set_each"]
 
 
 class ThreadSafety:
@@ -78,8 +78,20 @@ class Configurable:
 
         Raise (``InvalidOptionError``, or a native's ``ValueError``) on
         an unusable value; :meth:`set_options` then undoes what this
-        call applied, and :meth:`check_options` reports the same error.
+        call applied through :meth:`_restore`, and :meth:`check_options`
+        reports the same error.
         """
+
+    def _restore(self, before: PressioOptions) -> None:
+        """Undo a rejected :meth:`_set_options` by re-applying ``before``,
+        the options this plugin held before the call.
+
+        A plugin that forwards options to child plugins overrides this:
+        ``before`` merges the children's options, so a key two children
+        share holds one child's value only.  Such a plugin's
+        ``_set_options`` undoes its children itself (:func:`set_each`).
+        """
+        self._set_options(before)
 
     def _configuration(self) -> PressioOptions:
         """Read-only facts: thread safety, stability, version, ..."""
@@ -108,22 +120,32 @@ class Configurable:
         Unknown keys are ignored (so one options set can configure a whole
         pipeline of plugins), but keys *belonging to this plugin* with
         incompatible types or unusable values return an error.  A set is
-        all-or-nothing: when any entry is rejected, the options held
-        before the call are re-applied, so a rejected set changes nothing.
+        all-or-nothing: when any entry is rejected, :meth:`_restore`
+        undoes what was applied, so a rejected set changes nothing.
         """
         options = _as_options(options)
         self.status.clear()
         before = self._options()
         try:
             self._validate_known_types(options, before)
+        except Exception as e:  # noqa: BLE001 - C-style status capture
+            # rejected before anything was applied: nothing to undo
+            self.status.set_from(e)
+            return int(self.status.code)
+        try:
             self._set_options(options)
         except Exception as e:  # noqa: BLE001 - C-style status capture
-            self._set_options(before)
             if isinstance(e, (ValueError, OverflowError)):
                 # a native's own domain check, typed as compress types it
                 e = InvalidOptionError(
                     f"{self.get_name()} rejected the options: {e}")
             self.status.set_from(e)
+            try:
+                self._restore(before)
+            except Exception as undo:  # noqa: BLE001
+                self.status.set_from(PressioError(
+                    f"{self.status.msg}; restoring the earlier options "
+                    f"failed: {undo}", self.status.code))
             return int(self.status.code)
         return 0
 
@@ -153,7 +175,8 @@ class Configurable:
         dup = type(self)()
         if self._name is not None:
             dup.set_name(self._name)
-        if dup.set_options(self.get_options()) != 0:
+        # _options(), not get_options(): a clone fires no metrics hook
+        if dup.set_options(self._options()) != 0:
             dup._discard()
             raise PressioError(f"clone failed: {dup.status.msg}",
                                dup.status.code)
@@ -219,6 +242,24 @@ class Configurable:
 
     def __repr__(self) -> str:
         return f"<{self.plugin_kind} {self.get_name()!r}>"
+
+
+def set_each(children, options: PressioOptions | dict) -> None:
+    """Apply ``options`` to every child plugin, or to none of them.
+
+    Each child's own set is all-or-nothing.  When one rejects, the
+    children that accepted get back what they held, each from its own
+    snapshot, and the rejection is raised with that child's code and
+    message.
+    """
+    accepted = []
+    for child in children:
+        before = child._options()
+        if child.set_options(options) != 0:
+            for earlier, snapshot in reversed(accepted):
+                earlier.set_options(snapshot)
+            raise PressioError(child.error_msg(), child.error_code())
+        accepted.append((child, before))
 
 
 def _as_options(options: PressioOptions | dict) -> PressioOptions:

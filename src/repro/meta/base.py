@@ -13,6 +13,7 @@ from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_registry
+from ..core.status import PressioError
 
 __all__ = ["MetaCompressor"]
 
@@ -37,10 +38,14 @@ class MetaCompressor(PressioCompressor):
 
     def set_inner(self, compressor_id: str) -> None:
         if compressor_id != self._inner_id:
-            replaced = self._inner
-            self._inner = compressor_registry.create(compressor_id)
-            self._inner_id = compressor_id
-            replaced.decref()
+            self._adopt(compressor_registry.create(compressor_id),
+                        compressor_id)
+
+    def _adopt(self, inner: PressioCompressor, compressor_id: str) -> None:
+        replaced = self._inner
+        self._inner = inner
+        self._inner_id = compressor_id
+        replaced.decref()
 
     def _release_native(self) -> None:
         # the meta owns its inner plugin's reference
@@ -64,15 +69,27 @@ class MetaCompressor(PressioCompressor):
         return opts.merge(self._inner.get_options())
 
     def _set_options(self, options: PressioOptions) -> None:
+        # a new inner plugin replaces the old one only once it accepted
+        # the options; the inner's own set is all-or-nothing
         inner_id = options.get(self._option_key())
-        if inner_id is not None:
-            self.set_inner(str(inner_id))
-        self._set_meta_options(options)
-        rc = self._inner.set_options(options)
-        if rc != 0:
-            from ..core.status import InvalidOptionError
+        inner = self._inner
+        if inner_id is not None and str(inner_id) != self._inner_id:
+            inner = compressor_registry.create(str(inner_id))
+        try:
+            self._set_meta_options(options)
+            if inner.set_options(options) != 0:
+                raise PressioError(inner.error_msg(), inner.error_code())
+        except BaseException:
+            if inner is not self._inner:
+                inner.decref()
+            raise
+        if inner is not self._inner:
+            self._adopt(inner, str(inner_id))
 
-            raise InvalidOptionError(self._inner.error_msg())
+    def _restore(self, before: PressioOptions) -> None:
+        # the inner plugin undid itself in _set_options; only the
+        # meta-compressor's own options are left to undo
+        self._set_meta_options(before)
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()

@@ -10,11 +10,11 @@ remain decompressible after the active id changes.
 from __future__ import annotations
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety
+from ..core.configurable import Stability, ThreadSafety, set_each
 from ..core.data import PressioData
 from ..core.options import PressioOptions
 from ..core.registry import compressor_plugin, compressor_registry
-from ..core.status import CorruptStreamError, InvalidOptionError
+from ..core.status import CorruptStreamError
 from ..core.dtype import DType
 from ..encoders.headers import read_header, write_header
 from ..trace import runtime as _trace
@@ -72,15 +72,25 @@ class SwitchCompressor(PressioCompressor):
         added = {cid: compressor_registry.create(cid)
                  for cid in dict.fromkeys(wanted)
                  if cid not in self._candidates}
-        for comp in [*self._candidates.values(), *added.values()]:
-            if comp.set_options(options) != 0:
-                for new in added.values():
-                    new.decref()
-                raise InvalidOptionError(comp.error_msg())
+        try:
+            set_each([*self._candidates.values(), *added.values()], options)
+        except BaseException:
+            for new in added.values():
+                new.decref()
+            raise
         self._candidates.update(added)
         self._candidate_ids.extend(added)
         if active is not None:
             self._active = str(active)
+
+    def _restore(self, before: PressioOptions) -> None:
+        # _set_options undid every candidate from its own snapshot
+        pass
+
+    def _release_native(self) -> None:
+        # the switch owns a reference to each of its candidates
+        for comp in self._candidates.values():
+            comp.decref()
 
     def _thread_safety(self) -> str | None:
         return self.active._thread_safety()

@@ -12,6 +12,7 @@ meta-compressor drives.
 
 from __future__ import annotations
 
+from ..core.configurable import set_each
 from ..core.data import PressioData
 from ..core.metrics import PressioMetrics
 from ..core.options import PressioOptions
@@ -57,24 +58,18 @@ class CompositeMetrics(PressioMetrics):
         for p in self.plugins:
             p.begin_set_options(options)
 
-    def get_options(self) -> PressioOptions:
+    def _options(self) -> PressioOptions:
         merged = PressioOptions()
         for p in self.plugins:
             merged = merged.merge(p.get_options())
         return merged
 
-    def set_options(self, options) -> int:
-        """All-or-nothing across the children: the first rejection is
-        reported and every child gets its earlier options back."""
-        self.status.clear()
-        before = self.get_options()
-        for p in self.plugins:
-            if p.set_options(options) != 0:
-                self.status.set(p.status.code, p.status.msg)
-                for q in self.plugins:
-                    q.set_options(before)
-                break
-        return int(self.status.code)
+    def _set_options(self, options: PressioOptions) -> None:
+        set_each(self.plugins, options)
+
+    def _restore(self, before: PressioOptions) -> None:
+        # _set_options undid every child from its own snapshot
+        pass
 
     def get_metrics_results(self) -> PressioOptions:
         merged = PressioOptions()

@@ -12,6 +12,7 @@ from repro.compressors import sz as sz_plugin
 from repro.core import (InvalidOptionError, OptionType, PressioError,
                         PressioOptions)
 from repro.core.configurable import Configurable
+from repro.core.metrics import PressioMetrics
 from repro.core.registry import (compressor_registry, io_registry,
                                  metrics_registry)
 from repro.core.status import ErrorCode
@@ -80,6 +81,81 @@ class TestRejectedSetKeepsState:
         assert comp.get_options() == before
 
 
+class _Knob(Configurable):
+    plugin_id = "knob"
+
+    def __init__(self):
+        super().__init__()
+        self.value = 1.0
+
+    def _options(self):
+        opts = PressioOptions()
+        opts.set("knob:value", float(self.value))
+        return opts
+
+    def _set_options(self, options):
+        value = self._take(options, "knob:value", OptionType.DOUBLE,
+                           self.value)
+        if value < 0:
+            raise InvalidOptionError("knob:value must be >= 0")
+        self.value = value
+
+
+class TestSwitchCandidates:
+    """A switch's merged options give a key its candidates share one
+    candidate's value; a rejected set or check must not spread it."""
+
+    REJECTED = [{"zfp:accuracy": "abc"},   # type error, nothing applied
+                {"zfp:accuracy": -1.0},    # zfp rejects after sz took it
+                {"switch:active_id": "sz", "pressio:abs": -1.0}]
+
+    @staticmethod
+    def _switch():
+        comp = compressor_registry.create("switch")
+        assert comp.set_options(
+            {"switch:compressor_ids": ["noop", "sz", "zfp"]}) == 0
+        return comp
+
+    @staticmethod
+    def _sz_bound(comp):
+        return comp._candidates["sz"].get_options().get("sz:abs_err_bound")
+
+    @pytest.mark.parametrize("options", REJECTED, ids=str)
+    def test_rejected_set_keeps_each_candidate(self, options):
+        comp = self._switch()
+        before, bound = comp.get_options(), self._sz_bound(comp)
+        assert comp.set_options(options) == ErrorCode.INVALID_OPTION
+        assert self._sz_bound(comp) == bound
+        assert comp.get_options() == before
+
+    @pytest.mark.parametrize("options", REJECTED, ids=str)
+    def test_rejected_check_keeps_each_candidate(self, options):
+        comp = self._switch()
+        bound = self._sz_bound(comp)
+        assert comp.check_options(options) == ErrorCode.INVALID_OPTION
+        assert self._sz_bound(comp) == bound
+
+    def test_meta_over_switch_keeps_each_candidate(self):
+        comp = compressor_registry.create("chunking")
+        assert comp.set_options({
+            "chunking:compressor": "switch",
+            "switch:compressor_ids": ["noop", "sz", "zfp"]}) == 0
+        bound = self._sz_bound(comp.inner)
+        assert comp.set_options({"zfp:accuracy": -1.0}) != 0
+        assert comp.set_options({"chunking:chunk_size": 0}) != 0
+        assert self._sz_bound(comp.inner) == bound
+
+
+class TestRestore:
+    def test_a_failed_restore_still_reports_the_rejection(self):
+        knob = _Knob()
+        knob.value = -1.0  # a state no set could have produced
+        rc = knob.set_options({"knob:value": -2.0})
+        assert rc == ErrorCode.INVALID_OPTION
+        assert knob.error_msg().startswith("knob:value must be >= 0")
+        assert "restoring the earlier options failed" in knob.error_msg()
+
+
 class TestClone:
     def test_clone_keeps_the_instance_name(self):
         comp = compressor_registry.create("chunking")
@@ -90,26 +166,7 @@ class TestClone:
         assert dup.get_options().get("c1:nthreads") == 3
 
     def test_clone_failure_is_typed(self):
-        class Knob(Configurable):
-            plugin_id = "knob"
-
-            def __init__(self):
-                super().__init__()
-                self.value = 1.0
-
-            def _options(self):
-                opts = PressioOptions()
-                opts.set("knob:value", float(self.value))
-                return opts
-
-            def _set_options(self, options):
-                value = self._take(options, "knob:value", OptionType.DOUBLE,
-                                   self.value)
-                if value < 0:
-                    raise InvalidOptionError("knob:value must be >= 0")
-                self.value = value
-
-        knob = Knob()
+        knob = _Knob()
         knob.value = -1.0  # a state no set could have produced
         with pytest.raises(PressioError) as info:
             knob.clone()
@@ -133,6 +190,15 @@ class TestNativeReferences:
         assert comp.check_options({"chunking:chunk_size": 0}) != 0
         assert sz_plugin._refcount == held
 
+    def test_switch_check_releases_the_trial_and_its_candidates(self):
+        comp = compressor_registry.create("switch")
+        assert comp.set_options(
+            {"switch:compressor_ids": ["noop", "sz", "zfp"]}) == 0
+        held = sz_plugin._refcount
+        assert comp.check_options({"pressio:abs": 1e-3}) == 0
+        assert comp.check_options({"zfp:accuracy": -1.0}) != 0
+        assert sz_plugin._refcount == held
+
     def test_replacing_an_inner_plugin_releases_it(self):
         comp = compressor_registry.create("chunking")
         assert comp.set_options({"chunking:compressor": "sz"}) == 0
@@ -152,6 +218,25 @@ class TestCompositeMetrics:
         assert metrics.set_options(options) == ErrorCode.INVALID_OPTION
         assert "csv_logger:mode" in metrics.error_msg()
         assert metrics.get_options() == before
+
+
+def test_check_fires_no_metrics_hook(library):
+    """A check's trial is built from the options without
+    ``get_options``, so the caller's metrics see no get_options call."""
+    calls = []
+
+    class Probe(PressioMetrics):
+        def begin_get_options(self):
+            calls.append("get")
+
+        def begin_set_options(self, options):
+            calls.append("set")
+
+    comp = compressor_registry.create("zfp")
+    comp.set_metrics(Probe())
+    assert comp.check_options({"zfp:accuracy": 1e-3}) == 0
+    assert comp.check_options({"zfp:accuracy": -1.0}) != 0
+    assert calls == []
 
 
 def _registry_ids():
