@@ -68,6 +68,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # is a set on a clone; no gain claimed) against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 6bd5571 \\
         --output benchmarks/BENCH_option_transaction_e2e.json
+    # the unmargined entropy gate and the NIBBLE plane split against
+    # the revision before them
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 73aa2bc \\
+        --output benchmarks/BENCH_entropy_v3_e2e.json
 """
 
 from __future__ import annotations

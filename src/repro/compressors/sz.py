@@ -49,6 +49,28 @@ def _release_sz() -> None:
             native_sz.SZ_Finalize()
 
 
+#: options of SZ's API that ``sz_params`` stores but our native does not
+#: consult: option key -> (``sz_params`` field, option type)
+_STORED_ONLY = {
+    "sz:max_quant_intervals": ("max_quant_intervals", OptionType.INT64),
+    "sz:quantization_intervals": ("quantization_intervals",
+                                  OptionType.INT64),
+    "sz:sample_distance": ("sampleDistance", OptionType.INT64),
+    "sz:pred_threshold": ("predThreshold", OptionType.DOUBLE),
+    "sz:segment_size": ("segment_size", OptionType.INT64),
+    "sz:snapshot_cmpr_step": ("snapshotCmprStep", OptionType.INT64),
+    "sz:with_regression": ("withRegression", OptionType.INT64),
+    "sz:protect_value_range": ("protectValueRange", OptionType.INT64),
+    "sz:accelerate_pw_rel_compression": ("accelerate_pw_rel_compression",
+                                         OptionType.INT64),
+    "sz:plus_bits": ("plus_bits", OptionType.INT64),
+    "sz:random_access": ("randomAccess", OptionType.INT64),
+    "sz:data_endian_type": ("dataEndianType", OptionType.INT64),
+}
+#: how each option type's value is stored and reported
+_CASTS = {OptionType.INT64: np.int64, OptionType.DOUBLE: float}
+
+
 @compressor_plugin("sz")
 class SZCompressor(StagedCompressor):
     """Error-bounded lossy compression via the SZ-family pipeline."""
@@ -79,19 +101,8 @@ class SZCompressor(StagedCompressor):
         opts.set("sz:lossless_compressor", p.losslessCompressor)
         opts.set("sz:entropy_coder", p.entropyCoder)
         opts.set("sz:prediction_mode", p.predictionMode)
-        opts.set("sz:max_quant_intervals", np.int64(p.max_quant_intervals))
-        opts.set("sz:quantization_intervals", np.int64(p.quantization_intervals))
-        opts.set("sz:sample_distance", np.int64(p.sampleDistance))
-        opts.set("sz:pred_threshold", float(p.predThreshold))
-        opts.set("sz:segment_size", np.int64(p.segment_size))
-        opts.set("sz:snapshot_cmpr_step", np.int64(p.snapshotCmprStep))
-        opts.set("sz:with_regression", np.int64(p.withRegression))
-        opts.set("sz:protect_value_range", np.int64(p.protectValueRange))
-        opts.set("sz:accelerate_pw_rel_compression",
-                 np.int64(p.accelerate_pw_rel_compression))
-        opts.set("sz:plus_bits", np.int64(p.plus_bits))
-        opts.set("sz:random_access", np.int64(p.randomAccess))
-        opts.set("sz:data_endian_type", np.int64(p.dataEndianType))
+        for key, (field, otype) in _STORED_ONLY.items():
+            opts.set(key, _CASTS[otype](getattr(p, field)))
         # cross-compressor common options (paper Section IV-B)
         if p.errorBoundMode == native_sz.ABS:
             opts.set("pressio:abs", float(p.absErrBound))
@@ -138,6 +149,9 @@ class SZCompressor(StagedCompressor):
                                         OptionType.STRING, p.entropyCoder)),
             predictionMode=str(self._take(options, "sz:prediction_mode",
                                           OptionType.STRING, p.predictionMode)),
+            **{field: _CASTS[otype](self._take(options, key, otype,
+                                               getattr(p, field)))
+               for key, (field, otype) in _STORED_ONLY.items()},
         )
         # cross-compressor aliases override the specific fields
         if "pressio:abs" in options and options.get("pressio:abs") is not None:
@@ -178,6 +192,9 @@ class SZCompressor(StagedCompressor):
         docs.set("sz:entropy_coder", "residual coder: fast or huffman")
         docs.set("sz:prediction_mode",
                  "lorenzo, none, regression, or adaptive (SZ 2.x per-block\n                 regression selection)")
+        for key in _STORED_ONLY:
+            docs.set(key, "kept for SZ API parity: stored and reported, "
+                          "not consulted by this native")
         docs.set("pressio:abs", "cross-compressor absolute error bound")
         docs.set("pressio:rel", "cross-compressor value-range relative bound")
         return docs

@@ -8,7 +8,7 @@ stream formats live here:
   signed width that holds their range, zigzag mapped in that width, and
   the codes are split into little-endian *byte planes*; only the planes
   up to the largest code's byte length are stored, and each plane
-  independently picks the cheapest of five encodings from byte
+  independently picks the cheapest of six encodings from byte
   statistics computed in single vectorized passes:
 
   - ``CONST`` — every byte equal: 1 byte;
@@ -18,20 +18,32 @@ stream formats live here:
     (32·w bits is always whole bytes), eight values per uint64 word;
   - ``ZLIB`` — DEFLATE, with the strategy chosen per plane: planes
     made of runs (bytes equal to their predecessor) go straight to
-    ``Z_RLE``, the rest to ``Z_HUFFMAN_ONLY`` — tried only when a
-    byte-histogram entropy estimate predicts it beats the structural
-    encodings by enough to be worth its CPU cost — and a run fraction
-    in the band between the two is settled by deflating a small
-    sample both ways.  High effort levels try every strategy and keep
-    the smallest.  Any zlib stream decodes the same way, so the choice
-    changes what the encoder writes, not the format.
+    ``Z_RLE``, the rest to ``Z_HUFFMAN_ONLY``, and a run fraction in
+    the band between the two is settled by deflating a small sample
+    both ways.  High effort levels try every strategy and keep the
+    smallest.  Any zlib stream decodes the same way, so the choice
+    changes what the encoder writes, not the format;
+  - ``NIBBLE`` — the plane's low nibbles, two per byte, stored raw;
+    any odd last byte; then its high nibbles, two per byte, deflated
+    Huffman-only.  It is for noise planes: when a byte's low nibble
+    still carries ``_SPLIT_BITS`` of its four bits once its high
+    nibble is known, Huffman coding it gains next to nothing, so low
+    effort deflates only the high half, in half the time.  High effort
+    also deflates the whole plane and keeps the smaller.
+
+  The entropy gate: a plane left to Huffman-only builds one byte
+  histogram, and deflate (split or whole) is attempted whenever the
+  first-order entropy estimate from it undercuts the plane's best
+  structural cost (RAW or SPARSE).  A winning deflate body skips the
+  BITPACK width scan.  The split's conditional entropy folds out of
+  the same histogram.
 
   A plane's nonzero count alone settles the empty planes and, at low
   effort, the near-empty ones that no deflate stream can undercut
   (SPARSE); its run count settles the constant ones (CONST) and the
-  deflate strategy.  Only planes bound for Huffman-only deflate build
-  a byte histogram, from one ``bincount`` over the plane's uint16 pair
-  view.
+  deflate strategy.  Only planes bound for Huffman-only deflate (at
+  high effort, every plane not settled by then) build the histogram,
+  from one ``bincount`` over the plane's uint16 pair view.
 
   Decode rebuilds the codes in the narrowest unsigned dtype the plane
   count allows and widens them to int64 once.  Both directions run on
@@ -160,6 +172,7 @@ _P_RAW = 1
 _P_SPARSE = 2
 _P_BITPACK = 3
 _P_ZLIB = 4
+_P_NIBBLE = 5
 
 _CHUNK = 32  # values per BITPACK chunk; 32*w bits is always whole bytes
 
@@ -175,6 +188,10 @@ _RLE_SURE = 0.6
 _RLE_NEVER = 0.3
 #: bytes of the sampled trial: four strided slices of a quarter each
 _SAMPLE = 8192
+#: entropy of a byte's low nibble given its high nibble (bits of 4) at
+#: and above which a plane bound for Huffman-only deflate is split: its
+#: low nibbles are stored raw and only its high nibbles deflated (NIBBLE)
+_SPLIT_BITS = 3.8
 
 #: bit length of every possible byte value, for vectorized width lookup
 _BITLEN8 = np.array([int(v).bit_length() for v in range(256)],
@@ -319,6 +336,42 @@ def _byte_histogram(plane: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _entropy(counts: np.ndarray, n: int) -> float:
+    """Bits per symbol of a histogram of ``n`` symbols."""
+    probs = counts[counts > 0] / n
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def _split_nibbles(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plane's low and high nibbles, each packed two per byte.
+
+    Byte ``i`` of either half holds the nibble of plane byte ``2i`` in
+    its low four bits and that of byte ``2i + 1`` in its high four; an
+    odd last byte is left out.  On the little-endian byte pairs, a
+    0x0F0F mask leaves the pair's two nibbles eight bits apart, and
+    OR-ing the word with itself shifted right by four packs them into
+    its low byte.
+    """
+    pairs = plane[:plane.size - plane.size % 2].view("<u2")
+    word = np.bitwise_and(pairs, 0x0F0F)
+    fold = np.right_shift(word, 4)
+    low = np.bitwise_or(word, fold, out=word).astype(np.uint8)
+    np.right_shift(pairs, 4, out=word)
+    np.bitwise_and(word, 0x0F0F, out=word)
+    np.right_shift(word, 4, out=fold)
+    high = np.bitwise_or(word, fold, out=word).astype(np.uint8)
+    return low, high
+
+
+def _nibble_plane(plane: np.ndarray) -> bytes:
+    """NIBBLE body: the packed low nibbles raw, any odd last byte, then
+    the packed high nibbles deflated Huffman-only."""
+    low, high = _split_nibbles(plane)
+    tail = plane[-1:].tobytes() if plane.size % 2 else b""
+    return b"".join([low.tobytes(), tail,
+                     _deflate(high, zlib.Z_HUFFMAN_ONLY)])
+
+
 def _encode_plane(plane: np.ndarray, level: int,
                   allow_zlib: bool) -> tuple[int, bytes]:
     """Pick the cheapest encoding for one contiguous uint8 plane.
@@ -327,7 +380,8 @@ def _encode_plane(plane: np.ndarray, level: int,
     ones outright; otherwise the run count settles constant planes
     and, at low effort, picks the deflate strategy.  A plane made of
     runs goes straight to ``Z_RLE``; the rest take one byte histogram
-    for the entropy estimate that gates Huffman-only deflate.  The
+    for the entropy estimate that gates Huffman-only deflate and for
+    the conditional entropy that sends noise planes to NIBBLE.  The
     per-chunk maxima reshape the plane in place when the length is a
     whole number of chunks (the common case for block-sized buffers),
     so the scratch copy only happens on ragged tails.
@@ -355,38 +409,49 @@ def _encode_plane(plane: np.ndarray, level: int,
     # can have best <= _deflate_floor(n); and a plane left to
     # Huffman-only (under 60 % runs) has over n/5 nonzero bytes, so its
     # best is RAW, far above the bit per byte Huffman-only spends
+    split = False
     if allow_zlib and level <= 4 and _rle_first(plane, runs):
         attempt, strategy = True, zlib.Z_RLE
     elif allow_zlib:
         strategy = zlib.Z_HUFFMAN_ONLY
-        if n < 1024 or (level > 4 and runs >= _RLE_NEVER * n):
+        if n < 1024:
             # tiny plane: DEFLATE costs microseconds and the
             # first-order entropy estimate misses run/positional
-            # structure, so just try it; high effort tries every plane
-            # that low effort might deflate with Z_RLE
+            # structure, so just try it
             attempt = True
         else:
             counts = _byte_histogram(plane)
-            probs = counts[counts > 0] / n
-            entropy = float(-(probs * np.log2(probs)).sum())
+            entropy = _entropy(counts, n)
             estimate = n * entropy / 8.0 * 1.05 + 12
+            # bits a low nibble adds once its high nibble is known: the
+            # split stores four, so it pays only where that is near four
+            high_bits = _entropy(counts.reshape(16, 16).sum(axis=1), n)
+            split = entropy - high_bits >= _SPLIT_BITS
             # DEFLATE is one C call — cheaper than even *scanning* the
             # plane for a BITPACK body — so try it whenever the
-            # first-order estimate says it can win outright; at low
-            # effort demand real slack so near-incompressible planes
-            # (the usual LSB noise plane) skip straight to RAW
-            margin = 0.8 if level <= 4 else 1.0
-            attempt = estimate < margin * best
+            # first-order estimate undercuts the structural best; high
+            # effort also tries every plane that low effort might
+            # deflate with Z_RLE
+            attempt = estimate < best or (level > 4
+                                          and runs >= _RLE_NEVER * n)
     else:
         attempt = False
     if attempt:
-        blob = _deflate_plane(plane, level, strategy)
+        # a noisy low nibble costs Huffman coding CPU for nothing, so
+        # low effort deflates only the high half; high effort tries the
+        # whole plane too and keeps the smaller
+        blobs = []
+        if split:
+            blobs.append((_P_NIBBLE, _nibble_plane(plane)))
+        if not split or level > 4:
+            blobs.append((_P_ZLIB, _deflate_plane(plane, level, strategy)))
+        tag, blob = min(blobs, key=lambda b: len(b[1]))
         if len(blob) < best:
             # a winning DEFLATE body skips the chunk-width scan
             # entirely; BITPACK only out-costs it on planes whose
             # chunks are locally narrow but globally diverse, and
-            # those have few runs and fail the entropy gate above
-            return _P_ZLIB, blob
+            # those have a flat byte histogram that fails the gate
+            return tag, blob
     if sparse_cost <= (nchunks + 1) // 2:
         # BITPACK's width nibbles alone cost that much: skip the scan
         return _sparse_plane(plane)
@@ -562,14 +627,39 @@ def _decode_plane(tag: int, payload: memoryview, n: int,
     elif tag == _P_BITPACK:
         _bitunpack_chunks(payload, n, out)
     elif tag == _P_ZLIB:
-        # inflate at most n bytes: a forged plane cannot balloon
-        inflater = zlib.decompressobj()
-        raw = inflater.decompress(payload, n)
-        if len(raw) != n or inflater.unconsumed_tail or not inflater.eof:
-            raise ValueError("corrupt residual stream: bad zlib plane")
-        out[:] = np.frombuffer(raw, dtype=np.uint8)
+        out[:] = np.frombuffer(_inflate_plane(payload, n), dtype=np.uint8)
+    elif tag == _P_NIBBLE:
+        half, odd = divmod(n, 2)
+        if len(payload) < half + odd:
+            raise ValueError("corrupt residual stream: bad nibble plane")
+        low = np.frombuffer(payload[:half], dtype=np.uint8)
+        high = np.frombuffer(_inflate_plane(payload[half + odd:], half),
+                             dtype=np.uint8)
+        out[0:2 * half:2] = (low & 0x0F) | (high << 4)
+        out[1:2 * half:2] = (low >> 4) | (high & 0xF0)
+        if odd:
+            out[-1] = payload[half]
     else:
         raise ValueError(f"unknown plane encoding {tag}")
+
+
+def _inflate_plane(payload: memoryview, size: int) -> bytes:
+    """Inflate a plane's zlib stream, which must hold exactly ``size``
+    bytes and nothing after it.
+
+    At most ``size + 1`` bytes are inflated, so a forged plane cannot
+    balloon; the one byte of slack shows an overlong stream and keeps
+    zlib from reading a zero cap as "no limit".
+    """
+    inflater = zlib.decompressobj()
+    try:
+        raw = inflater.decompress(payload, size + 1)
+    except zlib.error as e:
+        raise ValueError(f"corrupt residual stream: {e}") from None
+    if (len(raw) != size or not inflater.eof or inflater.unconsumed_tail
+            or inflater.unused_data):
+        raise ValueError("corrupt residual stream: bad zlib plane")
+    return raw
 
 
 # ----------------------------------------------------------------------

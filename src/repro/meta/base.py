@@ -51,6 +51,24 @@ class MetaCompressor(PressioCompressor):
         # the meta owns its inner plugin's reference
         self._inner.decref()
 
+    def clone(self) -> "MetaCompressor":
+        """Structural copy: the inner plugin is the inner's own clone.
+
+        Re-setting a fresh instance from the merged options would
+        re-create the inner by id and hand it every key the merge kept,
+        which for a ``switch`` inner is one candidate's value of a
+        shared key.  Only the meta-compressor's own options are set.
+        """
+        dup = type(self)()
+        if self._name is not None:
+            dup.set_name(self._name)
+        dup._adopt(self._inner.clone(), self._inner_id)
+        if dup.set_options(self._meta_options()) != 0:
+            dup._discard()
+            raise PressioError(f"clone failed: {dup.status.msg}",
+                               dup.status.code)
+        return dup
+
     def _option_key(self) -> str:
         return f"{self.prefix()}:compressor"
 

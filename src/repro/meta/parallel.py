@@ -388,6 +388,11 @@ class ManyIndependentCompressor(_ParallelBase):
             if isinstance(value, (int, float, str, bool, list)):
                 self._picklable_options[key] = value
 
+    def clone(self) -> "ManyIndependentCompressor":
+        dup = super().clone()
+        dup._picklable_options = dict(self._picklable_options)
+        return dup
+
     def _compress(self, input: PressioData) -> PressioData:
         return self._inner.compress(input)
 

@@ -92,6 +92,30 @@ class SwitchCompressor(PressioCompressor):
         for comp in self._candidates.values():
             comp.decref()
 
+    def clone(self) -> "SwitchCompressor":
+        """Structural copy: each candidate is that candidate's clone.
+
+        The merged options cannot be set back: candidates that share a
+        key (``pressio:abs`` and the bounds it maps to) would all get
+        the one value the merge kept.
+        """
+        clones: dict[str, PressioCompressor] = {}
+        try:
+            for cid, comp in self._candidates.items():
+                clones[cid] = comp.clone()
+        except BaseException:
+            for comp in clones.values():
+                comp.decref()
+            raise
+        dup = type(self)()
+        if self._name is not None:
+            dup.set_name(self._name)
+        dup._release_native()  # drops the default noop candidate
+        dup._candidates = clones
+        dup._candidate_ids = list(self._candidate_ids)
+        dup._active = self._active
+        return dup
+
     def _thread_safety(self) -> str | None:
         return self.active._thread_safety()
 

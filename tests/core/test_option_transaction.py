@@ -1,13 +1,16 @@
 """The option transaction: a set is all-or-nothing, a check is that set
-on a clone, and ``clone()`` keeps the instance name.
+on a clone, and ``clone()`` keeps the instance name and copies a
+``switch`` and a meta-compressor's inner plugin structurally.
 
 Every plugin validates in ``_set_options`` alone, so ``check_options``
 and ``set_options`` must agree code for code and message for message,
 and neither a rejected set nor any check may change the plugin.
 """
 
+import numpy as np
 import pytest
 
+from repro import PressioData
 from repro.compressors import sz as sz_plugin
 from repro.core import (InvalidOptionError, OptionType, PressioError,
                         PressioOptions)
@@ -165,6 +168,55 @@ class TestClone:
         assert dup.get_name() == "c1"
         assert dup.get_options().get("c1:nthreads") == 3
 
+    @staticmethod
+    def _max_error(comp, arr):
+        data = PressioData.from_numpy(arr)
+        out = comp.decompress(comp.compress(data),
+                              PressioData.empty(data.dtype, data.dims))
+        return float(np.abs(out.to_numpy() - arr).max())
+
+    def test_switch_clone_keeps_each_candidate_bound(self):
+        """Each candidate is cloned on its own: sz keeps 1e-4 although
+        zfp's 1e-3 is the merged options' ``pressio:abs``."""
+        comp = compressor_registry.create("switch")
+        assert comp.set_options({
+            "switch:compressor_ids": ["noop", "sz", "zfp"],
+            "switch:active_id": "sz", "sz:abs_err_bound": 1e-4,
+            "zfp:accuracy": 1e-3}) == 0
+        dup = comp.clone()
+        assert dup.get_options() == comp.get_options()
+        for cid in ("noop", "sz", "zfp"):
+            assert (dup._candidates[cid].get_options()
+                    == comp._candidates[cid].get_options())
+        arr = np.random.default_rng(3).standard_normal(
+            (32, 32, 32)).cumsum(0)
+        assert self._max_error(dup, arr) <= 1e-4
+
+    def test_threaded_chunking_over_a_switch_keeps_the_bound(self):
+        """Each of the 2 threads compresses through its own clone of
+        the switch, so each needs sz_threadsafe's own bound."""
+        comp = compressor_registry.create("chunking")
+        assert comp.set_options({
+            "chunking:compressor": "switch", "chunking:nthreads": 2,
+            "switch:compressor_ids": ["noop", "sz_threadsafe", "zfp"],
+            "switch:active_id": "sz_threadsafe"}) == 0
+        assert comp.get_options().get("sz:abs_err_bound") == 1e-4
+        arr = np.random.default_rng(3).standard_normal(
+            (64, 64, 64)).cumsum(0).cumsum(1)
+        assert self._max_error(comp, arr) <= 1e-4
+
+    def test_meta_clone_clones_its_inner(self):
+        comp = compressor_registry.create("chunking")
+        assert comp.set_options({"chunking:compressor": "switch",
+                                 "chunking:nthreads": 3,
+                                 "switch:compressor_ids": ["noop", "sz",
+                                                           "zfp"]}) == 0
+        dup = comp.clone()
+        assert dup.inner is not comp.inner
+        assert dup.get_options() == comp.get_options()
+        assert (dup.inner._candidates["sz"].get_options()
+                .get("sz:abs_err_bound") == 1e-4)
+
     def test_clone_failure_is_typed(self):
         knob = _Knob()
         knob.value = -1.0  # a state no set could have produced
@@ -256,3 +308,39 @@ def test_options_round_trip(registry, plugin_id):
     before = plugin.get_options()
     assert plugin.set_options(before) == 0, plugin.error_msg()
     assert plugin.get_options() == before
+
+
+#: a value other than the default for each ``sz:*`` key that is not one
+#: of the stored-only keys (those get ``default + 7`` / ``default / 2``)
+_SZ_VALUES = {"sz:error_bound_mode": 1, "sz:error_bound_mode_str": "rel",
+              "sz:abs_err_bound": 1e-3, "sz:rel_err_bound": 1e-2,
+              "sz:pw_rel_err_bound": 1e-2, "sz:psnr_err_bound": 60.0,
+              "sz:norm_err_bound": 1e-2, "sz:sz_mode": 1,
+              "sz:lossless_compressor": "lzma", "sz:entropy_coder": "huffman",
+              "sz:prediction_mode": "regression"}
+
+
+@pytest.mark.parametrize("key", sorted(
+    k for k in compressor_registry.create("sz").get_options()
+    if k.startswith("sz:")))
+def test_every_sz_option_round_trips(key):
+    """No advertised ``sz:*`` key is accepted and then ignored."""
+    comp = compressor_registry.create("sz")
+    default = comp.get_options().get(key)
+    value = _SZ_VALUES.get(key)
+    if value is None:
+        value = default / 2 if isinstance(default, float) else default + 7
+    assert value != default
+    assert comp.set_options({key: value}) == 0, comp.error_msg()
+    assert comp.get_options().get(key) == value
+
+
+@pytest.mark.parametrize("plugin_id", compressor_registry.ids())
+def test_clone_keeps_the_options(plugin_id):
+    comp = compressor_registry.create(plugin_id)
+    dup = comp.clone()
+    try:
+        assert dup.get_options() == comp.get_options()
+    finally:
+        dup.decref()
+        comp.decref()

@@ -10,6 +10,20 @@ revision 63a02d9, before the per-plane deflate strategy choice:
 * ``sz_abs_1e4.bin`` / ``zfp_acc_1e4.bin`` — the golden corpus's sz and
   zfp streams of that revision, whose residuals are RZC1.
 
+Written at revision 73aa2bc, before the low-effort entropy gate lost its
+20 % margin and planes could be split into nibbles:
+
+* ``rzc2_wide{2,3,5,8}_l1.bin`` — the 2-, 3-, 5- and 8-plane streams of
+  ``test_rzc2_planes.test_multi_plane_pin`` at effort level 1 (RAW low
+  planes, a BITPACK top plane).
+
+Written by the nibble-split encoder:
+
+* ``rzc2_nibble_l1.bin`` — the 2-plane input above at level 1, whose
+  top plane is a NIBBLE plane (tag 5) of an odd length, so it carries
+  the odd last byte; it decodes to the same values as
+  ``rzc2_wide2_l1.bin``.
+
 Each must decode, forever, to the values whose SHA-256 is recorded
 here.  An encoder may change what it writes; it may not change what an
 old stream means.
@@ -26,7 +40,10 @@ import pytest
 from repro import PressioData
 from repro.core.dtype import DType
 from repro.core.registry import compressor_registry
+from repro.encoders import residual
 from repro.encoders.residual import decode_residuals
+
+from .test_rzc2_planes import _plane_tags
 
 COMPAT = pathlib.Path(__file__).parent / "compat"
 
@@ -38,6 +55,16 @@ RESIDUAL_STREAMS = {
                                     "220de5a71d93a3735b451c1fccb64218"),
     "rzc1_small.bin": (b"RZC1", "a2c42a657a3718ec41561797516ff66c"
                                 "e0f920eab8143fdba99e68e8da5cc47b"),
+    "rzc2_wide2_l1.bin": (b"RZC2", "57408fa9e72f50a4002a36ff13243c77"
+                                   "3dfd2bb463a4bed9040a943bbd14d901"),
+    "rzc2_wide3_l1.bin": (b"RZC2", "4868b6a4588f459776c0d93ca10e808e"
+                                   "2e4e272164ea5e620baa3e26fccb8f57"),
+    "rzc2_wide5_l1.bin": (b"RZC2", "c9f356eb8400b7b6eebf684893edd5be"
+                                   "1811a1bf1b4049b5a3b4eb8c766b6b6b"),
+    "rzc2_wide8_l1.bin": (b"RZC2", "027c72f07616e118dad9438047b028f8"
+                                   "2e9f16d89e609340d9483ca31e830ce9"),
+    "rzc2_nibble_l1.bin": (b"RZC2", "57408fa9e72f50a4002a36ff13243c77"
+                                    "3dfd2bb463a4bed9040a943bbd14d901"),
 }
 
 #: file -> (plugin, SHA-256 of the 1024 decoded doubles)
@@ -69,3 +96,9 @@ def test_codec_stream_decodes_to_recorded_values(name):
         PressioData.empty(DType.DOUBLE, (1024,)))
     values = np.ascontiguousarray(out.to_numpy(), dtype=np.float64)
     assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+def test_nibble_fixture_holds_a_nibble_plane():
+    stream = (COMPAT / "rzc2_nibble_l1.bin").read_bytes()
+    assert _plane_tags(stream) == [residual._P_RAW, residual._P_NIBBLE]
+    assert int.from_bytes(stream[4:12], "little") % 2 == 1

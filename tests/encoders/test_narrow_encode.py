@@ -184,15 +184,15 @@ GATE_PINS = {
 
 @pytest.mark.parametrize("key", list(GATE_PINS), ids=str)
 def test_histogram_is_skipped_exactly_where_the_outcome_is_known(key):
-    """The histogram only feeds the entropy gate of Huffman-only deflate:
-    empty planes, the low-effort SPARSE fast path and planes made of
-    runs (at high effort, any plane low effort might send to Z_RLE)
-    never build it."""
+    """The histogram only feeds the entropy gate of Huffman-only deflate
+    and the nibble split: empty planes, the low-effort SPARSE fast path
+    and, at low effort, planes made of runs never build it.  High effort
+    builds it for every other plane, because it tries the split wherever
+    low effort might."""
     n, k, level = key
     plane = _near_empty(n, k)
     runs = int(np.count_nonzero(plane[1:] == plane[:-1]))
-    rle = residual._RLE_SURE if level <= 4 else residual._RLE_NEVER
-    skips = k == 0 or runs >= rle * n
+    skips = k == 0 or (level <= 4 and runs >= residual._RLE_SURE * n)
     with mock.patch.object(residual, "_byte_histogram",
                            wraps=residual._byte_histogram) as spy:
         tag, payload = residual._encode_plane(plane, level, True)

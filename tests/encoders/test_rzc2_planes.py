@@ -1,8 +1,8 @@
 """RZC2 per-plane encodings: tag choice, round trip and stream pins.
 
 Each seeded input below forces one plane encoding (CONST, RAW, SPARSE,
-BITPACK or ZLIB) of a single-plane residual stream, at effort levels 1
-and 6, for a whole-chunk length (2048), a ragged one (2049) and a
+BITPACK, ZLIB or NIBBLE) of a single-plane residual stream, at effort
+levels 1 and 6, for a whole-chunk length (2048), a ragged one (2049) and a
 paper-scale one (2**18).  The SHA-256 of every stream was recorded
 before the codec's hot paths were rewritten, so a change that alters
 one emitted byte fails here.  A second group pins multi-plane streams
@@ -27,14 +27,15 @@ import pytest
 
 from repro.core import CorruptStreamError
 from repro.encoders import residual
-from repro.encoders.residual import decode_residuals, encode_residuals
+from repro.encoders.residual import (CorruptResidualError, decode_residuals,
+                                     encode_residuals)
 
 SIZES = (2048, 2049, 2 ** 18)
 LEVELS = (1, 6)
 
 _TAGS = {"const": residual._P_CONST, "raw": residual._P_RAW,
          "sparse": residual._P_SPARSE, "bitpack": residual._P_BITPACK,
-         "zlib": residual._P_ZLIB}
+         "zlib": residual._P_ZLIB, "nibble": residual._P_NIBBLE}
 
 
 def _from_codes(codes: np.ndarray) -> np.ndarray:
@@ -63,6 +64,10 @@ def _plane_input(kind: str, n: int) -> np.ndarray:
                  * np.repeat(tops, 32)).astype(np.int64)[:n]
     elif kind == "zlib":
         codes = rng.choice([1, 2, 3, 9], size=n, p=[0.7, 0.15, 0.1, 0.05])
+    elif kind == "nibble":
+        # a noise low nibble under a skewed high one
+        codes = (16 * rng.choice(3, size=n, p=[0.7, 0.2, 0.1])
+                 + rng.integers(0, 16, n))
     else:
         raise AssertionError(kind)
     return _from_codes(codes)
@@ -154,26 +159,42 @@ PLANE_PINS = {
         "773bf47f60edaaba9fed93d7c51640fd6b0d326e412323935591637a7b421d94",
     ("zlib", 262144, 6):
         "773bf47f60edaaba9fed93d7c51640fd6b0d326e412323935591637a7b421d94",
+    # recorded when the NIBBLE encoding was added
+    ("nibble", 2048, 1):
+        "769f8028201defcdeed79b9c0394e797a135655cc4b6215b5aab091aeab9feab",
+    ("nibble", 2048, 6):
+        "769f8028201defcdeed79b9c0394e797a135655cc4b6215b5aab091aeab9feab",
+    ("nibble", 2049, 1):
+        "1b1744535b24eb9d511e68ccfdacb6bc277b0edb9c6da4972709d1f4cc7d56b9",
+    ("nibble", 2049, 6):
+        "1b1744535b24eb9d511e68ccfdacb6bc277b0edb9c6da4972709d1f4cc7d56b9",
+    ("nibble", 262144, 1):
+        "bcd263d8a739ea1e86fc3e6ef05566ca9b1873a4bbd68ee20032747d0767a5a6",
+    ("nibble", 262144, 6):
+        "bcd263d8a739ea1e86fc3e6ef05566ca9b1873a4bbd68ee20032747d0767a5a6",
 }
 
-#: SHA-256 of the multi-plane streams, keyed by (nplanes, level)
+#: SHA-256 of the multi-plane streams, keyed by (nplanes, level); the
+#: top plane is NIBBLE except at (5, 6), where whole-plane deflate is
+#: smaller (the level-1 streams before the split and the unmargined
+#: entropy gate are decode fixtures in ``compat/``)
 WIDE_PINS = {
     (2, 1):
-        "bf9ce3dda8d5310fe3cc061015a7c7d2fcd74b87615eda4cfd845efd3e6964f0",
+        "1fbe843dfdee498a30842986b87a8195896e289a26eb10d4c88e05cfc8416f89",
     (2, 6):
-        "d012ce92ce3900d82ac533a332f30c172c4d07424cf317bc10b336d43ac9bb52",
+        "1fbe843dfdee498a30842986b87a8195896e289a26eb10d4c88e05cfc8416f89",
     (3, 1):
-        "df38dcf8ce99f821dfa7feccc65db5c35fd0974b59ccd46c05d92df0ecfe4381",
+        "1bc144889e3ab19590231a5805fcb358ff684a323680f1c80cf02483cbc3f525",
     (3, 6):
-        "7f1b7f0350576fa6dcba5479e81657930382c700e7cc8e6e796006c559368c76",
+        "1bc144889e3ab19590231a5805fcb358ff684a323680f1c80cf02483cbc3f525",
     (5, 1):
-        "f19289199803389180e0f4a96b0dbece09ca9b4a898b7cc9fa04c199c38b58dd",
+        "c3bd5cffa9f44c84c54249c9f52bc84e8d5969b2b48375bbd937a133d51c3a75",
     (5, 6):
         "005c164d836a63e7a3f96bff14a26380213b83ce40bcd23bd005d821647e1b6d",
     (8, 1):
-        "71f0c86c3e70faa1f214cac2188809de1a477fd93a661cfa682922196c825a14",
+        "6ac1089c4bb2c6d2449c68f69a77222f4efb9ffaf069841b1eacb43837b73984",
     (8, 6):
-        "f12d70fc22991dd621f4a9689cbe631d5c2ff8ac562497a9e569059744eb07d4",
+        "6ac1089c4bb2c6d2449c68f69a77222f4efb9ffaf069841b1eacb43837b73984",
 }
 
 
@@ -247,6 +268,85 @@ def test_near_empty_plane_skips_deflate_only_at_low_effort():
     assert spy.call_count == 1
 
 
+# -- the nibble split ----------------------------------------------------------
+
+def _eligible_planes():
+    """Planes whose low nibble is noise given the high one, under high
+    nibbles of every skew from a single value to uniform."""
+    rng = np.random.default_rng(5)
+    for n in (1024, 2049, 2 ** 16 + 1):
+        for spread in (1, 2, 3, 5, 8, 16):
+            p = 0.5 ** np.arange(spread)
+            high = rng.choice(spread, size=n, p=p / p.sum())
+            yield (16 * high + rng.integers(0, 16, n)).astype(np.uint8)
+
+
+def test_high_effort_is_never_larger_on_split_eligible_planes():
+    tags = set()
+    for plane in _eligible_planes():
+        counts = np.bincount(plane, minlength=256)
+        n = plane.size
+        conditional = (residual._entropy(counts, n) - residual._entropy(
+            counts.reshape(16, 16).sum(axis=1), n))
+        assert conditional >= residual._SPLIT_BITS
+        low_tag, low = residual._encode_plane(plane, 1, True)
+        high_tag, high = residual._encode_plane(plane, 6, True)
+        assert len(high) <= len(low)
+        tags.add(low_tag)
+    assert residual._P_NIBBLE in tags
+
+
+def _nibble_parts(n: int) -> tuple[bytes, bytes, bytes]:
+    """The low half, odd last byte and deflated high half of a genuine
+    NIBBLE plane of ``n`` bytes."""
+    stream = encode_residuals(_plane_input("nibble", n))
+    assert _plane_tags(stream) == [residual._P_NIBBLE]
+    payload = stream[23:]
+    half, odd = divmod(n, 2)
+    return payload[:half], payload[half:half + odd], payload[half + odd:]
+
+
+_N_ODD = 2 ** 18 + 1
+
+
+def _forged_nibble_planes() -> dict[str, bytes]:
+    low, tail, high = _nibble_parts(_N_ODD)
+    half = _N_ODD // 2
+    return {
+        "truncated-low": low[:-1] + tail + high,
+        "cut-inside-low": low[:half // 2],
+        "high-short": low + tail + zlib.compress(bytes(half - 1)),
+        "high-bomb": low + tail + zlib.compress(bytes(64 * _N_ODD), 9),
+        "high-one-over": low + tail + zlib.compress(bytes(half + 1)),
+        "missing-tail": low + high,
+        "trailing-bytes": low + tail + high + b"\x00",
+        "high-cut": low + tail + high[:-5],
+    }
+
+
+def test_nibble_plane_roundtrips_with_its_odd_last_byte():
+    low, tail, high = _nibble_parts(_N_ODD)
+    good = _single_plane(residual._P_NIBBLE, low + tail + high, _N_ODD)
+    assert np.array_equal(decode_residuals(good, count=_N_ODD),
+                          _plane_input("nibble", _N_ODD))
+
+
+@pytest.mark.parametrize("name", list(_forged_nibble_planes()))
+@pytest.mark.parametrize("count", [None, _N_ODD])
+def test_forged_nibble_plane_is_rejected_with_bounded_memory(name, count):
+    stream = _single_plane(residual._P_NIBBLE,
+                           _forged_nibble_planes()[name], _N_ODD)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptResidualError,
+                           match="corrupt residual stream"):
+            decode_residuals(stream, count=count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _N_ODD
+
+
 # -- malformed planes --------------------------------------------------------
 
 def _single_plane(tag: int, payload: bytes, n: int) -> bytes:
@@ -318,7 +418,8 @@ def test_rzc1_payload_must_inflate_to_exactly_n(backend):
 def test_zlib_plane_must_inflate_to_exactly_n():
     n = 4096
     for payload in (zlib.compress(bytes(n - 1)),       # short
-                    zlib.compress(bytes(n))[:-6]):     # no end of stream
+                    zlib.compress(bytes(n))[:-6],      # no end of stream
+                    zlib.compress(bytes(n)) + b"junk"):  # left over
         with pytest.raises(ValueError, match="corrupt residual stream"):
             decode_residuals(_single_plane(residual._P_ZLIB, payload, n))
     good = _single_plane(residual._P_ZLIB, zlib.compress(bytes(n)), n)

@@ -30,16 +30,16 @@ from repro.streaming import StreamingCompressor, StreamingDecompressor
 
 PINS = {
     "chunking/CHK1/sz": ("CHK1",
-        "6b784e76f70586faf9941c688714d6ab14f2cef17d0d29799b3b180ea576010f",
+        "a2742296f849b77d45886553d6550119542a361ab78005fc63ec7078745edd6f",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "chunking/CHK2/mgard": ("CHK2",
-        "46ccca3aed54b167a25c1c19168c290ef9cd8341ddaa184be581477f4130b593",
+        "ee944c4574110390ff629b4718d0365ad719201a6a0dd696a28980855e9c9056",
         "72765c2318157cea9a6cd830f2051acfb722b5dbfc38123bd4f9b7361f85fe57"),
     "chunking/CHK2/sz": ("CHK2",
         "313925ceab6b723f06b4bb06f116d797f122e97e5b56678a866b0d0e5b080639",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "chunking/CHK2/zfp": ("CHK2",
-        "a7f35a0968ca4ac5d4879b255a6764ef09a37b2ee2120185c968659e4649efa7",
+        "775d7cc2c254612a9bde483de203e82f8687ce8d8aaacc386095271730c8878a",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "pipelined/sz": ("CHK2",
         "313925ceab6b723f06b4bb06f116d797f122e97e5b56678a866b0d0e5b080639",
@@ -48,7 +48,7 @@ PINS = {
         "f34edea736be9eb6cbf3a5dbd556434fdb7e577ffeec7679d817d3abc756a9c5",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "streaming/PSF1/sz_threadsafe": ("PSF1",
-        "12491992fdd66ea66034400910ee806ecd12ec887c629800a3819622a5309e6f",
+        "8e527040cc823c6bb8994723bcf2bd64b2062f80d2d2d1575da241a926d5a11d",
         "711bb8f0d90dec0fadf074cbbac40f776c2fc9153ed20f6c13e4cf1c9c02bba9"),
     "sz_omp/n1": ("SZMP",
         "7ba10e8dd9ddc15aac58ab5f8843fe9a0f74b13db816031e8d664d0711e83f4b",

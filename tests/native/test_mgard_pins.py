@@ -58,7 +58,7 @@ CASES = {
 
 #: name -> (stream SHA-256, decompressed-array SHA-256)
 PINS = {
-    "chunk1d-1e-4": ("956950f20a7502dd81d3de7c3300d21c566a73bbcbc9b4644890b00900c1ea8d",
+    "chunk1d-1e-4": ("7d28f1eaaec228c5825ca5497da587f0efcd7b967b1de698c29b3e974e00252f",
         "db527090b320636a16aec17a9b3b8cdfc501daf848be4c662515de99487388fd"),
     "chunk1d-1e-2": ("a2d2294bd197cba692813eff9dd9f4d1884c46b9c0dbaf09bb8f2234390eb75d",
         "6ea74a89f71fc6218e70a8caa313a3bdee9b1c392af4e61bf2736935008dda8f"),
@@ -86,7 +86,7 @@ PINS = {
         "2cea75d0ffd781e8b10c6f5aec5a98dbab16618e7e6430780045a643558bfb51"),
     "2d-9x13": ("86b0c2d769d4a92dce7796e5f51543f0a5ffd14529a34d3dcf363325e7c571ff",
         "1a383a8197670478c04341aa5fabdb59a4427c2ca270944ba03655bbf3484e32"),
-    "2d-64x33": ("358029b680c4179bdd809365e08a02bd990211609e4d82fc10ad4dd77fbd28c2",
+    "2d-64x33": ("9bf83d71f9e1ca64f41c4ae6dae3b39017f287eaefa225134aacae9d31fee38b",
         "cfebca00dbb3552ce89a554bfb9a348453e70f6cf35cb123b70ce1780762dd74"),
     "3d-3x3x3": ("0c769222a1c4fefd55b38a99ec032c2ae944ca8576fb3d871c8aec5f775022e1",
         "b5cbbe9cac2801640713273336cec25be0cf869d830ab67eab3dcf89e47d84b6"),
@@ -100,9 +100,9 @@ PINS = {
         "10a829cebb26bc5e78e000477fe7d34fff859b5bd870b44dc10d9ac49d03ddc2"),
     "3d-12x10x8": ("95f2a0eefadadeeb7a8aee8efbddbd37ba7d2b2b6c31ad243bc3b2f241c5155c",
         "b3a79f1232e5e475536180f9167bf640c3170497fa1f966fbd1099b3fefedd7c"),
-    "3d-17x16x6": ("23e6bf32c7fd7419d86b5af142ea6377d293025d5f6f25a44beca1513e6cee4e",
+    "3d-17x16x6": ("391edce62a533541a3520f80f3ea1626edd871b5e855be59feb633680df0cda5",
         "cd6b16045f5d1c5b7c011106fbff8db81d87c5a317a6f1dae33a6916a2e0a19b"),
-    "3d-24x20x18": ("5b4c88e6891cab75ab96209c7a7296b31d95e0721007e5be30a585d041fa7b16",
+    "3d-24x20x18": ("55aa399f8834978114ed053c510ae27cb80b46bb1a46c6df9c53ff0cc4fff81e",
         "fd184d24a507fc0933b3bcca033eee1c315b29daf0e0d035e11765f77534ca76"),
     "f32-9x13": ("a64cc00303ff78f78b8e4c1177a444c61860e548efe39c24531026f46ab6a64e",
         "9ee300086b9762438fed870285dbfdbb4324d158a88eb9cc44baf3e6f0d6f625"),

@@ -43,7 +43,7 @@ PINS = {
     ("zfp", "cloud", 1e-4): "d0a4ba5b53ff2c683205bcb6f29add7e89bfb9317f4d71e4bce3c7c1a9ffa253",
     ("zfp", "cloud", 1e-2): "476bf07079d5dabd5dfdf1a4d68fb61fdea3dbd00d16b30c238f86891d68fac9",
     ("zfp", "cloud", 1e-9): "3fdaff7b98327e9b11d77419aba5eebdc6635a487843befa67f63a655306ac58",
-    ("mgard", "nyx", 1e-4): "d1829b1b1fdcfc9132bb6f2fbe4b437bb79566d4024e0fcf626cd9729f94eedc",
+    ("mgard", "nyx", 1e-4): "3ff046a13362bbd498b42bae5f98adfffe6f83df94743940dce387de5205fece",
     ("mgard", "nyx", 1e-2): "392a76659410c61ff6f888013efec10df7e2df50a0f2807396eb857ab842900d",
     ("mgard", "nyx", 1e-9): "80867f53932163cc4af1463ff605dff1f0cf2e30f5907093074034528b23dced",
     ("mgard", "nyx", 1e-12): "71c455cc0c184a2e0be094d0e8a6071bc568734c78038a17db0acb8d7ea9541c",
