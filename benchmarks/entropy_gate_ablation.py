@@ -116,9 +116,7 @@ def arms(baseline, margin_only) -> dict:
 
 
 def plane_tags(stream: bytes) -> list[int]:
-    """The plane encodings of an RZC2 stream (none for RZC1)."""
-    if stream[:4] != b"RZC2":
-        return []
+    """The plane encodings of an RZC2 stream."""
     pos, tags = 14, []
     for _ in range(stream[12]):
         tags.append(stream[pos])

@@ -72,6 +72,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # the revision before them
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 73aa2bc \\
         --output benchmarks/BENCH_entropy_v3_e2e.json
+    # one residual encoder, RZC2 for every backend and size (no gain
+    # claimed) against the revision before it
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 3016231 \\
+        --output benchmarks/BENCH_one_residual_encoder_e2e.json
 """
 
 from __future__ import annotations

@@ -53,7 +53,11 @@ __all__ = ["GOLDEN_VERSION", "MANIFEST_NAME", "golden_field",
 # version 5: mgard writes closed-loop ``MGD2`` streams (its decoder
 # still reads ``MGD1``); the corpus holds no mgard stream, so every
 # version-4 stream is unchanged.
-GOLDEN_VERSION = 5
+# version 6: encoder output only, below 2048 residuals and for bz2/lzma —
+# the residual codec writes RZC2 for every backend and size, and RZC1
+# is decode-only; the sz and zfp streams shrink, every other stream and
+# every decoder is unchanged.
+GOLDEN_VERSION = 6
 MANIFEST_NAME = "MANIFEST.json"
 
 _REGEN_HINT = ("regenerate intentionally with "

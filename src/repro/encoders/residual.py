@@ -4,7 +4,8 @@ Prediction-based compressors (our sz, zfp, mgard, fpzip natives)
 produce signed residual arrays dominated by values near zero.  Two
 stream formats live here:
 
-* **RZC2** (current): residuals are narrowed once to the smallest
+* **RZC2** (written for every backend and every size): residuals are
+  narrowed once to the smallest
   signed width that holds their range, zigzag mapped in that width, and
   the codes are split into little-endian *byte planes*; only the planes
   up to the largest code's byte length are stored, and each plane
@@ -16,24 +17,29 @@ stream formats live here:
   - ``SPARSE`` — positions + values of the nonzero bytes;
   - ``BITPACK`` — 32-value chunks packed at each chunk's own bit width
     (32·w bits is always whole bytes), eight values per uint64 word;
-  - ``ZLIB`` — DEFLATE, with the strategy chosen per plane: planes
-    made of runs (bytes equal to their predecessor) go straight to
-    ``Z_RLE``, the rest to ``Z_HUFFMAN_ONLY``, and a run fraction in
+  - ``ZLIB`` — the plane compressed whole by the header's backend.
+    For ``zlib`` that is DEFLATE, with the strategy chosen per plane:
+    planes made of runs (bytes equal to their predecessor) go straight
+    to ``Z_RLE``, the rest to ``Z_HUFFMAN_ONLY``, and a run fraction in
     the band between the two is settled by deflating a small sample
-    both ways.  High effort levels try every strategy and keep the
-    smallest.  Any zlib stream decodes the same way, so the choice
-    changes what the encoder writes, not the format;
+    both ways.  High effort levels, and planes under ``_SMALL_PLANE``
+    bytes at any level, try every strategy and keep the smallest.  Any
+    zlib stream decodes the same way, so the choice changes what the
+    encoder writes, not the format.  ``bz2`` and ``lzma`` compress
+    every plane not settled by its counts and keep the result where it
+    undercuts RAW, SPARSE and BITPACK; ``none`` never writes this tag;
   - ``NIBBLE`` — the plane's low nibbles, two per byte, stored raw;
     any odd last byte; then its high nibbles, two per byte, deflated
-    Huffman-only.  It is for noise planes: when a byte's low nibble
-    still carries ``_SPLIT_BITS`` of its four bits once its high
-    nibble is known, Huffman coding it gains next to nothing, so low
-    effort deflates only the high half, in half the time.  High effort
-    also deflates the whole plane and keeps the smaller.
+    Huffman-only; ``zlib`` writes it.  It is for noise planes: when a
+    byte's low nibble still carries ``_SPLIT_BITS`` of its four bits
+    once its high nibble is known, Huffman coding it gains next to
+    nothing, so low effort deflates only the high half, in half the
+    time.  High effort also deflates the whole plane and keeps the
+    smaller.  The high half decodes with the header's backend too.
 
-  The entropy gate: a plane left to Huffman-only builds one byte
-  histogram, and deflate (split or whole) is attempted whenever the
-  first-order entropy estimate from it undercuts the plane's best
+  The entropy gate: a ``zlib`` plane left to Huffman-only builds one
+  byte histogram, and deflate (split or whole) is attempted whenever
+  the first-order entropy estimate from it undercuts the plane's best
   structural cost (RAW or SPARSE).  A winning deflate body skips the
   BITPACK width scan.  The split's conditional entropy folds out of
   the same histogram.
@@ -50,16 +56,11 @@ stream formats live here:
   pooled scratch (:mod:`repro.native.pool`) and never scan
   byte-by-byte in Python.
 
-* **RZC1** (legacy): ``min(code, 255)`` bytes plus an 8-byte overflow
-  stream, the whole payload squeezed by a ``zlib``-family backend.
-  Decode support is retained for old streams, and RZC1 is still
-  *encoded* in two cases: by the ``bz2``/``lzma`` backends (a strong
-  generic entropy stage beats byte-plane structure when the caller
-  asked for maximum compression), and for arrays below
-  ``_RZC1_CUTOFF`` elements, where the zlib backend encodes both
-  formats and keeps the smaller stream (per-plane framing can
-  dominate a small payload, and run-heavy planes can still win).
-  Decode caps the inflated payload at its declared size.
+* **RZC1** (legacy, decode-only): ``min(code, 255)`` bytes plus an
+  8-byte overflow stream, the whole payload squeezed by the header's
+  backend.  Nothing writes it any more; streams written by earlier
+  encoders (every ``bz2``/``lzma`` request, and many arrays below 2048
+  residuals) still decode, under the same output cap as every plane.
 """
 
 from __future__ import annotations
@@ -81,11 +82,10 @@ __all__ = ["encode_residuals", "decode_residuals", "LOSSLESS_BACKENDS",
 _MAGIC = b"RZC1"
 _MAGIC2 = b"RZC2"
 
-_COMPRESSORS = {
-    "zlib": lambda b, lvl: zlib.compress(b, lvl),
+#: the strong backends, which compress a plane whole at ``level``
+_PACKERS = {
     "bz2": lambda b, lvl: bz2.compress(b, min(max(lvl, 1), 9)),
     "lzma": lambda b, lvl: lzma.compress(b, preset=min(max(lvl, 0), 9)),
-    "none": lambda b, lvl: b,
 }
 
 
@@ -154,17 +154,18 @@ def _rle_first(plane: np.ndarray, runs: int) -> bool:
             < len(_deflate(plane, zlib.Z_HUFFMAN_ONLY)))
 
 
-#: one-shot decompressor objects, so RZC1 decode can cap its output
+#: one-shot decompressor objects, so every decode can cap its output
 _INFLATERS = {
     "zlib": zlib.decompressobj,
     "bz2": bz2.BZ2Decompressor,
     "lzma": lzma.LZMADecompressor,
 }
 
-LOSSLESS_BACKENDS = tuple(sorted(_COMPRESSORS))
+#: a stream's backend byte is the backend's index here
+LOSSLESS_BACKENDS = ("bz2", "lzma", "none", "zlib")
 
-_BACKEND_IDS = {name: i for i, name in enumerate(sorted(_COMPRESSORS))}
-_BACKEND_NAMES = {i: name for name, i in _BACKEND_IDS.items()}
+_BACKEND_IDS = {name: i for i, name in enumerate(LOSSLESS_BACKENDS)}
+_BACKEND_NAMES = dict(enumerate(LOSSLESS_BACKENDS))
 
 # plane encodings
 _P_CONST = 0
@@ -176,10 +177,10 @@ _P_NIBBLE = 5
 
 _CHUNK = 32  # values per BITPACK chunk; 32*w bits is always whole bytes
 
-#: below this many residuals RZC2's per-plane framing can dominate the
-#: payload, so the zlib backend encodes both formats and keeps the
-#: smaller stream (the others always take RZC1)
-_RZC1_CUTOFF = 2048
+#: planes shorter than this skip the gates and are deflated with every
+#: strategy: that costs microseconds, and the entropy estimate and run
+#: fraction miss the periodic structure only LZ matching finds there
+_SMALL_PLANE = 2048
 
 #: run fractions (bytes equal to their predecessor, per byte) at and
 #: above which low effort deflates a plane with ``Z_RLE``, and below
@@ -216,7 +217,7 @@ def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
     non-integer input and ``ValueError`` for unsigned values beyond the
     int64 range (decode returns int64).
     """
-    if backend not in _COMPRESSORS:
+    if backend not in _BACKEND_IDS:
         raise ValueError(f"unknown lossless backend {backend!r}; "
                          f"choose from {LOSSLESS_BACKENDS}")
     r = np.asarray(residuals)
@@ -225,12 +226,6 @@ def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
     lo, hi = (int(r.min()), int(r.max())) if r.size else (0, 0)
     if hi > _INT64_MAX:
         raise ValueError(f"residual {hi} exceeds the int64 range")
-    if backend in ("bz2", "lzma") or r.size < _RZC1_CUTOFF:
-        legacy = _encode_rzc1(r, backend, level)
-        if backend != "zlib":
-            return legacy
-        planes = _encode_rzc2(r, lo, hi, backend, level)
-        return planes if len(planes) < len(legacy) else legacy
     return _encode_rzc2(r, lo, hi, backend, level)
 
 
@@ -276,7 +271,6 @@ def decode_residuals(stream: bytes | memoryview,
 def _encode_rzc2(r: np.ndarray, lo: int, hi: int, backend: str,
                  level: int) -> bytes:
     n = r.size
-    allow_zlib = backend == "zlib"
     header = bytearray(_MAGIC2)
     header += np.uint64(n).tobytes()
     if n == 0:
@@ -300,7 +294,7 @@ def _encode_rzc2(r: np.ndarray, lo: int, hi: int, backend: str,
         out = bytearray(bytes(header))
         for p in range(nplanes):
             np.copyto(plane_buf, planes[:, p if _LITTLE else width - 1 - p])
-            tag, payload = _encode_plane(plane_buf, level, allow_zlib)
+            tag, payload = _encode_plane(plane_buf, level, backend)
             out.append(tag)
             out += np.uint64(len(payload)).tobytes()
             out += payload
@@ -373,18 +367,17 @@ def _nibble_plane(plane: np.ndarray) -> bytes:
 
 
 def _encode_plane(plane: np.ndarray, level: int,
-                  allow_zlib: bool) -> tuple[int, bytes]:
+                  backend: str) -> tuple[int, bytes]:
     """Pick the cheapest encoding for one contiguous uint8 plane.
 
     The nonzero count settles empty planes and, at low effort, sparse
-    ones outright; otherwise the run count settles constant planes
-    and, at low effort, picks the deflate strategy.  A plane made of
-    runs goes straight to ``Z_RLE``; the rest take one byte histogram
-    for the entropy estimate that gates Huffman-only deflate and for
-    the conditional entropy that sends noise planes to NIBBLE.  The
-    per-chunk maxima reshape the plane in place when the length is a
-    whole number of chunks (the common case for block-sized buffers),
-    so the scratch copy only happens on ragged tails.
+    ones outright; otherwise the run count settles constant planes.
+    ``zlib`` then deflates small planes every way, and at low effort
+    sends a plane made of runs straight to ``Z_RLE``; the rest take one
+    byte histogram for the entropy estimate that gates Huffman-only
+    deflate and for the conditional entropy that sends noise planes to
+    NIBBLE.  ``bz2`` and ``lzma`` compress the plane whole and keep the
+    result where it undercuts every structural body.
     """
     n = plane.size
     nchunks = (n + _CHUNK - 1) // _CHUNK
@@ -394,64 +387,84 @@ def _encode_plane(plane: np.ndarray, level: int,
     sparse_cost = 4 + 5 * k if n < 2**32 else n + 1
     if level <= 4 and sparse_cost <= min((nchunks + 1) // 2,
                                          _deflate_floor(n)):
-        # exactly where the full chooser below ends up, without the
+        # exactly where the zlib chooser below ends up, without the
         # run count or the histogram: k < n rules out a nonzero CONST,
         # no deflate stream undercuts _deflate_floor(n), and then the
-        # width-scan gate fires
+        # width-scan gate fires; bz2 and lzma leave such near-empty
+        # planes SPARSE at low effort too
         return _sparse_plane(plane)
     runs = _run_count(plane)
     if runs == n - 1:
         return _P_CONST, plane[:1].tobytes()  # k > 0: every byte nonzero
-    raw_cost = n
-    best = min(sparse_cost, raw_cost)
-    # no floor gates the deflate attempt: at low effort, once the fast
-    # path above has not fired, only planes under a few hundred bytes
-    # can have best <= _deflate_floor(n); and a plane left to
-    # Huffman-only (under 60 % runs) has over n/5 nonzero bytes, so its
-    # best is RAW, far above the bit per byte Huffman-only spends
-    split = False
-    if allow_zlib and level <= 4 and _rle_first(plane, runs):
-        attempt, strategy = True, zlib.Z_RLE
-    elif allow_zlib:
-        strategy = zlib.Z_HUFFMAN_ONLY
-        if n < 1024:
-            # tiny plane: DEFLATE costs microseconds and the
-            # first-order entropy estimate misses run/positional
-            # structure, so just try it
-            attempt = True
-        else:
-            counts = _byte_histogram(plane)
-            entropy = _entropy(counts, n)
-            estimate = n * entropy / 8.0 * 1.05 + 12
-            # bits a low nibble adds once its high nibble is known: the
-            # split stores four, so it pays only where that is near four
-            high_bits = _entropy(counts.reshape(16, 16).sum(axis=1), n)
-            split = entropy - high_bits >= _SPLIT_BITS
-            # DEFLATE is one C call — cheaper than even *scanning* the
-            # plane for a BITPACK body — so try it whenever the
-            # first-order estimate undercuts the structural best; high
-            # effort also tries every plane that low effort might
-            # deflate with Z_RLE
-            attempt = estimate < best or (level > 4
-                                          and runs >= _RLE_NEVER * n)
-    else:
-        attempt = False
-    if attempt:
-        # a noisy low nibble costs Huffman coding CPU for nothing, so
-        # low effort deflates only the high half; high effort tries the
-        # whole plane too and keeps the smaller
-        blobs = []
-        if split:
-            blobs.append((_P_NIBBLE, _nibble_plane(plane)))
-        if not split or level > 4:
-            blobs.append((_P_ZLIB, _deflate_plane(plane, level, strategy)))
-        tag, blob = min(blobs, key=lambda b: len(b[1]))
-        if len(blob) < best:
+    if backend in _PACKERS:
+        body = _structural_plane(plane, sparse_cost)
+        packed = _PACKERS[backend](plane, level)
+        return (_P_ZLIB, packed) if len(packed) < len(body[1]) else body
+    if backend == "zlib":
+        blob = _deflate_gated(plane, level, runs, min(sparse_cost, n))
+        if blob is not None:
             # a winning DEFLATE body skips the chunk-width scan
             # entirely; BITPACK only out-costs it on planes whose
             # chunks are locally narrow but globally diverse, and
             # those have a flat byte histogram that fails the gate
-            return tag, blob
+            return blob
+    return _structural_plane(plane, sparse_cost)
+
+
+def _deflate_gated(plane: np.ndarray, level: int, runs: int,
+                   best: int) -> tuple[int, bytes] | None:
+    """The smallest ZLIB or NIBBLE body worth trying, if it undercuts
+    ``best``, the plane's RAW or SPARSE cost.
+
+    No floor gates the attempt: at low effort, once the sparse fast
+    path has not fired, only planes under a few hundred bytes can have
+    ``best <= _deflate_floor(n)``; and a plane left to Huffman-only
+    (under 60 % runs) has over n/5 nonzero bytes, so its best is RAW,
+    far above the bit per byte Huffman-only spends.
+    """
+    n = plane.size
+    split, strategy = False, zlib.Z_HUFFMAN_ONLY
+    if n < _SMALL_PLANE:
+        attempt, level = True, max(level, 5)
+    elif level <= 4 and _rle_first(plane, runs):
+        attempt, strategy = True, zlib.Z_RLE
+    else:
+        counts = _byte_histogram(plane)
+        entropy = _entropy(counts, n)
+        estimate = n * entropy / 8.0 * 1.05 + 12
+        # bits a low nibble adds once its high nibble is known: the
+        # split stores four, so it pays only where that is near four
+        high_bits = _entropy(counts.reshape(16, 16).sum(axis=1), n)
+        split = entropy - high_bits >= _SPLIT_BITS
+        # DEFLATE is one C call — cheaper than even *scanning* the
+        # plane for a BITPACK body — so try it whenever the first-order
+        # estimate undercuts the structural best; high effort also
+        # tries every plane that low effort might deflate with Z_RLE
+        attempt = estimate < best or (level > 4 and runs >= _RLE_NEVER * n)
+    if not attempt:
+        return None
+    # a noisy low nibble costs Huffman coding CPU for nothing, so low
+    # effort deflates only the high half; high effort tries the whole
+    # plane too and keeps the smaller
+    blobs = []
+    if split:
+        blobs.append((_P_NIBBLE, _nibble_plane(plane)))
+    if not split or level > 4:
+        blobs.append((_P_ZLIB, _deflate_plane(plane, level, strategy)))
+    blob = min(blobs, key=lambda b: len(b[1]))
+    return blob if len(blob[1]) < best else None
+
+
+def _structural_plane(plane: np.ndarray,
+                      sparse_cost: int) -> tuple[int, bytes]:
+    """The cheapest of SPARSE, BITPACK and RAW.
+
+    The per-chunk maxima reshape the plane in place when the length is
+    a whole number of chunks (the common case for block-sized
+    buffers), so the scratch copy only happens on ragged tails.
+    """
+    n = plane.size
+    nchunks = (n + _CHUNK - 1) // _CHUNK
     if sparse_cost <= (nchunks + 1) // 2:
         # BITPACK's width nibbles alone cost that much: skip the scan
         return _sparse_plane(plane)
@@ -467,9 +480,9 @@ def _encode_plane(plane: np.ndarray, level: int,
         chunk_max = full.reshape(nchunks, _CHUNK).max(axis=1)
         widths = _BITLEN8[chunk_max]
         pack_cost = (nchunks + 1) // 2 + 4 * int(widths.sum(dtype=np.int64))
-        if sparse_cost <= min(pack_cost, raw_cost):
+        if sparse_cost <= min(pack_cost, n):
             return _sparse_plane(plane)
-        if pack_cost < raw_cost:
+        if pack_cost < n:
             return _P_BITPACK, _bitpack_chunks(full, nchunks, widths)
         return _P_RAW, plane.tobytes()
     finally:
@@ -558,9 +571,7 @@ def _bitunpack_chunks(buf: memoryview, n: int, out: np.ndarray) -> None:
 
 def _decode_rzc2(view: memoryview, n: int) -> np.ndarray:
     nplanes = view[12]
-    backend_id = view[13]
-    if backend_id not in _BACKEND_NAMES:
-        raise ValueError(f"unknown lossless backend id {backend_id}")
+    backend = _backend(view[13])
     if nplanes > 8:
         raise ValueError(f"corrupt residual stream: {nplanes} byte planes")
     if n == 0:
@@ -587,7 +598,7 @@ def _decode_rzc2(view: memoryview, n: int) -> np.ndarray:
             if len(payload) != plen:
                 raise ValueError("corrupt residual stream: truncated plane")
             pos += plen
-            _decode_plane(tag, payload, n, plane_buf)
+            _decode_plane(tag, payload, n, plane_buf, backend)
             if p == 0:
                 codes[:] = plane_buf
             else:
@@ -603,7 +614,7 @@ def _decode_rzc2(view: memoryview, n: int) -> np.ndarray:
 
 
 def _decode_plane(tag: int, payload: memoryview, n: int,
-                  out: np.ndarray) -> None:
+                  out: np.ndarray, backend: str) -> None:
     if tag == _P_CONST:
         if len(payload) != 1:
             raise ValueError("corrupt residual stream: bad const plane")
@@ -627,14 +638,16 @@ def _decode_plane(tag: int, payload: memoryview, n: int,
     elif tag == _P_BITPACK:
         _bitunpack_chunks(payload, n, out)
     elif tag == _P_ZLIB:
-        out[:] = np.frombuffer(_inflate_plane(payload, n), dtype=np.uint8)
+        out[:] = np.frombuffer(_inflate_at_most(backend, payload, n),
+                               dtype=np.uint8)
     elif tag == _P_NIBBLE:
         half, odd = divmod(n, 2)
         if len(payload) < half + odd:
             raise ValueError("corrupt residual stream: bad nibble plane")
         low = np.frombuffer(payload[:half], dtype=np.uint8)
-        high = np.frombuffer(_inflate_plane(payload[half + odd:], half),
-                             dtype=np.uint8)
+        high = np.frombuffer(
+            _inflate_at_most(backend, payload[half + odd:], half),
+            dtype=np.uint8)
         out[0:2 * half:2] = (low & 0x0F) | (high << 4)
         out[1:2 * half:2] = (low >> 4) | (high & 0xF0)
         if odd:
@@ -643,83 +656,50 @@ def _decode_plane(tag: int, payload: memoryview, n: int,
         raise ValueError(f"unknown plane encoding {tag}")
 
 
-def _inflate_plane(payload: memoryview, size: int) -> bytes:
-    """Inflate a plane's zlib stream, which must hold exactly ``size``
-    bytes and nothing after it.
+def _backend(backend_id: int) -> str:
+    """The backend a header's byte names."""
+    if backend_id not in _BACKEND_NAMES:
+        raise ValueError(f"unknown lossless backend id {backend_id}")
+    return _BACKEND_NAMES[backend_id]
 
-    At most ``size + 1`` bytes are inflated, so a forged plane cannot
-    balloon; the one byte of slack shows an overlong stream and keeps
-    zlib from reading a zero cap as "no limit".
+
+def _inflate_at_most(backend: str, data: memoryview, size: int) -> bytes:
+    """Decompress ``data`` with ``backend``; it must hold exactly
+    ``size`` bytes and nothing after them.
+
+    At most ``size + 1`` bytes are inflated, so a forged stream cannot
+    balloon before it is rejected: the output is capped before it is
+    allocated, and the one byte of slack shows an overlong stream (and
+    keeps zlib from reading a zero cap as "no limit").  A short output,
+    left-over input or a missing end-of-stream marker raises
+    ``ValueError``.
     """
-    inflater = zlib.decompressobj()
-    try:
-        raw = inflater.decompress(payload, size + 1)
-    except zlib.error as e:
-        raise ValueError(f"corrupt residual stream: {e}") from None
-    if (len(raw) != size or not inflater.eof or inflater.unconsumed_tail
-            or inflater.unused_data):
-        raise ValueError("corrupt residual stream: bad zlib plane")
-    return raw
+    if backend == "none":
+        raw = data
+    else:
+        inflater = _INFLATERS[backend]()
+        try:
+            raw = inflater.decompress(data, size + 1)
+        except (zlib.error, OSError, EOFError, lzma.LZMAError) as e:
+            raise ValueError(f"corrupt residual stream: {e}") from None
+        if (not inflater.eof or inflater.unused_data
+                or getattr(inflater, "unconsumed_tail", b"")):
+            raise ValueError("corrupt residual stream: bad compressed payload")
+    if len(raw) != size:
+        raise ValueError(
+            f"corrupt residual stream: payload {len(raw)} != {size}")
+    return bytes(raw)
 
 
 # ----------------------------------------------------------------------
-# RZC1: legacy two-stream layout
+# RZC1: legacy two-stream layout, decode only
 # ----------------------------------------------------------------------
-def _encode_rzc1(residuals: np.ndarray, backend: str, level: int) -> bytes:
-    codes = zigzag_encode(
-        np.ascontiguousarray(residuals, dtype=np.int64)).reshape(-1)
-    n = codes.size
-    stream_a = np.minimum(codes, np.uint64(255)).astype(np.uint8)
-    big = codes >= np.uint64(255)
-    stream_b = codes[big].astype("<u8").tobytes()
-    payload = stream_a.tobytes() + stream_b
-    compressed = _COMPRESSORS[backend](payload, level)
-    header = (
-        _MAGIC
-        + np.uint64(n).tobytes()
-        + np.uint64(int(big.sum())).tobytes()
-        + bytes([_BACKEND_IDS[backend]])
-    )
-    return header + compressed
-
-
 def _decode_rzc1(view: memoryview, n: int) -> np.ndarray:
     n_big = int(np.frombuffer(view[12:20], dtype=np.uint64)[0])
-    backend_id = view[20]
-    backend = _BACKEND_NAMES.get(backend_id)
-    if backend is None:
-        raise ValueError(f"unknown lossless backend id {backend_id}")
-    expected = n + 8 * n_big
-    payload = _inflate_at_most(backend, view[21:], expected)
-    if len(payload) != expected:
-        raise ValueError(
-            f"corrupt residual stream: payload {len(payload)} != {expected}"
-        )
+    payload = _inflate_at_most(_backend(view[20]), view[21:], n + 8 * n_big)
     stream_a = np.frombuffer(payload, dtype=np.uint8, count=n)
     codes = stream_a.astype(np.uint64)
     if n_big:
         stream_b = np.frombuffer(payload, dtype="<u8", offset=n, count=n_big)
         codes[stream_a == 255] = stream_b
     return zigzag_decode(codes)
-
-
-def _inflate_at_most(backend: str, data: memoryview, expected: int) -> bytes:
-    """Decompress ``data``, stopping one byte past ``expected``.
-
-    A forged header cannot make a small stream balloon: the output is
-    capped before it is allocated.  The one byte of slack lets an
-    overlong stream show itself (and keeps zlib from reading a zero
-    cap as "no limit").  Left-over input or a missing end-of-stream
-    marker is rejected here; a short output by the caller.
-    """
-    if backend == "none":
-        return bytes(data)
-    inflater = _INFLATERS[backend]()
-    try:
-        payload = inflater.decompress(data, expected + 1)
-    except (zlib.error, OSError, EOFError, lzma.LZMAError) as e:
-        raise ValueError(f"corrupt residual stream: {e}") from None
-    if (not inflater.eof or inflater.unused_data
-            or getattr(inflater, "unconsumed_tail", b"")):
-        raise ValueError("corrupt residual stream: bad compressed payload")
-    return payload

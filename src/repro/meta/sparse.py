@@ -86,10 +86,6 @@ class SparseCompressor(MetaCompressor):
                                       nbytes)
         except ValueError as e:
             raise CorruptStreamError(f"sparse bitmap: {e}") from None
-        if len(bitmap) != nbytes:
-            raise CorruptStreamError(
-                f"sparse bitmap holds {len(bitmap)} bytes, dims imply "
-                f"{nbytes}")
         occupied = np.unpackbits(
             np.frombuffer(bitmap, dtype=np.uint8), count=n).astype(bool)
         if int(occupied.sum()) != n_occupied:

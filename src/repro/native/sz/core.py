@@ -11,8 +11,8 @@ predict-then-quantize loop; see :mod:`repro.encoders.predictors`):
    int64);
 3. Lorenzo-predict the integer codes in their own width (exact,
    vectorized);
-4. entropy-code the residuals (two-stream codec + zlib family, or
-   canonical Huffman);
+4. entropy-code the residuals (the byte-plane residual codec over a
+   zlib-family backend, or canonical Huffman);
 5. prepend a self-describing header.
 
 Pointwise-relative mode compresses ``log(|x|)`` with the absolute bound
@@ -359,10 +359,6 @@ def _decompress_pw_rel(dtype: DType, dims: tuple[int, ...],
                                 2 * nbytes_bits)
     except ValueError as e:
         raise CorruptStreamError(f"sz pw_rel side channel: {e}") from None
-    if len(side) != 2 * nbytes_bits:
-        raise CorruptStreamError(
-            f"sz pw_rel side channel holds {len(side)} bytes, dims imply "
-            f"{2 * nbytes_bits}")
     sign_bits = np.unpackbits(
         np.frombuffer(side[:nbytes_bits], dtype=np.uint8), count=n
     ).astype(bool)

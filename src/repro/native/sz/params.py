@@ -74,7 +74,7 @@ class sz_params:  # noqa: N801 - mimics the C struct name
     * ``szMode`` — maps to the lossless backend effort (BEST_SPEED uses
       zlib level 1, DEFAULT level 6, BEST_COMPRESSION level 9);
     * ``losslessCompressor`` — "zlib" | "bz2" | "lzma" | "none";
-    * ``entropyCoder`` — "fast" (two-stream residual codec) or "huffman";
+    * ``entropyCoder`` — "fast" (byte-plane residual codec) or "huffman";
     * ``predictionMode`` — "lorenzo" (default), "none" (quantize only),
       "regression" (SZ 2.x per-block linear regression), or "adaptive"
       (per-block choice between lorenzo and regression — the behaviour

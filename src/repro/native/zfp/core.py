@@ -474,8 +474,6 @@ def decompress(stream: bytes | memoryview,
                                      nblocks)
         except ValueError as e:
             raise CorruptStreamError(f"zfp shift table: {e}") from None
-        if len(table) != nblocks:
-            raise CorruptStreamError("shift table does not match block count")
         shifts = np.frombuffer(table, dtype=np.uint8).astype(np.int64)
         kept = decode_residuals(view[pos + shift_len:],
                                 count=nblocks * BLOCK_SIDE**d)

@@ -24,6 +24,16 @@ Written by the nibble-split encoder:
   the odd last byte; it decodes to the same values as
   ``rzc2_wide2_l1.bin``.
 
+Written at revision 3016231, the last encoder that wrote RZC1:
+
+* ``rzc1_{bz2,lzma,none}.bin`` — one 1500-residual input through each
+  of those backends, which always wrote RZC1; 32 of its codes are 255
+  or more (two of them the int64 extremes), so each stream carries the
+  8-byte overflow stream;
+* ``sz_abs_1e4_v5.bin`` / ``zfp_acc_1e4_v5.bin`` — the golden corpus's
+  version-5 sz and zfp streams, whose residuals are RZC2 as the zlib
+  backend wrote it below 2048 residuals then.
+
 Each must decode, forever, to the values whose SHA-256 is recorded
 here.  An encoder may change what it writes; it may not change what an
 old stream means.
@@ -65,14 +75,26 @@ RESIDUAL_STREAMS = {
                                    "2e9f16d89e609340d9483ca31e830ce9"),
     "rzc2_nibble_l1.bin": (b"RZC2", "57408fa9e72f50a4002a36ff13243c77"
                                     "3dfd2bb463a4bed9040a943bbd14d901"),
+    "rzc1_bz2.bin": (b"RZC1", "ec63ed14b43f6e397c767219004d525b"
+                              "bd7774277fb305055c6cc8602396d046"),
+    "rzc1_lzma.bin": (b"RZC1", "ec63ed14b43f6e397c767219004d525b"
+                               "bd7774277fb305055c6cc8602396d046"),
+    "rzc1_none.bin": (b"RZC1", "ec63ed14b43f6e397c767219004d525b"
+                               "bd7774277fb305055c6cc8602396d046"),
 }
 
-#: file -> (plugin, SHA-256 of the 1024 decoded doubles)
+#: file -> (plugin, residual format inside, SHA-256 of the 1024 decoded
+#: doubles)
 CODEC_STREAMS = {
-    "sz_abs_1e4.bin": ("sz", "e673b434833c6562c73596658342c241"
-                             "22c9861d0bd271257ef6f27f13b561dc"),
-    "zfp_acc_1e4.bin": ("zfp", "e673b434833c6562c73596658342c241"
-                               "22c9861d0bd271257ef6f27f13b561dc"),
+    "sz_abs_1e4.bin": ("sz", b"RZC1", "e673b434833c6562c73596658342c241"
+                                      "22c9861d0bd271257ef6f27f13b561dc"),
+    "zfp_acc_1e4.bin": ("zfp", b"RZC1", "e673b434833c6562c73596658342c241"
+                                        "22c9861d0bd271257ef6f27f13b561dc"),
+    "sz_abs_1e4_v5.bin": ("sz", b"RZC2", "e673b434833c6562c73596658342c241"
+                                         "22c9861d0bd271257ef6f27f13b561dc"),
+    "zfp_acc_1e4_v5.bin": ("zfp", b"RZC2",
+                           "e673b434833c6562c73596658342c241"
+                           "22c9861d0bd271257ef6f27f13b561dc"),
 }
 
 
@@ -88,9 +110,9 @@ def test_residual_stream_decodes_to_recorded_values(name):
 
 @pytest.mark.parametrize("name", list(CODEC_STREAMS))
 def test_codec_stream_decodes_to_recorded_values(name):
-    plugin, digest = CODEC_STREAMS[name]
+    plugin, magic, digest = CODEC_STREAMS[name]
     stream = (COMPAT / name).read_bytes()
-    assert b"RZC1" in stream
+    assert magic in stream
     out = compressor_registry.create(plugin).decompress(
         PressioData.from_bytes(stream),
         PressioData.empty(DType.DOUBLE, (1024,)))
@@ -102,3 +124,10 @@ def test_nibble_fixture_holds_a_nibble_plane():
     stream = (COMPAT / "rzc2_nibble_l1.bin").read_bytes()
     assert _plane_tags(stream) == [residual._P_RAW, residual._P_NIBBLE]
     assert int.from_bytes(stream[4:12], "little") % 2 == 1
+
+
+@pytest.mark.parametrize("backend", ["bz2", "lzma", "none"])
+def test_rzc1_fixtures_carry_the_overflow_stream(backend):
+    stream = (COMPAT / f"rzc1_{backend}.bin").read_bytes()
+    assert int.from_bytes(stream[12:20], "little") == 32
+    assert stream[20] == residual._BACKEND_IDS[backend]

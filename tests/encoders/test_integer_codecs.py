@@ -1,4 +1,4 @@
-"""Tests for zigzag, varint, and the two-stream residual codec."""
+"""Tests for zigzag, varint, and the byte-plane residual codec."""
 
 import numpy as np
 import pytest
@@ -135,7 +135,7 @@ class TestResidualCodec:
         assert np.array_equal(decode_residuals(encode_residuals(v)), v)
 
     def test_roundtrip_boundary_255(self):
-        # zigzag(127) = 254 fits; zigzag(-128) = 255 must overflow to B
+        # zigzag(-128) = 255 is the last one-byte code; 128 needs a plane more
         v = np.array([127, -128, 128], dtype=np.int64)
         assert np.array_equal(decode_residuals(encode_residuals(v)), v)
 

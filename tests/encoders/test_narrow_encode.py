@@ -195,7 +195,7 @@ def test_histogram_is_skipped_exactly_where_the_outcome_is_known(key):
     skips = k == 0 or (level <= 4 and runs >= residual._RLE_SURE * n)
     with mock.patch.object(residual, "_byte_histogram",
                            wraps=residual._byte_histogram) as spy:
-        tag, payload = residual._encode_plane(plane, level, True)
+        tag, payload = residual._encode_plane(plane, level, "zlib")
     assert spy.call_count == (0 if skips else 1)
     assert (tag, hashlib.sha256(payload).hexdigest()) == GATE_PINS[key]
 
@@ -231,8 +231,8 @@ def test_skip_gates_never_change_a_plane(gate):
     planes += [_near_empty(2**16, k) for k in (2**14, 2**15, 3 * 2**14)]
     for plane in planes:
         for level in (1, 6):
-            assert (variant._encode_plane(plane, level, True)
-                    == residual._encode_plane(plane, level, True))
+            assert (variant._encode_plane(plane, level, "zlib")
+                    == residual._encode_plane(plane, level, "zlib"))
 
 
 # -- int32 stage-1 codes ------------------------------------------------------

@@ -7,10 +7,11 @@ paper-scale one (2**18).  The SHA-256 of every stream was recorded
 before the codec's hot paths were rewritten, so a change that alters
 one emitted byte fails here.  A second group pins multi-plane streams
 and round-trips every plane count 0..8, which exercises every decode
-code width.  The last groups check that small arrays keep the smaller
-of RZC1 and RZC2, pin the low-effort deflate skip gate, and check that
-the decoder rejects malformed planes and RZC1 payloads, bombs included,
-and a stream declaring another residual count than its caller expects.
+code width.  The last groups check that every backend writes RZC2 at
+every size, small arrays included, pin the low-effort deflate skip
+gate, and check that the decoder rejects malformed planes and RZC1
+payloads, bombs included, and a stream declaring another residual count
+than its caller expects.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import bz2
 import hashlib
 import lzma
+import pathlib
 import tracemalloc
 import zlib
 from unittest import mock
@@ -27,8 +29,8 @@ import pytest
 
 from repro.core import CorruptStreamError
 from repro.encoders import residual
-from repro.encoders.residual import (CorruptResidualError, decode_residuals,
-                                     encode_residuals)
+from repro.encoders.residual import (LOSSLESS_BACKENDS, CorruptResidualError,
+                                     decode_residuals, encode_residuals)
 
 SIZES = (2048, 2049, 2 ** 18)
 LEVELS = (1, 6)
@@ -230,25 +232,45 @@ def test_every_code_width_roundtrips_to_int64(nplanes):
 
 # -- small arrays ------------------------------------------------------------
 
-#: below the RZC1 cutoff: RZC2 wins on run-heavy and single-plane
-#: input, RZC1 on a short periodic pattern that spans two planes
-SMALL = {"const": _plane_input("const", 700),
-         "zlib": _plane_input("zlib", 2047),
-         "two_planes": _wide_input(2, 300),
-         "periodic": np.tile([0, 0, 0, 5, -300, 0], 24)}
+def _small_input(n: int) -> np.ndarray:
+    """Mostly small residuals, every seventh one wide enough for a
+    second byte plane."""
+    rng = np.random.default_rng([n, 33])
+    r = rng.integers(-40, 40, n)
+    r[::7] = rng.integers(-3000, 3000, r[::7].size)
+    return r
 
 
-@pytest.mark.parametrize("name", list(SMALL))
-def test_small_arrays_keep_the_smaller_format(name):
-    r = SMALL[name]
-    legacy = residual._encode_rzc1(r, "zlib", 1)
-    planes = residual._encode_rzc2(r, int(r.min()), int(r.max()), "zlib", 1)
-    stream = encode_residuals(r, "zlib", 1)
-    assert stream == (planes if len(planes) < len(legacy) else legacy)
-    assert stream[:4] == (b"RZC1" if name == "periodic" else b"RZC2")
-    assert np.array_equal(decode_residuals(stream), r)
-    for backend in ("bz2", "lzma", "none"):
-        assert encode_residuals(r, backend, 1)[:4] == b"RZC1"
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("n", (0, 1, 16, 2047, 2048))
+@pytest.mark.parametrize("backend", LOSSLESS_BACKENDS)
+def test_every_backend_and_size_writes_rzc2(backend, n, level):
+    r = _small_input(n)
+    stream = encode_residuals(r, backend, level)
+    assert stream[:4] == b"RZC2"
+    assert stream[13] == residual._BACKEND_IDS[backend]
+    out = decode_residuals(stream, count=n)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, r)
+
+
+#: bytes of a short two-plane periodic pattern: the RZC1 stream the
+#: zlib backend wrote for it before RZC2 became the only format (one
+#: 21-byte header, one zlib stream), and its RZC2 stream now (14-byte
+#: header; per plane, 9 bytes of framing and a 17-byte zlib stream)
+PERIODIC = np.tile([0, 0, 0, 5, -300, 0], 24)
+PERIODIC_BYTES = {"RZC1": 47, "RZC2": 66}
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_small_periodic_planes_are_deflated_with_match_search(level):
+    """Below ``_SMALL_PLANE`` bytes every level searches for matches,
+    which is what finds a period; Huffman-only or ``Z_RLE`` alone would
+    take 48 or 52 bytes per plane here."""
+    stream = encode_residuals(PERIODIC, "zlib", level)
+    assert _plane_tags(stream) == [residual._P_ZLIB] * 2
+    assert len(stream) == PERIODIC_BYTES["RZC2"]
+    assert np.array_equal(decode_residuals(stream), PERIODIC)
 
 
 # -- exact skip gates --------------------------------------------------------
@@ -289,8 +311,8 @@ def test_high_effort_is_never_larger_on_split_eligible_planes():
         conditional = (residual._entropy(counts, n) - residual._entropy(
             counts.reshape(16, 16).sum(axis=1), n))
         assert conditional >= residual._SPLIT_BITS
-        low_tag, low = residual._encode_plane(plane, 1, True)
-        high_tag, high = residual._encode_plane(plane, 6, True)
+        low_tag, low = residual._encode_plane(plane, 1, "zlib")
+        high_tag, high = residual._encode_plane(plane, 6, "zlib")
         assert len(high) <= len(low)
         tags.add(low_tag)
     assert residual._P_NIBBLE in tags
@@ -349,8 +371,10 @@ def test_forged_nibble_plane_is_rejected_with_bounded_memory(name, count):
 
 # -- malformed planes --------------------------------------------------------
 
-def _single_plane(tag: int, payload: bytes, n: int) -> bytes:
-    return (b"RZC2" + n.to_bytes(8, "little") + bytes([1, 3, tag])
+def _single_plane(tag: int, payload: bytes, n: int,
+                  backend: str = "zlib") -> bytes:
+    return (b"RZC2" + n.to_bytes(8, "little")
+            + bytes([1, residual._BACKEND_IDS[backend], tag])
             + len(payload).to_bytes(8, "little") + payload)
 
 
@@ -385,6 +409,39 @@ def _rzc1(backend: str, n: int, n_big: int, payload: bytes) -> bytes:
 _PACK = {"zlib": lambda b: zlib.compress(b, 9),
          "bz2": lambda b: bz2.compress(b, 9),
          "lzma": lambda b: lzma.compress(b, preset=0)}
+
+
+@pytest.mark.parametrize("backend", ["bz2", "lzma"])
+def test_strong_backend_plane_bomb_is_rejected_with_bounded_memory(backend):
+    """A tag-4 plane decodes with the header's backend, under the same
+    cap as a zlib plane."""
+    n = 2 ** 18
+    size = 64 * n
+    bomb = _single_plane(residual._P_ZLIB, _PACK[backend](bytes(size)), n,
+                         backend)
+    assert len(bomb) < n // 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptResidualError,
+                           match="corrupt residual stream"):
+            decode_residuals(bomb, count=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 16
+
+
+@pytest.mark.parametrize("backend", ["bz2", "lzma", "none"])
+def test_strong_backend_plane_must_inflate_to_exactly_n(backend):
+    n = 4096
+    pack = _PACK.get(backend, bytes)
+    for payload in (pack(bytes(n - 1)), pack(bytes(n + 1))):
+        with pytest.raises(CorruptResidualError,
+                           match="corrupt residual stream"):
+            decode_residuals(_single_plane(residual._P_ZLIB, payload, n,
+                                           backend))
+    good = _single_plane(residual._P_ZLIB, pack(bytes(n)), n, backend)
+    assert not decode_residuals(good).any()
 
 
 @pytest.mark.parametrize("backend", sorted(_PACK))
@@ -451,15 +508,24 @@ def test_truncated_plane_header_is_rejected(cut):
         decode_residuals(stream[:cut + 1])
 
 
+#: a 1500-residual RZC1 stream written by an earlier encoder
+RZC1_FIXTURE = pathlib.Path(__file__).parent / "compat" / "rzc1_small.bin"
+
+
 @pytest.mark.parametrize("fmt", ["RZC1", "RZC2"])
 def test_declared_count_must_match_the_expected_count(fmt):
     """A header declaring 2**34 residuals fails against the caller's
     count before a buffer the size of that declaration exists."""
-    n = 4096 if fmt == "RZC2" else 512
-    residuals = np.random.default_rng(7).integers(-40, 40, n)
-    stream = bytearray(encode_residuals(residuals))
+    if fmt == "RZC2":
+        n = 4096
+        stream = bytearray(encode_residuals(
+            np.random.default_rng(7).integers(-40, 40, n)))
+    else:
+        n = 1500
+        stream = bytearray(RZC1_FIXTURE.read_bytes())
     assert bytes(stream[:4]) == fmt.encode()
-    assert np.array_equal(decode_residuals(stream, count=n), residuals)
+    assert np.array_equal(decode_residuals(stream, count=n),
+                          decode_residuals(bytes(stream)))
     with pytest.raises(ValueError, match=f"expected {n + 1}"):
         decode_residuals(stream, count=n + 1)
     stream[4:12] = (2 ** 34).to_bytes(8, "little")

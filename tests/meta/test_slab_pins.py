@@ -45,7 +45,7 @@ PINS = {
         "313925ceab6b723f06b4bb06f116d797f122e97e5b56678a866b0d0e5b080639",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "pipelined/sz_omp": ("CHK2",
-        "f34edea736be9eb6cbf3a5dbd556434fdb7e577ffeec7679d817d3abc756a9c5",
+        "67fdae21c14af46ae2fe6b133ee9a156da9c4f436969d6f756b86863e650dd39",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "streaming/PSF1/sz_threadsafe": ("PSF1",
         "8e527040cc823c6bb8994723bcf2bd64b2062f80d2d2d1575da241a926d5a11d",

@@ -70,21 +70,21 @@ PINS = {
         "05d8095ff543054fb2d7faf91c8f8eb546f5f57bd6b2ef6f7eaf96e7b8d52e31"),
     "1d-6": ("b0d4431072b1a8cee438c0e9030f2300e96bc84fe24a7ddd40b56988841cb4c1",
         "6f44638f04a53bbddf93088d79d87d71241b64fa9e6d158df7d2cbdbecc4babc"),
-    "1d-16": ("a841897f2135eb15dc1db76c9f412f6d8e835e22d954f4de422b52fcf5c4e001",
+    "1d-16": ("dc033192d8cb465d9a65e0fd747b11bc15506228fa77a7d30244f65b1077f068",
         "33c2c958f3b1017f9eb8cd68a764b3c78d6dd477078dcf4103452e349dad86b9"),
-    "1d-17": ("0224381d59fff8a02bc72c8a4ef985a7973dedd637a1c915a9da3483ff93dc3d",
+    "1d-17": ("4391ae5ac1688589087785623dac9a386c77a8d9fc56fe17bec5a0048f6ee2e0",
         "0f67bd659dd862344b28a4f114897e762ca4bc9393e31d7d982467100e2efa68"),
-    "1d-1000": ("a166350abe905cb81b06fc1929a962f0802581eaa7e09a03bffabfec0cf85ca0",
+    "1d-1000": ("6dd767854c995e2a5892f751a6d0da2c0def95eedc9a422ece2f5b225c81d2a1",
         "702235744d0542aa3f3532adbda292f48fa587457f4563edf524e3e3ed32e30c"),
     "2d-3x3": ("9f87cd774ad09618a4fce0df8b417611397bdbee15bc2bce1373d48af0200652",
         "8931ad79a880a1eba4799d229561311ee79abc6599e3c27b506d06fbca21fedd"),
-    "2d-3x4": ("2e40679c84d98c13eddec852dd3ef2de0236eeabd7e57f8252d2428dfb940707",
+    "2d-3x4": ("5596a274b2c51d13bf3915fa4614f09cf024c84c8a9eaae7ca90abf80f5e18ab",
         "c17f01a142ab61f8d78d7b526577e669b914a926b075be956959bd14110522f9"),
-    "2d-6x5": ("a9247f1fa64772efad618b9960fd0989c263ac00c5051f887bd938fd5b24560a",
+    "2d-6x5": ("4ff952754af8659e6e76c23bca56728a87d718f1a6eb7632e7e8ae5002f83af1",
         "4d36ee8d5c13f25e8f02a0d9e82dc31262fcc415b5f6b79a00fba51a51e69cca"),
     "2d-8x8": ("2b851d7a7dc36e9cef72b4bcce06e3be684e568088c1976676dc8b84bc846f42",
         "2cea75d0ffd781e8b10c6f5aec5a98dbab16618e7e6430780045a643558bfb51"),
-    "2d-9x13": ("86b0c2d769d4a92dce7796e5f51543f0a5ffd14529a34d3dcf363325e7c571ff",
+    "2d-9x13": ("2a01495e2f85c44316c467ce133b3ed077c001bf6afcd4ef4f047c20a29f2574",
         "1a383a8197670478c04341aa5fabdb59a4427c2ca270944ba03655bbf3484e32"),
     "2d-64x33": ("9bf83d71f9e1ca64f41c4ae6dae3b39017f287eaefa225134aacae9d31fee38b",
         "cfebca00dbb3552ce89a554bfb9a348453e70f6cf35cb123b70ce1780762dd74"),
@@ -94,27 +94,27 @@ PINS = {
         "360872b26b4f80808aba54d76006c9261b0ce2913738608e2fb134ab3f6d535c"),
     "3d-5x5x5": ("8d35af61ce8ca8de44dc3b04368c7debd6e85138237f43c710bdf0cacdba7f5a",
         "43d650dcbe6a1f9e1726d5602df11a37376146dc0ed5f89022daf274f669ff8d"),
-    "3d-6x6x5": ("a51150f9fec6ac47e7b975b6262d63fbfccf7042104f6542842f2e97d9a09ecc",
+    "3d-6x6x5": ("d55bef402fa7eab4fa5118798d17376826a7701850bafaa5d620dc0b739affa5",
         "685debceb5952d26ad3200e985ee57741ac7e7d81c5ebe7dc046cb3052aa64ee"),
-    "3d-5x7x9": ("1d92ae9c3e5f08e2026fb393e6e5b2b2506e277cad9e92de019c3bd1263d520f",
+    "3d-5x7x9": ("9cc4560d14c2add7ed6d5707a06393b06ad69d14d7c64c5d897de8cb8fb2b5d1",
         "10a829cebb26bc5e78e000477fe7d34fff859b5bd870b44dc10d9ac49d03ddc2"),
-    "3d-12x10x8": ("95f2a0eefadadeeb7a8aee8efbddbd37ba7d2b2b6c31ad243bc3b2f241c5155c",
+    "3d-12x10x8": ("8b08d6ef09a73eed82895424a95e28bd03edd1d1f83cc026c97ef222dbae40c4",
         "b3a79f1232e5e475536180f9167bf640c3170497fa1f966fbd1099b3fefedd7c"),
-    "3d-17x16x6": ("391edce62a533541a3520f80f3ea1626edd871b5e855be59feb633680df0cda5",
+    "3d-17x16x6": ("05a7ad3337c1e05369a596b02034dcd8bd0731eb33fa8e66ff84b1cf6828db02",
         "cd6b16045f5d1c5b7c011106fbff8db81d87c5a317a6f1dae33a6916a2e0a19b"),
     "3d-24x20x18": ("55aa399f8834978114ed053c510ae27cb80b46bb1a46c6df9c53ff0cc4fff81e",
         "fd184d24a507fc0933b3bcca033eee1c315b29daf0e0d035e11765f77534ca76"),
-    "f32-9x13": ("a64cc00303ff78f78b8e4c1177a444c61860e548efe39c24531026f46ab6a64e",
+    "f32-9x13": ("ec0d92be7f81aab8e37b603f5481335d3cd613da199518bd8115d3403b76ff65",
         "9ee300086b9762438fed870285dbfdbb4324d158a88eb9cc44baf3e6f0d6f625"),
-    "f32-12x10x8": ("a6a82e736ba7f8e81c557ef4db598d60dd5944c288ac30bf61571d610dacdf38",
+    "f32-12x10x8": ("59688149253241ab818a04121a367eee6f3d6d3774b50ebbaf876eabbbe71d56",
         "346a5c64b37c21c8f2ad5d8b76ad239bd15fd731aa292e66a7ec145e57786e48"),
-    "i32-17": ("8b92a79ce749ceb12094073415db0085b1c8cf1613d0badaf87a2b9f06563c65",
+    "i32-17": ("9c4044b53a28629410115d2bbdebb9afc14f3f1bf6f8a78fea3a7f75cb5a2369",
         "4fcec400c58135e70bc648ea3f3fa6b31cc96f872b58fe489e10fe8ebed809fb"),
-    "i32-5x7x9": ("c77901c86fa9fbada224369b70c29bbee8106bfb4a314969050ec94acafb4d65",
+    "i32-5x7x9": ("71e4f788150a30626105462b8851be80f1a223673e9c7c00b2febcde149d0f77",
         "0496c1d7813fed412d9ca358aaeca73bb5a428f89d96ad609805d708853c19fc"),
     "s1-12x10x8": ("3a3fc2a2e66e3678ef3491fa8ff98eecbc8985c79ff9f22b9456ef32c00f6d9d",
         "31e4c7f63dacd9868880dbbdb952c70c29b9ff138c331b5bcfa9a31e748f1a6c"),
-    "s1-9x13": ("8d60c7c8e3497ff93c627303dabfb139de00581941c90f62070a1d3b1290bed7",
+    "s1-9x13": ("da239521c86c2e50f13548f6b5effdec8fe56d253616ddded4b8052d9a5a3e8d",
         "8071cb207ecc44b48a8685f6bff50cadc0cec9061392f05bbe70b5da4e6be279"),
 }
 

@@ -1,9 +1,10 @@
 """Stream pins for the real codecs on the byte-plane (RZC2) path.
 
-The committed golden corpus holds fields below the residual codec's
-RZC1 cutoff, so it never reaches the byte-plane encoder.  These pins
-do: each is the SHA-256 of ``native.{sz,zfp,mgard}.compress`` on a
-seeded field above the cutoff — a nyx-like cube and a slab with the
+The committed golden corpus holds 1024-value fields, whose byte
+planes are all shorter than the residual codec's 2048-byte small-plane
+limit, so it never reaches the gated plane chooser.  These pins do:
+each is the SHA-256 of ``native.{sz,zfp,mgard}.compress`` on a seeded
+field above that limit — a nyx-like cube and a slab with the
 CLOUD field's 1:5:5 aspect — at value-range-relative bounds 1e-4, 1e-2
 and 1e-9, with sz also at effort level 6 (``sz6``) and mgard/nyx also
 at 1e-12.  Together the configs cover residuals that fit int8, int16
