@@ -3,19 +3,17 @@
 This script compresses every configuration of the ``paper_grid`` and
 ``chunked_serial`` workloads (``perfbench/inprocess.py``, so the same
 fields, bounds and stacks) with the residual encoder run as each arm
-in turn.  Four arms separate the chooser's two entropy-gate changes:
+in turn.  Four arms separate the working tree's plane encodings:
 
 * ``parent`` — the encoder of a baseline git revision (``--baseline``,
-  loaded with ``git show``), whose low effort deflates a plane only
-  when the entropy estimate beats its structural best by 20 %;
-* ``margin-only`` — that same baseline encoder with the 20 % margin
-  dropped (its source patched to ``margin = 1.0``): part (1) alone;
+  loaded with ``git show``);
+* ``no-pack`` — the working tree's encoder with PACKED planes off
+  (``_pack_width`` always 0); against the revision before PACKED it
+  must write exactly the bytes ``parent`` writes, so the working tree
+  is that revision plus PACKED and nothing else;
 * ``no-split`` — the working tree's encoder with the nibble split off
-  (``_SPLIT_BITS`` at infinity); it must write exactly the bytes
-  ``margin-only`` writes, so the working tree is (1) plus (2) and
-  nothing else;
-* ``gate`` — the working tree's encoder as it is: (1) and the NIBBLE
-  split (2).
+  (``_SPLIT_BITS`` at infinity);
+* ``gate`` — the working tree's encoder as it is.
 
 Three more arms (``ARMS``, with ``gate`` the chooser itself) replace
 the per-plane deflate strategy chooser ``residual._rle_first`` in the
@@ -29,10 +27,22 @@ bytes and ratio, the time spent in ``encode_residuals`` (median over
 Every residual stream the ``gate`` arm writes is also decoded by the
 working tree's decoder and compared with the residuals it encodes.
 
-Usage, from the root of a checkout (several minutes)::
+A bound sweep follows: sz, zfp and mgard on the first seed's nyx and
+CLOUD fields at value-range-relative bounds 1e-1 down to 1e-9, one
+compress per ``parent``, ``no-pack`` and ``gate`` arm, recording the
+stream bytes and plane encodings and listing every configuration whose
+``gate`` stream is larger than its ``parent`` stream.  The exit status
+is nonzero if a stream fails to decode, ``no-pack`` departs from
+``parent`` or a sweep stream grew.
+
+Usage, from the root of a checkout (ten minutes or so)::
 
     PYTHONPATH=src python benchmarks/entropy_gate_ablation.py \\
-        --baseline 73aa2bc --output benchmarks/BENCH_entropy_gate_ablation.json
+        --baseline 2687230 --output benchmarks/BENCH_packed_planes_ablation.json
+
+``BENCH_entropy_gate_ablation.json`` was written by this script's
+previous version (``--baseline 73aa2bc``), whose ``margin-only`` arm
+patched the baseline's 20 % low-effort entropy margin away.
 """
 
 from __future__ import annotations
@@ -47,28 +57,33 @@ import math
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
+import types
 import zlib
 from unittest import mock
 
 import numpy as np
 
+from repro import Pressio, PressioData
 from repro.encoders import residual
 
-from rzc2_paper_scale import CALLERS, load_baseline, load_module
+from rzc2_paper_scale import CALLERS, load_baseline
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("paper_grid", "chunked_serial")
 #: perfbench seeds (circular shifts and mirrors of one realization)
 SEEDS = (11, 12, 13)
-#: the baseline's low-effort entropy margin, and what ``margin-only``
-#: puts in its place
-MARGIN = ("margin = 0.8 if level <= 4 else 1.0", "margin = 1.0")
+#: the bound sweep: compressors, fields and value-range-relative bounds
+SWEEP_CODECS = ("sz", "zfp", "mgard")
+SWEEP_FIELDS = ("nyx", "cloud")
+SWEEP_BOUNDS = tuple(10.0 ** -e for e in range(1, 10))
+#: arms the bound sweep runs
+SWEEP_ARMS = ("parent", "no-pack", "gate")
 TAG_NAMES = {residual._P_CONST: "const", residual._P_RAW: "raw",
              residual._P_SPARSE: "sparse", residual._P_BITPACK: "bitpack",
-             residual._P_ZLIB: "zlib", residual._P_NIBBLE: "nibble"}
+             residual._P_ZLIB: "zlib", residual._P_NIBBLE: "nibble",
+             residual._P_PACKED: "packed"}
 
 
 def _best_of(plane: np.ndarray, runs: int) -> bool:
@@ -91,22 +106,12 @@ def arm(name: str):
     return mock.patch.object(residual, "_rle_first", ARMS[name])
 
 
-def load_margin_only(rev: str):
-    """The baseline's encoder with its low-effort margin at 1.0."""
-    src = subprocess.run(
-        ["git", "show", f"{rev}:src/repro/encoders/residual.py"],
-        cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    if src.count(MARGIN[0]) != 1:
-        raise RuntimeError(f"no low-effort margin in {rev}'s residual.py")
-    return load_module(src.replace(*MARGIN), "_residual_margin_only")
-
-
-def arms(baseline, margin_only) -> dict:
+def arms(baseline) -> dict:
     """arm -> (``encode_residuals`` to call, patch to hold meanwhile)."""
-    same = contextlib.nullcontext
     table = {
-        "parent": (baseline.encode_residuals, same),
-        "margin-only": (margin_only.encode_residuals, same),
+        "parent": (baseline.encode_residuals, contextlib.nullcontext),
+        "no-pack": (residual.encode_residuals, lambda: mock.patch.object(
+            residual, "_pack_width", lambda plane: 0)),
         "no-split": (residual.encode_residuals, lambda: mock.patch.object(
             residual, "_SPLIT_BITS", math.inf)),
     }
@@ -203,13 +208,61 @@ def summarize(rows: list[dict]) -> dict:
             r["config"] for r in rows
             if r["arms"]["gate"]["stream_bytes"]
             > r["arms"]["huffman"]["stream_bytes"]],
-        "no_split_matches_margin_only": all(
-            r["arms"]["no-split"]["stream_bytes"]
-            == r["arms"]["margin-only"]["stream_bytes"] for r in rows),
+        "no_pack_matches_parent": all(
+            r["arms"]["no-pack"]["stream_bytes"]
+            == r["arms"]["parent"]["stream_bytes"] for r in rows),
         "worst_ratio_change_vs_parent": min(
             r["arms"]["gate"]["ratio"] / r["arms"]["parent"]["ratio"] - 1
             for r in rows),
         "decodes_ok": all(r["decodes_ok"] for r in rows),
+    }
+
+
+def bound_sweep(fields: dict, table: dict) -> dict:
+    """Stream bytes and plane encodings of every sweep configuration
+    under the ``SWEEP_ARMS``, and the configurations ``gate`` grew."""
+    library = Pressio()
+    rows = []
+    for codec in SWEEP_CODECS:
+        for name in SWEEP_FIELDS:
+            arr = fields[name]
+            value_range = float(arr.max() - arr.min())
+            for rel in SWEEP_BOUNDS:
+                plugin = library.get_compressor(codec)
+                if plugin.set_options({"pressio:abs": rel * value_range}):
+                    raise RuntimeError(f"{codec}: {plugin.error_msg()}")
+                cfg = types.SimpleNamespace(
+                    plugin=plugin, data=PressioData.from_numpy(arr,
+                                                               copy=False))
+                row = {"config": f"{codec}:{name}:{rel:g}",
+                       "nbytes": arr.nbytes, "arms": {}}
+                for arm_name in SWEEP_ARMS:
+                    encode, patch = table[arm_name]
+                    spy = Spy(encode, check=arm_name == "gate")
+                    with patch():
+                        size = compress(cfg, spy)
+                    row["arms"][arm_name] = {"stream_bytes": size,
+                                             "plane_tags": dict(spy.tags)}
+                    if spy.check:
+                        row["decodes_ok"] = spy.decode_failures == 0
+                rows.append(row)
+                print(f"sweep {row['config']:22s} " + " ".join(
+                    f"{a} {v['stream_bytes']}"
+                    for a, v in row["arms"].items()), file=sys.stderr)
+
+    def change(r):
+        return (r["arms"]["gate"]["stream_bytes"]
+                / r["arms"]["parent"]["stream_bytes"] - 1)
+    return {
+        "codecs": SWEEP_CODECS, "fields": SWEEP_FIELDS,
+        "rel_bounds": SWEEP_BOUNDS,
+        "grown": [r["config"] for r in rows if change(r) > 0],
+        "largest_shrink": min(change(r) for r in rows),
+        "no_pack_matches_parent": all(
+            r["arms"]["no-pack"]["stream_bytes"]
+            == r["arms"]["parent"]["stream_bytes"] for r in rows),
+        "decodes_ok": all(r["decodes_ok"] for r in rows),
+        "configs": rows,
     }
 
 
@@ -227,8 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import inprocess
 
-    table = arms(load_baseline(args.baseline),
-                 load_margin_only(args.baseline))
+    table = arms(load_baseline(args.baseline))
     workloads = {}
     for workload in WORKLOADS:
         rows = []
@@ -243,9 +295,10 @@ def main(argv: list[str] | None = None) -> int:
                                  for a, v in row["arms"].items()),
                       file=sys.stderr)
         workloads[workload] = {"summary": summarize(rows), "configs": rows}
+    sweep = bound_sweep(inprocess.make_fields(args.seeds[0]), table)
 
     doc = {
-        "schema": "pressio-entropy-gate-ablation/2",
+        "schema": "pressio-entropy-gate-ablation/3",
         "created_at": datetime.datetime.now(
             datetime.timezone.utc).isoformat(),
         "platform": platform.platform(),
@@ -263,16 +316,17 @@ def main(argv: list[str] | None = None) -> int:
                        "split_bits": residual._SPLIT_BITS},
         "method": ("per configuration and arm: compress with the "
                    "residual encoder run as the arm (parent: the baseline "
-                   "revision's encoder; margin-only: that encoder with "
-                   "its low-effort margin at 1.0; no-split: the working "
+                   "revision's encoder; no-pack: the working tree's "
+                   "with PACKED planes off; no-split: the working "
                    "tree's with the nibble split off; huffman/rle/best: "
                    "the working tree's with its deflate strategy chooser "
                    "replaced); stream bytes and plane encodings of the "
                    "last compress, encode_ms is the median over reps of "
                    "the time inside encode_residuals; the gate arm's "
                    "residual streams are decoded by the working tree's "
-                   "decoder"),
+                   "decoder; the bound sweep compresses once per arm"),
         "workloads": workloads,
+        "bound_sweep": sweep,
     }
     text = json.dumps(doc, indent=1)
     if args.output:
@@ -281,8 +335,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(text)
     ok = all(w["summary"]["decodes_ok"]
-             and w["summary"]["no_split_matches_margin_only"]
+             and w["summary"]["no_pack_matches_parent"]
              for w in workloads.values())
+    ok = ok and sweep["decodes_ok"] and sweep["no_pack_matches_parent"]
+    ok = ok and not sweep["grown"]
     return 0 if ok else 1
 
 

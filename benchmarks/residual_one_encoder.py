@@ -28,8 +28,13 @@ larger, and every stream that grew.
 
 Usage, from the root of a checkout (a minute or two)::
 
+    # RZC2 for every backend and size against the revision before it
     PYTHONPATH=src python benchmarks/residual_one_encoder.py \\
         --baseline 3016231 --output benchmarks/BENCH_residual_one_encoder.json
+    # PACKED planes and bare .lzma plane framing against the revision
+    # before them
+    PYTHONPATH=src python benchmarks/residual_one_encoder.py \\
+        --baseline 2687230 --output benchmarks/BENCH_residual_packed_sweep.json
 """
 
 from __future__ import annotations

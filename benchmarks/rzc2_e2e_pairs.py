@@ -76,6 +76,10 @@ Usage, from the root of a checkout (about 40 minutes each)::
     # claimed) against the revision before it
     python3 benchmarks/rzc2_e2e_pairs.py --baseline 3016231 \\
         --output benchmarks/BENCH_one_residual_encoder_e2e.json
+    # low-width planes packed 2 or 4 values a byte (PACKED) against
+    # the revision before them
+    python3 benchmarks/rzc2_e2e_pairs.py --baseline 2687230 \\
+        --output benchmarks/BENCH_packed_planes_e2e.json
 """
 
 from __future__ import annotations

@@ -34,6 +34,23 @@ Written at revision 3016231, the last encoder that wrote RZC1:
   version-5 sz and zfp streams, whose residuals are RZC2 as the zlib
   backend wrote it below 2048 residuals then.
 
+Written at revision 2687230, before low-width planes were packed:
+
+* ``rzc2_huff_l1.bin`` / ``rzc2_rle_l1.bin`` — one-plane streams of
+  2**18 residuals at effort level 1, whose values are mostly below 3
+  (a few up to 200 or 90), each a ZLIB plane (tag 4) deflated
+  Huffman-only and with ``Z_RLE``; that revision wrote the same bytes
+  at level 6;
+* ``rzc2_match_l6.bin`` — a periodic input of the same widths at level
+  6, whose ZLIB plane the match-searching strategy won;
+* ``rzc2_lzma_xz.bin`` — a 1500-residual two-plane input through
+  ``lzma``, each plane in a full ``.xz`` container.
+
+Written by the packing encoder:
+
+* ``rzc2_packed_l1.bin`` — ``rzc2_huff_l1.bin``'s values at level 1,
+  one PACKED plane (tag 6) at 2 bits with an escape tail.
+
 Each must decode, forever, to the values whose SHA-256 is recorded
 here.  An encoder may change what it writes; it may not change what an
 old stream means.
@@ -81,6 +98,16 @@ RESIDUAL_STREAMS = {
                                "bd7774277fb305055c6cc8602396d046"),
     "rzc1_none.bin": (b"RZC1", "ec63ed14b43f6e397c767219004d525b"
                                "bd7774277fb305055c6cc8602396d046"),
+    "rzc2_huff_l1.bin": (b"RZC2", "73c971b0a58df20ca6b0d5930442c202"
+                                  "45ac1331478419307a7f79e949f0bbf2"),
+    "rzc2_rle_l1.bin": (b"RZC2", "2416a8c42e66db6805ac31df26cfc51f"
+                                 "d9bb873927bfab36e68292730984298c"),
+    "rzc2_match_l6.bin": (b"RZC2", "d41d0f7f7314a2f4619209d1f8afaf1b"
+                                   "842684041bf4490148e5cf6faa1bca6b"),
+    "rzc2_lzma_xz.bin": (b"RZC2", "b2a6d26e24a27f3820ead13104013ab9"
+                                  "9969c0161da3df07a4fd5133da4319b7"),
+    "rzc2_packed_l1.bin": (b"RZC2", "73c971b0a58df20ca6b0d5930442c202"
+                                    "45ac1331478419307a7f79e949f0bbf2"),
 }
 
 #: file -> (plugin, residual format inside, SHA-256 of the 1024 decoded
@@ -131,3 +158,37 @@ def test_rzc1_fixtures_carry_the_overflow_stream(backend):
     stream = (COMPAT / f"rzc1_{backend}.bin").read_bytes()
     assert int.from_bytes(stream[12:20], "little") == 32
     assert stream[20] == residual._BACKEND_IDS[backend]
+
+
+@pytest.mark.parametrize("name", ["rzc2_huff_l1.bin", "rzc2_rle_l1.bin",
+                                  "rzc2_match_l6.bin"])
+def test_low_width_fixtures_hold_a_zlib_plane(name):
+    stream = (COMPAT / name).read_bytes()
+    assert int.from_bytes(stream[4:12], "little") == 2 ** 18
+    assert _plane_tags(stream) == [residual._P_ZLIB]
+
+
+def test_packed_fixture_holds_a_packed_plane_with_escapes():
+    stream = (COMPAT / "rzc2_packed_l1.bin").read_bytes()
+    assert _plane_tags(stream) == [residual._P_PACKED]
+    w, body_len = stream[23], int.from_bytes(stream[24:32], "little")
+    assert w == 2 and 32 + body_len < len(stream)  # a tail follows
+
+
+#: the ``.xz`` stream header magic
+_XZ_MAGIC = b"\xfd7zXZ\x00"
+
+
+def test_lzma_planes_drop_the_xz_container():
+    """The old fixture's planes are ``.xz`` streams; the encoder now
+    writes each plane in the bare ``.lzma`` framing, smaller, and the
+    decoder reads both."""
+    old = (COMPAT / "rzc2_lzma_xz.bin").read_bytes()
+    assert old[13] == residual._BACKEND_IDS["lzma"]
+    assert old.count(_XZ_MAGIC) == 2
+    values = decode_residuals(old)
+    new = residual.encode_residuals(values, "lzma", 1)
+    assert _plane_tags(new) == _plane_tags(old) == [residual._P_ZLIB] * 2
+    assert _XZ_MAGIC not in new
+    assert len(new) < len(old)
+    assert np.array_equal(decode_residuals(new), values)

@@ -148,8 +148,10 @@ def _near_empty(n: int, k: int) -> np.ndarray:
 #: (n, nonzero bytes, level) -> (tag, SHA-256 of the payload), recorded
 #: from the per-plane strategy chooser.  At n = 2**18 the low-effort
 #: SPARSE fast path fires up to k = 51 (4 + 5k <= _deflate_floor(n));
-#: from there on the plane is made of runs and Z_RLE deflates it.  Half
-#: nonzero bytes leave too few runs, so that plane takes the histogram.
+#: from there on the plane is made of runs and Z_RLE deflates it, its
+#: bytes packed four to a byte (PACKED) once it leaves SPARSE.  Half
+#: nonzero bytes leave too few runs and too many escapes to pack, so
+#: that plane takes the histogram.
 GATE_PINS = {
     (2**18, 0, 1): (residual._P_CONST, "6e340b9cffb37a989ca544e6bb780a2c"
                     "78901d3fb33738768511a30617afa01d"),
@@ -159,14 +161,14 @@ GATE_PINS = {
                     "d6f94f6d4f92cf52238ef754a2eae4e7"),
     (2**18, 5, 6): (residual._P_SPARSE, "6462ec85413e0d9babd23ff23f87af4d"
                     "d6f94f6d4f92cf52238ef754a2eae4e7"),
-    (2**18, 818, 1): (residual._P_ZLIB, "e7038815dbbf97a45647e2b04b32287b"
-                      "deab8e91dba4d3fcfe419256853a3e50"),
-    (2**18, 818, 6): (residual._P_ZLIB, "e7038815dbbf97a45647e2b04b32287b"
-                      "deab8e91dba4d3fcfe419256853a3e50"),
-    (2**18, 819, 1): (residual._P_ZLIB, "03af686bf15016b4184efb96b9d47446"
-                      "05b89e0291e08b2ababf3eb5027e5cd4"),
-    (2**18, 819, 6): (residual._P_ZLIB, "03af686bf15016b4184efb96b9d47446"
-                      "05b89e0291e08b2ababf3eb5027e5cd4"),
+    (2**18, 818, 1): (residual._P_PACKED, "934ce2d9ce9fd731f6417d8e076e9714"
+                      "8b12b18c942833b796f49e38db7a9d52"),
+    (2**18, 818, 6): (residual._P_PACKED, "934ce2d9ce9fd731f6417d8e076e9714"
+                      "8b12b18c942833b796f49e38db7a9d52"),
+    (2**18, 819, 1): (residual._P_PACKED, "b7133fb9d44e7eb8c925682b3f0a2059"
+                      "4847287e20bdeb70de323d46dc949f67"),
+    (2**18, 819, 6): (residual._P_PACKED, "b7133fb9d44e7eb8c925682b3f0a2059"
+                      "4847287e20bdeb70de323d46dc949f67"),
     (2**18, 2**17, 1): (residual._P_ZLIB, "2442068361584539"
                         "37274eb1f54b1ac8836c72f3ae3363bfa52823e832db7d75"),
     (2**18, 2**17, 6): (residual._P_ZLIB, "2442068361584539"
@@ -185,14 +187,19 @@ GATE_PINS = {
 @pytest.mark.parametrize("key", list(GATE_PINS), ids=str)
 def test_histogram_is_skipped_exactly_where_the_outcome_is_known(key):
     """The histogram only feeds the entropy gate of Huffman-only deflate
-    and the nibble split: empty planes, the low-effort SPARSE fast path
-    and, at low effort, planes made of runs never build it.  High effort
-    builds it for every other plane, because it tries the split wherever
-    low effort might."""
+    and the nibble split: empty planes, the low-effort SPARSE fast path,
+    at low effort planes made of runs, and at any effort planes of at
+    least ``_SMALL_PLANE`` bytes that pack (fewer than an eighth of
+    their bytes reach 3, or else 15) never build it.  High effort builds
+    it for every other plane, because it tries the split wherever low
+    effort might."""
     n, k, level = key
     plane = _near_empty(n, k)
     runs = int(np.count_nonzero(plane[1:] == plane[:-1]))
-    skips = k == 0 or (level <= 4 and runs >= residual._RLE_SURE * n)
+    packs = n >= residual._SMALL_PLANE and any(
+        8 * np.count_nonzero(plane >= esc) < n for esc in (3, 15))
+    skips = (k == 0 or (level <= 4 and runs >= residual._RLE_SURE * n)
+             or packs)
     with mock.patch.object(residual, "_byte_histogram",
                            wraps=residual._byte_histogram) as spy:
         tag, payload = residual._encode_plane(plane, level, "zlib")

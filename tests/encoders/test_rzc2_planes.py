@@ -1,17 +1,18 @@
 """RZC2 per-plane encodings: tag choice, round trip and stream pins.
 
 Each seeded input below forces one plane encoding (CONST, RAW, SPARSE,
-BITPACK, ZLIB or NIBBLE) of a single-plane residual stream, at effort
-levels 1 and 6, for a whole-chunk length (2048), a ragged one (2049) and a
-paper-scale one (2**18).  The SHA-256 of every stream was recorded
-before the codec's hot paths were rewritten, so a change that alters
-one emitted byte fails here.  A second group pins multi-plane streams
-and round-trips every plane count 0..8, which exercises every decode
-code width.  The last groups check that every backend writes RZC2 at
-every size, small arrays included, pin the low-effort deflate skip
-gate, and check that the decoder rejects malformed planes and RZC1
-payloads, bombs included, and a stream declaring another residual count
-than its caller expects.
+BITPACK, ZLIB, NIBBLE, or PACKED at 2 or 4 bits) of a single-plane
+residual stream, at effort levels 1 and 6, for a whole-chunk length
+(2048), a ragged one (2049) and a paper-scale one (2**18).  The SHA-256
+of every stream was recorded before the codec's hot paths were
+rewritten, so a change that alters one emitted byte fails here.  A
+second group pins multi-plane streams and round-trips every plane count
+0..8, which exercises every decode code width.  The last groups check
+that every backend writes RZC2 at every size, small arrays included,
+pin the low-effort deflate skip gate, and check that the decoder
+rejects malformed planes (PACKED ones under every check of its layout)
+and RZC1 payloads, bombs included, and a stream declaring another
+residual count than its caller expects.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ LEVELS = (1, 6)
 
 _TAGS = {"const": residual._P_CONST, "raw": residual._P_RAW,
          "sparse": residual._P_SPARSE, "bitpack": residual._P_BITPACK,
-         "zlib": residual._P_ZLIB, "nibble": residual._P_NIBBLE}
+         "zlib": residual._P_ZLIB, "nibble": residual._P_NIBBLE,
+         "packed2": residual._P_PACKED, "packed4": residual._P_PACKED}
 
 
 def _from_codes(codes: np.ndarray) -> np.ndarray:
@@ -65,7 +67,15 @@ def _plane_input(kind: str, n: int) -> np.ndarray:
         codes = (rng.random(nchunks * 32)
                  * np.repeat(tops, 32)).astype(np.int64)[:n]
     elif kind == "zlib":
-        codes = rng.choice([1, 2, 3, 9], size=n, p=[0.7, 0.15, 0.1, 0.05])
+        # an eighth of the values or more reach 15: too wide to pack
+        codes = rng.choice([1, 2, 3, 9, 17, 40], size=n,
+                           p=[0.55, 0.15, 0.1, 0.05, 0.1, 0.05])
+    elif kind == "packed2":
+        # 1 % of the values escape a 2-bit pack
+        codes = rng.choice([0, 1, 2, 40], size=n, p=[0.9, 0.06, 0.03, 0.01])
+    elif kind == "packed4":
+        # too many values reach 3 for 2 bits; 1 % escape 4 bits
+        codes = rng.choice([0, 5, 200], size=n, p=[0.85, 0.14, 0.01])
     elif kind == "nibble":
         # a noise low nibble under a skewed high one
         codes = (16 * rng.choice(3, size=n, p=[0.7, 0.2, 0.1])
@@ -149,18 +159,6 @@ PLANE_PINS = {
         "11b629baed33e1cd1a5db8309dbe9728f5946f0ac2b4342f2d3e9ffdd369c5ac",
     ("sparse", 262144, 6):
         "11b629baed33e1cd1a5db8309dbe9728f5946f0ac2b4342f2d3e9ffdd369c5ac",
-    ("zlib", 2048, 1):
-        "73878781f56d43eaee73b8434540a1ae5bbaabc083b826c08a1a7f322ee80b73",
-    ("zlib", 2048, 6):
-        "73878781f56d43eaee73b8434540a1ae5bbaabc083b826c08a1a7f322ee80b73",
-    ("zlib", 2049, 1):
-        "13c232a04354ab22340665f681b4220f05948d4c4fdb18a3bfd43eda00aaab6b",
-    ("zlib", 2049, 6):
-        "13c232a04354ab22340665f681b4220f05948d4c4fdb18a3bfd43eda00aaab6b",
-    ("zlib", 262144, 1):
-        "773bf47f60edaaba9fed93d7c51640fd6b0d326e412323935591637a7b421d94",
-    ("zlib", 262144, 6):
-        "773bf47f60edaaba9fed93d7c51640fd6b0d326e412323935591637a7b421d94",
     # recorded when the NIBBLE encoding was added
     ("nibble", 2048, 1):
         "769f8028201defcdeed79b9c0394e797a135655cc4b6215b5aab091aeab9feab",
@@ -174,6 +172,45 @@ PLANE_PINS = {
         "bcd263d8a739ea1e86fc3e6ef05566ca9b1873a4bbd68ee20032747d0767a5a6",
     ("nibble", 262144, 6):
         "bcd263d8a739ea1e86fc3e6ef05566ca9b1873a4bbd68ee20032747d0767a5a6",
+    # recorded when the PACKED encoding was added, which packs the
+    # earlier ZLIB input (values 1, 2, 3 and 9) at 4 bits; the ZLIB input
+    # became one too wide to pack
+    ("packed2", 2048, 1):
+        "0424ffae80b04db63eb62c5ef67f5876821337f45800f6085dfdf9781f23804b",
+    ("packed2", 2048, 6):
+        "0424ffae80b04db63eb62c5ef67f5876821337f45800f6085dfdf9781f23804b",
+    ("packed2", 2049, 1):
+        "d1edce93a82f343861300ee6cf42d32ce86a49fcd6a0fa00a845ece6ca6bd1ec",
+    ("packed2", 2049, 6):
+        "d1edce93a82f343861300ee6cf42d32ce86a49fcd6a0fa00a845ece6ca6bd1ec",
+    ("packed2", 262144, 1):
+        "99841a9e8d753dfb949e31913bc175f9c905f401214bfe2f6269fc84c202f9ab",
+    ("packed2", 262144, 6):
+        "99841a9e8d753dfb949e31913bc175f9c905f401214bfe2f6269fc84c202f9ab",
+    ("packed4", 2048, 1):
+        "8fd2159680ba7d45de2eda117253d23c5aa6d7f5c8973635adc246de3211977b",
+    ("packed4", 2048, 6):
+        "8fd2159680ba7d45de2eda117253d23c5aa6d7f5c8973635adc246de3211977b",
+    ("packed4", 2049, 1):
+        "0de6cea27717a0df759275a1a55d5b14a6f7abcf3115b39e9d0897b2261f5f1e",
+    ("packed4", 2049, 6):
+        "0de6cea27717a0df759275a1a55d5b14a6f7abcf3115b39e9d0897b2261f5f1e",
+    ("packed4", 262144, 1):
+        "5f07e534a764295f1e4b5fcc5106b9d4e6d251054f6d8df5af3c3ca284b68de4",
+    ("packed4", 262144, 6):
+        "5f07e534a764295f1e4b5fcc5106b9d4e6d251054f6d8df5af3c3ca284b68de4",
+    ("zlib", 2048, 1):
+        "ed1ba54bbea332f08a7266bb22b1df528ac580ca54274a0af6f04fe4e2a99593",
+    ("zlib", 2048, 6):
+        "ed1ba54bbea332f08a7266bb22b1df528ac580ca54274a0af6f04fe4e2a99593",
+    ("zlib", 2049, 1):
+        "3b75fb35c3052a1c2383908f0728eba164189a7f439aff277e421476d2f822a0",
+    ("zlib", 2049, 6):
+        "3b75fb35c3052a1c2383908f0728eba164189a7f439aff277e421476d2f822a0",
+    ("zlib", 262144, 1):
+        "21876597ca3f1a0840663a98e4a70e1b66334e936cd2383f5c3febb3ecb65f2b",
+    ("zlib", 262144, 6):
+        "21876597ca3f1a0840663a98e4a70e1b66334e936cd2383f5c3febb3ecb65f2b",
 }
 
 #: SHA-256 of the multi-plane streams, keyed by (nplanes, level); the
@@ -277,8 +314,12 @@ def test_small_periodic_planes_are_deflated_with_match_search(level):
 
 def test_near_empty_plane_skips_deflate_only_at_low_effort():
     """Huffman-only deflate costs at least n/8 bytes, more than this
-    plane's SPARSE body; only high effort (LZ matching) may still win."""
-    r = _plane_input("sparse", 2 ** 18)
+    plane's SPARSE body; only high effort (LZ matching) may still win.
+    The plane fits 2 bits but for its 20 nonzero bytes, which escape, so
+    high effort deflates its packed bytes, its tail and the whole
+    plane."""
+    n = 2 ** 18
+    r = _plane_input("sparse", n)
     with mock.patch.object(residual, "_deflate_plane",
                            wraps=residual._deflate_plane) as spy:
         stream = encode_residuals(r, "zlib", 1)
@@ -286,8 +327,9 @@ def test_near_empty_plane_skips_deflate_only_at_low_effort():
     assert _plane_tags(stream) == [residual._P_SPARSE]
     with mock.patch.object(residual, "_deflate_plane",
                            wraps=residual._deflate_plane) as spy:
-        encode_residuals(r, "zlib", 6)
-    assert spy.call_count == 1
+        stream = encode_residuals(r, "zlib", 6)
+    assert [c.args[0].size for c in spy.call_args_list] == [n // 4, 20, n]
+    assert _plane_tags(stream) == [residual._P_SPARSE]
 
 
 # -- the nibble split ----------------------------------------------------------
@@ -367,6 +409,103 @@ def test_forged_nibble_plane_is_rejected_with_bounded_memory(name, count):
     finally:
         tracemalloc.stop()
     assert peak < 8 * _N_ODD
+
+
+# -- packed planes -----------------------------------------------------------
+
+_N_PACK = 2 ** 18
+
+
+def _packed_parts(kind: str) -> tuple[int, bytes, bytes, bytes]:
+    """``w``, the deflated body, the deflated tail and the tail's bytes
+    of a genuine PACKED plane of ``_N_PACK`` bytes."""
+    stream = encode_residuals(_plane_input(kind, _N_PACK))
+    assert _plane_tags(stream) == [residual._P_PACKED]
+    payload = stream[23:]
+    blen = int.from_bytes(payload[1:9], "little")
+    body, tail = payload[9:9 + blen], payload[9 + blen:]
+    return payload[0], body, tail, zlib.decompress(tail)
+
+
+def _packed_payload(w: int, body: bytes, tail: bytes = b"") -> bytes:
+    return bytes([w]) + len(body).to_bytes(8, "little") + body + tail
+
+
+def _forged_packed_planes() -> dict[str, bytes]:
+    w, body, tail, escapes = _packed_parts("packed2")
+    assert w == 2 and escapes
+    over = bytearray(escapes)
+    over[len(over) // 2] = 256 - 3  # 3 + 253 is no byte
+    bomb = zlib.compress(bytes(64 * _N_PACK), 9)
+    forged = {
+        "body-bomb": _packed_payload(w, bomb, tail),
+        "tail-bomb": _packed_payload(w, body, bomb),
+        "body-short": _packed_payload(
+            w, zlib.compress(zlib.decompress(body)[:-1]), tail),
+        "body-overrun": (bytes([w]) + (len(body) + len(tail) + 1).to_bytes(
+            8, "little") + body + tail),
+        "header-cut": bytes([w]) + len(body).to_bytes(8, "little")[:5],
+        "tail-without-escapes": _packed_payload(
+            w, zlib.compress(bytes(_N_PACK // 4)), zlib.compress(b"\x00")),
+        "tail-short": _packed_payload(w, body, zlib.compress(escapes[:-1])),
+        "tail-missing": _packed_payload(w, body),
+        "tail-byte-above-255-esc": _packed_payload(
+            w, body, zlib.compress(bytes(over))),
+        "trailing-bytes": _packed_payload(w, body, tail) + b"\x00",
+    }
+    for bad in (0, 1, 3, 8):
+        forged[f"w{bad}"] = _packed_payload(bad, body, tail)
+    return forged
+
+
+@pytest.mark.parametrize("kind,w", [("packed2", 2), ("packed4", 4)])
+def test_packed_plane_parts_rebuild_the_plane(kind, w):
+    """Body and tail as documented: ``min(v, esc)`` packed little end
+    first, and ``v - esc`` of each escape in order."""
+    got_w, body, _, escapes = _packed_parts(kind)
+    assert got_w == w
+    esc = (1 << w) - 1
+    codes = residual.zigzag_encode(_plane_input(kind, _N_PACK))
+    packed = np.frombuffer(zlib.decompress(body), dtype=np.uint8)
+    fields = [(packed >> (w * i)) & esc for i in range(8 // w)]
+    assert np.array_equal(np.stack(fields, axis=1).reshape(-1),
+                          np.minimum(codes, esc))
+    assert np.array_equal(np.frombuffer(escapes, dtype=np.uint8),
+                          codes[codes >= esc] - esc)
+
+
+#: why each forged plane fails: the capped inflater's overlong, short or
+#: unterminated stream, or one of the PACKED checks
+_PACKED_REJECTIONS = {
+    "body-bomb": "bad compressed payload",
+    "tail-bomb": "bad compressed payload",
+    "body-short": "payload 65535 != 65536",
+    "body-overrun": "packed body overruns",
+    "header-cut": "bad packed plane",
+    "tail-without-escapes": "packed tail without escapes",
+    "tail-short": r"payload \d+ != \d+",
+    "tail-missing": "bad compressed payload",
+    "tail-byte-above-255-esc": "packed escape above 255",
+    "trailing-bytes": "bad compressed payload",
+    "w0": "bad packed plane", "w1": "bad packed plane",
+    "w3": "bad packed plane", "w8": "bad packed plane",
+}
+
+
+@pytest.mark.parametrize("name", list(_forged_packed_planes()))
+def test_forged_packed_plane_is_rejected_with_bounded_memory(name):
+    stream = _single_plane(residual._P_PACKED,
+                           _forged_packed_planes()[name], _N_PACK)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptResidualError,
+                           match="corrupt residual stream: "
+                                 + _PACKED_REJECTIONS[name]):
+            decode_residuals(stream, count=_N_PACK)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _N_PACK
 
 
 # -- malformed planes --------------------------------------------------------

@@ -30,37 +30,37 @@ from repro.streaming import StreamingCompressor, StreamingDecompressor
 
 PINS = {
     "chunking/CHK1/sz": ("CHK1",
-        "a2742296f849b77d45886553d6550119542a361ab78005fc63ec7078745edd6f",
+        "e79d193d10d48174b6a55c0d6dbfd5cb224810d94c12e2f01f9b35ac5f9f7747",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "chunking/CHK2/mgard": ("CHK2",
-        "ee944c4574110390ff629b4718d0365ad719201a6a0dd696a28980855e9c9056",
+        "c99f9c98ed89fd1e127fc306f471f68dac5af1928d0b8aa458494fc7437e9642",
         "72765c2318157cea9a6cd830f2051acfb722b5dbfc38123bd4f9b7361f85fe57"),
     "chunking/CHK2/sz": ("CHK2",
-        "313925ceab6b723f06b4bb06f116d797f122e97e5b56678a866b0d0e5b080639",
+        "efb4c1cb895c1062ee4c4c752b9aeea8d5f4d7aa1564c70bd7d7f2bae24f4a88",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "chunking/CHK2/zfp": ("CHK2",
-        "775d7cc2c254612a9bde483de203e82f8687ce8d8aaacc386095271730c8878a",
+        "3710b9f6766354f11e8451e7aaa4ed7dfa7be5f47e53ba714720325ff26eb506",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "pipelined/sz": ("CHK2",
-        "313925ceab6b723f06b4bb06f116d797f122e97e5b56678a866b0d0e5b080639",
+        "efb4c1cb895c1062ee4c4c752b9aeea8d5f4d7aa1564c70bd7d7f2bae24f4a88",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "pipelined/sz_omp": ("CHK2",
-        "67fdae21c14af46ae2fe6b133ee9a156da9c4f436969d6f756b86863e650dd39",
+        "40e597d547b62dca947314fe44545d8ed6b95088992fffc24a16530e97927152",
         "3bc272d46b92bef1594bce7cc5f723070a6891463ea941159c3e74fb9d67fef4"),
     "streaming/PSF1/sz_threadsafe": ("PSF1",
-        "8e527040cc823c6bb8994723bcf2bd64b2062f80d2d2d1575da241a926d5a11d",
+        "91c2049039a01b860d50f0f185f0efbbd331e597c6c0165cb8f477c52ca4c048",
         "711bb8f0d90dec0fadf074cbbac40f776c2fc9153ed20f6c13e4cf1c9c02bba9"),
     "sz_omp/n1": ("SZMP",
-        "7ba10e8dd9ddc15aac58ab5f8843fe9a0f74b13db816031e8d664d0711e83f4b",
+        "f12f0477dd735d6ccca8a574c35f898cd88b07ed72006cebf6019fa7a79f2abf",
         "5987234846b956a9e4ce1c4512bc3835359e930fa25152057639cbd9aba8c71e"),
     "sz_omp/n3": ("SZMP",
-        "8cc5d7dae24af6213ca1f33afde633dfb5fb190bfd0540ae2f1f2b5f5d3f8626",
+        "513d80df9d055b0a56eb61419819f2840a71722d48c0b85f2f3d06d8340f75b2",
         "5987234846b956a9e4ce1c4512bc3835359e930fa25152057639cbd9aba8c71e"),
     "sz_omp/n3/float32": ("SZMP",
-        "63d0280192ac216b4ca2ae817cf97ed450cf4bb7ecb54c2f7508d72a1c1799f8",
+        "c728e859d776edde3e70b9fb625ae5a9698e51052396da926865228d1b905bb1",
         "7825708ec5d0a18054e71834847e9652525d8eec214067c4621319312b003a5a"),
     "sz_omp/n4": ("SZMP",
-        "343d2aed4108b56fabaa0e05ebb8bbc4151ea7b18257ce6b1e8db1a2f6742849",
+        "0ad0b02284bcc2897b671ab071175390437852345f3027fde59a2150a01c31c2",
         "5987234846b956a9e4ce1c4512bc3835359e930fa25152057639cbd9aba8c71e"),
     "sz_omp/n4/small": ("SZ02",
         "ed5db9d5a46b800d03fcb2ee4b943045354d7670304462fa4f9c889610849103",

@@ -58,11 +58,11 @@ CASES = {
 
 #: name -> (stream SHA-256, decompressed-array SHA-256)
 PINS = {
-    "chunk1d-1e-4": ("7d28f1eaaec228c5825ca5497da587f0efcd7b967b1de698c29b3e974e00252f",
+    "chunk1d-1e-4": ("fc8f260a100a0227600f3bf1b45823c025bb0b21bd8067613465aa66dc3d3e1d",
         "db527090b320636a16aec17a9b3b8cdfc501daf848be4c662515de99487388fd"),
-    "chunk1d-1e-2": ("a2d2294bd197cba692813eff9dd9f4d1884c46b9c0dbaf09bb8f2234390eb75d",
+    "chunk1d-1e-2": ("bcd71de45f712ceb4f8f346453a9d3ba8c4d09a384fcaf82606dc45e09fe6212",
         "6ea74a89f71fc6218e70a8caa313a3bdee9b1c392af4e61bf2736935008dda8f"),
-    "chunk1d-s1": ("3f7220adaf0466c000bde617199458102aeecbb48a6e288f6bf9b4d1869107aa",
+    "chunk1d-s1": ("411bb53cfce0dbe618240d866af9d00a80cc47839666798dc5cced8c4b25165a",
         "3ce1a9d3a85facaf3d56b24ef532804cfd34962100e22d7e944509986d0c8421"),
     "1d-3": ("035fe2f2f31834c19b858a240f709186defca05415dc3a4ee45e09a9ace1750f",
         "5358f56a69d2a7d8f1da7bc4bdc51e365b8e3c885704ba062b157d46c0d94ab5"),

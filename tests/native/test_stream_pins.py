@@ -30,27 +30,27 @@ from repro.native import mgard, sz, zfp
 from repro.native.sz import REL, SZ_DEFAULT_COMPRESSION, sz_params
 
 PINS = {
-    ("sz", "nyx", 1e-4): "a39ea6a8d48bba841a3f06576a675ad826cd45795fb7e371901ac30b72d2ae77",
-    ("sz", "nyx", 1e-2): "785b6c478205a8a820da80a3a23d65849f0149347feef374e688604cc2b629d2",
-    ("sz", "nyx", 1e-9): "6fef1930d0d916cc4ace675280baba947a30651eaa08d7a5173cdd429351cbed",
-    ("sz", "cloud", 1e-4): "d3e8cc1ef850d633ff8c99d47a1bccec0d58c585d3320ce06826a9114d13dc11",
-    ("sz", "cloud", 1e-2): "50f3b57bc38d9c6fe1912ec2ed2f25cb39a31f732dd36035f82ce6192a6c3d9c",
-    ("sz", "cloud", 1e-9): "b12b21dab23665a4b268f2be3eeb88ddd2c65daa58f54644b4666ef916b83f8e",
-    ("sz6", "cloud", 1e-4): "d3e8cc1ef850d633ff8c99d47a1bccec0d58c585d3320ce06826a9114d13dc11",
-    ("sz6", "cloud", 1e-2): "50f3b57bc38d9c6fe1912ec2ed2f25cb39a31f732dd36035f82ce6192a6c3d9c",
-    ("zfp", "nyx", 1e-4): "072d9dfd9962fee71d938edeed3779a840c491f4ac377efcc592906084c3bfdd",
-    ("zfp", "nyx", 1e-2): "3db6170f801131d72816cdb1b997b4423982c7736e893278ed59f8ecac35661d",
-    ("zfp", "nyx", 1e-9): "299dea7635e4945af5a5c09e41fdb329a115c899f940a32e494e03478bb3168f",
-    ("zfp", "cloud", 1e-4): "d0a4ba5b53ff2c683205bcb6f29add7e89bfb9317f4d71e4bce3c7c1a9ffa253",
-    ("zfp", "cloud", 1e-2): "476bf07079d5dabd5dfdf1a4d68fb61fdea3dbd00d16b30c238f86891d68fac9",
-    ("zfp", "cloud", 1e-9): "3fdaff7b98327e9b11d77419aba5eebdc6635a487843befa67f63a655306ac58",
-    ("mgard", "nyx", 1e-4): "3ff046a13362bbd498b42bae5f98adfffe6f83df94743940dce387de5205fece",
-    ("mgard", "nyx", 1e-2): "392a76659410c61ff6f888013efec10df7e2df50a0f2807396eb857ab842900d",
-    ("mgard", "nyx", 1e-9): "80867f53932163cc4af1463ff605dff1f0cf2e30f5907093074034528b23dced",
-    ("mgard", "nyx", 1e-12): "71c455cc0c184a2e0be094d0e8a6071bc568734c78038a17db0acb8d7ea9541c",
-    ("mgard", "cloud", 1e-4): "df225235898f541e8fd541c221bdf23b2e61e06f5054ec03394284a73db522b1",
-    ("mgard", "cloud", 1e-2): "9b8d90ba45d300b195405391316ead0199c921541c1185ed4f0d2145d0e3717b",
-    ("mgard", "cloud", 1e-9): "feb911c273f451869e8a5f547cb372598d192c036ee79327620f9a581d5bdaf8",
+    ("sz", "nyx", 1e-4): "1edf4012d43a21978d539faf6b9b665f1b1276553a392506c0f162b467c0da49",
+    ("sz", "nyx", 1e-2): "8d47b67ba08d9dca6141cfc3af2d69b4f43900f503c28b96579341a478855e98",
+    ("sz", "nyx", 1e-9): "ba2ee08533455286626597cd229cf4b742ec5b49adbdb7ecbf34f70924bf730f",
+    ("sz", "cloud", 1e-4): "88e01020c6d94ac3d161e359e61824a9cc519df53ddb0984a3b00ae8924269d2",
+    ("sz", "cloud", 1e-2): "f5ce1b5e21d3b56f01aa4a9ea9e62ba65cd7c2d81a8667c3ec0bcec1e172aac5",
+    ("sz", "cloud", 1e-9): "6b3067d5622f9900990181c9382bea3d7bd5ed3a8a20461ad35a1bc3aef81d16",
+    ("sz6", "cloud", 1e-4): "88e01020c6d94ac3d161e359e61824a9cc519df53ddb0984a3b00ae8924269d2",
+    ("sz6", "cloud", 1e-2): "f5ce1b5e21d3b56f01aa4a9ea9e62ba65cd7c2d81a8667c3ec0bcec1e172aac5",
+    ("zfp", "nyx", 1e-4): "c4ee6c7dc0f6394ab623382ec3e72673115fa16fe68569af96c40755a43abcf0",
+    ("zfp", "nyx", 1e-2): "023f69a7057e98acb6a9f21f54ced47dd573cf792cf7704275c7c295b0b5f214",
+    ("zfp", "nyx", 1e-9): "026a14fb4b5b3b3a92cbaf1421ab27f0c3945e40dd15fd6f01272ef5cf630c5a",
+    ("zfp", "cloud", 1e-4): "4c54ccf29123a81b0fcf5969b29670de9c1d998275b741a9064e759911190f32",
+    ("zfp", "cloud", 1e-2): "dbdc921a71d793c31153c06ae4431e8e543b4ef418ebbbfba344edcce78200f2",
+    ("zfp", "cloud", 1e-9): "93b75b2365621992edeb928b81df1b0df3b2aadea6bef171ce2a096750b5893a",
+    ("mgard", "nyx", 1e-4): "4ea6ce8887d92514890239ba61ff653d205bb7fb54f5f381ea978407a5c423bc",
+    ("mgard", "nyx", 1e-2): "3c86faed9f8143540afefed85dc307b46833b8839e672e021b9e6ca814daee9c",
+    ("mgard", "nyx", 1e-9): "e2ace6e1556578c2e3b809d45a22a88e6ffa9aa5018e6ae26d7ce53a87f59fcc",
+    ("mgard", "nyx", 1e-12): "643e25403b5939a1d5be622ed366ea3efcab8b19dc681109ab3cb7203691cf34",
+    ("mgard", "cloud", 1e-4): "0299e4c037eddc27debdd1b448a01714ae9e23d528bd789c93b052aa2bd594d4",
+    ("mgard", "cloud", 1e-2): "887132108acd8245cba21ea7d03f93d3cb6a15efa130eeebda24fb0c5f2e84cc",
+    ("mgard", "cloud", 1e-9): "6e10a838f040c2dd02fd521265327e0f84dbed0dbdcc1a4e0bdde61a14723f62",
 }
 
 _FIELDS: dict[str, np.ndarray] = {}

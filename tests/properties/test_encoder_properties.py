@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) for the encoding substrate."""
 
+import zlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from repro.encoders import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.encoders import residual
 from repro.encoders.huffman import huffman_decode, huffman_encode
 from repro.encoders.lz77 import lz77_decode, lz77_encode
 from repro.encoders.rle import rle_decode, rle_encode
@@ -100,3 +103,34 @@ def test_lz77_repetitive_streams(parts):
     data = b"".join(parts)
     encoded = lz77_encode(data)
     assert lz77_decode(encoded, len(data)) == data
+
+
+@st.composite
+def low_width_planes(draw):
+    """Byte planes of 2048-70000 bytes whose values mostly sit below a
+    small top, in runs of a drawn mean length, with a drawn fraction of
+    them anywhere up to 255: 2- and 4-bit packs with and without
+    escapes, and planes too wide to pack."""
+    n = draw(st.integers(2048, 70_000))
+    top = draw(st.sampled_from([1, 2, 3, 5, 14, 15]))
+    run = draw(st.sampled_from([1, 3, 12]))
+    wide = draw(st.sampled_from([0.0, 0.001, 0.02, 0.1, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, top + 1, n // run + 1).astype(np.uint8)
+    plane = np.repeat(values, run)[:n]
+    hit = rng.random(n) < wide
+    plane[hit] = rng.integers(0, 256, int(hit.sum()))
+    return plane
+
+
+@given(low_width_planes(), st.sampled_from([1, 6]))
+@settings(max_examples=40, deadline=None)
+def test_packed_planes_roundtrip_and_never_exceed_whole_deflate(plane,
+                                                                level):
+    tag, payload = residual._encode_plane(plane, level, "zlib")
+    out = np.empty_like(plane)
+    residual._decode_plane(tag, memoryview(payload), plane.size, out, "zlib")
+    assert np.array_equal(out, plane)
+    if level == 6:
+        assert len(payload) <= len(residual._deflate_plane(
+            plane, 6, zlib.Z_HUFFMAN_ONLY))
