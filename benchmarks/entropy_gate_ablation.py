@@ -86,15 +86,16 @@ TAG_NAMES = {residual._P_CONST: "const", residual._P_RAW: "raw",
              residual._P_PACKED: "packed"}
 
 
-def _best_of(plane: np.ndarray, runs: int) -> bool:
+def _best_of(plane: np.ndarray, runs: int) -> tuple[bool, None]:
     return (len(residual._deflate(plane, zlib.Z_RLE))
-            < len(residual._deflate(plane, zlib.Z_HUFFMAN_ONLY)))
+            < len(residual._deflate(plane, zlib.Z_HUFFMAN_ONLY))), None
 
 
-#: strategy arm -> replacement for ``residual._rle_first(plane, runs)``
+#: strategy arm -> replacement for ``residual._rle_first(plane, runs)``,
+#: which returns the choice and (None: no reusable stream)
 ARMS = {
-    "huffman": lambda plane, runs: False,
-    "rle": lambda plane, runs: True,
+    "huffman": lambda plane, runs: (False, None),
+    "rle": lambda plane, runs: (True, None),
     "gate": residual._rle_first,
     "best": _best_of,
 }

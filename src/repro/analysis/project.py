@@ -191,9 +191,17 @@ class ProjectIndex:
         self.modules = modules
         #: bare class name -> ClassInfo (first definition wins)
         self.classes_by_name: dict[str, ClassInfo] = {}
+        #: module-level ``NAME = value`` assignments (first one wins)
+        self.module_values: dict[str, tuple[SourceModule, ast.AST]] = {}
         for module in modules:
             for info in module.classes:
                 self.classes_by_name.setdefault(info.name, info)
+            for stmt in module.tree.body if module.tree is not None else ():
+                if isinstance(stmt, ast.Assign):
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Name):
+                            self.module_values.setdefault(
+                                target.id, (module, stmt.value))
 
     def resolve_base(self, name: str) -> ClassInfo | None:
         """Resolve a base written as ``Name`` or ``pkg.Name``."""

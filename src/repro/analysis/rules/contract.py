@@ -14,16 +14,19 @@ from ..model import Finding, Severity
 from ..project import ClassInfo, ProjectIndex, SourceModule
 from ..visitor import (DOC_METHODS, OPTION_DECL_METHODS, OPTION_READ_METHODS,
                        OptionKey, extract_declared_keys, extract_doc_keys,
-                       extract_read_keys, handler_is_silent,
+                       extract_field_keys, extract_read_keys,
+                       handler_is_silent,
                        handler_routes_errors, has_dtype_validation,
                        is_native_call, iter_broad_handlers, keys_match)
 from . import Rule, register_rule
 
 
 def _declared_union(info: ClassInfo, index: ProjectIndex) -> list[OptionKey]:
-    """Option keys advertised by the class or any resolvable ancestor."""
+    """Option keys advertised by the class or any resolvable ancestor:
+    its ``fields`` table and its hand-written ``_options``."""
     declared: list[OptionKey] = []
     for cls in index.class_and_ancestors(info):
+        declared.extend(extract_field_keys(cls, index))
         for method_name in OPTION_DECL_METHODS:
             fn = cls.methods.get(method_name)
             if fn is not None:
@@ -49,9 +52,9 @@ class OptionSymmetryRule(Rule):
     name = "option-symmetry"
     severity = Severity.ERROR
     description = (
-        "Option keys read in _set_options/_set_meta_options must be declared "
-        "in _options (set or set_type), so get_options introspection covers "
-        "every accepted key."
+        "Option keys read in a hand-written _set_options must be declared, "
+        "by a Field of the fields table or in _options (set or set_type), "
+        "so get_options introspection covers every accepted key."
     )
     rationale = (
         "Table I: option introspection.  A key that set_options honors but "
@@ -77,8 +80,8 @@ class OptionSymmetryRule(Rule):
                         yield self.finding(
                             module, key.node,
                             f"{info.name}.{method_name} reads option "
-                            f"{key.display()!r} that no _options method "
-                            f"of the class or its bases advertises",
+                            f"{key.display()!r} that no field or _options "
+                            f"method of the class or its bases advertises",
                         )
 
 
@@ -116,8 +119,9 @@ class DocumentedKeysRule(Rule):
                         yield self.finding(
                             module, key.node,
                             f"{info.name}._documentation documents "
-                            f"{key.display()!r} but no _options method of "
-                            f"the class or its bases advertises it",
+                            f"{key.display()!r} but no field or _options "
+                            f"method of the class or its bases advertises "
+                            f"it",
                         )
 
 

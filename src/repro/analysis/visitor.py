@@ -3,7 +3,8 @@
 Everything here is heuristic in the way useful static analysis is:
 option keys are recognized when written as literals (or prefix
 f-strings), guards are recognized by the sentinel names the runtime
-exposes (``repro._hot.ANY``, ``ACTIVE``), and call classification
+exposes (``repro._hot.ANY``, ``ACTIVE``), a plugin's ``fields`` table
+is read from its ``Field(KEY, ...)`` calls, and call classification
 resolves receivers through each module's import aliases.  The rules
 document these boundaries; dynamic constructs simply fall outside the
 checked contract.
@@ -14,19 +15,20 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .project import SourceModule, dotted_name
+from .project import ClassInfo, ProjectIndex, SourceModule, dotted_name
 
 __all__ = [
     "OPTION_DECL_METHODS", "OPTION_READ_METHODS", "DOC_METHODS",
-    "OptionKey", "extract_declared_keys", "extract_read_keys",
+    "OptionKey", "extract_declared_keys", "extract_field_keys",
+    "extract_read_keys",
     "extract_doc_keys", "keys_match", "iter_broad_handlers",
     "handler_is_silent", "handler_routes_errors", "is_abstract_method",
     "GuardedCallVisitor", "classify_observability_call", "is_native_call",
     "has_dtype_validation", "collect_worker_defs", "function_locals",
 ]
 
-OPTION_DECL_METHODS = ("_options", "_meta_options")
-OPTION_READ_METHODS = ("_set_options", "_set_meta_options")
+OPTION_DECL_METHODS = ("_options",)
+OPTION_READ_METHODS = ("_set_options",)
 DOC_METHODS = ("_documentation",)
 
 
@@ -77,6 +79,47 @@ def extract_declared_keys(fn: ast.FunctionDef) -> list[OptionKey]:
             key = _key_from_node(node.args[0])
             if key is not None:
                 out.append(key)
+    return out
+
+
+def _field_calls(node: ast.AST, index: ProjectIndex,
+                 seen: set[str]) -> list[ast.Call]:
+    """``Field(...)`` calls in ``node`` and in the module-level
+    assignments of the names it reads (``NTHREADS = Field(...)``,
+    anywhere in the project)."""
+    calls: list[ast.Call] = []
+    for sub in ast.walk(node):
+        if (isinstance(sub, ast.Call)
+                and (dotted_name(sub.func) or "").split(".")[-1] == "Field"):
+            calls.append(sub)
+        elif isinstance(sub, ast.Name) and sub.id not in seen:
+            seen.add(sub.id)
+            found = index.module_values.get(sub.id)
+            if found is not None:
+                calls.extend(_field_calls(found[1], index, seen))
+    return calls
+
+
+def extract_field_keys(info: ClassInfo,
+                       index: ProjectIndex) -> list[OptionKey]:
+    """Keys of the class's ``fields`` table: a key with a ``:`` as
+    written, one without as the prefix wildcard ``:KEY`` (the runtime
+    qualifies it with the plugin's name).  A field is declared, read and
+    documented by the one default implementation, so its key counts as
+    all three."""
+    out: list[OptionKey] = []
+    for stmt in info.node.body:
+        if not (isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "fields"
+                for t in stmt.targets)):
+            continue
+        for call in _field_calls(stmt.value, index, set()):
+            key = call.args[0] if call.args else None
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                if ":" in key.value:
+                    out.append(OptionKey("lit", key.value, key))
+                else:
+                    out.append(OptionKey("wild", f":{key.value}", key))
     return out
 
 

@@ -29,7 +29,7 @@ import tempfile
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
@@ -54,6 +54,15 @@ class ExternalCompressor(PressioCompressor):
     """Out-of-process compression via a spawned worker interpreter."""
 
     thread_safety = "multithreaded"
+    description = "out-of-process compression (spawn + filesystem copy)"
+    fields = (
+        Field("external:compressor", "_inner", OptionType.STRING,
+              doc="inner plugin id run by the worker"),
+        Field("external:config_json", "_config_json", OptionType.STRING,
+              doc="JSON options for the inner plugin"),
+        Field("external:init_cost_ms", "_init_cost_ms", OptionType.DOUBLE,
+              doc="simulated expensive worker init"),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -61,23 +70,9 @@ class ExternalCompressor(PressioCompressor):
         self._config_json = "{}"
         self._init_cost_ms = 0.0
 
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("external:compressor", self._inner)
-        opts.set("external:config_json", self._config_json)
-        opts.set("external:init_cost_ms", float(self._init_cost_ms))
-        return opts
-
     def _set_options(self, options: PressioOptions) -> None:
-        self._inner = str(self._take(options, "external:compressor",
-                                     OptionType.STRING, self._inner))
-        cfg = str(self._take(options, "external:config_json",
-                             OptionType.STRING, self._config_json))
-        json.loads(cfg)  # validate early
-        self._config_json = cfg
-        self._init_cost_ms = float(self._take(
-            options, "external:init_cost_ms", OptionType.DOUBLE,
-            self._init_cost_ms))
+        super()._set_options(options)
+        json.loads(self._config_json)  # validate early
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
@@ -85,15 +80,6 @@ class ExternalCompressor(PressioCompressor):
         cfg.set("pressio:lossy", True)
         cfg.set("external:embeddable", False)
         return cfg
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "out-of-process compression (spawn + filesystem copy)")
-        docs.set("external:compressor", "inner plugin id run by the worker")
-        docs.set("external:config_json", "JSON options for the inner plugin")
-        docs.set("external:init_cost_ms", "simulated expensive worker init")
-        return docs
 
     def version(self) -> str:
         return "1.0.0.pyrepro"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.data import PressioData
 from ..core.dtype import DType
 from ..core.options import OptionType, PressioOptions
@@ -24,27 +24,27 @@ class FpzipCompressor(NativeCompressor):
 
     thread_safety = "multithreaded"
     native = native_fpzip
+    description = ("fpzip-style lossless floating point compressor "
+                   "(floats only)")
+    # fpzip's precision and header options are kept for API fidelity:
+    # this reproduction is always full-precision lossless and always
+    # writes its header, so those are the only values it accepts
+    fields = (
+        Field("fpzip:backend", "_backend", OptionType.STRING,
+              doc="lossless backend for residuals"),
+        Field("fpzip:level", "_level", OptionType.INT64,
+              doc="backend effort level"),
+        Field("fpzip:prec", "_prec", OptionType.INT64, choices=(0,)),
+        Field("fpzip:has_header", "_has_header", OptionType.BOOL,
+              choices=(True,)),
+    )
+    _prec = 0
+    _has_header = True
 
     def __init__(self) -> None:
         super().__init__()
         self._backend = "zlib"
         self._level = 1
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("fpzip:backend", self._backend)
-        opts.set("fpzip:level", self._level)
-        # fpzip's precision option: kept for API fidelity; this
-        # reproduction is always full-precision lossless
-        opts.set("fpzip:prec", 0)
-        opts.set("fpzip:has_header", True)
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        self._backend = str(self._take(options, "fpzip:backend",
-                                       OptionType.STRING, self._backend))
-        self._level = int(self._take(options, "fpzip:level", OptionType.INT64,
-                                     self._level))
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
@@ -52,15 +52,6 @@ class FpzipCompressor(NativeCompressor):
         cfg.set("pressio:lossy", False)
         cfg.set("fpzip:float_only", True)
         return cfg
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "fpzip-style lossless floating point compressor "
-                 "(floats only)")
-        docs.set("fpzip:backend", "lossless backend for residuals")
-        docs.set("fpzip:level", "backend effort level")
-        return docs
 
     def version(self) -> str:
         return "1.3.0.pyrepro"

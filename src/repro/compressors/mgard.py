@@ -9,10 +9,10 @@ configuration entry and reported as a typed error before the native runs.
 
 from __future__ import annotations
 
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidDimensionsError, InvalidOptionError
+from ..core.status import InvalidDimensionsError
 from ..native import mgard as native_mgard
 from .staged import StagedCompressor
 
@@ -25,6 +25,20 @@ class MGARDCompressor(StagedCompressor):
 
     thread_safety = "multithreaded"
     native = native_mgard
+    description = "MGARD-family multigrid error-bounded lossy compressor"
+    # pressio:abs aliases the tolerance: the later field wins, and the
+    # final value is checked
+    fields = (
+        Field("mgard:tolerance", "_tolerance", OptionType.DOUBLE,
+              positive=True, doc="absolute L-infinity error tolerance"),
+        Field("mgard:s", "_s", OptionType.DOUBLE,
+              doc="smoothness-norm parameter (0 = infinity norm)"),
+        Field("mgard:backend", "_backend", OptionType.STRING,
+              doc="lossless backend for the level codes: zlib, bz2, lzma, "
+                  "none"),
+        Field("pressio:abs", "_tolerance", OptionType.DOUBLE, positive=True,
+              doc="cross-compressor absolute error bound"),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -33,44 +47,12 @@ class MGARDCompressor(StagedCompressor):
         self._backend = "zlib"
         self._level = 1
 
-    # -- options ----------------------------------------------------------
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("mgard:tolerance", float(self._tolerance))
-        opts.set("mgard:s", float(self._s))
-        opts.set("mgard:backend", self._backend)
-        opts.set("pressio:abs", float(self._tolerance))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        tol = self._take(options, "mgard:tolerance", OptionType.DOUBLE,
-                         self._tolerance)
-        tol = self._take(options, "pressio:abs", OptionType.DOUBLE, tol)
-        if tol <= 0:
-            raise InvalidOptionError("mgard:tolerance must be positive")
-        self._tolerance = float(tol)
-        self._s = float(self._take(options, "mgard:s", OptionType.DOUBLE,
-                                   self._s))
-        self._backend = str(self._take(options, "mgard:backend",
-                                       OptionType.STRING, self._backend))
-
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
         cfg.set("pressio:stability", Stability.STABLE)
         cfg.set("pressio:lossy", True)
         cfg.set("mgard:min_dimension_size", native_mgard.MIN_DIM)
         return cfg
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "MGARD-family multigrid error-bounded lossy compressor")
-        docs.set("mgard:tolerance", "absolute L-infinity error tolerance")
-        docs.set("mgard:s", "smoothness-norm parameter (0 = infinity norm)")
-        docs.set("mgard:backend",
-                 "lossless backend for the level codes: zlib, bz2, lzma, none")
-        docs.set("pressio:abs", "cross-compressor absolute error bound")
-        return docs
 
     def version(self) -> str:
         return "0.1.0.pyrepro"

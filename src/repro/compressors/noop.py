@@ -7,7 +7,6 @@ and as the default leaf for meta-compressor tests.
 
 from __future__ import annotations
 
-from ..core.options import PressioOptions
 from ..core.registry import compressor_plugin
 from .lossless import FramedCompressor
 
@@ -20,8 +19,4 @@ class NoopCompressor(FramedCompressor):
 
     magic = b"NOP1"
     codec_name = "memcpy"
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description", "identity compressor (baseline)")
-        return docs
+    description = "identity compressor (baseline)"

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.dtype import DType
-from ..core.options import OptionType, PressioOptions
+from ..core.options import OptionType
 from ..core.registry import compressor_plugin
 from ..core.status import (CorruptStreamError, InvalidOptionError,
                            InvalidTypeError)
@@ -86,6 +87,13 @@ class _RoundingBase(FramedCompressor):
 class BitGroomingCompressor(_RoundingBase):
     """Keep ``bit_grooming:nsb`` significand bits, zeroing the rest."""
 
+    description = "bit grooming: keep nsb significand bits for compressibility"
+    fields = (
+        Field("bit_grooming:nsb", "_nsb", OptionType.INT32, low=0, high=52,
+              doc="number of kept significand bits"),
+        Field("bit_grooming:backend", "_backend", OptionType.STRING),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._nsb = 12
@@ -93,32 +101,18 @@ class BitGroomingCompressor(_RoundingBase):
     def _keep_bits(self) -> int:
         return self._nsb
 
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("bit_grooming:nsb", np.int32(self._nsb))
-        opts.set("bit_grooming:backend", self._backend)
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        nsb = int(self._take(options, "bit_grooming:nsb", OptionType.INT32,
-                             self._nsb))
-        if nsb < 0 or nsb > 52:
-            raise InvalidOptionError("bit_grooming:nsb must be in [0, 52]")
-        self._nsb = nsb
-        self._backend = str(self._take(options, "bit_grooming:backend",
-                                       OptionType.STRING, self._backend))
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "bit grooming: keep nsb significand bits for compressibility")
-        docs.set("bit_grooming:nsb", "number of kept significand bits")
-        return docs
-
 
 @compressor_plugin("digit_rounding")
 class DigitRoundingCompressor(_RoundingBase):
     """Keep ``digit_rounding:prec`` significant decimal digits."""
+
+    description = ("digit rounding: keep a number of significant decimal "
+                   "digits")
+    fields = (
+        Field("digit_rounding:prec", "_digits", OptionType.INT32, low=1,
+              high=15, doc="kept significant decimal digits"),
+        Field("digit_rounding:backend", "_backend", OptionType.STRING),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -126,25 +120,3 @@ class DigitRoundingCompressor(_RoundingBase):
 
     def _keep_bits(self) -> int:
         return int(np.ceil(self._digits * np.log2(10.0)))
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("digit_rounding:prec", np.int32(self._digits))
-        opts.set("digit_rounding:backend", self._backend)
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        digits = int(self._take(options, "digit_rounding:prec",
-                                OptionType.INT32, self._digits))
-        if digits < 1 or digits > 15:
-            raise InvalidOptionError("digit_rounding:prec must be in [1, 15]")
-        self._digits = digits
-        self._backend = str(self._take(options, "digit_rounding:backend",
-                                       OptionType.STRING, self._backend))
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "digit rounding: keep a number of significant decimal digits")
-        docs.set("digit_rounding:prec", "kept significant decimal digits")
-        return docs

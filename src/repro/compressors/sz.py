@@ -11,12 +11,9 @@ typed options (including the cross-compressor ``pressio:abs`` /
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 
-import numpy as np
-
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidOptionError
@@ -49,26 +46,10 @@ def _release_sz() -> None:
             native_sz.SZ_Finalize()
 
 
-#: options of SZ's API that ``sz_params`` stores but our native does not
-#: consult: option key -> (``sz_params`` field, option type)
-_STORED_ONLY = {
-    "sz:max_quant_intervals": ("max_quant_intervals", OptionType.INT64),
-    "sz:quantization_intervals": ("quantization_intervals",
-                                  OptionType.INT64),
-    "sz:sample_distance": ("sampleDistance", OptionType.INT64),
-    "sz:pred_threshold": ("predThreshold", OptionType.DOUBLE),
-    "sz:segment_size": ("segment_size", OptionType.INT64),
-    "sz:snapshot_cmpr_step": ("snapshotCmprStep", OptionType.INT64),
-    "sz:with_regression": ("withRegression", OptionType.INT64),
-    "sz:protect_value_range": ("protectValueRange", OptionType.INT64),
-    "sz:accelerate_pw_rel_compression": ("accelerate_pw_rel_compression",
-                                         OptionType.INT64),
-    "sz:plus_bits": ("plus_bits", OptionType.INT64),
-    "sz:random_access": ("randomAccess", OptionType.INT64),
-    "sz:data_endian_type": ("dataEndianType", OptionType.INT64),
-}
-#: how each option type's value is stored and reported
-_CASTS = {OptionType.INT64: np.int64, OptionType.DOUBLE: float}
+#: the doc of the options of SZ's API that ``sz_params`` stores but our
+#: native does not consult
+_STORED_ONLY = ("kept for SZ API parity: stored and reported, not "
+                "consulted by this native")
 
 
 @compressor_plugin("sz")
@@ -77,6 +58,57 @@ class SZCompressor(StagedCompressor):
 
     thread_safety = "single"
     native = native_sz
+    description = "SZ-family prediction-based error-bounded lossy compressor"
+    fields = (
+        Field("sz:error_bound_mode", "_params.errorBoundMode",
+              OptionType.INT32),
+        Field("sz:abs_err_bound", "_params.absErrBound", OptionType.DOUBLE,
+              doc="absolute error bound (mode abs)"),
+        Field("sz:rel_err_bound", "_params.relBoundRatio", OptionType.DOUBLE,
+              doc="value-range relative bound (mode rel)"),
+        Field("sz:pw_rel_err_bound", "_params.pw_relBoundRatio",
+              OptionType.DOUBLE, doc="pointwise relative bound (mode pw_rel)"),
+        Field("sz:psnr_err_bound", "_params.psnr", OptionType.DOUBLE,
+              doc="target PSNR in dB (mode psnr)"),
+        Field("sz:norm_err_bound", "_params.normErrBound", OptionType.DOUBLE),
+        Field("sz:sz_mode", "_params.szMode", OptionType.INT32,
+              doc="0=SZ_BEST_SPEED 1=SZ_DEFAULT_COMPRESSION "
+                  "2=SZ_BEST_COMPRESSION"),
+        Field("sz:lossless_compressor", "_params.losslessCompressor",
+              OptionType.STRING,
+              doc="lossless backend: zlib, bz2, lzma, none"),
+        Field("sz:entropy_coder", "_params.entropyCoder", OptionType.STRING,
+              doc="residual coder: fast or huffman"),
+        Field("sz:prediction_mode", "_params.predictionMode",
+              OptionType.STRING,
+              doc="lorenzo, none, regression, or adaptive (SZ 2.x per-block"
+                  "\n                 regression selection)"),
+        Field("sz:max_quant_intervals", "_params.max_quant_intervals",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:quantization_intervals", "_params.quantization_intervals",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:sample_distance", "_params.sampleDistance",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:pred_threshold", "_params.predThreshold",
+              OptionType.DOUBLE, doc=_STORED_ONLY),
+        Field("sz:segment_size", "_params.segment_size",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:snapshot_cmpr_step", "_params.snapshotCmprStep",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:with_regression", "_params.withRegression",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:protect_value_range", "_params.protectValueRange",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:accelerate_pw_rel_compression",
+              "_params.accelerate_pw_rel_compression", OptionType.INT64,
+              doc=_STORED_ONLY),
+        Field("sz:plus_bits", "_params.plus_bits",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:random_access", "_params.randomAccess",
+              OptionType.INT64, doc=_STORED_ONLY),
+        Field("sz:data_endian_type", "_params.dataEndianType",
+              OptionType.INT64, doc=_STORED_ONLY),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -88,21 +120,9 @@ class SZCompressor(StagedCompressor):
 
     # -- options ----------------------------------------------------------
     def _options(self) -> PressioOptions:
-        opts = PressioOptions()
+        opts = super()._options()
         p = self._params
-        opts.set("sz:error_bound_mode", np.int32(p.errorBoundMode))
         opts.set("sz:error_bound_mode_str", _MODE_NAMES[p.errorBoundMode])
-        opts.set("sz:abs_err_bound", float(p.absErrBound))
-        opts.set("sz:rel_err_bound", float(p.relBoundRatio))
-        opts.set("sz:pw_rel_err_bound", float(p.pw_relBoundRatio))
-        opts.set("sz:psnr_err_bound", float(p.psnr))
-        opts.set("sz:norm_err_bound", float(p.normErrBound))
-        opts.set("sz:sz_mode", np.int32(p.szMode))
-        opts.set("sz:lossless_compressor", p.losslessCompressor)
-        opts.set("sz:entropy_coder", p.entropyCoder)
-        opts.set("sz:prediction_mode", p.predictionMode)
-        for key, (field, otype) in _STORED_ONLY.items():
-            opts.set(key, _CASTS[otype](getattr(p, field)))
         # cross-compressor common options (paper Section IV-B)
         if p.errorBoundMode == native_sz.ABS:
             opts.set("pressio:abs", float(p.absErrBound))
@@ -115,56 +135,28 @@ class SZCompressor(StagedCompressor):
         return opts
 
     def _set_options(self, options: PressioOptions) -> None:
+        super()._set_options(options)
         p = self._params
-        mode = self._take(options, "sz:error_bound_mode", OptionType.INT32,
-                          p.errorBoundMode)
         mode_str = options.get("sz:error_bound_mode_str")
         if mode_str is not None:
             try:
-                mode = ERROR_BOUND_MODES[str(mode_str)]
+                p.errorBoundMode = ERROR_BOUND_MODES[str(mode_str)]
             except KeyError:
                 raise InvalidOptionError(
                     f"unknown error bound mode {mode_str!r}; known: "
                     f"{sorted(ERROR_BOUND_MODES)}"
                 ) from None
-        updated = dataclasses.replace(
-            p,
-            errorBoundMode=int(mode),
-            absErrBound=self._take(options, "sz:abs_err_bound",
-                                   OptionType.DOUBLE, p.absErrBound),
-            relBoundRatio=self._take(options, "sz:rel_err_bound",
-                                     OptionType.DOUBLE, p.relBoundRatio),
-            pw_relBoundRatio=self._take(options, "sz:pw_rel_err_bound",
-                                        OptionType.DOUBLE, p.pw_relBoundRatio),
-            psnr=self._take(options, "sz:psnr_err_bound", OptionType.DOUBLE,
-                            p.psnr),
-            normErrBound=self._take(options, "sz:norm_err_bound",
-                                    OptionType.DOUBLE, p.normErrBound),
-            szMode=int(self._take(options, "sz:sz_mode", OptionType.INT32,
-                                  p.szMode)),
-            losslessCompressor=str(self._take(
-                options, "sz:lossless_compressor", OptionType.STRING,
-                p.losslessCompressor)),
-            entropyCoder=str(self._take(options, "sz:entropy_coder",
-                                        OptionType.STRING, p.entropyCoder)),
-            predictionMode=str(self._take(options, "sz:prediction_mode",
-                                          OptionType.STRING, p.predictionMode)),
-            **{field: _CASTS[otype](self._take(options, key, otype,
-                                               getattr(p, field)))
-               for key, (field, otype) in _STORED_ONLY.items()},
-        )
         # cross-compressor aliases override the specific fields
-        if "pressio:abs" in options and options.get("pressio:abs") is not None:
-            updated.errorBoundMode = native_sz.ABS
-            updated.absErrBound = options.get_as("pressio:abs", OptionType.DOUBLE)
-        if "pressio:rel" in options and options.get("pressio:rel") is not None:
-            updated.errorBoundMode = native_sz.REL
-            updated.relBoundRatio = options.get_as("pressio:rel", OptionType.DOUBLE)
+        if options.get("pressio:abs") is not None:
+            p.errorBoundMode = native_sz.ABS
+            p.absErrBound = options.get_as("pressio:abs", OptionType.DOUBLE)
+        if options.get("pressio:rel") is not None:
+            p.errorBoundMode = native_sz.REL
+            p.relBoundRatio = options.get_as("pressio:rel", OptionType.DOUBLE)
         try:
-            updated.validate()
+            p.validate()
         except ValueError as e:
             raise InvalidOptionError(str(e)) from None
-        self._params = updated
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
@@ -175,26 +167,10 @@ class SZCompressor(StagedCompressor):
         return cfg
 
     def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "SZ-family prediction-based error-bounded lossy compressor")
+        docs = super()._documentation()
         docs.set("sz:error_bound_mode_str",
                  "error bound mode: abs, rel (value-range relative), "
                  "abs_and_rel, abs_or_rel, psnr, pw_rel, norm")
-        docs.set("sz:abs_err_bound", "absolute error bound (mode abs)")
-        docs.set("sz:rel_err_bound", "value-range relative bound (mode rel)")
-        docs.set("sz:pw_rel_err_bound", "pointwise relative bound (mode pw_rel)")
-        docs.set("sz:psnr_err_bound", "target PSNR in dB (mode psnr)")
-        docs.set("sz:sz_mode",
-                 "0=SZ_BEST_SPEED 1=SZ_DEFAULT_COMPRESSION 2=SZ_BEST_COMPRESSION")
-        docs.set("sz:lossless_compressor",
-                 "lossless backend: zlib, bz2, lzma, none")
-        docs.set("sz:entropy_coder", "residual coder: fast or huffman")
-        docs.set("sz:prediction_mode",
-                 "lorenzo, none, regression, or adaptive (SZ 2.x per-block\n                 regression selection)")
-        for key in _STORED_ONLY:
-            docs.set(key, "kept for SZ API parity: stored and reported, "
-                          "not consulted by this native")
         docs.set("pressio:abs", "cross-compressor absolute error bound")
         docs.set("pressio:rel", "cross-compressor value-range relative bound")
         return docs

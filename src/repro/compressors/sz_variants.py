@@ -17,9 +17,9 @@ import numpy as np
 
 from ..core.data import PressioData
 from ..core.dtype import dtype_to_numpy
+from ..core.configurable import Field
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError
 from ..encoders.headers import read_header
 from ..meta.parallel import read_slabs, run_tasks, write_slabs
 from ..native.sz import core as sz_core
@@ -33,6 +33,8 @@ class SZThreadsafeCompressor(SZCompressor):
     """SZ pipeline with per-instance configuration (re-entrant)."""
 
     thread_safety = "multithreaded"
+    description = ("threadsafe serial SZ: per-instance configuration, "
+                   "safe to clone across threads")
 
     def __init__(self) -> None:
         # deliberately skip SZCompressor.__init__'s global acquire:
@@ -50,13 +52,6 @@ class SZThreadsafeCompressor(SZCompressor):
         cfg = super()._configuration()
         cfg.set("sz:shared_instance", False)
         return cfg
-
-    def _documentation(self) -> PressioOptions:
-        docs = super()._documentation()
-        docs.set("pressio:description",
-                 "threadsafe serial SZ: per-instance configuration, "
-                 "safe to clone across threads")
-        return docs
 
     def version(self) -> str:
         return "2.1.10.threadsafe.pyrepro"
@@ -76,30 +71,15 @@ def _cuts(rows: int, n: int) -> list[tuple[int, int]]:
 class SZOmpCompressor(SZThreadsafeCompressor):
     """Slab-parallel SZ (the OpenMP-style CPU-parallel variant)."""
 
+    description = "slab-parallel SZ (OpenMP-analog CPU parallelism)"
+    fields = SZThreadsafeCompressor.fields + (
+        Field("sz_omp:nthreads", "_nthreads", OptionType.INT64, low=1,
+              doc="worker threads for slab compression and decoding"),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._nthreads = 4
-
-    def _options(self) -> PressioOptions:
-        opts = super()._options()
-        opts.set("sz_omp:nthreads", np.int64(self._nthreads))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        super()._set_options(options)
-        n = int(self._take(options, "sz_omp:nthreads", OptionType.INT64,
-                           self._nthreads))
-        if n < 1:
-            raise InvalidOptionError("sz_omp:nthreads must be >= 1")
-        self._nthreads = n
-
-    def _documentation(self) -> PressioOptions:
-        docs = super()._documentation()
-        docs.set("pressio:description",
-                 "slab-parallel SZ (OpenMP-analog CPU parallelism)")
-        docs.set("sz_omp:nthreads",
-                 "worker threads for slab compression and decoding")
-        return docs
 
     def version(self) -> str:
         return "2.1.10.omp.pyrepro"

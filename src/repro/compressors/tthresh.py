@@ -8,11 +8,10 @@ documentation and configuration rather than hard-coded.
 
 from __future__ import annotations
 
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError
 from ..native import tthresh as native_tthresh
 from .staged import NativeCompressor
 
@@ -25,6 +24,13 @@ class TthreshCompressor(NativeCompressor):
 
     thread_safety = "multithreaded"
     native = native_tthresh
+    description = ("tthresh-style truncated-HOSVD compressor; bounds the "
+                   "RELATIVE L2 (Frobenius) error, not the pointwise max")
+    fields = (
+        Field("tthresh:target_value", "_target", OptionType.DOUBLE,
+              positive=True, doc="relative L2 error target (eps)"),
+        Field("tthresh:backend", "_backend", OptionType.STRING),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -32,20 +38,9 @@ class TthreshCompressor(NativeCompressor):
         self._backend = "zlib"
 
     def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("tthresh:target_value", float(self._target))
+        opts = super()._options()
         opts.set("tthresh:target_str", "eps")  # relative L2, as tthresh
-        opts.set("tthresh:backend", self._backend)
         return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        target = float(self._take(options, "tthresh:target_value",
-                                  OptionType.DOUBLE, self._target))
-        if target <= 0:
-            raise InvalidOptionError("tthresh:target_value must be positive")
-        self._target = target
-        self._backend = str(self._take(options, "tthresh:backend",
-                                       OptionType.STRING, self._backend))
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
@@ -53,14 +48,6 @@ class TthreshCompressor(NativeCompressor):
         cfg.set("pressio:lossy", True)
         cfg.set("tthresh:norm", "relative_l2")
         return cfg
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "tthresh-style truncated-HOSVD compressor; bounds the "
-                 "RELATIVE L2 (Frobenius) error, not the pointwise max")
-        docs.set("tthresh:target_value", "relative L2 error target (eps)")
-        return docs
 
     def version(self) -> str:
         return "1.0.0.pyrepro"

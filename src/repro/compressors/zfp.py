@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import InvalidOptionError
@@ -51,6 +51,9 @@ class ZFPCompressor(StagedCompressor):
     # independent per-instance streams: fully re-entrant
     thread_safety = "multithreaded"
     native = native_zfp
+    description = "zfp-family transform-based error-bounded lossy compressor"
+    fields = (Field("zfp:backend", "_stream.backend", OptionType.STRING),
+              Field("zfp:level", "_stream.level", OptionType.INT32))
 
     def __init__(self) -> None:
         super().__init__()
@@ -58,7 +61,8 @@ class ZFPCompressor(StagedCompressor):
 
     # -- options ----------------------------------------------------------
     def _options(self) -> PressioOptions:
-        opts = PressioOptions()
+        # the mode's parameter is reported under the mode's key only
+        opts = super()._options()
         s = self._stream
         mode_name = _MODE_NAMES[s.mode]
         opts.set("zfp:execution_name", "serial")
@@ -79,11 +83,10 @@ class ZFPCompressor(StagedCompressor):
             opts.set_type("zfp:rate", OptionType.DOUBLE)
         opts.set("zfp:reversible",
                  bool(s.mode == native_zfp.MODE_REVERSIBLE))
-        opts.set("zfp:backend", s.backend)
-        opts.set("zfp:level", np.int32(s.level))
         return opts
 
     def _set_options(self, options: PressioOptions) -> None:
+        super()._set_options(options)
         s = self._stream
         mode_str = options.get("zfp:mode_str")
         if mode_str is not None:
@@ -103,10 +106,6 @@ class ZFPCompressor(StagedCompressor):
             native_zfp.zfp_stream_set_rate(s, float(rate))
         if options.get("zfp:reversible"):
             native_zfp.zfp_stream_set_reversible(s)
-        s.backend = str(self._take(options, "zfp:backend", OptionType.STRING,
-                                   s.backend))
-        s.level = int(self._take(options, "zfp:level", OptionType.INT32,
-                                 s.level))
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()
@@ -117,9 +116,7 @@ class ZFPCompressor(StagedCompressor):
         return cfg
 
     def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "zfp-family transform-based error-bounded lossy compressor")
+        docs = super()._documentation()
         docs.set("zfp:mode_str",
                  "mode: accuracy, precision, rate, reversible")
         docs.set("zfp:accuracy", "absolute error tolerance (accuracy mode)")

@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability
+from ..core.configurable import Field, Stability
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_registry
@@ -46,6 +46,7 @@ class _BoundCheat(PressioCompressor):
     """Advertises ``pressio:abs`` then delivers 3x the promised error."""
 
     thread_safety = "multithreaded"
+    fields = (Field("pressio:abs", "_abs", OptionType.DOUBLE),)
 
     def __init__(self):
         super().__init__()
@@ -56,15 +57,6 @@ class _BoundCheat(PressioCompressor):
         cfg.set("pressio:stability", Stability.EXPERIMENTAL)
         cfg.set("pressio:lossy", True)
         return cfg
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("pressio:abs", float(self._abs))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        self._abs = float(self._take(options, "pressio:abs",
-                                     OptionType.DOUBLE, self._abs))
 
     def version(self) -> str:
         return "0.0.1.selftest"

@@ -12,7 +12,7 @@ typed, introspectable compression interface (Figure 1's six components).
 """
 
 from .compressor import PressioCompressor
-from .configurable import Configurable, Stability, ThreadSafety
+from .configurable import Configurable, Field, Stability, ThreadSafety
 from .data import PressioData
 from .domain import CallbackDomain, Domain, MallocDomain, MmapDomain, NonOwningDomain
 from .dtype import DType, dtype_from_numpy, dtype_size, dtype_to_numpy
@@ -57,6 +57,7 @@ __all__ = [
     "PressioMetrics",
     "PressioIO",
     "Configurable",
+    "Field",
     "ThreadSafety",
     "Stability",
     "DType",

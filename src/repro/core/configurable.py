@@ -3,21 +3,25 @@
 Every plugin kind in LibPressio exposes the same verbs —
 ``get_options`` / ``set_options`` / ``check_options`` /
 ``get_configuration`` / ``clone`` — plus documentation.  This module
-implements them once.  A plugin validates its options in one place,
-``_set_options``: a set is all-or-nothing, and a check is that set run
-on a clone.  ``get_configuration`` carries *read-only* facts such as
+implements them once.  A plugin declares each option once, as a
+:class:`Field` in its ``fields`` table; the default ``_options``,
+``_set_options`` and ``_documentation`` report, take and document every
+field.  A set is all-or-nothing, and a check is that set run on a
+clone.  ``get_configuration`` carries *read-only* facts such as
 thread safety and API stability, the introspection data Table I credits
 LibPressio with and faults string-typed interfaces for lacking.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
-from .options import CastLevel, Option, OptionType, PressioOptions
+from .options import CastLevel, OptionType, PressioOptions
 from .status import InvalidOptionError, PressioError, Status
 
-__all__ = ["Configurable", "ThreadSafety", "Stability", "set_each"]
+__all__ = ["Configurable", "Field", "ThreadSafety", "Stability", "set_each"]
 
 
 class ThreadSafety:
@@ -37,6 +41,72 @@ class Stability:
     EXTERNAL = "external"
 
 
+@dataclass(frozen=True)
+class Field:
+    """One option, declared once: where it lives, its type, its domain.
+
+    ``key`` is the option name.  A key without a ``:`` is the plugin's
+    own and is qualified with its :meth:`~Configurable.prefix`, so a
+    renamed instance answers to its new name; a key with a ``:``
+    (``"sz:abs_err_bound"``, ``"pressio:abs"``, ``"io:path"``) is used
+    as written.  ``attr`` names the instance attribute holding the value
+    (a dotted path reaches into a member, ``"_params.absErrBound"``).
+    ``low`` and ``high`` are inclusive bounds (``high`` only with
+    ``low``), ``positive`` rejects a value at or below zero, and
+    ``choices`` lists the accepted values.  An option with a ``doc``
+    appears in ``get_documentation``.
+    """
+
+    key: str
+    attr: str
+    type: OptionType
+    doc: str | None = None
+    low: float | None = None
+    high: float | None = None
+    positive: bool = False
+    choices: tuple | None = None
+
+    def qualified(self, plugin: "Configurable") -> str:
+        return self.key if ":" in self.key else plugin._qualify(self.key)
+
+    def _owner(self, plugin: "Configurable") -> tuple[Any, str]:
+        path, _, name = self.attr.rpartition(".")
+        return (attrgetter(path)(plugin) if path else plugin), name
+
+    def get(self, plugin: "Configurable") -> Any:
+        owner, name = self._owner(plugin)
+        return getattr(owner, name)
+
+    def take(self, plugin: "Configurable", options: PressioOptions) -> bool:
+        """Cast and assign this option's value from ``options``; False
+        when ``options`` holds none."""
+        opt = options.get_option(self.qualified(plugin))
+        if opt is None or not opt.has_value():
+            return False
+        value = (opt.get() if self.type == OptionType.USERPTR
+                 else opt.cast(self.type, CastLevel.IMPLICIT).get())
+        owner, name = self._owner(plugin)
+        setattr(owner, name, value)
+        return True
+
+    def check(self, plugin: "Configurable") -> None:
+        """Raise :class:`InvalidOptionError` when the value held is
+        outside the declared domain."""
+        value, key = self.get(plugin), self.qualified(plugin)
+        if self.choices is not None and value not in self.choices:
+            names = [str(c) for c in self.choices]
+            if len(names) > 2:
+                names = [", ".join(names[:-1]) + ",", names[-1]]
+            raise InvalidOptionError(f"{key} must be {' or '.join(names)}")
+        if self.positive and value <= 0:
+            raise InvalidOptionError(f"{key} must be positive")
+        if self.high is not None and not self.low <= value <= self.high:
+            raise InvalidOptionError(
+                f"{key} must be in [{self.low}, {self.high}]")
+        if self.low is not None and value < self.low:
+            raise InvalidOptionError(f"{key} must be >= {self.low}")
+
+
 class Configurable:
     """Base class implementing the uniform options protocol."""
 
@@ -45,6 +115,12 @@ class Configurable:
 
     #: plugin kind prefix used in fully-qualified names ("compressor", ...)
     plugin_kind: str = "configurable"
+
+    #: the plugin's options, each declared once
+    fields: tuple[Field, ...] = ()
+
+    #: the ``pressio:description`` documentation entry
+    description: str | None = None
 
     def __init__(self) -> None:
         self.status = Status()
@@ -70,17 +146,31 @@ class Configurable:
     # subclass extension points
     # ------------------------------------------------------------------
     def _options(self) -> PressioOptions:
-        """Return the plugin's current options (qualified names)."""
-        return PressioOptions()
+        """Return the plugin's current options (qualified names): every
+        field's value, or its type alone while the value is None."""
+        opts = PressioOptions()
+        for field in self.fields:
+            value = field.get(self)
+            if value is None:
+                opts.set_type(field.qualified(self), field.type)
+            else:
+                opts.set(field.qualified(self), value, field.type)
+        return opts
 
     def _set_options(self, options: PressioOptions) -> None:
         """Apply recognized entries of ``options``; ignore foreign keys.
 
+        The default takes every field ``options`` holds, then checks
+        each taken field's final value, so of two fields sharing an
+        attribute (an alias) the later one wins before the check.
         Raise (``InvalidOptionError``, or a native's ``ValueError``) on
         an unusable value; :meth:`set_options` then undoes what this
         call applied through :meth:`_restore`, and :meth:`check_options`
         reports the same error.
         """
+        taken = [f for f in self.fields if f.take(self, options)]
+        for field in taken:
+            field.check(self)
 
     def _restore(self, before: PressioOptions) -> None:
         """Undo a rejected :meth:`_set_options` by re-applying ``before``,
@@ -101,8 +191,15 @@ class Configurable:
         return cfg
 
     def _documentation(self) -> PressioOptions:
-        """Human-readable descriptions of each option."""
-        return PressioOptions()
+        """Human-readable descriptions: the plugin's ``description`` and
+        each field's ``doc``."""
+        docs = PressioOptions()
+        if self.description is not None:
+            docs.set("pressio:description", self.description)
+        for field in self.fields:
+            if field.doc is not None:
+                docs.set(field.qualified(self), field.doc)
+        return docs
 
     def _discard(self) -> None:
         """Release what a throwaway instance (a check's trial) holds."""

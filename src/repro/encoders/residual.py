@@ -146,11 +146,17 @@ def _deflate_floor(n: int) -> int:
     return 6 + n // 1032
 
 
-def _strategy(data: np.ndarray) -> int:
-    """Low effort's deflate strategy for a byte stream, from its runs."""
-    if _rle_first(data, _run_count(data)):
-        return zlib.Z_RLE
-    return zlib.Z_HUFFMAN_ONLY
+def _deflate_runs(data: np.ndarray, level: int) -> bytes:
+    """``data`` deflated as :func:`_deflate_plane` does, at low effort
+    with the strategy its runs pick (:func:`_rle_first`, whose own
+    stream is reused where its trial deflated all of ``data``)."""
+    trial, strategy = None, zlib.Z_HUFFMAN_ONLY
+    if level <= 4:
+        rle, trial = _rle_first(data, _run_count(data))
+        if rle:
+            strategy = zlib.Z_RLE
+    return trial if trial is not None else _deflate_plane(data, level,
+                                                          strategy)
 
 
 def _run_count(plane: np.ndarray) -> int:
@@ -158,26 +164,35 @@ def _run_count(plane: np.ndarray) -> int:
     return int(np.count_nonzero(plane[1:] == plane[:-1]))
 
 
-def _rle_first(plane: np.ndarray, runs: int) -> bool:
-    """Whether low effort should deflate ``plane`` with ``Z_RLE``.
+def _rle_first(plane: np.ndarray,
+               runs: int) -> tuple[bool, bytes | None]:
+    """Whether low effort should deflate ``plane`` with ``Z_RLE`` and,
+    when the trial deflated the whole plane, the winning stream: the
+    one low effort's :func:`_deflate_plane` would write.
 
     The run fraction settles both clear ends.  Inside the band between
     them neither strategy wins reliably (measured on the bench grid's
     chunk planes: Huffman-only won by 8-10 % at run fractions up to
     0.54, ``Z_RLE`` by 10-16 % from 0.40), so both deflate a sample of
-    four strided 2 KiB slices and the smaller one decides.
+    four strided 2 KiB slices (the whole plane, up to ``_SAMPLE``
+    bytes) and the smaller one decides.
     """
     n = plane.size
     if runs >= _RLE_SURE * n:
-        return True
+        return True, None
     if runs < _RLE_NEVER * n:
-        return False
+        return False, None
+    sample = plane
     if n > _SAMPLE:
         step, part = n // 4, _SAMPLE // 4
-        plane = np.concatenate([plane[i * step:i * step + part]
-                                for i in range(4)])
-    return (len(_deflate(plane, zlib.Z_RLE))
-            < len(_deflate(plane, zlib.Z_HUFFMAN_ONLY)))
+        sample = np.concatenate([plane[i * step:i * step + part]
+                                 for i in range(4)])
+    rle = _deflate(sample, zlib.Z_RLE)
+    huffman = _deflate(sample, zlib.Z_HUFFMAN_ONLY)
+    won = len(rle) < len(huffman)
+    if sample is not plane:
+        return won, None
+    return won, rle if won else huffman
 
 
 #: one-shot decompressor objects, so every decode can cap its output
@@ -447,11 +462,10 @@ def _packed_plane(plane: np.ndarray, w: int, level: int) -> bytes:
         packed = words.astype(np.uint8)
     finally:
         _pool.release(words)
-    body = _deflate_plane(packed, level, _strategy(packed))
+    body = _deflate_runs(packed, level)
     escaped = plane[plane >= esc]
     escaped -= esc
-    tail = (_deflate_plane(escaped, level, _strategy(escaped))
-            if escaped.size else b"")
+    tail = _deflate_runs(escaped, level) if escaped.size else b""
     return b"".join([bytes([w]), np.uint64(len(body)).tobytes(), body, tail])
 
 
@@ -513,15 +527,21 @@ def _deflate_gated(plane: np.ndarray, level: int, runs: int,
     far above the bit per byte Huffman-only spends.
     """
     n = plane.size
-    split, strategy, width = False, zlib.Z_HUFFMAN_ONLY, 0
+    split, strategy, trial = False, zlib.Z_HUFFMAN_ONLY, None
+    width = _pack_width(plane) if n >= _SMALL_PLANE else 0
+    if level <= 4 and n >= _SMALL_PLANE and not width:
+        # where the chooser's trial deflated the whole plane, its
+        # stream is the ZLIB body low effort writes
+        rle, trial = _rle_first(plane, runs)
+        if rle:
+            strategy = zlib.Z_RLE
     if n < _SMALL_PLANE:
         attempt, level = True, max(level, 5)
-    elif width := _pack_width(plane):
+    elif width or strategy == zlib.Z_RLE:
         # deflate codes a byte per symbol and at least a bit per byte;
-        # packing 2 or 4 values a byte halves or quarters that
+        # packing 2 or 4 values a byte halves or quarters that, and
+        # Z_RLE codes a run for little more than its length
         attempt = True
-    elif level <= 4 and _rle_first(plane, runs):
-        attempt, strategy = True, zlib.Z_RLE
     else:
         counts = _byte_histogram(plane)
         entropy = _entropy(counts, n)
@@ -547,7 +567,8 @@ def _deflate_gated(plane: np.ndarray, level: int, runs: int,
     if width:
         blobs.append((_P_PACKED, _packed_plane(plane, width, level)))
     if not (split or width) or level > 4:
-        blobs.append((_P_ZLIB, _deflate_plane(plane, level, strategy)))
+        blobs.append((_P_ZLIB, trial if trial is not None
+                      else _deflate_plane(plane, level, strategy)))
     blob = min(blobs, key=lambda b: len(b[1]))
     return blob if len(blob[1]) < best else None
 

@@ -18,6 +18,7 @@ import os
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.dtype import dtype_from_numpy
 from ..core.io import PressioIO
@@ -146,6 +147,14 @@ class AdiosMiniIO(_PathIO):
     ``adios:operator_config_json``.
     """
 
+    fields = _PathIO.fields + (
+        Field("adios:variable", "_variable", OptionType.STRING),
+        Field("adios:step", "_step", OptionType.INT64),
+        Field("adios:operator", "_operator", OptionType.STRING),
+        Field("adios:operator_config_json", "_operator_config",
+              OptionType.STRING),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._variable = "data"
@@ -153,26 +162,9 @@ class AdiosMiniIO(_PathIO):
         self._operator = ""
         self._operator_config = "{}"
 
-    def _options(self) -> PressioOptions:
-        opts = super()._options()
-        opts.set("adios:variable", self._variable)
-        opts.set("adios:step", np.int64(self._step))
-        opts.set("adios:operator", self._operator)
-        opts.set("adios:operator_config_json", self._operator_config)
-        return opts
-
     def _set_options(self, options: PressioOptions) -> None:
         super()._set_options(options)
-        self._variable = str(self._take(options, "adios:variable",
-                                        OptionType.STRING, self._variable))
-        self._step = int(self._take(options, "adios:step", OptionType.INT64,
-                                    self._step))
-        self._operator = str(self._take(options, "adios:operator",
-                                        OptionType.STRING, self._operator))
-        cfg = str(self._take(options, "adios:operator_config_json",
-                             OptionType.STRING, self._operator_config))
-        json.loads(cfg)
-        self._operator_config = cfg
+        json.loads(self._operator_config)
 
     def read(self, template: PressioData | None = None) -> PressioData:
         system = AdiosMiniIOSystem()

@@ -10,10 +10,11 @@ import os
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.dtype import dtype_to_numpy
 from ..core.io import PressioIO
-from ..core.options import OptionType, PressioOptions
+from ..core.options import OptionType
 from ..core.registry import io_plugin
 from ..core.status import IOError_
 from .posix import _PathIO
@@ -51,23 +52,15 @@ class NumpyIO(_PathIO):
 class CsvIO(_PathIO):
     """Character-delimited values (at most 2-D)."""
 
+    fields = _PathIO.fields + (
+        Field("csv:delimiter", "_delimiter", OptionType.STRING),
+        Field("csv:skip_rows", "_skip_rows", OptionType.INT64),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._delimiter = ","
         self._skip_rows = 0
-
-    def _options(self) -> PressioOptions:
-        opts = super()._options()
-        opts.set("csv:delimiter", self._delimiter)
-        opts.set("csv:skip_rows", np.int64(self._skip_rows))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        super()._set_options(options)
-        self._delimiter = str(self._take(options, "csv:delimiter",
-                                         OptionType.STRING, self._delimiter))
-        self._skip_rows = int(self._take(options, "csv:skip_rows",
-                                         OptionType.INT64, self._skip_rows))
 
     def read(self, template: PressioData | None = None) -> PressioData:
         path = self._require_path()

@@ -25,6 +25,7 @@ import struct
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_from_numpy, dtype_to_numpy
 from ..core.io import PressioIO
@@ -226,29 +227,21 @@ class Hdf5MiniIO(_PathIO):
     compression.
     """
 
+    fields = _PathIO.fields + (
+        Field("hdf5:dataset", "_dataset", OptionType.STRING),
+        Field("hdf5:filter", "_filter", OptionType.STRING),
+        Field("hdf5:filter_config_json", "_filter_config", OptionType.STRING),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._dataset = "data"
         self._filter = ""
         self._filter_config = "{}"
 
-    def _options(self) -> PressioOptions:
-        opts = super()._options()
-        opts.set("hdf5:dataset", self._dataset)
-        opts.set("hdf5:filter", self._filter)
-        opts.set("hdf5:filter_config_json", self._filter_config)
-        return opts
-
     def _set_options(self, options: PressioOptions) -> None:
         super()._set_options(options)
-        self._dataset = str(self._take(options, "hdf5:dataset",
-                                       OptionType.STRING, self._dataset))
-        self._filter = str(self._take(options, "hdf5:filter",
-                                      OptionType.STRING, self._filter))
-        cfg = str(self._take(options, "hdf5:filter_config_json",
-                             OptionType.STRING, self._filter_config))
-        json.loads(cfg)
-        self._filter_config = cfg
+        json.loads(self._filter_config)
 
     def read(self, template: PressioData | None = None) -> PressioData:
         f = Hdf5MiniFile(self._require_path(), "r")

@@ -11,10 +11,11 @@ import os
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_to_numpy
 from ..core.io import PressioIO
-from ..core.options import OptionType, PressioOptions
+from ..core.options import OptionType
 from ..core.registry import io_plugin
 from ..core.status import IOError_
 
@@ -24,18 +25,11 @@ __all__ = ["PosixIO", "MmapIO"]
 class _PathIO(PressioIO):
     """Shared ``io:path`` option handling."""
 
+    fields = (Field("io:path", "_path", OptionType.STRING),)
+
     def __init__(self) -> None:
         super().__init__()
         self._path = ""
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("io:path", self._path)
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        self._path = str(self._take(options, "io:path", OptionType.STRING,
-                                    self._path))
 
     def _require_path(self) -> str:
         if not self._path:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_to_numpy
 from ..core.io import PressioIO
@@ -24,18 +25,11 @@ __all__ = ["IotaIO", "SelectIO", "NoopIO"]
 class IotaIO(PressioIO):
     """Generates 0, 1, 2, ... shaped by the template (or io:dims)."""
 
+    fields = (Field("iota:start", "_start", OptionType.DOUBLE),)
+
     def __init__(self) -> None:
         super().__init__()
         self._start = 0.0
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("iota:start", float(self._start))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        self._start = float(self._take(options, "iota:start",
-                                       OptionType.DOUBLE, self._start))
 
     def read(self, template: PressioData | None = None) -> PressioData:
         if template is None or template.num_dimensions == 0:
@@ -55,6 +49,13 @@ class SelectIO(PressioIO):
     plugin's own options passed through.
     """
 
+    fields = (
+        Field("select:io", "_inner_id", OptionType.STRING),
+        Field("select:start", "_start", OptionType.STRING_LIST),
+        Field("select:stop", "_stop", OptionType.STRING_LIST),
+        Field("select:step", "_step", OptionType.STRING_LIST),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._inner_id = "posix"
@@ -64,22 +65,14 @@ class SelectIO(PressioIO):
         self._step: list[str] = []
 
     def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("select:io", self._inner_id)
-        opts.set("select:start", list(self._start))
-        opts.set("select:stop", list(self._stop))
-        opts.set("select:step", list(self._step))
-        return opts.merge(self._inner.get_options())
+        return super()._options().merge(self._inner.get_options())
 
     def _set_options(self, options: PressioOptions) -> None:
+        # naming another inner plugin creates it
         inner_id = options.get("select:io")
         if inner_id is not None and inner_id != self._inner_id:
-            self._inner_id = str(inner_id)
-            self._inner = io_registry.create(self._inner_id)
-        for name in ("start", "stop", "step"):
-            val = options.get(f"select:{name}")
-            if val is not None:
-                setattr(self, f"_{name}", [str(v) for v in val])
+            self._inner = io_registry.create(str(inner_id))
+        super()._set_options(options)
         self._inner.set_options(options)
 
     def _slices(self, ndim: int) -> tuple[slice, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.compressor import PressioCompressor
 from ..core.configurable import Stability, ThreadSafety
-from ..core.options import OptionType, PressioOptions
+from ..core.options import PressioOptions
 from ..core.registry import compressor_registry
 from ..core.status import PressioError
 
@@ -57,13 +57,14 @@ class MetaCompressor(PressioCompressor):
         Re-setting a fresh instance from the merged options would
         re-create the inner by id and hand it every key the merge kept,
         which for a ``switch`` inner is one candidate's value of a
-        shared key.  Only the meta-compressor's own options are set.
+        shared key.  Only the meta-compressor's own fields are set.
         """
         dup = type(self)()
         if self._name is not None:
             dup.set_name(self._name)
         dup._adopt(self._inner.clone(), self._inner_id)
-        if dup.set_options(self._meta_options()) != 0:
+        # super()'s _options: the fields alone
+        if dup.set_options(super()._options()) != 0:
             dup._discard()
             raise PressioError(f"clone failed: {dup.status.msg}",
                                dup.status.code)
@@ -73,17 +74,10 @@ class MetaCompressor(PressioCompressor):
         return f"{self.prefix()}:compressor"
 
     # -- options -----------------------------------------------------------
-    def _meta_options(self) -> PressioOptions:
-        """Additional options of the concrete meta-compressor."""
-        return PressioOptions()
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        """Apply the concrete meta-compressor's own options."""
-
     def _options(self) -> PressioOptions:
         opts = PressioOptions()
         opts.set(self._option_key(), self._inner_id)
-        opts = opts.merge(self._meta_options())
+        opts = opts.merge(super()._options())
         return opts.merge(self._inner.get_options())
 
     def _set_options(self, options: PressioOptions) -> None:
@@ -94,7 +88,7 @@ class MetaCompressor(PressioCompressor):
         if inner_id is not None and str(inner_id) != self._inner_id:
             inner = compressor_registry.create(str(inner_id))
         try:
-            self._set_meta_options(options)
+            super()._set_options(options)
             if inner.set_options(options) != 0:
                 raise PressioError(inner.error_msg(), inner.error_code())
         except BaseException:
@@ -106,8 +100,8 @@ class MetaCompressor(PressioCompressor):
 
     def _restore(self, before: PressioOptions) -> None:
         # the inner plugin undid itself in _set_options; only the
-        # meta-compressor's own options are left to undo
-        self._set_meta_options(before)
+        # meta-compressor's own fields are left to undo
+        super()._set_options(before)
 
     def _configuration(self) -> PressioOptions:
         cfg = PressioOptions()

@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.data import PressioData
-from ..core.options import OptionType, PressioOptions
+from ..core.configurable import Field
+from ..core.options import OptionType
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError
 from ..trace import runtime as _trace
 from .base import MetaCompressor
 
@@ -31,34 +31,18 @@ class FaultInjectorCompressor(MetaCompressor):
     corruption, exactly how the fuzzer uses it.
     """
 
+    fields = (
+        Field("num_faults", "_num_faults", OptionType.INT64, low=0),
+        Field("seed", "_seed", OptionType.INT64),
+        Field("skip_header_bytes", "_skip_header_bytes", OptionType.INT64,
+              low=0),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._num_faults = 1
         self._seed = 0
         self._skip_header_bytes = 0
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("fault_injector:num_faults", np.int64(self._num_faults))
-        opts.set("fault_injector:seed", np.int64(self._seed))
-        opts.set("fault_injector:skip_header_bytes",
-                 np.int64(self._skip_header_bytes))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        n = int(self._take(options, "fault_injector:num_faults",
-                           OptionType.INT64, self._num_faults))
-        if n < 0:
-            raise InvalidOptionError("fault_injector:num_faults must be >= 0")
-        self._num_faults = n
-        self._seed = int(self._take(options, "fault_injector:seed",
-                                    OptionType.INT64, self._seed))
-        skip = int(self._take(options, "fault_injector:skip_header_bytes",
-                              OptionType.INT64, self._skip_header_bytes))
-        if skip < 0:
-            raise InvalidOptionError(
-                "fault_injector:skip_header_bytes must be >= 0")
-        self._skip_header_bytes = skip
 
     def _compress(self, input: PressioData) -> PressioData:
         return self._inner.compress(input)
@@ -91,33 +75,18 @@ class ErrorInjectorCompressor(MetaCompressor):
     ``error_injector:scale``) or ``uniform`` (range ±scale).
     """
 
+    fields = (
+        Field("distribution", "_distribution", OptionType.STRING,
+              choices=("normal", "uniform")),
+        Field("scale", "_scale", OptionType.DOUBLE, low=0),
+        Field("seed", "_seed", OptionType.INT64),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._distribution = "normal"
         self._scale = 0.0
         self._seed = 0
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("error_injector:distribution", self._distribution)
-        opts.set("error_injector:scale", float(self._scale))
-        opts.set("error_injector:seed", np.int64(self._seed))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        dist = str(self._take(options, "error_injector:distribution",
-                              OptionType.STRING, self._distribution))
-        if dist not in ("normal", "uniform"):
-            raise InvalidOptionError(
-                "error_injector:distribution must be normal or uniform")
-        self._distribution = dist
-        scale = float(self._take(options, "error_injector:scale",
-                                 OptionType.DOUBLE, self._scale))
-        if scale < 0:
-            raise InvalidOptionError("error_injector:scale must be >= 0")
-        self._scale = scale
-        self._seed = int(self._take(options, "error_injector:seed",
-                                    OptionType.INT64, self._seed))
 
     def _compress(self, input: PressioData) -> PressioData:
         arr = np.asarray(input.to_numpy(), dtype=np.float64)

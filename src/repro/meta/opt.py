@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin, metrics_registry
@@ -42,6 +43,18 @@ class OptCompressor(MetaCompressor):
     """Error-bound search wrapper (the FRaZ / LibPressio-Opt pattern)."""
 
     default_inner = "sz"
+    fields = (
+        Field("objective", "_objective", OptionType.STRING,
+              choices=("target_ratio", "max_ratio_with_quality")),
+        Field("target_ratio", "_target_ratio", OptionType.DOUBLE),
+        Field("ratio_tolerance_pct", "_ratio_tol_pct", OptionType.DOUBLE),
+        Field("quality_metric", "_quality_metric", OptionType.STRING),
+        Field("quality_min", "_quality_min", OptionType.DOUBLE),
+        Field("bound_option", "_bound_option", OptionType.STRING),
+        Field("bound_low", "_bound_low", OptionType.DOUBLE),
+        Field("bound_high", "_bound_high", OptionType.DOUBLE),
+        Field("max_iterations", "_max_iterations", OptionType.INT64, low=1),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -60,57 +73,28 @@ class OptCompressor(MetaCompressor):
         self._iterations = 0
 
     # -- options ----------------------------------------------------------
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("opt:objective", self._objective)
-        opts.set("opt:target_ratio", float(self._target_ratio))
-        opts.set("opt:ratio_tolerance_pct", float(self._ratio_tol_pct))
-        opts.set("opt:quality_metric", self._quality_metric)
-        opts.set("opt:quality_min", float(self._quality_min))
-        opts.set("opt:bound_option", self._bound_option)
-        opts.set("opt:bound_low", float(self._bound_low))
-        opts.set("opt:bound_high", float(self._bound_high))
-        opts.set("opt:max_iterations", np.int64(self._max_iterations))
+    def _options(self) -> PressioOptions:
+        opts = super()._options()
         if self._chosen_bound is not None:
-            opts.set("opt:chosen_bound", float(self._chosen_bound))
-            opts.set("opt:achieved_ratio", float(self._achieved_ratio or 0.0))
-            opts.set("opt:iterations", np.int64(self._iterations))
+            # the last search's results, read-only
+            opts.set(self._qualify("chosen_bound"), float(self._chosen_bound))
+            opts.set(self._qualify("achieved_ratio"),
+                     float(self._achieved_ratio or 0.0))
+            opts.set(self._qualify("iterations"), np.int64(self._iterations))
         return opts
 
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        objective = str(self._take(options, "opt:objective",
-                                   OptionType.STRING, self._objective))
-        if objective not in ("target_ratio", "max_ratio_with_quality"):
+    def _set_options(self, options: PressioOptions) -> None:
+        # checked before super() sets the inner plugin, which a
+        # rejection here must leave as it was
+        low = self._take(options, self._qualify("bound_low"),
+                         OptionType.DOUBLE, self._bound_low)
+        high = self._take(options, self._qualify("bound_high"),
+                          OptionType.DOUBLE, self._bound_high)
+        if not 0 < low < high:
             raise InvalidOptionError(
-                "opt:objective must be target_ratio or max_ratio_with_quality"
-            )
-        self._objective = objective
-        self._target_ratio = float(self._take(
-            options, "opt:target_ratio", OptionType.DOUBLE,
-            self._target_ratio))
-        self._ratio_tol_pct = float(self._take(
-            options, "opt:ratio_tolerance_pct", OptionType.DOUBLE,
-            self._ratio_tol_pct))
-        self._quality_metric = str(self._take(
-            options, "opt:quality_metric", OptionType.STRING,
-            self._quality_metric))
-        self._quality_min = float(self._take(
-            options, "opt:quality_min", OptionType.DOUBLE, self._quality_min))
-        self._bound_option = str(self._take(
-            options, "opt:bound_option", OptionType.STRING,
-            self._bound_option))
-        low = float(self._take(options, "opt:bound_low", OptionType.DOUBLE,
-                               self._bound_low))
-        high = float(self._take(options, "opt:bound_high", OptionType.DOUBLE,
-                                self._bound_high))
-        if not (0 < low < high):
-            raise InvalidOptionError("need 0 < opt:bound_low < opt:bound_high")
-        self._bound_low, self._bound_high = low, high
-        iters = int(self._take(options, "opt:max_iterations",
-                               OptionType.INT64, self._max_iterations))
-        if iters < 1:
-            raise InvalidOptionError("opt:max_iterations must be >= 1")
-        self._max_iterations = iters
+                f"need 0 < {self._qualify('bound_low')} < "
+                f"{self._qualify('bound_high')}")
+        super()._set_options(options)
 
     # -- evaluation ----------------------------------------------------------
     def _evaluate(self, input: PressioData, bound: float

@@ -26,13 +26,14 @@ import struct
 import threading
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import partial
 from itertools import accumulate, islice
 
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import ThreadSafety
+from ..core.configurable import Field, ThreadSafety
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_to_numpy
 from ..core.options import OptionType, PressioOptions
@@ -137,24 +138,20 @@ def read_slabs(view: memoryview, magic: bytes, output: PressioData,
                          in zip(cuts, ends, ends[1:])]
 
 
+#: the ``:nthreads`` option every parallel meta-compressor shares
+NTHREADS = Field("nthreads", "_nthreads", OptionType.INT64, low=1)
+#: ``chunking``'s and ``pipelined``'s target elements per chunk
+CHUNK_SIZE = Field("chunk_size", "_chunk_size", OptionType.INT64, low=1)
+
+
 class _ParallelBase(MetaCompressor):
     """The shared ``:nthreads`` option."""
+
+    fields = (NTHREADS,)
 
     def __init__(self) -> None:
         super().__init__()
         self._nthreads = 4
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set(f"{self.prefix()}:nthreads", np.int64(self._nthreads))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        n = int(self._take(options, f"{self.prefix()}:nthreads",
-                           OptionType.INT64, self._nthreads))
-        if n < 1:
-            raise InvalidOptionError(f"{self.prefix()}:nthreads must be >= 1")
-        self._nthreads = n
 
 
 def _slabs(dims: tuple[int, ...], chunk_size: int
@@ -216,34 +213,19 @@ class ChunkingCompressor(_ParallelBase):
     and the streams are concatenated behind a length table.
     """
 
+    description = ("splits a buffer into runs of whole leading-axis slabs "
+                   "and compresses each with its N-d dims")
+    fields = (
+        replace(NTHREADS, doc="worker threads when the inner plugin is "
+                              "re-entrant"),
+        replace(CHUNK_SIZE, doc="target elements per chunk; rounded to "
+                                "whole leading-axis rows, at least 4 where "
+                                "the array has them"),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._chunk_size = 1 << 16
-
-    def _meta_options(self) -> PressioOptions:
-        opts = super()._meta_options()
-        opts.set("chunking:chunk_size", np.int64(self._chunk_size))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        super()._set_meta_options(options)
-        size = int(self._take(options, "chunking:chunk_size",
-                              OptionType.INT64, self._chunk_size))
-        if size < 1:
-            raise InvalidOptionError("chunking:chunk_size must be >= 1")
-        self._chunk_size = size
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "splits a buffer into runs of whole leading-axis slabs "
-                 "and compresses each with its N-d dims")
-        docs.set("chunking:chunk_size",
-                 "target elements per chunk; rounded to whole leading-axis "
-                 "rows, at least 4 where the array has them")
-        docs.set("chunking:nthreads",
-                 "worker threads when the inner plugin is re-entrant")
-        return docs
 
     def _cut(self, input: PressioData) -> tuple[bytes, list[np.ndarray]]:
         """The container magic and the chunks of ``input``."""
@@ -358,24 +340,13 @@ class ManyIndependentCompressor(_ParallelBase):
       cannot carry USERPTR options across).
     """
 
+    fields = (NTHREADS, Field("mode", "_mode", OptionType.STRING,
+                              choices=("thread", "process")))
+
     def __init__(self) -> None:
         super().__init__()
         self._mode = "thread"
         self._picklable_options: dict = {}
-
-    def _meta_options(self) -> PressioOptions:
-        opts = super()._meta_options()
-        opts.set("many_independent:mode", self._mode)
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        super()._set_meta_options(options)
-        mode = str(self._take(options, "many_independent:mode",
-                              OptionType.STRING, self._mode))
-        if mode not in ("thread", "process"):
-            raise InvalidOptionError(
-                "many_independent:mode must be thread or process")
-        self._mode = mode
 
     def _set_options(self, options: PressioOptions) -> None:
         super()._set_options(options)
@@ -492,29 +463,18 @@ class ManyDependentCompressor(_ParallelBase):
     configuration guess to subsequent time steps.
     """
 
+    fields = (
+        NTHREADS,
+        Field("from_metric", "_from_metric", OptionType.STRING),
+        Field("to_option", "_to_option", OptionType.STRING),
+        Field("scale", "_scale", OptionType.DOUBLE),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._from_metric = "error_stat:value_range"
         self._to_option = ""
         self._scale = 1.0
-
-    def _meta_options(self) -> PressioOptions:
-        opts = super()._meta_options()
-        opts.set("many_dependent:from_metric", self._from_metric)
-        opts.set("many_dependent:to_option", self._to_option)
-        opts.set("many_dependent:scale", float(self._scale))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        super()._set_meta_options(options)
-        self._from_metric = str(self._take(
-            options, "many_dependent:from_metric", OptionType.STRING,
-            self._from_metric))
-        self._to_option = str(self._take(
-            options, "many_dependent:to_option", OptionType.STRING,
-            self._to_option))
-        self._scale = float(self._take(
-            options, "many_dependent:scale", OptionType.DOUBLE, self._scale))
 
     def _compress(self, input: PressioData) -> PressioData:
         return self._inner.compress(input)

@@ -42,17 +42,16 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
-import numpy as np
-
+from ..core.configurable import Field
 from ..core.data import PressioData
-from ..core.options import OptionType, PressioOptions
+from ..core.options import OptionType
 from ..obs import flight as _flight
 from ..obs import runtime as _obs
 from ..core.registry import compressor_plugin
-from ..core.status import InvalidOptionError
 from ..trace import runtime as _trace
-from .parallel import ChunkingCompressor, _ParallelBase, write_slabs
+from .parallel import CHUNK_SIZE, NTHREADS, ChunkingCompressor, write_slabs
 
 __all__ = ["PipelinedCompressor"]
 
@@ -83,44 +82,21 @@ class PipelinedCompressor(ChunkingCompressor):
     chunk ``i`` on a single worker thread; byte-identical to ``chunking``.
     """
 
+    description = ("chunk-pipelined executor overlapping the inner "
+                   "compressor's quantize/predict stage with its "
+                   "entropy-coding stage")
+    fields = (
+        replace(NTHREADS, doc="worker threads for the (inherited) "
+                              "decompress path"),
+        replace(CHUNK_SIZE, doc="target elements per pipelined chunk, cut "
+                                "as chunking:chunk_size is"),
+        Field("depth", "_depth", OptionType.INT64, low=1,
+              doc="max stage-2 tasks in flight before stage 1 blocks"),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._depth = 2
-
-    # -- options (``pipelined:`` namespace, not ``chunking:``) ----------
-    def _meta_options(self) -> PressioOptions:
-        opts = _ParallelBase._meta_options(self)
-        opts.set("pipelined:chunk_size", np.int64(self._chunk_size))
-        opts.set("pipelined:depth", np.int64(self._depth))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        _ParallelBase._set_meta_options(self, options)
-        size = int(self._take(options, "pipelined:chunk_size",
-                              OptionType.INT64, self._chunk_size))
-        if size < 1:
-            raise InvalidOptionError("pipelined:chunk_size must be >= 1")
-        self._chunk_size = size
-        depth = int(self._take(options, "pipelined:depth",
-                               OptionType.INT64, self._depth))
-        if depth < 1:
-            raise InvalidOptionError("pipelined:depth must be >= 1")
-        self._depth = depth
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "chunk-pipelined executor overlapping the inner "
-                 "compressor's quantize/predict stage with its "
-                 "entropy-coding stage")
-        docs.set("pipelined:chunk_size",
-                 "target elements per pipelined chunk, cut as "
-                 "chunking:chunk_size is")
-        docs.set("pipelined:depth",
-                 "max stage-2 tasks in flight before stage 1 blocks")
-        docs.set("pipelined:nthreads",
-                 "worker threads for the (inherited) decompress path")
-        return docs
 
     # -- compression ----------------------------------------------------
     def _compress(self, input: PressioData) -> PressioData:

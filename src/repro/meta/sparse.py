@@ -23,7 +23,8 @@ import numpy as np
 
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_to_numpy
-from ..core.options import OptionType, PressioOptions
+from ..core.configurable import Field
+from ..core.options import OptionType
 from ..core.registry import compressor_plugin
 from ..core.status import CorruptStreamError
 from ..encoders.headers import read_header, write_header
@@ -41,19 +42,11 @@ class SparseCompressor(MetaCompressor):
 
     default_inner = "sz"
 
+    fields = (Field("fill_value", "_fill_value", OptionType.DOUBLE),)
+
     def __init__(self) -> None:
         super().__init__()
         self._fill_value = 0.0
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("sparse:fill_value", float(self._fill_value))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        self._fill_value = float(self._take(
-            options, "sparse:fill_value", OptionType.DOUBLE,
-            self._fill_value))
 
     def _compress(self, input: PressioData) -> PressioData:
         arr = np.asarray(input.to_numpy()).reshape(-1)

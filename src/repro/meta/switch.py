@@ -10,9 +10,9 @@ remain decompressible after the active id changes.
 from __future__ import annotations
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import Stability, ThreadSafety, set_each
+from ..core.configurable import Field, Stability, ThreadSafety, set_each
 from ..core.data import PressioData
-from ..core.options import PressioOptions
+from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin, compressor_registry
 from ..core.status import CorruptStreamError
 from ..core.dtype import DType
@@ -29,6 +29,15 @@ class SwitchCompressor(PressioCompressor):
     """Dispatches to one of several registered candidates at runtime."""
 
     thread_safety = "serialized"
+    description = "runtime switch between candidate compressors"
+    # reported and documented as fields; _set_options takes them, as
+    # naming a candidate creates it
+    fields = (
+        Field("active_id", "_active", OptionType.STRING,
+              doc="candidate that handles operations"),
+        Field("compressor_ids", "_candidate_ids", OptionType.STRING_LIST,
+              doc="candidate plugin ids to prepare"),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -54,17 +63,15 @@ class SwitchCompressor(PressioCompressor):
 
     # -- options ----------------------------------------------------------
     def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("switch:active_id", self._active)
-        opts.set("switch:compressor_ids", list(self._candidate_ids))
+        opts = super()._options()
         for cid in self._candidate_ids:
             opts = opts.merge(self._candidates[cid].get_options())
         return opts
 
     def _set_options(self, options: PressioOptions) -> None:
-        active = options.get("switch:active_id")
+        active = options.get(self._qualify("active_id"))
         wanted = [str(cid) for cid in
-                  options.get("switch:compressor_ids") or ()]
+                  options.get(self._qualify("compressor_ids")) or ()]
         if active is not None:
             wanted.append(str(active))
         # new candidates join only once every candidate took the options,
@@ -126,16 +133,8 @@ class SwitchCompressor(PressioCompressor):
                 active_cfg.get("pressio:thread_safe",
                                ThreadSafety.SERIALIZED))
         cfg.set("pressio:stability", Stability.STABLE)
-        cfg.set("switch:candidates", list(self._candidate_ids))
+        cfg.set(self._qualify("candidates"), list(self._candidate_ids))
         return cfg
-
-    def _documentation(self) -> PressioOptions:
-        docs = PressioOptions()
-        docs.set("pressio:description",
-                 "runtime switch between candidate compressors")
-        docs.set("switch:active_id", "candidate that handles operations")
-        docs.set("switch:compressor_ids", "candidate plugin ids to prepare")
-        return docs
 
     def version(self) -> str:
         return "1.0.0.pyrepro"

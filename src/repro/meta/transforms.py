@@ -12,7 +12,8 @@ import numpy as np
 
 from ..core.data import PressioData
 from ..core.dtype import DType, dtype_to_numpy
-from ..core.options import OptionType, PressioOptions
+from ..core.configurable import Field
+from ..core.options import OptionType
 from ..core.registry import compressor_plugin
 from ..core.status import CorruptStreamError, InvalidDimensionsError, InvalidOptionError
 from ..encoders.headers import read_header, write_header
@@ -60,19 +61,11 @@ class TransposeCompressor(MetaCompressor):
     data through the uniform interface.
     """
 
+    fields = (Field("axis_order", "_axis_order", OptionType.STRING_LIST),)
+
     def __init__(self) -> None:
         super().__init__()
         self._axis_order: list[str] = []
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("transpose:axis_order", list(self._axis_order))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        order = options.get("transpose:axis_order")
-        if order is not None:
-            self._axis_order = [str(a) for a in order]
 
     def _order_for(self, ndim: int) -> tuple[int, ...]:
         if not self._axis_order:
@@ -80,8 +73,8 @@ class TransposeCompressor(MetaCompressor):
         order = tuple(int(a) for a in self._axis_order)
         if sorted(order) != list(range(ndim)):
             raise InvalidOptionError(
-                f"transpose:axis_order {order} is not a permutation of "
-                f"0..{ndim - 1}"
+                f"{self._qualify('axis_order')} {order} is not a "
+                f"permutation of 0..{ndim - 1}"
             )
         return order
 
@@ -118,23 +111,16 @@ class ResizeCompressor(MetaCompressor):
     compressors avoid padding (the ZFP example from the glossary).
     """
 
+    fields = (Field("new_dims", "_new_dims", OptionType.STRING_LIST),)
+
     def __init__(self) -> None:
         super().__init__()
         self._new_dims: list[str] = []
 
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("resize:new_dims", list(self._new_dims))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        dims = options.get("resize:new_dims")
-        if dims is not None:
-            self._new_dims = [str(d) for d in dims]
-
     def _compress(self, input: PressioData) -> PressioData:
         if not self._new_dims:
-            raise InvalidOptionError("resize:new_dims is not set")
+            raise InvalidOptionError(
+                f"{self._qualify('new_dims')} is not set")
         new_dims = tuple(int(d) for d in self._new_dims)
         reshaped = input.reshape(new_dims)  # validates element count
         inner_out = self._inner.compress(reshaped)
@@ -212,21 +198,11 @@ class LinearQuantizerCompressor(MetaCompressor):
 
     default_inner = "zlib"
 
+    fields = (Field("step", "_step", OptionType.DOUBLE, positive=True),)
+
     def __init__(self) -> None:
         super().__init__()
         self._step = 1e-3
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("linear_quantizer:step", float(self._step))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        step = float(self._take(options, "linear_quantizer:step",
-                                OptionType.DOUBLE, self._step))
-        if step <= 0:
-            raise InvalidOptionError("linear_quantizer:step must be positive")
-        self._step = step
 
     def _compress(self, input: PressioData) -> PressioData:
         arr = np.asarray(input.to_numpy(), dtype=np.float64)
@@ -270,33 +246,18 @@ class SampleCompressor(MetaCompressor):
     Decompression returns the sampled grid (dims are in the stream).
     """
 
+    fields = (
+        Field("rate", "_rate", OptionType.INT64, low=1),
+        Field("mode", "_mode", OptionType.STRING,
+              choices=("decimate", "wor", "wr")),
+        Field("seed", "_seed", OptionType.INT64),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._rate = 2
         self._mode = "decimate"
         self._seed = 0
-
-    def _meta_options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("sample:rate", np.int64(self._rate))
-        opts.set("sample:mode", self._mode)
-        opts.set("sample:seed", np.int64(self._seed))
-        return opts
-
-    def _set_meta_options(self, options: PressioOptions) -> None:
-        rate = int(self._take(options, "sample:rate", OptionType.INT64,
-                              self._rate))
-        if rate < 1:
-            raise InvalidOptionError("sample:rate must be >= 1")
-        self._rate = rate
-        mode = str(self._take(options, "sample:mode", OptionType.STRING,
-                              self._mode))
-        if mode not in ("decimate", "wor", "wr"):
-            raise InvalidOptionError(
-                "sample:mode must be decimate, wor, or wr")
-        self._mode = mode
-        self._seed = int(self._take(options, "sample:seed",
-                                    OptionType.INT64, self._seed))
 
     def _select(self, n: int) -> np.ndarray:
         count = max(n // self._rate, 1)

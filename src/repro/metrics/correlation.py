@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import metric_plugin
-from ..core.status import InvalidOptionError
 from .base import ComparisonMetrics
 
 __all__ = ["PearsonMetrics", "AutocorrMetrics"]
@@ -58,22 +58,12 @@ class PearsonMetrics(ComparisonMetrics):
 class AutocorrMetrics(ComparisonMetrics):
     """Autocorrelation of the error signal at lags 1..autocorr:max_lag."""
 
+    fields = (Field("autocorr:max_lag", "_max_lag", OptionType.INT32, low=1),)
+
     def __init__(self) -> None:
         super().__init__()
         self._max_lag = 16
         self._acf: np.ndarray | None = None
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("autocorr:max_lag", np.int32(self._max_lag))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        lag = int(self._take(options, "autocorr:max_lag", OptionType.INT32,
-                             self._max_lag))
-        if lag < 1:
-            raise InvalidOptionError("autocorr:max_lag must be >= 1")
-        self._max_lag = lag
 
     def _evaluate(self, original: np.ndarray, decompressed: np.ndarray) -> None:
         err = decompressed - original

@@ -14,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import metric_plugin
-from ..core.status import InvalidOptionError
 from .base import ComparisonMetrics
 
 __all__ = ["KSTestMetrics", "KLDivergenceMetrics", "DiffPdfMetrics"]
@@ -56,22 +56,12 @@ class KSTestMetrics(ComparisonMetrics):
 class KLDivergenceMetrics(ComparisonMetrics):
     """Histogram KL divergence D(original || decompressed)."""
 
+    fields = (Field("kl_divergence:bins", "_bins", OptionType.INT32, low=2),)
+
     def __init__(self) -> None:
         super().__init__()
         self._bins = 128
         self._kl: float | None = None
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("kl_divergence:bins", np.int32(self._bins))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        bins = int(self._take(options, "kl_divergence:bins", OptionType.INT32,
-                              self._bins))
-        if bins < 2:
-            raise InvalidOptionError("kl_divergence:bins must be >= 2")
-        self._bins = bins
 
     def _evaluate(self, original: np.ndarray, decompressed: np.ndarray) -> None:
         lo = min(float(original.min()), float(decompressed.min()))
@@ -101,23 +91,13 @@ class KLDivergenceMetrics(ComparisonMetrics):
 class DiffPdfMetrics(ComparisonMetrics):
     """Empirical pdf of the pointwise differences."""
 
+    fields = (Field("diff_pdf:bins", "_bins", OptionType.INT32, low=2),)
+
     def __init__(self) -> None:
         super().__init__()
         self._bins = 64
         self._pdf: np.ndarray | None = None
         self._edges: np.ndarray | None = None
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("diff_pdf:bins", np.int32(self._bins))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        bins = int(self._take(options, "diff_pdf:bins", OptionType.INT32,
-                              self._bins))
-        if bins < 2:
-            raise InvalidOptionError("diff_pdf:bins must be >= 2")
-        self._bins = bins
 
     def _evaluate(self, original: np.ndarray, decompressed: np.ndarray) -> None:
         diff = decompressed - original

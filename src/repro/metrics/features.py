@@ -23,10 +23,10 @@ import itertools
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import metric_plugin
-from ..core.status import InvalidOptionError
 from .base import ComparisonMetrics
 
 __all__ = ["FtkMetrics", "local_extrema"]
@@ -82,23 +82,14 @@ def _match_fraction(original: np.ndarray, recovered: np.ndarray,
 class FtkMetrics(ComparisonMetrics):
     """Critical-point preservation between original and decompressed."""
 
+    fields = (Field("ftk:match_radius", "_match_radius", OptionType.INT32,
+                    low=0),)
+
     def __init__(self) -> None:
         super().__init__()
         self._match_radius = 1
         self._dims: tuple[int, ...] | None = None
         self._results = PressioOptions()
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("ftk:match_radius", np.int32(self._match_radius))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        radius = int(self._take(options, "ftk:match_radius",
-                                OptionType.INT32, self._match_radius))
-        if radius < 0:
-            raise InvalidOptionError("ftk:match_radius must be >= 0")
-        self._match_radius = radius
 
     def begin_compress(self, input: PressioData) -> None:
         super().begin_compress(input)

@@ -28,6 +28,7 @@ import csv
 import os
 import weakref
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.metrics import PressioMetrics
 from ..core.options import OptionType, PressioOptions
@@ -57,6 +58,13 @@ def _flush_live_loggers() -> None:
 class CsvLoggerMetrics(PressioMetrics):
     """Log child-metric results to a CSV file, one row per round trip."""
 
+    fields = (
+        Field("csv_logger:path", "_path", OptionType.STRING),
+        Field("csv_logger:mode", "_mode", OptionType.STRING,
+              choices=("roundtrip", "per_operation")),
+        Field("csv_logger:metrics", "_child_ids", OptionType.STRING_LIST),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._path = ""
@@ -70,30 +78,13 @@ class CsvLoggerMetrics(PressioMetrics):
         _LIVE_LOGGERS.add(self)
 
     # -- options ----------------------------------------------------------
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("csv_logger:path", self._path)
-        opts.set("csv_logger:mode", self._mode)
-        opts.set("csv_logger:metrics", list(self._child_ids))
-        return opts
-
     def _set_options(self, options: PressioOptions) -> None:
-        self._path = str(self._take(options, "csv_logger:path",
-                                    OptionType.STRING, self._path))
-        mode = str(self._take(options, "csv_logger:mode",
-                              OptionType.STRING, self._mode))
-        if mode not in ("roundtrip", "per_operation"):
-            raise InvalidOptionError(
-                "csv_logger:mode must be roundtrip or per_operation")
-        self._mode = mode
+        # naming other child metrics creates them
         ids = options.get("csv_logger:metrics")
-        if ids is not None:
-            ids = [str(i) for i in ids]
-            if ids != self._child_ids:
-                self._child_ids = ids
-                self._children = [metrics_registry.create(mid)
-                                  for mid in ids]
-                self._columns = None
+        if ids is not None and list(ids) != self._child_ids:
+            self._children = [metrics_registry.create(mid) for mid in ids]
+            self._columns = None
+        super()._set_options(options)
 
     # -- hook fan-out --------------------------------------------------------
     def begin_compress(self, input: PressioData) -> None:

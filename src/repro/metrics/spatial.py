@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.data import PressioData
 from ..core.metrics import PressioMetrics
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import metric_plugin, metrics_registry
-from ..core.status import InvalidOptionError
 from .base import ComparisonMetrics
 
 __all__ = ["SpatialErrorMetrics", "KthErrorMetrics",
@@ -30,22 +30,13 @@ __all__ = ["SpatialErrorMetrics", "KthErrorMetrics",
 class SpatialErrorMetrics(ComparisonMetrics):
     """Percent of elements exceeding ``spatial_error:threshold``."""
 
+    fields = (Field("spatial_error:threshold", "_threshold",
+                    OptionType.DOUBLE, low=0),)
+
     def __init__(self) -> None:
         super().__init__()
         self._threshold = 1e-4
         self._percent: float | None = None
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("spatial_error:threshold", float(self._threshold))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        thr = float(self._take(options, "spatial_error:threshold",
-                               OptionType.DOUBLE, self._threshold))
-        if thr < 0:
-            raise InvalidOptionError("spatial_error:threshold must be >= 0")
-        self._threshold = thr
 
     def _evaluate(self, original: np.ndarray, decompressed: np.ndarray) -> None:
         if original.size == 0:
@@ -69,21 +60,12 @@ class SpatialErrorMetrics(ComparisonMetrics):
 class KthErrorMetrics(ComparisonMetrics):
     """The k-th largest absolute error (k = ``kth_error:k``, 1-based)."""
 
+    fields = (Field("kth_error:k", "_k", OptionType.INT64, low=1),)
+
     def __init__(self) -> None:
         super().__init__()
         self._k = 1
         self._value: float | None = None
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("kth_error:k", np.int64(self._k))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        k = int(self._take(options, "kth_error:k", OptionType.INT64, self._k))
-        if k < 1:
-            raise InvalidOptionError("kth_error:k must be >= 1")
-        self._k = k
 
     def _evaluate(self, original: np.ndarray, decompressed: np.ndarray) -> None:
         abs_err = np.abs(decompressed - original)
@@ -114,6 +96,11 @@ class RegionOfInterestMetrics(PressioMetrics):
     entry per dimension), showing off the STRING_LIST option type.
     """
 
+    fields = (
+        Field("region_of_interest:start", "_start", OptionType.STRING_LIST),
+        Field("region_of_interest:stop", "_stop", OptionType.STRING_LIST),
+    )
+
     def __init__(self) -> None:
         super().__init__()
         self._start: list[str] = []
@@ -121,20 +108,6 @@ class RegionOfInterestMetrics(PressioMetrics):
         self._orig: np.ndarray | None = None
         self._orig_mean: float | None = None
         self._dec_mean: float | None = None
-
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("region_of_interest:start", list(self._start))
-        opts.set("region_of_interest:stop", list(self._stop))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        start = options.get("region_of_interest:start")
-        stop = options.get("region_of_interest:stop")
-        if start is not None:
-            self._start = [str(s) for s in start]
-        if stop is not None:
-            self._stop = [str(s) for s in stop]
 
     def _region(self, arr: np.ndarray) -> np.ndarray:
         if not self._start or len(self._start) != arr.ndim:
@@ -178,31 +151,21 @@ class MaskMetrics(ComparisonMetrics):
     IV-C; ``mask:metric`` names the wrapped plugin.
     """
 
+    fields = (Field("mask:metric", "_child_id", OptionType.STRING),
+              Field("mask:mask", "_mask", OptionType.DATA))
+
     def __init__(self) -> None:
         super().__init__()
         self._mask: PressioData | None = None
         self._child_id = "error_stat"
         self._child: PressioMetrics = metrics_registry.create("error_stat")
 
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("mask:metric", self._child_id)
-        if self._mask is not None:
-            opts.set("mask:mask", self._mask)
-        else:
-            opts.set_type("mask:mask", OptionType.DATA)
-        return opts
-
     def _set_options(self, options: PressioOptions) -> None:
+        # naming another child metric creates it
         child_id = options.get("mask:metric")
         if child_id is not None and child_id != self._child_id:
-            self._child_id = str(child_id)
-            self._child = metrics_registry.create(self._child_id)
-        mask = options.get("mask:mask")
-        if mask is not None:
-            if not isinstance(mask, PressioData):
-                raise InvalidOptionError("mask:mask must be a PressioData")
-            self._mask = mask
+            self._child = metrics_registry.create(str(child_id))
+        super()._set_options(options)
 
     def _evaluate(self, original: np.ndarray, decompressed: np.ndarray) -> None:
         if self._mask is not None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.configurable import Field
 from ..core.metrics import PressioMetrics
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import metric_plugin
@@ -38,6 +39,12 @@ __all__ = ["TraceMetrics"]
 @metric_plugin("trace")
 class TraceMetrics(PressioMetrics):
     """Collects a span tree for every operation of the owning compressor."""
+
+    fields = (
+        Field("trace:jsonl_path", "_jsonl_path", OptionType.STRING),
+        Field("trace:chrome_path", "_chrome_path", OptionType.STRING),
+        Field("trace:clear_on_reset", "_clear_on_reset", OptionType.INT32),
+    )
 
     def __init__(self) -> None:
         super().__init__()
@@ -53,24 +60,6 @@ class TraceMetrics(PressioMetrics):
     def context(self) -> TraceContext:
         """The context results are read from (ambient when one is active)."""
         return self._source
-
-    # -- options ----------------------------------------------------------
-    def _options(self) -> PressioOptions:
-        opts = PressioOptions()
-        opts.set("trace:jsonl_path", self._jsonl_path)
-        opts.set("trace:chrome_path", self._chrome_path)
-        opts.set("trace:clear_on_reset", np.int32(self._clear_on_reset))
-        return opts
-
-    def _set_options(self, options: PressioOptions) -> None:
-        self._jsonl_path = str(self._take(options, "trace:jsonl_path",
-                                          OptionType.STRING, self._jsonl_path))
-        self._chrome_path = str(self._take(options, "trace:chrome_path",
-                                           OptionType.STRING,
-                                           self._chrome_path))
-        self._clear_on_reset = bool(self._take(
-            options, "trace:clear_on_reset", OptionType.INT32,
-            self._clear_on_reset))
 
     # -- hook plumbing ----------------------------------------------------
     def _begin(self, kind: str, input) -> None:

@@ -12,6 +12,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture file -> (expected rule id, expected finding count)
 SEEDED = {
     "pc001_option_symmetry.py": ("PC001", 1),
+    "pc001_field_table.py": ("PC001", 1),
     "pc002_docs_drift.py": ("PC002", 1),
     "pc003_native_call.py": ("PC003", 1),
     "pc004_broad_except.py": ("PC004", 2),

@@ -691,3 +691,35 @@ def test_every_rejection_is_a_typed_corrupt_stream_error(stream):
     with pytest.raises(CorruptStreamError) as info:
         decode_residuals(stream)
     assert isinstance(info.value, ValueError)
+
+
+# -- no deflate twice -------------------------------------------------------
+
+def test_a_whole_plane_trial_is_the_low_effort_body():
+    """A plane of at most ``_SAMPLE`` bytes whose run fraction falls in
+    the band the trial settles is deflated whole by both strategies;
+    low effort writes the winner's stream instead of deflating the
+    plane a third time."""
+    rng = np.random.default_rng(1)
+    plane = np.repeat(rng.integers(16, 256, 2048).astype(np.uint8), 2)
+    assert residual._RLE_NEVER * plane.size <= residual._run_count(plane) \
+        < residual._RLE_SURE * plane.size
+    with mock.patch.object(residual, "_deflate",
+                           wraps=residual._deflate) as spy:
+        tag, body = residual._encode_plane(plane, 1, "zlib")
+    assert [c.args[1] for c in spy.call_args_list] == [zlib.Z_RLE,
+                                                      zlib.Z_HUFFMAN_ONLY]
+    assert (tag, body) == (residual._P_ZLIB,
+                           residual._deflate(plane, zlib.Z_RLE))
+
+
+def test_high_effort_packing_runs_no_strategy_trial():
+    """High effort deflates a packed body every way, so it has no use
+    for the low-effort strategy chooser."""
+    rng = np.random.default_rng(2)
+    plane = rng.integers(0, 3, 2 ** 14).astype(np.uint8)
+    with mock.patch.object(residual, "_rle_first",
+                           wraps=residual._rle_first) as spy:
+        tag, _ = residual._encode_plane(plane, 6, "zlib")
+    assert tag == residual._P_PACKED
+    assert spy.call_count == 0

@@ -6,6 +6,7 @@ import pytest
 from repro.compressors.lossless import LOSSLESS_PLUGIN_IDS
 from repro.compressors.rounding import mask_mantissa
 from repro.core import DType, InvalidTypeError, PressioData, PressioError
+from repro.core.status import ErrorCode
 from tests.conftest import roundtrip
 
 
@@ -124,6 +125,32 @@ class TestNoopPlugin:
                               PressioData.empty(DType.INT16, (3, 4)))
         assert out.dtype == DType.INT16
         assert out.dims == (3, 4)
+
+
+class TestFpzipOptions:
+    """fpzip keeps its precision and header options for API fidelity;
+    the native is always full-precision lossless with a header, so it
+    accepts only those values and rejects what it cannot honour."""
+
+    @pytest.mark.parametrize("options", [{"fpzip:prec": 16},
+                                         {"fpzip:has_header": False},
+                                         {"fpzip:prec": 16,
+                                          "fpzip:level": 6}])
+    def test_rejects_what_it_cannot_honour(self, library, options):
+        comp = library.get_compressor("fpzip")
+        before = comp.get_options()
+        assert comp.set_options(options) == ErrorCode.INVALID_OPTION
+        assert comp.check_options(options) == ErrorCode.INVALID_OPTION
+        assert comp.get_options() == before
+
+    def test_accepts_the_values_it_honours(self, library, smooth3d):
+        comp = library.get_compressor("fpzip")
+        assert comp.set_options({"fpzip:prec": 0, "fpzip:has_header": True,
+                                 "fpzip:level": 6}) == 0
+        opts = comp.get_options()
+        assert (opts.get("fpzip:prec"), opts.get("fpzip:has_header"),
+                opts.get("fpzip:level")) == (0, True, 6)
+        assert np.array_equal(roundtrip(comp, smooth3d), smooth3d)
 
 
 @pytest.mark.slow
