@@ -83,10 +83,8 @@ class Field:
         opt = options.get_option(self.qualified(plugin))
         if opt is None or not opt.has_value():
             return False
-        value = (opt.get() if self.type == OptionType.USERPTR
-                 else opt.cast(self.type, CastLevel.IMPLICIT).get())
         owner, name = self._owner(plugin)
-        setattr(owner, name, value)
+        setattr(owner, name, opt.cast(self.type, CastLevel.IMPLICIT).get())
         return True
 
     def check(self, plugin: "Configurable") -> None:
