@@ -12,7 +12,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture file -> (expected rule id, expected finding count)
 SEEDED = {
     "pc001_option_symmetry.py": ("PC001", 1),
-    "pc001_field_table.py": ("PC001", 1),
     "pc002_docs_drift.py": ("PC002", 1),
     "pc003_native_call.py": ("PC003", 1),
     "pc004_broad_except.py": ("PC004", 2),
@@ -49,9 +48,20 @@ def test_fixture_raises_only_its_rule(fixture, expected):
         assert f.message
 
 
+#: a plugin with a fields table whose hand-written _set_options reads
+#: field keys (declared) and one key nothing declares (PC001)
+FIELD_FIXTURE = "pc001_field_table.py"
+
+
+def test_field_table_fixture_raises_pc001_for_the_undeclared_key_only():
+    findings = analyze_paths([str(FIXTURES / FIELD_FIXTURE)])
+    assert [f.rule_id for f in findings] == ["PC001"]
+    assert "'fixture_pc001_fields:mode'" in findings[0].message
+
+
 def test_all_fixtures_are_covered():
     present = {p.name for p in FIXTURES.glob("*.py")}
-    assert present == set(SEEDED)
+    assert present == set(SEEDED) | {FIELD_FIXTURE}
 
 
 def test_no_false_positives_on_repaired_tree():
